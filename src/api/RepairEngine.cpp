@@ -36,11 +36,22 @@ struct prdnn::detail::EngineJob {
   RepairReport Report;
 
   void resolve(RepairReport NewReport) {
-    // The hook runs before Finished flips so that a caller blocked in
-    // report() can rely on completion-side effects (e.g. an admission
-    // slot released) having happened by the time its wait returns.
-    if (CompletionHook)
-      CompletionHook(NewReport);
+    {
+      // Both hooks are moved out and die here, before the report is
+      // published: a hook that captures this job's own JobHandle would
+      // otherwise keep the job and its request alive for good. Every
+      // caller holds the job, so this never destroys it.
+      std::function<void(const RepairReport &)> Completion =
+          std::move(CompletionHook);
+      CompletionHook = nullptr;
+      std::function<void(RepairPhase)> Checkpoint = Ctx.takeCheckpointHook();
+      // The completion hook runs before Finished flips so that a caller
+      // blocked in report() can rely on completion-side effects (e.g.
+      // an admission slot released) having happened by the time its
+      // wait returns.
+      if (Completion)
+        Completion(NewReport);
+    }
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       Report = std::move(NewReport);

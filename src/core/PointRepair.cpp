@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 using namespace prdnn;
@@ -454,25 +455,44 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     }
     return H.digest();
   };
-  /// Thrown out of the basis-cache compute closure when the cold solve
-  /// did not end Optimal: getOrCompute's exception path releases the
+  /// Thrown out of the basis-cache compute closure when the solve did
+  /// not end Optimal: getOrCompute's exception path releases the
   /// single-flight claim without publishing, so nothing is cached.
   struct NoBasis {};
 
-  auto SolveWithRows = [&](const std::vector<int> &Use,
-                           std::vector<double> &Out) -> lp::SolveStatus {
-    lp::DeltaLp Lp(NumEff, Options.Objective, Options.DeltaBound);
-    for (int RI : Use)
+  // One LP and one solver live across the constraint-generation rounds.
+  // Round 1 solves cold; each later round appends its new rows and the
+  // solver re-optimizes from the previous optimum with the dual simplex
+  // (lp/Simplex.h, SimplexSolver). Use lists the LP's rows in order;
+  // InLp marks them.
+  lp::DeltaLp Lp(NumEff, Options.Objective, Options.DeltaBound);
+  std::vector<int> Use;
+  std::vector<char> InLp(Rows.size(), 0);
+  std::unique_ptr<lp::SimplexSolver> Solver;
+  lp::SimplexOptions SolveOptions = LpOptions;
+  SolveOptions.ExportBasis = BasisCache != nullptr;
+
+  /// Appends \p NewRows to the LP and solves it: cold in round 1, warm
+  /// from the previous round's optimum after that.
+  auto SolveRound = [&](const std::vector<int> &NewRows,
+                        std::vector<double> &Out) -> lp::SolveStatus {
+    for (int RI : NewRows) {
       Lp.addConstraint(Rows[static_cast<size_t>(RI)].Coef, -lp::kInfinity,
                        Rows[static_cast<size_t>(RI)].Hi);
+      Use.push_back(RI);
+      InLp[static_cast<size_t>(RI)] = 1;
+    }
     const lp::LinearProgram &Problem = Lp.problem();
-    lp::SimplexOptions SolveOptions = LpOptions;
     lp::LpSolution Sol;
-    bool SolvedCold = false;
-    auto RunSolve = [&] {
+    auto Timed = [&](lp::SimplexSolver &S) {
       WallTimer LpTimer;
-      Sol = lp::solveLp(Problem, SolveOptions);
+      Sol = S.solve();
       LpSeconds += LpTimer.seconds();
+    };
+    auto RunSolve = [&] {
+      if (!Solver)
+        Solver = std::make_unique<lp::SimplexSolver>(Problem, SolveOptions);
+      Timed(*Solver);
     };
 
     if (!BasisCache) {
@@ -480,13 +500,13 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     } else {
       // Lookup and publish share one getOrCompute so the basis rides
       // the cache's single-flight, read-through, and write-behind
-      // machinery: on a miss the compute closure IS the cold solve
+      // machinery: on a miss the compute closure IS this round's solve
       // (exporting its terminal basis), so concurrent jobs racing on
-      // one key solve it once and the others warm-start from the
-      // shared result.
-      SolveOptions.ExportBasis = true;
+      // one key solve it once and the others replay the shared result.
       Digest128 RhsDigest = LpRhsDigest(Problem);
       bool Hit = false;
+      bool RanSolve = false;
+      bool Replayed = false;
       CacheTier Tier = CacheTier::None;
       std::shared_ptr<const CacheArtifact> Cached;
       try {
@@ -494,7 +514,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
             BasisKey(Use),
             [&]() -> std::shared_ptr<const CacheArtifact> {
               RunSolve();
-              SolvedCold = true;
+              RanSolve = true;
               if (Sol.Status != lp::SolveStatus::Optimal || !Sol.OptimalBasis)
                 throw NoBasis{};
               auto A = std::make_shared<SimplexBasisArtifact>();
@@ -508,28 +528,42 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
             },
             &Hit, &Tier);
       } catch (const NoBasis &) {
-        // Cold solve ran but ended non-Optimal; Sol holds its status.
+        // The solve ran but ended non-Optimal; Sol holds its status.
       }
-      if (!SolvedCold) {
+      if (!RanSolve) {
         // Served from cache (L1, L2, or a concurrent job's in-flight
         // solve). Replay only when the RHS digest certifies the cached
-        // basis came from this exact LP - a drifted LP solves cold so
-        // cache-on stays bit-identical to cache-off. The solver still
-        // re-validates and falls back to the cold path bit-exactly on
-        // a corrupt or singular basis.
+        // basis came from this exact LP: a fresh solver started from it
+        // re-derives that solve's optimum - and its end state, which
+        // the next round continues from - bit for bit. A drifted LP, or
+        // a cached basis the solver rejects, gets this round's solve
+        // exactly as with the cache off.
         const auto &A = static_cast<const SimplexBasisArtifact &>(*Cached);
-        lp::SimplexBasis Warm;
         if (A.RhsDigest == RhsDigest) {
+          lp::SimplexBasis Warm;
           Warm.NumRows = A.NumRows;
           Warm.NumVars = A.NumVars;
           Warm.Basic = A.Basic;
           Warm.NonbasicState = A.NonbasicState;
           Warm.Pivots = A.Pivots;
-          SolveOptions.WarmBasis = &Warm;
+          lp::SimplexOptions ReplayOptions = SolveOptions;
+          ReplayOptions.WarmBasis = &Warm;
+          auto Replay =
+              std::make_unique<lp::SimplexSolver>(Problem, ReplayOptions);
+          Timed(*Replay);
+          Replayed = Sol.WarmStarted;
+          // In round 1 a rejected basis already ran the cold solve.
+          if (Replayed || !Solver) {
+            Solver = std::move(Replay);
+            RanSolve = true;
+          }
         }
-        RunSolve();
+        if (!RanSolve)
+          RunSolve();
       }
-      if (Hit && Sol.WarmStarted) {
+      // A hit counts only when this round replayed the cached basis -
+      // never for a warm start from the previous round.
+      if (Hit && Replayed) {
         ++Result.Stats.BasisHits;
         Ctx->noteCacheHits(1);
         if (Tier == CacheTier::L2) {
@@ -537,14 +571,13 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
           Ctx->noteStoreHits(1);
         }
       } else {
-        // Miss, a non-Optimal (uncacheable) solve, or a cached basis
-        // the solver rejected - all ran the cold path.
         ++Result.Stats.BasisMisses;
         Ctx->noteCacheMisses(1);
       }
     }
 
     LpIterations += Sol.Iterations;
+    RowsUsed = static_cast<int>(Use.size());
     Result.Stats.LpKernels.accumulate(Sol.Stats);
     if (Sol.Status == lp::SolveStatus::Optimal)
       Out = Lp.extractDelta(Sol.X);
@@ -555,11 +588,17 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     return Sol.Status;
   };
 
+  /// The rows not yet in the LP, in row order.
+  auto Remaining = [&] {
+    std::vector<int> Rest;
+    for (size_t RI = 0; RI < Rows.size(); ++RI)
+      if (!InLp[RI])
+        Rest.push_back(static_cast<int>(RI));
+    return Rest;
+  };
+
   if (!Options.UseConstraintGeneration) {
-    std::vector<int> All(Rows.size());
-    std::iota(All.begin(), All.end(), 0);
-    lp::SolveStatus Status = SolveWithRows(All, DeltaEff);
-    RowsUsed = static_cast<int>(All.size());
+    lp::SolveStatus Status = SolveRound(Remaining(), DeltaEff);
     if (LpCancelled)
       return Cancelled();
     if (Status == lp::SolveStatus::Infeasible) {
@@ -572,15 +611,12 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     // Constraint generation: start from the rows violated by Delta = 0
     // and add violated rows until the relaxation optimum is feasible for
     // every row (then it is optimal for the full LP).
-    std::vector<char> InLp(Rows.size(), 0);
-    std::vector<int> Active;
+    std::vector<int> Add;
     for (size_t RI = 0; RI < Rows.size(); ++RI)
-      if (Rows[RI].Hi < 0.0) {
-        Active.push_back(static_cast<int>(RI));
-        InLp[RI] = 1;
-      }
+      if (Rows[RI].Hi < 0.0)
+        Add.push_back(static_cast<int>(RI));
 
-    if (Active.empty()) {
+    if (Add.empty()) {
       // Delta = 0 already satisfies the (margined) spec.
       Solved = true;
     } else {
@@ -588,8 +624,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
         if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
           return Cancelled();
         ++Result.Stats.CgRounds;
-        lp::SolveStatus Status = SolveWithRows(Active, DeltaEff);
-        RowsUsed = static_cast<int>(Active.size());
+        lp::SolveStatus Status = SolveRound(Add, DeltaEff);
         if (LpCancelled)
           return Cancelled();
         if (Status == lp::SolveStatus::Infeasible) {
@@ -613,22 +648,20 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
                                  static_cast<int>(Violated.size()));
         std::partial_sort(Violated.begin(), Violated.begin() + Take,
                           Violated.end(), std::greater<>());
-        for (int K = 0; K < Take; ++K) {
-          Active.push_back(Violated[K].second);
-          InLp[Violated[K].second] = 1;
-        }
+        Add.clear();
+        for (int K = 0; K < Take; ++K)
+          Add.push_back(Violated[K].second);
       }
     }
 
     if (!Solved) {
-      // Generation did not converge in budget; fall back to one full
-      // solve (still exact).
+      // Generation did not converge in budget (or a round failed):
+      // append every remaining row as one more round, which makes the
+      // LP the full one (still exact). After an Optimal round this is
+      // warm like any other; after a failed one the solver runs cold.
       if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
         return Cancelled();
-      std::vector<int> All(Rows.size());
-      std::iota(All.begin(), All.end(), 0);
-      lp::SolveStatus Status = SolveWithRows(All, DeltaEff);
-      RowsUsed = static_cast<int>(All.size());
+      lp::SolveStatus Status = SolveRound(Remaining(), DeltaEff);
       if (LpCancelled)
         return Cancelled();
       if (Status == lp::SolveStatus::Infeasible) {

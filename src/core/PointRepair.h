@@ -70,8 +70,13 @@ struct RepairOptions {
   /// Margin subtracted from spec rows inside the LP; a small positive
   /// value keeps satisfaction strict under floating-point noise.
   double RowMargin = 1e-6;
-  /// Solve on violated rows first, adding violated rows lazily.
+  /// Solve on violated rows first, adding violated rows lazily. One
+  /// solver serves every round: round 1 solves cold, later rounds
+  /// append their rows and re-optimize with the dual simplex
+  /// (lp/Simplex.h, SimplexSolver).
   bool UseConstraintGeneration = true;
+  /// Generation rounds before every remaining row is appended as one
+  /// final (still warm) round, which makes the LP the full one.
   int MaxCgRounds = 64;
   /// Violated rows admitted per generation round.
   int CgBatch = 512;
@@ -91,18 +96,19 @@ struct RepairOptions {
   /// per-point ablation path (BatchedJacobians = false) always
   /// recomputes.
   bool UseCache = true;
-  /// Cache the optimal simplex basis of each LP solve as a fourth
-  /// artifact kind (ArtifactKind::SimplexBasis) and warm-start later
-  /// identical solves from it (lp/Simplex.h,
-  /// SimplexOptions::WarmBasis). The basis key hashes the constraint
-  /// *coefficients* but not the right-hand sides, so a resubmission
-  /// whose spec moved only row bounds shares the entry slot; replay,
-  /// though, is gated on an exact digest of the remaining LP data,
-  /// because only replaying the terminal basis of the identical LP is
-  /// bit-identical to the cold solve (drift-hits solve cold; invalid
-  /// or singular bases fall back to the cold path bit-exactly). The
-  /// default on therefore never changes results. Only effective when
-  /// the job carries a cache, like UseCache.
+  /// Cache the optimal simplex basis of each LP solve (one per
+  /// constraint-generation round) as a fourth artifact kind
+  /// (ArtifactKind::SimplexBasis) and replay later identical solves
+  /// from it (lp/Simplex.h, SimplexOptions::WarmBasis). The basis key
+  /// hashes the constraint *coefficients* but not the right-hand
+  /// sides, so a resubmission whose spec moved only row bounds shares
+  /// the entry slot; replay, though, is gated on an exact digest of
+  /// the remaining LP data, because only replaying the terminal basis
+  /// of the identical LP re-derives that solve's result bit for bit
+  /// (drift-hits, and bases the solver rejects, get the round's own
+  /// solve, exactly as with the cache off). The default on therefore
+  /// never changes results. Only effective when the job carries a
+  /// cache, like UseCache.
   bool WarmStartBasis = true;
   /// Kernel determinism tier for this repair's dense hot paths (the
   /// batched-Jacobian GEMMs and, unless Lp.Determinism is already Fast,
@@ -159,8 +165,9 @@ struct RepairStats {
   int PatternCacheMisses = 0;
   /// Simplex warm-start basis lookups (one per LP solve attempted
   /// against the cache; see RepairOptions::WarmStartBasis). A hit
-  /// means the LP actually started from a cached basis; a cached basis
-  /// that failed solver validation counts as a miss.
+  /// means the LP actually replayed a cached basis; a cached basis
+  /// that failed solver validation counts as a miss, and so does a
+  /// round that re-optimized from the previous round's basis.
   int BasisHits = 0;
   int BasisMisses = 0;
   // Of the cache hits above, how many were served by the persistent L2

@@ -187,6 +187,16 @@ public:
     Hook = std::move(NewHook);
   }
 
+  /// Moves the checkpoint hook out, leaving none installed. The engine
+  /// calls it as the job resolves (on the job thread, or for a job that
+  /// never ran), so a hook that captures the job's own handle cannot
+  /// keep the job alive.
+  std::function<void(RepairPhase)> takeCheckpointHook() {
+    std::function<void(RepairPhase)> Out = std::move(Hook);
+    Hook = nullptr;
+    return Out;
+  }
+
   /// Whether a checkpoint hook is installed. The engine serializes
   /// sweep attempts for hooked jobs (EngineOptions::SweepShards): the
   /// hook contract says "invoked on the job thread", and tests rely on
@@ -234,7 +244,8 @@ private:
   /// Written before the job runs, read only from the job thread.
   ArtifactCache *CacheV = nullptr;
   NetworkFingerprint NetFp;
-  /// Written before the job runs, read only from the job thread.
+  /// Written before the job runs, read only from the job thread, and
+  /// released as the job resolves (takeCheckpointHook).
   std::function<void(RepairPhase)> Hook;
   /// Written before the job runs (setTrace), read from job threads.
   obs::TraceBuffer *TraceV = nullptr;

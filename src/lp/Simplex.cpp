@@ -44,6 +44,21 @@
 //    genuinely order-dependent and per-block winners would diverge.
 // See src/lp/README.md for the full contract.
 //
+// Incremental solves (SimplexSolver). The first solve is the cold
+// primal solve above. A later solve appends the rows added to the
+// problem since, with their slacks basic: the new basis is
+// [[B, 0], [C, -I]] (C = the new rows' entries in the basic columns),
+// whose inverse [[B^-1, 0], [C B^-1, -I]] is bordered onto Binv in
+// O(k M^2) instead of refactorized. The previous optimum stays dual-
+// feasible, so a bounded dual simplex re-optimizes from it: the leaving
+// row is the most infeasible basic variable, its Binv row is the pivot
+// row, alpha_j = rho . A~_j comes from one column-blocked pass like
+// pricing, a Harris ratio test on |d_j / alpha_j| picks the entering
+// column, and the reduced costs are updated from the pivot row instead
+// of a BTRAN. The primal phases then verify the result exactly as they
+// verify a cold solve; a dual phase that finds no entering column
+// (primal infeasible) or gives up hands its basis to primal phase 1.
+//
 //===----------------------------------------------------------------------===//
 
 #include "lp/Simplex.h"
@@ -56,6 +71,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 using namespace prdnn;
 using namespace prdnn::lp;
@@ -84,6 +100,7 @@ namespace {
 
 enum class VarStatus : uint8_t { Basic, AtLower, AtUpper, FreeNb };
 
+
 /// Accumulates the enclosing scope's wall time into a SimplexStats
 /// field; timing never feeds back into any computed value, so the
 /// instrumentation cannot perturb determinism.
@@ -99,13 +116,16 @@ private:
   WallTimer Timer;
 };
 
-/// One simplex solve; owns all scaled problem data and factorizations.
-class Worker {
+} // namespace
+
+/// The solver state of a SimplexSolver; owns all scaled problem data
+/// and factorizations, which persist from one solve to the next.
+class SimplexSolver::Worker {
 public:
   Worker(const LinearProgram &Problem, const SimplexOptions &Options)
       : Prob(Problem), Opt(Options) {}
 
-  LpSolution run();
+  LpSolution solve();
 
 private:
   const LinearProgram &Prob;
@@ -123,11 +143,13 @@ private:
   std::vector<double> X;            // per total variable
   std::vector<double> Binv;         // dense M*M, row-major
   std::vector<double> W, Y, Cb, Rhs;
+  std::vector<double> Alpha; // NT pivot-row entries (dual phase)
 
   // Parallel-kernel state. All scratch lives on the Worker and is
-  // sized once in initialBasis(), so the iteration hot loop allocates
-  // nothing (asserted in debug builds via the capacity watermark).
-  bool Par = false; // parallel kernels active for this solve
+  // sized in sizeScratch() before any iteration, so the iteration hot
+  // loop allocates nothing (asserted in debug builds via the capacity
+  // watermark).
+  bool Par = false; // parallel kernels active for the current shape
   static constexpr int PriceGrain = 64;  // columns per pricing block
   static constexpr int RatioGrain = 256; // rows per ratio block
   /// Blocks swept together (with one deterministic merge) per early-
@@ -136,7 +158,7 @@ private:
   /// work profile reproducible too.
   static constexpr int BlandGroupBlocks = 16;
   int NumPriceBlocks = 0, NumRatioBlocks = 0;
-  std::vector<double> Rc;              // NT reduced costs (batched pass)
+  std::vector<double> Rc; // NT reduced costs (batched pass, dual phase)
   std::vector<double> PriceBlockScore; // per pricing block: Dantzig best
   std::vector<int> PriceBlockJ, PriceBlockSigma;
   std::vector<int> PriceBlockFirst; // per block: Bland first-improving
@@ -147,7 +169,7 @@ private:
     bool AtUpper;
   };
   std::vector<std::vector<RatioCand>> RatioBlocks; // preselected rows
-  std::vector<double> RefB, RefInv;                // refactor scratch
+  std::vector<double> RefB;                        // refactor scratch
 
   SimplexStats Stats;
 
@@ -159,6 +181,14 @@ private:
   double PrevObj = 0.0;
   bool HavePrevObj = false;
   bool WarmStartedV = false; // warm basis accepted for this solve
+  /// Problem rows taken in so far (kept or dropped by presolve).
+  int RowsSeen = 0;
+  /// The last solve ended Optimal: its basis is dual-feasible for the
+  /// problem with rows appended, so the next solve can continue warm.
+  bool HaveOptimum = false;
+  /// Binv is exactly what refactor() would compute from Basis: no pivot
+  /// and no row append since the last successful refactorization.
+  bool Fresh = false;
 
 #ifndef NDEBUG
   // Per-iteration-allocation guard: capacities of every hot-loop
@@ -170,7 +200,17 @@ private:
   int scratchGrowths();
 #endif
 
+  enum class RowKind { Kept, Vacuous, Infeasible };
+  RowKind presolveRow(int I) const;
+  /// Scales kept row \p R (problem row KeptRows[R]) into RowScale,
+  /// ColA (stride M) and its slack's bounds.
+  void loadRow(int R);
   bool buildProblem(LpSolution &Out); // false => Out holds final status
+  /// Takes in the rows appended to the problem since the last solve,
+  /// their slacks basic, bordering Binv (the caller re-sizes scratch and
+  /// recomputes basic values); false => Out holds the status.
+  bool appendRows(LpSolution &Out);
+  void sizeScratch();
   void initialBasis();
   void setSlackBasis();
   bool tryWarmStart(const SimplexBasis &Warm);
@@ -178,7 +218,7 @@ private:
   void recomputeBasicValues();
   double infeasibility() const;
   double currentObjective() const;
-  double columnDot(const std::vector<double> &Vec, int J) const;
+  double columnDot(const double *Vec, int J) const;
   void computeColumn(int J);
   void computeDuals();
   bool isFixed(int J) const { return Hi[J] - Lo[J] <= 1e-30; }
@@ -194,7 +234,7 @@ private:
     if (S == VarStatus::Basic || isFixed(J))
       return 0;
     double RcJ = (Phase1 ? 0.0 : Cost[static_cast<size_t>(J)]) -
-                 columnDot(Y, J);
+                 columnDot(Y.data(), J);
     RcOut = RcJ;
     if ((S == VarStatus::AtLower || S == VarStatus::FreeNb) &&
         RcJ < -Opt.OptTol)
@@ -209,9 +249,9 @@ private:
   int chooseEnteringScalar(bool Phase1, int &SigmaOut);
   int chooseEnteringDantzigPar(bool Phase1, int &SigmaOut);
   int chooseEnteringBlandPar(bool Phase1, int &SigmaOut);
-  /// Parallel reduced-cost pass over every nonbasic, unfixed column
-  /// into Rc (no candidate selection); used by the dual-feasibility
-  /// verification in run().
+  /// Reduced-cost pass over every nonbasic, unfixed column into Rc (no
+  /// candidate selection), column-blocked on the parallel path; used by
+  /// the dual phase and the dual-feasibility verification.
   void batchReducedCosts(bool Phase1);
 
   struct RatioResult {
@@ -302,11 +342,30 @@ private:
   void updateBinv(int PivotRow);
 
   SolveStatus iterate(bool Phase1);
+
+  /// Dual simplex. Optimal: primal feasible. Infeasible: a primal-
+  /// infeasible row admits no entering column (dual unbounded).
+  /// NumericalError: the phase gave up (stalled, or FTRAN disagreed
+  /// with the pivot row). Cancelled / IterationLimit as in iterate().
+  SolveStatus dualPhase();
+  /// The most infeasible basic row (-1 when primal feasible).
+  int chooseLeavingRow(bool &ToUpper) const;
+  /// Alpha[j] = rho . A~_j over the nonbasic, unfixed columns, with rho
+  /// row \p R of Binv.
+  void pivotRowAlphas(int R);
+  /// Harris ratio test on |Rc[j] / Alpha[j]|; -1 when no column enters.
+  int dualRatioTest(bool ToUpper, int &SigmaOut);
+
+  LpSolution coldSolve();
+  /// Primal phases 1 and 2 from the current basis, each verdict checked
+  /// against a fresh factorization.
+  LpSolution primalPhases();
   LpSolution finish(SolveStatus Status);
 };
 
 #ifndef NDEBUG
-void Worker::collectScratchCaps(std::vector<size_t> &Out) const {
+void SimplexSolver::Worker::collectScratchCaps(
+    std::vector<size_t> &Out) const {
   Out.clear();
   Out.push_back(W.capacity());
   Out.push_back(Y.capacity());
@@ -316,24 +375,24 @@ void Worker::collectScratchCaps(std::vector<size_t> &Out) const {
   Out.push_back(X.capacity());
   Out.push_back(Basis.capacity());
   Out.push_back(Rc.capacity());
+  Out.push_back(Alpha.capacity());
   Out.push_back(PriceBlockScore.capacity());
   Out.push_back(PriceBlockJ.capacity());
   Out.push_back(PriceBlockSigma.capacity());
   Out.push_back(PriceBlockFirst.capacity());
   Out.push_back(RefB.capacity());
-  Out.push_back(RefInv.capacity());
   for (const auto &Block : RatioBlocks)
     Out.push_back(Block.capacity());
 }
 
-void Worker::snapshotScratch() {
+void SimplexSolver::Worker::snapshotScratch() {
   collectScratchCaps(ScratchWatermark);
   ScratchCapsNow.reserve(ScratchWatermark.capacity());
 }
 
 /// Number of hot-loop buffers whose capacity changed since the
 /// snapshot - i.e. per-iteration allocations. Must stay 0.
-int Worker::scratchGrowths() {
+int SimplexSolver::Worker::scratchGrowths() {
   collectScratchCaps(ScratchCapsNow);
   if (ScratchCapsNow.size() != ScratchWatermark.size())
     return static_cast<int>(ScratchCapsNow.size() + ScratchWatermark.size());
@@ -344,56 +403,59 @@ int Worker::scratchGrowths() {
 }
 #endif
 
-bool Worker::buildProblem(LpSolution &Out) {
-  NS = Prob.numVariables();
-
+SimplexSolver::Worker::RowKind
+SimplexSolver::Worker::presolveRow(int I) const {
   // Light presolve: drop rows with no nonzero coefficients. Such a row
   // is vacuous when 0 lies within its bounds and makes the whole LP
   // infeasible otherwise.
-  for (int I = 0; I < Prob.numRows(); ++I) {
-    const LpRow &Row = Prob.row(I);
-    bool HasNonzero = false;
+  const LpRow &Row = Prob.row(I);
+  for (double V : Row.Value)
+    if (V != 0.0)
+      return RowKind::Kept;
+  return Row.Lo > Opt.FeasTol || Row.Hi < -Opt.FeasTol ? RowKind::Infeasible
+                                                       : RowKind::Vacuous;
+}
+
+void SimplexSolver::Worker::loadRow(int R) {
+  // Row equilibration: divide each row (and its bounds) by its largest
+  // coefficient magnitude so feasibility tolerances are meaningful.
+  const LpRow &Row = Prob.row(KeptRows[R]);
+  double Scale = 1.0;
+  if (Opt.ScaleRows) {
+    double MaxAbs = 0.0;
     for (double V : Row.Value)
-      if (V != 0.0) {
-        HasNonzero = true;
-        break;
-      }
-    if (HasNonzero) {
-      KeptRows.push_back(I);
-      continue;
-    }
-    if (Row.Lo > Opt.FeasTol || Row.Hi < -Opt.FeasTol) {
+      MaxAbs = std::max(MaxAbs, std::fabs(V));
+    if (MaxAbs > 0.0)
+      Scale = MaxAbs;
+  }
+  RowScale[R] = Scale;
+  for (size_t K = 0; K < Row.Index.size(); ++K) {
+    int J = Row.Index[K];
+    ColA[static_cast<size_t>(J) * M + R] += Row.Value[K] / Scale;
+  }
+  Lo[NS + R] = Row.Lo / Scale;
+  Hi[NS + R] = Row.Hi / Scale;
+}
+
+bool SimplexSolver::Worker::buildProblem(LpSolution &Out) {
+  NS = Prob.numVariables();
+  KeptRows.clear();
+  for (int I = 0; I < Prob.numRows(); ++I) {
+    RowKind Kind = presolveRow(I);
+    if (Kind == RowKind::Infeasible) {
       Out = LpSolution();
       Out.Status = SolveStatus::Infeasible;
       return false;
     }
+    if (Kind == RowKind::Kept)
+      KeptRows.push_back(I);
   }
+  RowsSeen = Prob.numRows();
   M = static_cast<int>(KeptRows.size());
   NT = NS + M;
 
-  // Row equilibration: divide each row (and its bounds) by its largest
-  // coefficient magnitude so feasibility tolerances are meaningful.
   RowScale.assign(static_cast<size_t>(M), 1.0);
-  if (Opt.ScaleRows) {
-    for (int R = 0; R < M; ++R) {
-      const LpRow &Row = Prob.row(KeptRows[R]);
-      double MaxAbs = 0.0;
-      for (double V : Row.Value)
-        MaxAbs = std::max(MaxAbs, std::fabs(V));
-      if (MaxAbs > 0.0)
-        RowScale[R] = MaxAbs;
-    }
-  }
-
   ColA.assign(static_cast<size_t>(M) * static_cast<size_t>(NS), 0.0);
-  for (int R = 0; R < M; ++R) {
-    const LpRow &Row = Prob.row(KeptRows[R]);
-    for (size_t K = 0; K < Row.Index.size(); ++K) {
-      int J = Row.Index[K];
-      ColA[static_cast<size_t>(J) * M + R] += Row.Value[K] / RowScale[R];
-    }
-  }
-
   Lo.resize(NT);
   Hi.resize(NT);
   Cost.assign(static_cast<size_t>(NT), 0.0);
@@ -402,30 +464,106 @@ bool Worker::buildProblem(LpSolution &Out) {
     Hi[J] = Prob.variableHi(J);
     Cost[J] = Prob.objectiveCoef(J);
   }
-  for (int R = 0; R < M; ++R) {
-    const LpRow &Row = Prob.row(KeptRows[R]);
-    Lo[NS + R] = Row.Lo / RowScale[R];
-    Hi[NS + R] = Row.Hi / RowScale[R];
-  }
+  for (int R = 0; R < M; ++R)
+    loadRow(R);
   return true;
 }
 
-void Worker::initialBasis() {
-  Basis.resize(M);
-  Stat.assign(static_cast<size_t>(NT), VarStatus::AtLower);
-  X.assign(static_cast<size_t>(NT), 0.0);
-  Binv.assign(static_cast<size_t>(M) * M, 0.0);
-  W.resize(M);
-  Y.resize(M);
-  Cb.resize(M);
-  Rhs.resize(M);
-  // Refactorization scratch (both kernel paths) and the batched-pricing
-  // / ratio-preselection scratch (parallel path only), sized once so no
-  // iteration ever allocates.
-  RefB.resize(static_cast<size_t>(M) * M);
-  RefInv.resize(static_cast<size_t>(M) * M);
+bool SimplexSolver::Worker::appendRows(LpSolution &Out) {
+  int OldM = M;
+  for (int I = RowsSeen; I < Prob.numRows(); ++I) {
+    RowKind Kind = presolveRow(I);
+    if (Kind == RowKind::Infeasible) {
+      Out = LpSolution();
+      Out.Status = SolveStatus::Infeasible;
+      return false;
+    }
+    if (Kind == RowKind::Kept)
+      KeptRows.push_back(I);
+  }
+  RowsSeen = Prob.numRows();
+  M = static_cast<int>(KeptRows.size());
+  if (M == OldM)
+    return true;
+  NT = NS + M;
+  size_t Ms = static_cast<size_t>(M), OldMs = static_cast<size_t>(OldM);
+
+  // Re-stride Binv (row-major) from OldM to M in place, back to front:
+  // every row moves to a higher address, so a row never lands on one
+  // not yet moved. Its new columns start at zero. Capacity grows by
+  // doubling the row count, so Binv reallocates O(log rounds) times.
+  if (Binv.capacity() < Ms * Ms)
+    Binv.reserve(std::max(Ms * Ms, 4 * Binv.capacity()));
+  Binv.resize(Ms * Ms);
+  for (int R = OldM - 1; R >= 0; --R) {
+    double *Row = Binv.data() + static_cast<size_t>(R) * Ms;
+    std::memmove(Row, Binv.data() + static_cast<size_t>(R) * OldMs,
+                 OldMs * sizeof(double));
+    std::fill(Row + OldM, Row + M, 0.0);
+  }
+
+  // ColA (column-major, stride M) is rebuilt from the problem rather
+  // than re-strided: the old copy goes first, so the largest buffer of
+  // the solve is never held twice. Every row reloads to the same bits.
+  std::vector<double>().swap(ColA);
+  ColA.assign(Ms * static_cast<size_t>(NS), 0.0);
+  RowScale.resize(Ms);
+  Lo.resize(static_cast<size_t>(NT));
+  Hi.resize(static_cast<size_t>(NT));
+  Cost.resize(static_cast<size_t>(NT), 0.0);
+  Stat.resize(static_cast<size_t>(NT), VarStatus::Basic);
+  X.resize(static_cast<size_t>(NT), 0.0);
+  Basis.resize(Ms);
+  for (int R = 0; R < M; ++R)
+    loadRow(R);
+  for (int R = OldM; R < M; ++R)
+    Basis[R] = NS + R; // the new slacks are basic
+
+  // Bordered inverse: with the new slacks basic the basis is
+  // [[B, 0], [C, -I]], C holding the new rows' entries in the basic
+  // columns (old slack columns have none), and its inverse is
+  // [[B^-1, 0], [C B^-1, -I]]. Each new row is independent.
+  Par = Opt.ParallelKernels && M >= Opt.ParallelMinDim;
+  auto BorderRow = [&](int R) {
+    double *Row = Binv.data() + static_cast<size_t>(R) * Ms;
+    for (int P = 0; P < OldM; ++P) {
+      int J = Basis[P];
+      if (J >= NS)
+        continue;
+      double C = ColA[static_cast<size_t>(J) * Ms + R];
+      if (C != 0.0)
+        linalg::kernelAxpy(Row, Binv.data() + static_cast<size_t>(P) * Ms,
+                           C, OldM, Opt.Determinism);
+    }
+    Row[R] = -1.0;
+  };
+  {
+    KernelTimer Timer(Stats.UpdateSeconds);
+    if (Par)
+      parallelFor(OldM, M,
+                  [&](std::int64_t R) { BorderRow(static_cast<int>(R)); });
+    else
+      for (int R = OldM; R < M; ++R)
+        BorderRow(R);
+  }
+  Fresh = false;
+  return true;
+}
+
+void SimplexSolver::Worker::sizeScratch() {
+  // Every per-iteration buffer - refactorization scratch, reduced costs
+  // and pivot row (both kernel paths), batched-pricing / ratio-
+  // preselection blocks (parallel path only) - is sized for the current
+  // shape here, so no iteration ever allocates.
+  size_t Ms = static_cast<size_t>(M);
+  W.resize(Ms);
+  Y.resize(Ms);
+  Cb.resize(Ms);
+  Rhs.resize(Ms);
+  Rc.resize(static_cast<size_t>(NT));
+  Alpha.resize(static_cast<size_t>(NT));
+  RefB.resize(Ms * Ms); // released by finish(): see there
   if (Par) {
-    Rc.resize(static_cast<size_t>(NT));
     NumPriceBlocks = (NT + PriceGrain - 1) / PriceGrain;
     PriceBlockScore.resize(static_cast<size_t>(NumPriceBlocks));
     PriceBlockJ.resize(static_cast<size_t>(NumPriceBlocks));
@@ -439,11 +577,18 @@ void Worker::initialBasis() {
 #ifndef NDEBUG
   snapshotScratch();
 #endif
+}
 
+void SimplexSolver::Worker::initialBasis() {
+  Basis.resize(M);
+  Stat.assign(static_cast<size_t>(NT), VarStatus::AtLower);
+  X.assign(static_cast<size_t>(NT), 0.0);
+  Binv.assign(static_cast<size_t>(M) * M, 0.0);
+  sizeScratch();
   setSlackBasis();
 }
 
-void Worker::setSlackBasis() {
+void SimplexSolver::Worker::setSlackBasis() {
   // The cold starting point: every structural nonbasic at its
   // "cheaper" bound (or free at zero) and the always-nonsingular slack
   // basis with inverse -I. Also the bit-exact fallback target when a
@@ -464,6 +609,7 @@ void Worker::setSlackBasis() {
     }
   }
   std::fill(Binv.begin(), Binv.end(), 0.0);
+  Fresh = false; // -I, but not refactor()'s bits (its zeros are -0.0)
   for (int R = 0; R < M; ++R) {
     Basis[R] = NS + R;
     Stat[NS + R] = VarStatus::Basic;
@@ -473,7 +619,7 @@ void Worker::setSlackBasis() {
   recomputeBasicValues();
 }
 
-bool Worker::tryWarmStart(const SimplexBasis &Warm) {
+bool SimplexSolver::Worker::tryWarmStart(const SimplexBasis &Warm) {
   // Validation pass - no Worker state is touched until the snapshot is
   // known to be structurally coherent for *this* LP: exact dimensions,
   // status bytes in range, exactly M basic variables listed once each
@@ -546,16 +692,18 @@ bool Worker::tryWarmStart(const SimplexBasis &Warm) {
   return true;
 }
 
-bool Worker::refactor() {
+bool SimplexSolver::Worker::refactor() {
   // Rebuild Binv from the current basis by Gauss-Jordan elimination with
-  // partial pivoting, into the hoisted RefB/RefInv scratch. The row-
-  // elimination updates parallelize over rows: each row's arithmetic is
-  // independent of the partitioning, so the factorization is
-  // bit-identical to the serial one.
+  // partial pivoting, with B in the hoisted RefB scratch and the inverse
+  // built in place in Binv (a failure leaves Binv unusable; every caller
+  // then either stops or resets the basis). The row-elimination updates
+  // parallelize over rows: each row's arithmetic is independent of the
+  // partitioning, so the factorization is bit-identical to the serial
+  // one.
   KernelTimer Timer(Stats.RefactorSeconds);
   ++Stats.Refactors;
   std::vector<double> &B = RefB;
-  std::vector<double> &Inv = RefInv;
+  std::vector<double> &Inv = Binv;
   std::fill(B.begin(), B.end(), 0.0);
   auto BuildColumn = [&](int R) {
     int J = Basis[R];
@@ -623,14 +771,12 @@ bool Worker::refactor() {
       for (int I = 0; I < M; ++I)
         EliminateRow(I);
   }
-  // Adopt the fresh inverse; RefInv inherits the old Binv storage (same
-  // capacity) and is overwritten on the next refactorization.
-  std::swap(Binv, Inv);
   PivotsSinceRefactor = 0;
+  Fresh = true;
   return true;
 }
 
-void Worker::recomputeBasicValues() {
+void SimplexSolver::Worker::recomputeBasicValues() {
   // Basic values solve B xB = -N xN (the equality rhs is zero).
   std::fill(Rhs.begin(), Rhs.end(), 0.0);
   for (int J = 0; J < NT; ++J) {
@@ -657,7 +803,7 @@ void Worker::recomputeBasicValues() {
       RowValue(R);
 }
 
-double Worker::infeasibility() const {
+double SimplexSolver::Worker::infeasibility() const {
   // Sums violations that exceed the per-variable feasibility tolerance.
   // Using the same threshold as the phase-1 cost classification keeps
   // the two consistent: a state with only sub-tolerance violations is
@@ -674,7 +820,7 @@ double Worker::infeasibility() const {
   return Total;
 }
 
-double Worker::currentObjective() const {
+double SimplexSolver::Worker::currentObjective() const {
   double Sum = 0.0;
   for (int J = 0; J < NT; ++J)
     if (Cost[J] != 0.0)
@@ -682,14 +828,14 @@ double Worker::currentObjective() const {
   return Sum;
 }
 
-double Worker::columnDot(const std::vector<double> &Vec, int J) const {
+double SimplexSolver::Worker::columnDot(const double *Vec, int J) const {
   if (J >= NS)
     return -Vec[J - NS];
   const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-  return linalg::kernelDot(Vec.data(), Col, M, Opt.Determinism);
+  return linalg::kernelDot(Vec, Col, M, Opt.Determinism);
 }
 
-void Worker::computeColumn(int J) {
+void SimplexSolver::Worker::computeColumn(int J) {
   // FTRAN: W = Binv * Atilde_J. Row-blocked parallel matvec; every
   // W[R] is one sequential dot in the scalar order, so partitioning
   // cannot move a single bit.
@@ -712,7 +858,7 @@ void Worker::computeColumn(int J) {
       RowDot(R);
 }
 
-void Worker::computeDuals() {
+void SimplexSolver::Worker::computeDuals() {
   // BTRAN: Y^T = Cb^T Binv. Column-blocked: each block walks the basic
   // rows in ascending order and accumulates its slice of Y, preserving
   // every Y[I]'s scalar accumulation order while still reading Binv
@@ -742,7 +888,7 @@ void Worker::computeDuals() {
   });
 }
 
-int Worker::chooseEntering(bool Phase1, int &SigmaOut) {
+int SimplexSolver::Worker::chooseEntering(bool Phase1, int &SigmaOut) {
   KernelTimer Timer(Stats.PricingSeconds);
   if (!Par)
     return chooseEnteringScalar(Phase1, SigmaOut);
@@ -750,7 +896,8 @@ int Worker::chooseEntering(bool Phase1, int &SigmaOut) {
                : chooseEnteringDantzigPar(Phase1, SigmaOut);
 }
 
-int Worker::chooseEnteringScalar(bool Phase1, int &SigmaOut) {
+int SimplexSolver::Worker::chooseEnteringScalar(bool Phase1,
+                                                int &SigmaOut) {
   // Full Dantzig pricing (best |rc|); Bland's rule takes the first
   // improving index instead. Partial pricing was tried and reverted: on
   // the repair LPs' split-variable columns it zigzags into iteration
@@ -779,7 +926,8 @@ int Worker::chooseEnteringScalar(bool Phase1, int &SigmaOut) {
   return BestJ;
 }
 
-int Worker::chooseEnteringDantzigPar(bool Phase1, int &SigmaOut) {
+int SimplexSolver::Worker::chooseEnteringDantzigPar(bool Phase1,
+                                                    int &SigmaOut) {
   // Batched reduced-cost pass rc = c - A~^T y over column blocks of
   // ColA (slack columns j >= NS are the -I block inside columnDot).
   // Each column's dot keeps the scalar accumulation order; each block
@@ -825,7 +973,8 @@ int Worker::chooseEnteringDantzigPar(bool Phase1, int &SigmaOut) {
   return BestJ;
 }
 
-int Worker::chooseEnteringBlandPar(bool Phase1, int &SigmaOut) {
+int SimplexSolver::Worker::chooseEnteringBlandPar(bool Phase1,
+                                                  int &SigmaOut) {
   // Bland's rule wants the globally first improving index, so a full
   // batched pass would waste the early exit the scalar scan enjoys.
   // Instead sweep fixed-size groups of column blocks: within a group
@@ -868,26 +1017,29 @@ int Worker::chooseEnteringBlandPar(bool Phase1, int &SigmaOut) {
   return -1;
 }
 
-void Worker::batchReducedCosts(bool Phase1) {
+void SimplexSolver::Worker::batchReducedCosts(bool Phase1) {
   KernelTimer Timer(Stats.PricingSeconds);
-  parallelForRanges(
-      0, NT,
-      [&](std::int64_t Begin, std::int64_t End) {
-        // Rc[J] stays untouched (stale) for skipped basic/fixed
-        // columns, which no reader consults.
-        for (std::int64_t J = Begin; J < End; ++J)
-          priceColumn(static_cast<int>(J), Phase1, Rc[static_cast<size_t>(J)]);
-      },
-      PriceGrain);
+  // Rc[J] stays untouched (stale) for skipped basic/fixed columns,
+  // which no reader consults.
+  auto Price = [&](std::int64_t Begin, std::int64_t End) {
+    for (std::int64_t J = Begin; J < End; ++J)
+      priceColumn(static_cast<int>(J), Phase1, Rc[static_cast<size_t>(J)]);
+  };
+  if (Par)
+    parallelForRanges(0, NT, Price, PriceGrain);
+  else
+    Price(0, NT);
 }
 
-Worker::RatioResult Worker::ratioTest(int J, int Sigma, bool Phase1) {
+SimplexSolver::Worker::RatioResult
+SimplexSolver::Worker::ratioTest(int J, int Sigma, bool Phase1) {
   KernelTimer Timer(Stats.RatioSeconds);
   return Par ? ratioTestParallel(J, Sigma, Phase1)
              : ratioTestScalar(J, Sigma, Phase1);
 }
 
-Worker::RatioResult Worker::ratioTestScalar(int J, int Sigma, bool Phase1) {
+SimplexSolver::Worker::RatioResult
+SimplexSolver::Worker::ratioTestScalar(int J, int Sigma, bool Phase1) {
   RatioResult Result;
   double BestT = kInfinity;
   bool BestIsFlip = false;
@@ -925,7 +1077,8 @@ Worker::RatioResult Worker::ratioTestScalar(int J, int Sigma, bool Phase1) {
   return Result;
 }
 
-Worker::RatioResult Worker::ratioTestParallel(int J, int Sigma, bool Phase1) {
+SimplexSolver::Worker::RatioResult
+SimplexSolver::Worker::ratioTestParallel(int J, int Sigma, bool Phase1) {
   // Phase A - blocking-row preselection: rowLimit is pure per-row
   // arithmetic (the same helper the scalar scan uses), so row blocks
   // compute it in parallel, compacting the rows that actually block
@@ -989,7 +1142,8 @@ Worker::RatioResult Worker::ratioTestParallel(int J, int Sigma, bool Phase1) {
   return Result;
 }
 
-void Worker::applyStep(int J, int Sigma, const RatioResult &R) {
+void SimplexSolver::Worker::applyStep(int J, int Sigma,
+                                      const RatioResult &R) {
   // Pivot-sequence digest (order-sensitive FNV-1a): entering index,
   // direction, and bound-flip vs. (row, leaving side). Tests compare it
   // across kernel paths and thread counts - equal hashes mean the
@@ -1032,12 +1186,13 @@ void Worker::applyStep(int J, int Sigma, const RatioResult &R) {
   ++PivotsSinceRefactor;
 }
 
-void Worker::updateBinv(int PivotRow) {
+void SimplexSolver::Worker::updateBinv(int PivotRow) {
   // Product-form update: with W = Binv * Atilde_entering, the new inverse
   // is E * Binv where E differs from the identity only in column
   // PivotRow. Rows other than the pivot row update independently, so
   // the eta update parallelizes over rows bit-identically.
   KernelTimer Timer(Stats.UpdateSeconds);
+  Fresh = false;
   double Pivot = W[PivotRow];
   assert(std::fabs(Pivot) > 0.0 && "zero pivot in eta update");
   double *PivRow = Binv.data() + static_cast<size_t>(PivotRow) * M;
@@ -1060,7 +1215,174 @@ void Worker::updateBinv(int PivotRow) {
       UpdateRow(R);
 }
 
-SolveStatus Worker::iterate(bool Phase1) {
+int SimplexSolver::Worker::chooseLeavingRow(bool &ToUpper) const {
+  // Largest primal infeasibility, earliest row on ties; the threshold
+  // matches infeasibility(), so -1 here means infeasibility() == 0.
+  int Best = -1;
+  double Worst = 0.0;
+  for (int R = 0; R < M; ++R) {
+    int K = Basis[R];
+    double V = X[K];
+    double Infeas = V < Lo[K] - Opt.FeasTol   ? Lo[K] - V
+                    : V > Hi[K] + Opt.FeasTol ? V - Hi[K]
+                                              : 0.0;
+    if (Infeas > Worst) {
+      Worst = Infeas;
+      Best = R;
+      ToUpper = V > Hi[K];
+    }
+  }
+  return Best;
+}
+
+void SimplexSolver::Worker::pivotRowAlphas(int R) {
+  // The pivot row in the column-blocked pricing layout: each Alpha[J]
+  // is one sequential dot, so partitioning cannot move a bit.
+  KernelTimer Timer(Stats.PricingSeconds);
+  const double *Rho = Binv.data() + static_cast<size_t>(R) * M;
+  auto Row = [&](std::int64_t Begin, std::int64_t End) {
+    for (std::int64_t J = Begin; J < End; ++J) {
+      int Jc = static_cast<int>(J);
+      if (Stat[static_cast<size_t>(J)] != VarStatus::Basic && !isFixed(Jc))
+        Alpha[static_cast<size_t>(J)] = columnDot(Rho, Jc);
+    }
+  };
+  if (Par)
+    parallelForRanges(0, NT, Row, PriceGrain);
+  else
+    Row(0, NT);
+}
+
+int SimplexSolver::Worker::dualRatioTest(bool ToUpper, int &SigmaOut) {
+  // The leaving variable must rise to its lower bound (S = +1) or fall
+  // to its upper bound (S = -1); it moves by -Sigma * t * Alpha[J] as
+  // column J enters in direction Sigma, so J qualifies when
+  // S * Sigma * Alpha[J] < 0. Its dual slack Sigma * Rc[J] >= 0 shrinks
+  // by |theta * Alpha[J]|. Harris's two passes: bound the step with the
+  // dual slacks relaxed by OptTol, then take the largest |Alpha| within
+  // that bound - a small ratio on a tiny pivot loses to a stable one.
+  KernelTimer Timer(Stats.RatioSeconds);
+  double S = ToUpper ? -1.0 : 1.0;
+  auto Direction = [&](int J) {
+    switch (Stat[static_cast<size_t>(J)]) {
+    case VarStatus::AtLower:
+      return 1;
+    case VarStatus::AtUpper:
+      return -1;
+    case VarStatus::FreeNb:
+      return S * Alpha[static_cast<size_t>(J)] > 0.0 ? -1 : 1;
+    case VarStatus::Basic:
+      break;
+    }
+    return 0;
+  };
+  auto Eligible = [&](int J, int &Sigma, double &Slack, double &Mag) {
+    if (Stat[static_cast<size_t>(J)] == VarStatus::Basic || isFixed(J))
+      return false;
+    double A = Alpha[static_cast<size_t>(J)];
+    Mag = std::fabs(A);
+    Sigma = Direction(J);
+    if (Mag <= Opt.PivotTol || S * Sigma * A >= 0.0)
+      return false;
+    Slack = std::max(0.0, Sigma * Rc[static_cast<size_t>(J)]);
+    return true;
+  };
+
+  double Bound = kInfinity;
+  for (int J = 0; J < NT; ++J) {
+    int Sigma;
+    double Slack, Mag;
+    if (Eligible(J, Sigma, Slack, Mag))
+      Bound = std::min(Bound, (Slack + Opt.OptTol) / Mag);
+  }
+  int Best = -1;
+  double BestMag = 0.0;
+  for (int J = 0; J < NT && std::isfinite(Bound); ++J) {
+    int Sigma;
+    double Slack, Mag;
+    if (Eligible(J, Sigma, Slack, Mag) && Slack / Mag <= Bound &&
+        Mag > BestMag) {
+      Best = J;
+      BestMag = Mag;
+      SigmaOut = Sigma;
+    }
+  }
+  return Best;
+}
+
+SolveStatus SimplexSolver::Worker::dualPhase() {
+  // Reduced costs of the dual-feasible starting basis: one BTRAN and
+  // one batched pass; from then on the pivot row updates them.
+  auto FreshReducedCosts = [&] {
+    for (int R = 0; R < M; ++R)
+      Cb[R] = Cost[Basis[R]];
+    computeDuals();
+    batchReducedCosts(/*Phase1=*/false);
+  };
+  FreshReducedCosts();
+  int ZeroSteps = 0;
+  while (true) {
+    if (Opt.CancelFlag && Opt.CancelFlag->load(std::memory_order_relaxed))
+      return SolveStatus::Cancelled;
+    assert(scratchGrowths() == 0 &&
+           "simplex hot loop allocated: a per-iteration scratch buffer "
+           "grew after setup");
+    if (Iterations >= Opt.MaxIterations)
+      return SolveStatus::IterationLimit;
+    if (PivotsSinceRefactor >= Opt.RefactorInterval) {
+      if (!refactor())
+        return SolveStatus::NumericalError;
+      recomputeBasicValues();
+      FreshReducedCosts();
+    }
+
+    bool ToUpper = false;
+    int R = chooseLeavingRow(ToUpper);
+    if (R < 0)
+      return SolveStatus::Optimal;
+    pivotRowAlphas(R);
+    int Sigma = 0;
+    int J = dualRatioTest(ToUpper, Sigma);
+    if (J < 0)
+      return SolveStatus::Infeasible;
+    computeColumn(J);
+    // FTRAN must agree with the pivot row on the pivot's sign; if drift
+    // makes them disagree, the primal phases take over.
+    double AlphaJ = Alpha[static_cast<size_t>(J)];
+    if (std::fabs(W[R]) <= Opt.PivotTol || W[R] * AlphaJ <= 0.0)
+      return SolveStatus::NumericalError;
+
+    int Leaving = Basis[R];
+    RatioResult Step;
+    Step.T = (X[Leaving] - (ToUpper ? Hi[Leaving] : Lo[Leaving])) /
+             (Sigma * W[R]);
+    Step.Row = R;
+    Step.LeaveAtUpper = ToUpper;
+    // Dual step theta zeroes the entering reduced cost: d_j -= theta *
+    // alpha_j, and the leaving variable's becomes -theta (alpha = 1).
+    double Theta = (ToUpper ? 1.0 : -1.0) *
+                   std::max(0.0, Sigma * Rc[static_cast<size_t>(J)]) /
+                   std::fabs(AlphaJ);
+    {
+      KernelTimer Timer(Stats.PricingSeconds);
+      for (int K = 0; K < NT && Theta != 0.0; ++K) {
+        size_t Ks = static_cast<size_t>(K);
+        if (Stat[Ks] != VarStatus::Basic && !isFixed(K))
+          Rc[Ks] -= Theta * Alpha[Ks];
+      }
+      Rc[static_cast<size_t>(Leaving)] = -Theta;
+    }
+    applyStep(J, Sigma, Step);
+    ++Iterations;
+    // Dual degeneracy can cycle; a long run of zero steps hands the
+    // basis to the primal phases and their Bland's-rule guard.
+    ZeroSteps = Theta == 0.0 ? ZeroSteps + 1 : 0;
+    if (ZeroSteps >= Opt.StallLimit)
+      return SolveStatus::NumericalError;
+  }
+}
+
+SolveStatus SimplexSolver::Worker::iterate(bool Phase1) {
   Bland = false;
   Stall = 0;
   HavePrevObj = false;
@@ -1132,7 +1454,7 @@ SolveStatus Worker::iterate(bool Phase1) {
   }
 }
 
-LpSolution Worker::finish(SolveStatus Status) {
+LpSolution SimplexSolver::Worker::finish(SolveStatus Status) {
   LpSolution Out;
   Out.Status = Status;
   Out.Iterations = Iterations;
@@ -1140,6 +1462,11 @@ LpSolution Worker::finish(SolveStatus Status) {
   Stats.Iterations = Iterations;
   Stats.ParallelKernels = Par;
   Out.WarmStarted = WarmStartedV;
+  HaveOptimum = Status == SolveStatus::Optimal;
+  // Between solves the solver keeps what the next one continues from;
+  // the refactorization scratch, as large as Binv, is released and
+  // re-sized by the next solve.
+  std::vector<double>().swap(RefB);
   if (Status != SolveStatus::Optimal) {
     Out.Stats = Stats;
     return Out;
@@ -1173,18 +1500,56 @@ LpSolution Worker::finish(SolveStatus Status) {
   return Out;
 }
 
-LpSolution Worker::run() {
+LpSolution SimplexSolver::Worker::solve() {
+  Stats = SimplexStats();
+  Iterations = 0;
+  Phase1Iterations = 0;
+  WarmStartedV = false;
+  if (!HaveOptimum)
+    return coldSolve();
+  HaveOptimum = false; // until this solve ends Optimal again
+
+  LpSolution Early;
+  if (!appendRows(Early)) {
+    Early.Stats = Stats;
+    return Early;
+  }
+  sizeScratch();
+  recomputeBasicValues();
+  SolveStatus Dual = dualPhase();
+  if (Dual == SolveStatus::Cancelled || Dual == SolveStatus::IterationLimit)
+    return finish(Dual);
+  if (Dual != SolveStatus::Optimal) {
+    // No entering column (the LP is infeasible, which primal phase 1
+    // confirms the way a cold solve does) or the dual phase gave up:
+    // the primal phases continue from a clean factorization.
+    if (!Fresh && !refactor())
+      return finish(SolveStatus::NumericalError);
+    recomputeBasicValues();
+  }
+  // After an Optimal dual phase these only verify: phase 1 sees a
+  // feasible basis, refactorizes it and re-checks; phase 2 confirms
+  // dual feasibility.
+  return primalPhases();
+}
+
+LpSolution SimplexSolver::Worker::coldSolve() {
+  // The warm basis serves the first solve only; the pointee need not
+  // outlive it.
+  const SimplexBasis *WarmBasis = Opt.WarmBasis;
+  Opt.WarmBasis = nullptr;
+
   LpSolution Early;
   if (!buildProblem(Early))
     return Early;
 
-  // Kernel-path decision, made once per solve: the blocked/parallel
+  // Kernel-path decision, made once per shape: the blocked/parallel
   // kernels only pay off when the O(M^2) FTRAN/BTRAN and O(M * NT)
   // pricing passes dominate the pool-dispatch cost. Either path yields
   // bit-identical results; this is purely a performance crossover.
   Par = Opt.ParallelKernels && M >= Opt.ParallelMinDim;
 
-  // Trivial cases first.
+  // Trivial cases first; neither leaves a basis to continue from.
   if (NS == 0) {
     LpSolution Out;
     Out.Status = SolveStatus::Optimal;
@@ -1227,12 +1592,26 @@ LpSolution Worker::run() {
   // and refactorizes; otherwise the slack basis from initialBasis() is
   // already in place (tryWarmStart restores it on a post-apply
   // failure), so the cold path below is untouched bit-for-bit.
-  if (Opt.WarmBasis)
-    WarmStartedV = tryWarmStart(*Opt.WarmBasis);
+  if (WarmBasis)
+    WarmStartedV = tryWarmStart(*WarmBasis);
+  return primalPhases();
+}
 
-  // Phase 1 with refactorized verification: a "feasible" or
-  // "infeasible" verdict from drifted arithmetic is re-checked against
-  // a clean factorization before being believed.
+LpSolution SimplexSolver::Worker::primalPhases() {
+  // Every verdict below is re-checked against a fresh factorization.
+  // refactor() is a pure function of Basis, so when no pivot has
+  // happened since the last one (Fresh) it is skipped: that changes no
+  // bit, and recomputeBasicValues() still runs, because bound flips
+  // move values without pivoting.
+  auto CleanFactorization = [&] {
+    if (!Fresh && !refactor())
+      return false;
+    recomputeBasicValues();
+    return true;
+  };
+
+  // Phase 1: a "feasible" or "infeasible" verdict from drifted
+  // arithmetic is re-checked before being believed.
   bool Feasible = false;
   bool InfeasibleConfirmed = false;
   for (int Attempt = 0; Attempt < 6 && !Feasible; ++Attempt) {
@@ -1244,9 +1623,8 @@ LpSolution Worker::run() {
       return finish(Status == SolveStatus::Unbounded
                         ? SolveStatus::NumericalError
                         : Status);
-    if (!refactor())
+    if (!CleanFactorization())
       return finish(SolveStatus::NumericalError);
-    recomputeBasicValues();
     if (infeasibility() == 0.0) {
       Feasible = true;
       break;
@@ -1270,9 +1648,8 @@ LpSolution Worker::run() {
     SolveStatus Status = iterate(/*Phase1=*/false);
     if (Status != SolveStatus::Optimal)
       return finish(Status);
-    if (!refactor())
+    if (!CleanFactorization())
       return finish(SolveStatus::NumericalError);
-    recomputeBasicValues();
     if (infeasibility() > 0.0) {
       // Drifted into infeasibility; clean it up via phase 1 again.
       SolveStatus P1 = iterate(/*Phase1=*/true);
@@ -1282,20 +1659,18 @@ LpSolution Worker::run() {
                           : P1);
       continue;
     }
-    // Verify dual feasibility on the clean factorization. The parallel
-    // path batches the reduced costs (same per-column bits) and checks
-    // the sign conditions serially; the verdict is identical to the
-    // scalar early-exit scan because the conditions are per-column.
+    // Verify dual feasibility on the clean factorization: batched
+    // reduced costs (the pricing bits), sign conditions checked
+    // serially.
     for (int R = 0; R < M; ++R)
       Cb[R] = Cost[Basis[R]];
     computeDuals();
+    batchReducedCosts(/*Phase1=*/false);
     bool DualOk = true;
-    if (Par)
-      batchReducedCosts(/*Phase1=*/false);
     for (int J = 0; J < NT && DualOk; ++J) {
       if (Stat[J] == VarStatus::Basic || isFixed(J))
         continue;
-      double RcJ = Par ? Rc[J] : Cost[J] - columnDot(Y, J);
+      double RcJ = Rc[J];
       if ((Stat[J] == VarStatus::AtLower || Stat[J] == VarStatus::FreeNb) &&
           RcJ < -50 * Opt.OptTol)
         DualOk = false;
@@ -1309,10 +1684,16 @@ LpSolution Worker::run() {
   return finish(SolveStatus::NumericalError);
 }
 
-} // namespace
+SimplexSolver::SimplexSolver(const LinearProgram &Problem,
+                             const SimplexOptions &Options)
+    : Impl(std::make_unique<Worker>(Problem, Options)) {}
+
+SimplexSolver::~SimplexSolver() = default;
+
+LpSolution SimplexSolver::solve() { return Impl->solve(); }
 
 LpSolution prdnn::lp::solveLp(const LinearProgram &Problem,
                               const SimplexOptions &Options) {
-  Worker W(Problem, Options);
-  return W.run();
+  SimplexSolver Solver(Problem, Options);
+  return Solver.solve();
 }

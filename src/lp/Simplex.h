@@ -1,8 +1,10 @@
 //===- lp/Simplex.h - bounded-variable revised simplex ---------*- C++ -*-===//
 ///
 /// \file
-/// Revised primal simplex for bounded-variable LPs, replacing the Gurobi
-/// solver used in the paper's evaluation. Internally the general form of
+/// Revised simplex for bounded-variable LPs, replacing the Gurobi
+/// solver used in the paper's evaluation: a primal simplex for a cold
+/// solve and a dual simplex that re-optimizes after rows are appended
+/// (SimplexSolver). Internally the general form of
 /// lp/LinearProgram.h is rewritten as
 ///
 ///   A x - s = 0,   VarLo <= x <= VarHi,   RowLo <= s <= RowHi,
@@ -197,13 +199,48 @@ struct LpSolution {
   std::shared_ptr<const SimplexBasis> OptimalBasis;
   /// Whether this solve actually started from SimplexOptions::WarmBasis
   /// (i.e. the warm basis passed validation and refactorized); false
-  /// when no warm basis was supplied or the cold fallback ran.
+  /// when no warm basis was supplied or the cold fallback ran, and for
+  /// a SimplexSolver solve that continued from the previous one.
   bool WarmStarted = false;
+};
+
+/// A simplex solver kept alive across the solves of one LP that only
+/// grows by appended rows - the constraint-generation rounds of a
+/// repair (core/PointRepair.cpp). The first solve() is the cold primal
+/// solve of solveLp. Each later solve() takes in the rows appended to
+/// the problem since the previous one, with their slacks basic, and
+/// re-optimizes from the previous optimum with a bounded dual simplex:
+/// that optimum stays dual-feasible when rows are added, so a round
+/// costs a few pivots instead of a full re-solve. A solve that did not
+/// end Optimal leaves no basis to continue from; the next solve() then
+/// runs cold over the whole problem. See src/lp/README.md ("Incremental
+/// solves").
+///
+/// The solver keeps a reference to \p Problem, which must outlive it.
+/// Between solves the caller may only append rows (LinearProgram::
+/// addRow); variables, costs and existing rows must stay as they were.
+/// Options.WarmBasis is consulted by the first solve only.
+class SimplexSolver {
+public:
+  explicit SimplexSolver(const LinearProgram &Problem,
+                         const SimplexOptions &Options = SimplexOptions());
+  ~SimplexSolver();
+  SimplexSolver(const SimplexSolver &) = delete;
+  SimplexSolver &operator=(const SimplexSolver &) = delete;
+
+  /// Solves the problem as it stands; never throws. Counters and
+  /// kernel timings in the result cover this solve only.
+  LpSolution solve();
+
+private:
+  class Worker;
+  std::unique_ptr<Worker> Impl;
 };
 
 /// Solves \p Problem; never throws. Statuses other than Optimal leave
 /// LpSolution::X empty (Infeasible/Unbounded are definitive answers;
-/// IterationLimit/NumericalError are solver failures).
+/// IterationLimit/NumericalError are solver failures). A one-shot
+/// SimplexSolver.
 LpSolution solveLp(const LinearProgram &Problem,
                    const SimplexOptions &Options = SimplexOptions());
 

@@ -6,6 +6,7 @@
 #include "persist/Serialize.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -55,6 +56,12 @@ std::uint64_t processId() {
   return static_cast<std::uint64_t>(::getpid());
 #endif
 }
+
+/// Temp-file sequence shared by every store handle in the process. With
+/// the process id it makes each writer's temp name unique; a per-handle
+/// counter let two handles on one directory in one process write the
+/// same temp file at once and publish a torn entry.
+std::atomic<std::uint64_t> NextTempId{0};
 
 } // namespace
 

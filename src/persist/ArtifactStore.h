@@ -138,7 +138,6 @@ private:
   std::thread Writer;
 
   std::mutex GcMutex;
-  std::atomic<std::uint64_t> NextTempId{0};
 
   mutable std::atomic<std::uint64_t> HitCount{0};
   mutable std::atomic<std::uint64_t> MissCount{0};

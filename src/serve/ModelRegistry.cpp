@@ -5,6 +5,7 @@
 #include "nn/Network.h"
 #include "persist/Serialize.h"
 
+#include <atomic>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -32,6 +33,12 @@ std::uint64_t processId() {
   return static_cast<std::uint64_t>(::getpid());
 #endif
 }
+
+/// Temp-file sequence shared by every registry in the process. With the
+/// process id it makes each writer's temp name unique; a per-registry
+/// counter let two registries on one directory in one process write
+/// the same temp file at once and publish a torn entry.
+std::atomic<std::uint64_t> NextTempId{0};
 
 void setError(RegistryError *Error, RegistryError Value) {
   if (Error)

@@ -182,8 +182,6 @@ private:
                      FpHash>
       Cache;
 
-  std::atomic<std::uint64_t> NextTempId{0};
-
   std::atomic<std::uint64_t> PublishCount{0};
   std::atomic<std::uint64_t> PublishSkipCount{0};
   mutable std::atomic<std::uint64_t> ResolveCount{0};

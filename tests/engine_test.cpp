@@ -14,14 +14,19 @@
 #include "api/RepairEngine.h"
 
 #include "core/PolytopeRepair.h"
+#include "lp/NormObjective.h"
 #include "nn/ActivationLayers.h"
+#include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <thread>
@@ -695,6 +700,194 @@ TEST(RepairEngine, BoundedQueueBackpressure) {
     Handles.push_back(Engine.submit(RepairRequest::points(Net, 4, Spec)));
   for (JobHandle &H : Handles)
     expectBitIdentical(H.report().Result, Serial);
+}
+
+TEST(RepairEngine, ResolvedJobReleasesSelfCapturingHooks) {
+  // A hook that holds its own job's handle, as CancelAt does, forms a
+  // cycle job -> hook -> handle -> job that only resolving the job can
+  // break. Once the job resolves and the caller drops its handle, both
+  // hooks' state must be gone.
+  Rng R(91030);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 12);
+  struct SelfRef {
+    JobHandle Handle;
+  };
+
+  RepairEngine Engine;
+  std::weak_ptr<CancelAt> CheckpointState;
+  std::weak_ptr<SelfRef> CompletionState;
+  {
+    auto State = std::make_shared<CancelAt>();
+    State->Phase = RepairPhase::Verify;
+    State->N = 1 << 30; // never cancels
+    auto Completion = std::make_shared<SelfRef>();
+    JobHandle Handle = Engine.submit(
+        RepairRequest::points(Net, 4, Spec), State->hook(State),
+        [Completion](const RepairReport &) {});
+    State->Handle = Handle;
+    Completion->Handle = Handle;
+    State->HandleReady.set_value();
+    EXPECT_EQ(Handle.report().Status, RepairStatus::Success);
+    EXPECT_FALSE(State->Trace.empty());
+    CheckpointState = State;
+    CompletionState = Completion;
+  }
+  EXPECT_TRUE(CheckpointState.expired());
+  EXPECT_TRUE(CompletionState.expired());
+}
+
+// --- Constraint generation on one warm solver -------------------------------
+//
+// Round 1 of a repair is a cold solve; later rounds re-optimize the
+// same solver with the dual simplex (lp/Simplex.h, SimplexSolver).
+
+TEST(RepairEngine, RoundOneRepairMatchesStandaloneSolve) {
+  // Every constraint row is violated at Delta = 0 (each output must
+  // drop by 0.25), so round 1 holds every row and converges. Its solve
+  // must be exactly solveLp of those rows: same pivot path, same Delta.
+  Rng R(91040);
+  Network Net = makeClassifier(R);
+  const int Layer = 4;
+  PointSpec Spec;
+  for (int P = 0; P < 3; ++P) {
+    Vector X = randomVector(R, Net.inputSize());
+    Vector Y = Net.evaluate(X);
+    Vector B(Y.size());
+    for (int O = 0; O < Y.size(); ++O)
+      B[O] = Y[O] - 0.25;
+    Spec.push_back({X, OutputConstraint{Matrix::identity(Y.size()), B},
+                    std::nullopt});
+  }
+  RepairOptions Options;
+  RepairResult Result = repairPoints(Net, Layer, Spec, Options);
+  ASSERT_EQ(Result.Status, RepairStatus::Success);
+  ASSERT_EQ(Result.Stats.CgRounds, 1);
+
+  // The rows as the repair assembles them (no parameter mask).
+  int NumParams = static_cast<int>(Result.Delta.size());
+  lp::DeltaLp Lp(NumParams, Options.Objective, Options.DeltaBound);
+  for (const SpecPoint &Point : Spec) {
+    JacobianResult Jr = paramJacobian(Net, Layer, Point.X);
+    const OutputConstraint &C = Point.Constraint;
+    for (int K = 0; K < C.numRows(); ++K) {
+      std::vector<double> Coef(static_cast<size_t>(NumParams), 0.0);
+      double Activity = 0.0;
+      for (int O = 0; O < C.A.cols(); ++O) {
+        double AKo = C.A(K, O);
+        if (AKo == 0.0)
+          continue;
+        Activity += AKo * Jr.Output[O];
+        for (int E = 0; E < NumParams; ++E)
+          Coef[static_cast<size_t>(E)] += AKo * Jr.J(O, E);
+      }
+      double Hi = C.B[K] - Activity - Options.RowMargin;
+      ASSERT_LT(Hi, 0.0);
+      Lp.addConstraint(Coef, -lp::kInfinity, Hi);
+    }
+  }
+  lp::LpSolution Sol = lp::solveLp(Lp.problem(), Options.Lp);
+  ASSERT_EQ(Sol.Status, lp::SolveStatus::Optimal);
+  lp::SimplexStats Folded;
+  Folded.accumulate(Sol.Stats);
+  EXPECT_EQ(Result.Stats.LpKernels.PivotHash, Folded.PivotHash);
+  EXPECT_EQ(Result.Stats.LpIterations, Sol.Iterations);
+  std::vector<double> Delta = Lp.extractDelta(Sol.X);
+  ASSERT_EQ(Delta.size(), Result.Delta.size());
+  for (size_t I = 0; I < Delta.size(); ++I)
+    EXPECT_EQ(Delta[I], Result.Delta[I]) << "Delta[" << I << "]";
+}
+
+TEST(RepairEngine, CgRoundBudgetFallbackReturnsFullLpOptimum) {
+  // One round with a tiny batch cannot converge; the fallback appends
+  // every remaining row to the warm solver, which must then land on
+  // the full LP's optimum.
+  Rng R(91041);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 30);
+  RepairOptions Full;
+  Full.UseConstraintGeneration = false;
+  RepairResult Reference = repairPoints(*Net, 2, Spec, Full);
+  ASSERT_EQ(Reference.Status, RepairStatus::Success);
+
+  RepairOptions Budget;
+  Budget.MaxCgRounds = 1;
+  Budget.CgBatch = 2;
+  RepairResult Result = repairPoints(*Net, 2, Spec, Budget);
+  ASSERT_EQ(Result.Status, RepairStatus::Success);
+  EXPECT_EQ(Result.Stats.CgRounds, 1);
+  EXPECT_EQ(Result.Stats.LpRowsUsed, Result.Stats.SpecRows);
+  EXPECT_NEAR(Result.DeltaL1, Reference.DeltaL1,
+              1e-9 * std::max(1.0, Reference.DeltaL1));
+}
+
+TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
+  // A many-round repair (tiny CG batch): same status and objective as
+  // the full LP, and bit-identical across thread counts and with the
+  // cache and store on or off - a replayed round must hand the next
+  // round exactly the state the warm solve would have.
+  Rng R(91042);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 24);
+  RepairOptions Options;
+  Options.CgBatch = 3;
+  RepairRequest Request = RepairRequest::points(Net, 2, Spec, Options);
+
+  EngineOptions Off;
+  Off.EnableCache = false;
+  RepairReport Baseline = RepairEngine(Off).run(Request);
+  ASSERT_EQ(Baseline.Status, RepairStatus::Success);
+  ASSERT_GE(Baseline.Result.Stats.CgRounds, 3);
+
+  RepairOptions Full;
+  Full.UseConstraintGeneration = false;
+  RepairResult Reference = repairPoints(*Net, 2, Spec, Full);
+  ASSERT_EQ(Reference.Status, RepairStatus::Success);
+  EXPECT_NEAR(Baseline.Result.DeltaL1, Reference.DeltaL1,
+              1e-9 * std::max(1.0, Reference.DeltaL1));
+
+  int SavedThreads = globalThreadCount();
+  for (int Threads : {1, 4, 8}) {
+    setGlobalThreadCount(Threads);
+    expectBitIdentical(RepairEngine(Off).run(Request).Result,
+                       Baseline.Result);
+  }
+  setGlobalThreadCount(SavedThreads);
+
+  // Cache on: the cold run publishes every round's basis, the warm run
+  // replays all of them (no pivots) and must still agree bit for bit.
+  RepairEngine Cached;
+  RepairReport Cold = Cached.run(Request);
+  RepairReport Warm = Cached.run(Request);
+  expectBitIdentical(Cold.Result, Baseline.Result);
+  expectBitIdentical(Warm.Result, Baseline.Result);
+  EXPECT_EQ(Cold.Result.Stats.BasisHits, 0);
+  EXPECT_EQ(Warm.Result.Stats.BasisHits, Baseline.Result.Stats.CgRounds);
+  EXPECT_EQ(Warm.Result.Stats.LpIterations, 0);
+
+  // Store on: a fresh engine over the flushed store replays from disk.
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() /
+                 ("prdnn-engine-cg-" +
+                  std::to_string(std::chrono::steady_clock::now()
+                                     .time_since_epoch()
+                                     .count()));
+  EngineOptions WithStore;
+  WithStore.StoreDirectory = Dir.string();
+  {
+    RepairEngine First(WithStore);
+    expectBitIdentical(First.run(Request).Result, Baseline.Result);
+    First.flushStore();
+  }
+  {
+    RepairEngine Restarted(WithStore);
+    RepairReport FromStore = Restarted.run(Request);
+    expectBitIdentical(FromStore.Result, Baseline.Result);
+    EXPECT_EQ(FromStore.Result.Stats.BasisStoreHits,
+              Baseline.Result.Stats.CgRounds);
+  }
+  std::error_code Ec;
+  fs::remove_all(Dir, Ec);
 }
 
 TEST(RepairEngine, DestructorCancelsQueuedJobs) {
