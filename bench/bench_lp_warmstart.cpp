@@ -12,10 +12,10 @@
 //  2. Engine-level warm resubmission and sharded sweeps: an auto-layer
 //     sweep runs cold, then resubmits on the same engine (every LP now
 //     replays its cached basis: BasisHits > 0, zero simplex
-//     iterations), and the cold sweep is re-run at 1/4/8 pool threads
-//     with EngineOptions::SweepShards fanning the per-layer attempts
-//     across LpScheduler shards. Reported as sweep wall-clock per
-//     thread count.
+//     iterations), and the cold sweep is re-run at 1/4/8 pool threads,
+//     the engine fanning the per-layer attempts across
+//     min(candidates, pool size) LpScheduler shards. Reported as sweep
+//     wall-clock per thread count.
 //
 // Self-checking: exits non-zero if any warm, resubmitted, or sharded
 // run diverges by a single bit from its cold/serial baseline (status,
@@ -46,6 +46,7 @@
 #include "support/Table.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -60,9 +61,9 @@ using namespace prdnn::bench;
 
 namespace {
 
-/// Dense feasible LP with M rows and M/2 bounded variables (same
-/// construction as bench_lp_kernels): mixed <= / >= / two-sided rows
-/// around a witness point keep both phases pivoting.
+/// Dense feasible LP with M rows and M/2 bounded variables: mixed
+/// <= / >= / two-sided rows around a witness point keep both phases
+/// pivoting.
 LinearProgram makeDenseLp(int M, uint64_t Seed) {
   int Vars = M / 2;
   Rng R(Seed);
@@ -261,15 +262,13 @@ int main(int argc, char **argv) {
   Request.Spec = Spec;
   Request.LayerIndex = kAutoLayer;
 
-  // Serial cold baseline (1 thread, serialized attempts) - also the
+  // Serial cold baseline (1 thread, so one shard) - also the
   // bit-identity reference for every other configuration.
   setGlobalThreadCount(1);
-  EngineOptions SerialOpts;
-  SerialOpts.SweepShards = 1;
   double SerialSeconds = 1e300;
   RepairReport Baseline;
   for (int Rep = 0; Rep < Repeats; ++Rep) {
-    RepairEngine Engine(SerialOpts); // fresh engine: cold cache
+    RepairEngine Engine; // fresh engine: cold cache
     WallTimer Timer;
     Baseline = Engine.run(Request);
     SerialSeconds = std::min(SerialSeconds, Timer.seconds());
@@ -278,7 +277,7 @@ int main(int argc, char **argv) {
 
   // Warm resubmission: second run on one engine replays every basis.
   {
-    RepairEngine Engine(SerialOpts);
+    RepairEngine Engine;
     RepairReport ColdRun = Engine.run(Request);
     WallTimer Timer;
     RepairReport WarmRun = Engine.run(Request);
@@ -321,12 +320,10 @@ int main(int argc, char **argv) {
     std::printf("\n-- sharded auto-layer sweep (cold cache per run) --\n");
     for (int Threads : {1, 4, 8}) {
       setGlobalThreadCount(Threads);
-      EngineOptions Opts;
-      Opts.SweepShards = Threads;
       double Seconds = 1e300;
       RepairReport Report;
       for (int Rep = 0; Rep < Repeats; ++Rep) {
-        RepairEngine Engine(Opts); // fresh engine: cold cache
+        RepairEngine Engine; // fresh engine: cold cache
         WallTimer Timer;
         Report = Engine.run(Request);
         Seconds = std::min(Seconds, Timer.seconds());
@@ -342,18 +339,21 @@ int main(int argc, char **argv) {
                     sameBits(Report.Sweep[C].DeltaLInf,
                              Baseline.Sweep[C].DeltaLInf);
       Check(Identical, "sharded sweep diverged from the serial baseline");
+      // The engine's derived shard count: one per pool thread, up to
+      // one per candidate.
+      int Shards = std::min(Threads, static_cast<int>(Report.Sweep.size()));
 
       Json.beginRecord();
       Json.add("phase", std::string("sweep"));
       Json.add("threads", Threads);
-      Json.add("shards", Threads);
+      Json.add("shards", Shards);
       Json.add("smoke", Smoke ? 1 : 0);
       Json.add("serial_seconds", SerialSeconds);
       Json.add("sweep_seconds", Seconds);
       Json.add("sweep_speedup", ratio(SerialSeconds, Seconds));
       Json.add("attempts", static_cast<int>(Report.Sweep.size()));
       Json.add("bit_identical", Identical ? 1 : 0);
-      Table.addRow({std::to_string(Threads), std::to_string(Threads),
+      Table.addRow({std::to_string(Threads), std::to_string(Shards),
                     formatDouble(Seconds, 4),
                     formatDouble(ratio(SerialSeconds, Seconds), 2),
                     std::to_string(static_cast<int>(Report.Sweep.size())),

@@ -297,8 +297,8 @@ int main(int argc, char **argv) {
   std::printf("\n\n");
 
   RepairEngine Engine;
-  auto RunRepair = [&](int LayerIdx, const PointSpec &Spec,
-                       RepairOptions Options = RepairOptions()) {
+  auto RunRepair = [&](int LayerIdx, const PointSpec &Spec) {
+    RepairOptions Options;
     Options.Determinism = Tier;
     return Engine
         .run(RepairRequest::points(RepairRequest::borrow(W.Net), LayerIdx,
@@ -314,8 +314,7 @@ int main(int argc, char **argv) {
 
   // Machine-readable trajectory output (BENCH_task1_points.json): per
   // spec size, the batched engine's Jacobian/constraint-assembly phase
-  // vs the single-threaded seed per-point path, plus the Delta
-  // divergence between the two (must stay ~1e-9).
+  // vs the single-threaded seed and per-point phase timings.
   BenchJson Json("task1_points");
   // Honor an explicit PRDNN_NUM_THREADS; otherwise use at least 4
   // threads so the JSON tracks the multi-threaded engine.
@@ -375,22 +374,8 @@ int main(int argc, char **argv) {
             BatchedSeconds,
             batchedPhaseSeconds(W.Net, Spec, AblationLayer, RowMargin));
 
-      // One full repair per path (LP included) for the Delta/status
-      // comparison and the end-to-end stats.
-      RepairOptions PerPointOptions;
-      PerPointOptions.BatchedJacobians = false;
-      setGlobalThreadCount(1);
-      RepairResult PerPointRun =
-          RunRepair(AblationLayer, Spec, PerPointOptions);
-      setGlobalThreadCount(BenchThreads);
+      // One full repair (LP included) for the end-to-end stats.
       RepairResult BatchRun = RunRepair(AblationLayer, Spec);
-
-      double MaxDeltaDiff = 0.0;
-      if (PerPointRun.Delta.size() == BatchRun.Delta.size())
-        for (size_t P = 0; P < PerPointRun.Delta.size(); ++P)
-          MaxDeltaDiff =
-              std::max(MaxDeltaDiff,
-                       std::fabs(PerPointRun.Delta[P] - BatchRun.Delta[P]));
 
       int SpecPoints = Size + AnchorCount;
       double SpeedupVsSeed =
@@ -414,15 +399,12 @@ int main(int argc, char **argv) {
       Json.add("total_seconds", BatchRun.Stats.TotalSeconds);
       Json.add("points_per_sec",
                BatchedSeconds > 0.0 ? SpecPoints / BatchedSeconds : 0.0);
-      Json.add("max_delta_diff", MaxDeltaDiff);
       Json.add("seed_row_checksum", SeedChecksum);
       std::printf("[ablation] %d points: Jacobian phase %.3fs (seed, 1t) / "
                   "%.3fs (per-point, 1t) -> %.3fs (batched, %dt): "
-                  "%.2fx vs seed, %.2fx vs per-point; max |Delta diff| = "
-                  "%.3g\n",
+                  "%.2fx vs seed, %.2fx vs per-point\n",
                   SpecPoints, SeedSeconds, PerPointSeconds, BatchedSeconds,
-                  BenchThreads, SpeedupVsSeed, SpeedupVsPerPoint,
-                  MaxDeltaDiff);
+                  BenchThreads, SpeedupVsSeed, SpeedupVsPerPoint);
     }
     // FT/MFT train on the same repair set, incl. the non-buggy anchors
     // ("In all cases PR, FT, and MFT were given the same repair set").

@@ -522,64 +522,48 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
   bool SawFailure = false;
 
   // For polytope sweeps, the SyReNN transform is layer-independent:
-  // compute the key points once (on the first attempt) and share them
-  // across candidates instead of re-running Algorithm 2's LinRegions
-  // phase per layer - and, with the engine cache, across *jobs* too
-  // (the within-sweep sharing generalizes to a SyrennTransform /
-  // PatternBatch artifact hit on the first attempt). Fixed-layer
-  // requests keep the exact repairPolytopesImpl path of the one-shot
-  // wrappers.
+  // compute the key points once, before any attempt runs, and share
+  // them across candidates instead of re-running Algorithm 2's
+  // LinRegions phase per layer - and, with the engine cache, across
+  // *jobs* too (a SyrennTransform / PatternBatch artifact hit).
+  // Attempts only ever read SharedKeyPoints, so they can run
+  // concurrently. Fixed-layer requests keep the exact
+  // repairPolytopesImpl path of the one-shot wrappers.
   std::optional<KeyPointsResult> SharedKeyPoints;
+  if (Request.isPolytope() && Candidates.size() > 1) {
+    const auto &PolySpec = std::get<PolytopeSpec>(Request.Spec);
+    Ctx.beginPhase(RepairPhase::LinRegions,
+                   static_cast<std::int64_t>(PolySpec.size()));
+    if (Ctx.checkpoint(RepairPhase::LinRegions)) {
+      SawCancel = true;
+    } else {
+      SharedKeyPoints.emplace(
+          keyPoints(Net, PolySpec, &Ctx, Options.UseCache, Tier));
+      Ctx.advance(static_cast<std::int64_t>(PolySpec.size()));
+    }
+  }
 
   auto RunAttempt = [&](int Layer) -> RepairResult {
     if (!Request.isPolytope())
       return detail::repairPointsImpl(Net, Layer,
                                       std::get<PointSpec>(Request.Spec),
                                       Options, &Ctx);
-    const auto &PolySpec = std::get<PolytopeSpec>(Request.Spec);
     if (Candidates.size() == 1)
-      return detail::repairPolytopesImpl(Net, Layer, PolySpec, Options,
-                                         &Ctx);
+      return detail::repairPolytopesImpl(
+          Net, Layer, std::get<PolytopeSpec>(Request.Spec), Options, &Ctx);
     WallTimer AttemptTotal;
-    bool ComputedHere = false;
-    if (!SharedKeyPoints) {
-      Ctx.beginPhase(RepairPhase::LinRegions,
-                     static_cast<std::int64_t>(PolySpec.size()));
-      if (Ctx.checkpoint(RepairPhase::LinRegions)) {
-        RepairResult Cancelled;
-        Cancelled.Status = RepairStatus::Cancelled;
-        Cancelled.Stats.TotalSeconds = AttemptTotal.seconds();
-        return Cancelled;
-      }
-      SharedKeyPoints.emplace(
-          keyPoints(Net, PolySpec, &Ctx, Options.UseCache, Tier));
-      Ctx.advance(static_cast<std::int64_t>(PolySpec.size()));
-      ComputedHere = true;
-    }
     RepairResult Attempt = detail::repairPointsImpl(
         Net, Layer, SharedKeyPoints->Points, Options, &Ctx);
     // Stamp the Algorithm 2 stats as repairPolytopesImpl would; the
-    // transform time (and its cache lookups) land on the attempt that
-    // paid it.
-    Attempt.Stats.LinRegionsSeconds =
-        ComputedHere ? SharedKeyPoints->Seconds : 0.0;
+    // transform itself is credited to the first candidate below.
     Attempt.Stats.KeyPoints =
         static_cast<int>(SharedKeyPoints->Points.size());
     Attempt.Stats.LinearRegions = SharedKeyPoints->LinearRegions;
-    if (ComputedHere) {
-      Attempt.Stats.LinRegionsCacheHits = SharedKeyPoints->TransformCacheHits;
-      Attempt.Stats.LinRegionsCacheMisses =
-          SharedKeyPoints->TransformCacheMisses;
-      Attempt.Stats.PatternCacheHits = SharedKeyPoints->PatternCacheHits;
-      Attempt.Stats.PatternCacheMisses = SharedKeyPoints->PatternCacheMisses;
-      Attempt.Stats.LinRegionsStoreHits = SharedKeyPoints->TransformStoreHits;
-      Attempt.Stats.PatternStoreHits = SharedKeyPoints->PatternStoreHits;
-    }
     Attempt.Stats.TotalSeconds = AttemptTotal.seconds();
-    Attempt.Stats.OtherSeconds = std::max(
-        0.0, Attempt.Stats.TotalSeconds - Attempt.Stats.JacobianSeconds -
-                 Attempt.Stats.LpSeconds -
-                 Attempt.Stats.LinRegionsSeconds);
+    Attempt.Stats.OtherSeconds =
+        std::max(0.0, Attempt.Stats.TotalSeconds -
+                          Attempt.Stats.JacobianSeconds -
+                          Attempt.Stats.LpSeconds);
     return Attempt;
   };
 
@@ -633,106 +617,62 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     return true;
   };
 
-  // How many attempts of this sweep run concurrently
-  // (EngineOptions::SweepShards; lp/LpScheduler.h). Hooked jobs stay
-  // serialized - the checkpoint hook contract is "invoked on the job
-  // thread", and the cancellation tests rely on it.
-  int Shards = 1;
-  if (Candidates.size() > 1 && !Ctx.hasCheckpointHook()) {
-    Shards = Opts.SweepShards > 0 ? Opts.SweepShards : globalThreadCount();
-    if (Shards > static_cast<int>(Candidates.size()))
-      Shards = static_cast<int>(Candidates.size());
-    if (Shards < 1)
-      Shards = 1;
-  }
-
-  if (Shards == 1) {
-    // Serialized sweep: the pre-scheduler loop, attempt by attempt.
+  // Fan the independent attempts out across LpScheduler shard threads,
+  // one per pool thread up to the candidate count, then assemble the
+  // report serially in candidate order - bit-identical at any shard
+  // count because attempts share no mutable state (each repair*Impl run
+  // is a pure function of its inputs at any thread count, and the
+  // artifact cache is a content-addressed concurrent consumer). A job
+  // with a checkpoint hook gets one shard, which runTasks runs inline:
+  // the hook's contract is "invoked on the job thread", and the
+  // cancellation tests rely on it.
+  if (!SawCancel) {
+    const int Shards =
+        Ctx.hasCheckpointHook()
+            ? 1
+            : std::min(static_cast<int>(Candidates.size()),
+                       globalThreadCount());
+    // Tasks are claimed in ascending candidate order, so the completed
+    // attempts always form a prefix of the candidate list; an unclaimed
+    // suffix can only mean cancellation (exceptions rethrow out of
+    // runTasks).
+    std::vector<std::optional<RepairResult>> Results(Candidates.size());
+    std::vector<int> ShardOf(Candidates.size(), 0);
+    lp::LpScheduler Scheduler(Shards);
+    Scheduler.runTasks(
+        static_cast<int>(Candidates.size()),
+        /*ShouldStop=*/[&] { return Ctx.cancelRequested(); },
+        [&](int Task, int Shard) {
+          Ctx.beginSweepLayer(Candidates[static_cast<size_t>(Task)]);
+          Results[static_cast<size_t>(Task)].emplace(
+              RunAttempt(Candidates[static_cast<size_t>(Task)]));
+          ShardOf[static_cast<size_t>(Task)] = Shard;
+          Ctx.finishSweepLayer();
+        });
+    if (SharedKeyPoints && Results[0]) {
+      RepairStats &S = Results[0]->Stats;
+      S.LinRegionsSeconds = SharedKeyPoints->Seconds;
+      S.TotalSeconds += SharedKeyPoints->Seconds;
+      S.LinRegionsCacheHits = SharedKeyPoints->TransformCacheHits;
+      S.LinRegionsCacheMisses = SharedKeyPoints->TransformCacheMisses;
+      S.PatternCacheHits = SharedKeyPoints->PatternCacheHits;
+      S.PatternCacheMisses = SharedKeyPoints->PatternCacheMisses;
+      S.LinRegionsStoreHits = SharedKeyPoints->TransformStoreHits;
+      S.PatternStoreHits = SharedKeyPoints->PatternStoreHits;
+    }
     for (size_t C = 0; C < Candidates.size(); ++C) {
-      int Layer = Candidates[C];
-      Ctx.beginSweepLayer(Layer);
-      RepairResult Attempt = RunAttempt(Layer);
-      Report.Sweep.push_back(MakeEntry(Layer, Attempt, /*Shard=*/0));
-      Ctx.finishSweepLayer();
-      if (!FoldAttempt(Layer, std::move(Attempt)))
-        break;
-      // A cancel raised between attempts stops the sweep; the minimal-
-      // norm contract needs the full sweep, so a cut-short sweep
-      // reports Cancelled rather than a possibly-non-minimal
-      // best-so-far.
-      if (C + 1 < Candidates.size() && Ctx.cancelRequested()) {
+      if (!Results[C]) {
+        // Unclaimed tail: the cancel landed between claims. The
+        // minimal-norm contract needs the full sweep, so a cut-short
+        // sweep reports Cancelled rather than a possibly-non-minimal
+        // best-so-far.
         SawCancel = true;
         break;
       }
-    }
-  } else {
-    // Sharded sweep: fan the independent attempts out across
-    // LpScheduler shard threads, then assemble the report serially in
-    // candidate order - bit-identical to the serialized loop because
-    // attempts share no mutable state (each repair*Impl run is a pure
-    // function of its inputs at any thread count, and the artifact
-    // cache is a content-addressed concurrent consumer).
-    //
-    // The one shared input, a polytope sweep's key points, is computed
-    // *before* the fan-out so RunAttempt only ever reads
-    // SharedKeyPoints concurrently; its transform stats are credited
-    // to the first candidate's attempt afterwards, exactly where the
-    // serialized loop lands them.
-    bool PrecomputedKeyPoints = false;
-    if (Request.isPolytope() && !SharedKeyPoints) {
-      const auto &PolySpec = std::get<PolytopeSpec>(Request.Spec);
-      Ctx.beginPhase(RepairPhase::LinRegions,
-                     static_cast<std::int64_t>(PolySpec.size()));
-      if (Ctx.checkpoint(RepairPhase::LinRegions)) {
-        SawCancel = true;
-      } else {
-        SharedKeyPoints.emplace(
-            keyPoints(Net, PolySpec, &Ctx, Options.UseCache, Tier));
-        Ctx.advance(static_cast<std::int64_t>(PolySpec.size()));
-        PrecomputedKeyPoints = true;
-      }
-    }
-    if (!SawCancel) {
-      // Tasks are claimed in ascending candidate order, so the
-      // completed attempts always form a prefix of the candidate list;
-      // an unclaimed suffix can only mean cancellation (exceptions
-      // rethrow out of runTasks).
-      std::vector<std::optional<RepairResult>> Results(Candidates.size());
-      std::vector<int> ShardOf(Candidates.size(), 0);
-      lp::LpScheduler Scheduler(Shards);
-      Scheduler.runTasks(
-          static_cast<int>(Candidates.size()),
-          /*ShouldStop=*/[&] { return Ctx.cancelRequested(); },
-          [&](int Task, int Shard) {
-            Ctx.beginSweepLayer(Candidates[static_cast<size_t>(Task)]);
-            Results[static_cast<size_t>(Task)].emplace(
-                RunAttempt(Candidates[static_cast<size_t>(Task)]));
-            ShardOf[static_cast<size_t>(Task)] = Shard;
-            Ctx.finishSweepLayer();
-          });
-      if (PrecomputedKeyPoints && Results[0]) {
-        RepairStats &S = Results[0]->Stats;
-        S.LinRegionsSeconds = SharedKeyPoints->Seconds;
-        S.TotalSeconds += SharedKeyPoints->Seconds;
-        S.LinRegionsCacheHits = SharedKeyPoints->TransformCacheHits;
-        S.LinRegionsCacheMisses = SharedKeyPoints->TransformCacheMisses;
-        S.PatternCacheHits = SharedKeyPoints->PatternCacheHits;
-        S.PatternCacheMisses = SharedKeyPoints->PatternCacheMisses;
-        S.LinRegionsStoreHits = SharedKeyPoints->TransformStoreHits;
-        S.PatternStoreHits = SharedKeyPoints->PatternStoreHits;
-      }
-      for (size_t C = 0; C < Candidates.size(); ++C) {
-        if (!Results[C]) {
-          // Unclaimed tail: the cancel landed between claims, the
-          // sharded analogue of a cancel between serial attempts.
-          SawCancel = true;
-          break;
-        }
-        RepairResult Attempt = std::move(*Results[C]);
-        Report.Sweep.push_back(MakeEntry(Candidates[C], Attempt, ShardOf[C]));
-        if (!FoldAttempt(Candidates[C], std::move(Attempt)))
-          break;
-      }
+      RepairResult Attempt = std::move(*Results[C]);
+      Report.Sweep.push_back(MakeEntry(Candidates[C], Attempt, ShardOf[C]));
+      if (!FoldAttempt(Candidates[C], std::move(Attempt)))
+        break;
     }
   }
 

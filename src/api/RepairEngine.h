@@ -32,7 +32,12 @@
 /// share the machine instead of oversubscribing it, and every job's
 /// numeric results are bit-for-bit identical to a serial run() of the
 /// same request (the pool's determinism contract). Single-job phases
-/// (notably the simplex solve) overlap freely across workers.
+/// (notably the simplex solve) overlap freely across workers. An
+/// auto-layer sweep runs its candidate attempts on
+/// min(candidates, pool size) LpScheduler shards (lp/LpScheduler.h),
+/// derived from the global pool rather than configured; a job with a
+/// checkpoint hook runs on one shard, inline on its job thread. Shard
+/// count never changes a result.
 ///
 /// Cancellation is cooperative: JobHandle::cancel() raises a flag the
 /// pipeline polls at phase/chunk boundaries and between simplex
@@ -122,17 +127,6 @@ struct EngineOptions {
   /// earlier submission. 0 (the default) disables aging, preserving
   /// strict class order. Scheduling only - results are unaffected.
   double AgingSeconds = 0.0;
-  /// Shards for auto-layer sweeps (lp/LpScheduler.h): how many
-  /// candidate-layer attempts of one sweep run concurrently. 0 (the
-  /// default) sizes the batch from the global pool
-  /// (support/Parallel.h: PRDNN_NUM_THREADS or hardware concurrency);
-  /// 1 serializes attempts, reproducing the pre-scheduler loop
-  /// exactly. Sharded sweeps are bit-identical to serialized ones
-  /// (attempts are independent; results are assembled in candidate
-  /// order with the same strict minimal-norm tie-break), so this is a
-  /// throughput knob only. Jobs submitted with a checkpoint hook are
-  /// always serialized, preserving the hook's job-thread contract.
-  int SweepShards = 0;
   /// Default kernel determinism tier (linalg/Kernels.h) for jobs whose
   /// RepairOptions::Determinism is unset. Strict (the default) keeps
   /// every job bit-for-bit reproducible and warm-start/basis-cache

@@ -50,9 +50,9 @@ struct SweepAttempt {
   /// attempt's RepairStats::BasisHits > 0). Warm attempts are
   /// bit-identical to cold ones - this only explains the pivot counts.
   bool WarmStarted = false;
-  /// Which LpScheduler shard ran this attempt (0 for serialized
-  /// sweeps and fixed-layer requests). Purely informational: results
-  /// are independent of shard assignment.
+  /// Which LpScheduler shard ran this attempt (0 for one-shard sweeps:
+  /// fixed-layer requests, hooked jobs, a one-thread pool). Purely
+  /// informational: results are independent of shard assignment.
   int ShardId = 0;
   /// Kernel determinism tier the attempt ran under (the request's
   /// RepairOptions::Determinism resolved against the engine default).

@@ -151,9 +151,8 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   // Jacobians come from the batched engine (nn/Jacobian.h) in chunks
   // sized to bound the live J storage, and each chunk's constraint rows
   // are assembled in parallel into preallocated slots (row order - and
-  // every row's bits - identical to the per-point loop). Cancellation
-  // is polled between chunks (between points on the per-point path),
-  // never inside them.
+  // every row's bits - identical to a per-point paramJacobian loop).
+  // Cancellation is polled between chunks, never inside them.
   int NumPoints = static_cast<int>(Spec.size());
   if (Ctx) {
     Ctx->beginPhase(RepairPhase::Jacobian, NumPoints);
@@ -179,9 +178,8 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       Result.Stats.JacobianSeconds = JacobianTimer.seconds();
     };
     // Assembles constraint row K of one point from its Jacobian into
-    // (CoefOut, HiOut); bits match the seed per-point loop. Shared by
-    // the in-place path and the cached-block path, so both produce
-    // identical rows.
+    // (CoefOut, HiOut). Shared by the in-place path and the
+    // cached-block path, so both produce identical rows.
     auto AssembleRow = [&](int PointIndex, int K, const JacobianResult &Jr,
                            std::vector<double> &CoefOut, double &HiOut) {
       const OutputConstraint &C =
@@ -212,156 +210,140 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       }
     };
 
-    if (!Options.BatchedJacobians) {
-      // Seed per-point path (ablation baseline).
-      for (int P = 0; P < NumPoints; ++P) {
-        if (Ctx && Ctx->checkpoint(RepairPhase::Jacobian)) {
-          StampJacobian();
-          return Cancelled();
-        }
-        const SpecPoint &Point = Spec[static_cast<size_t>(P)];
-        AssembleRows(P, paramJacobian(Net, LayerIndex, Point.X,
-                                      Point.Pattern ? &*Point.Pattern
-                                                    : nullptr));
-        if (Ctx)
-          Ctx->advance(1);
-      }
-    } else {
-      // Batched engine, in chunks capping the live batch storage
-      // (Jacobians + stacked backward matrix + layer intermediates) at
-      // ~64 MiB, with each chunk's rows assembled in parallel.
-      std::int64_t MaxWidth = 0, SumWidths = Net.inputSize();
-      for (int I = 0; I < Net.numLayers(); ++I) {
-        MaxWidth = std::max<std::int64_t>(MaxWidth,
-                                          Net.layer(I).outputSize());
-        SumWidths += Net.layer(I).outputSize();
-      }
-      std::int64_t BytesPerPoint =
-          static_cast<std::int64_t>(8) *
-          (static_cast<std::int64_t>(Net.outputSize()) * NumParams +
-           Net.outputSize() * MaxWidth + SumWidths);
-      int ChunkPoints = static_cast<int>(std::clamp<std::int64_t>(
-          (64 << 20) / std::max<std::int64_t>(1, BytesPerPoint), 1, 256));
+    // Batched engine, in chunks capping the live batch storage
+    // (Jacobians + stacked backward matrix + layer intermediates) at
+    // ~64 MiB, with each chunk's rows assembled in parallel.
+    std::int64_t MaxWidth = 0, SumWidths = Net.inputSize();
+    for (int I = 0; I < Net.numLayers(); ++I) {
+      MaxWidth = std::max<std::int64_t>(MaxWidth,
+                                        Net.layer(I).outputSize());
+      SumWidths += Net.layer(I).outputSize();
+    }
+    std::int64_t BytesPerPoint =
+        static_cast<std::int64_t>(8) *
+        (static_cast<std::int64_t>(Net.outputSize()) * NumParams +
+         Net.outputSize() * MaxWidth + SumWidths);
+    int ChunkPoints = static_cast<int>(std::clamp<std::int64_t>(
+        (64 << 20) / std::max<std::int64_t>(1, BytesPerPoint), 1, 256));
 
-      // The engine's shared artifact cache, when this job carries one:
-      // each chunk's assembled rows are addressed by the network
-      // fingerprint, the layer, the row margin, the effective-parameter
-      // map, and the chunk's points (inputs, pinned patterns, and
-      // output constraints) - everything the rows depend on - so a hit
-      // is bit-for-bit the block this chunk would assemble.
-      ArtifactCache *Cache =
-          (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
-      auto ChunkKey = [&](int Base, int Count) {
-        Hasher H;
-        const NetworkFingerprint &Fp = Ctx->networkFingerprint();
-        H.u64(Fp.Digest.Hi);
-        H.u64(Fp.Digest.Lo);
-        hashDeterminism(H, Tier); // Fast blocks never serve Strict
-        H.i32(LayerIndex);
-        H.f64(Options.RowMargin);
-        H.i32(NumEff);
-        for (int E : Effective)
-          H.i32(E);
-        H.i32(Count);
-        for (int I = 0; I < Count; ++I) {
-          const SpecPoint &P = Spec[static_cast<size_t>(Base + I)];
-          hashVector(H, P.X);
-          H.i32(P.Pattern ? 1 : 0);
-          if (P.Pattern)
-            hashPattern(H, *P.Pattern);
-          hashMatrix(H, P.Constraint.A);
-          hashVector(H, P.Constraint.B);
-        }
-        return CacheKey{ArtifactKind::JacobianRows, H.digest()};
-      };
-      // One chunk's Jacobians, exactly as the uncached path computes
-      // them.
-      auto ComputeChunkJacobians = [&](int Base, int Count) {
-        std::vector<Vector> Xs;
-        std::vector<const NetworkPattern *> Pinned;
-        Xs.reserve(static_cast<size_t>(Count));
-        Pinned.reserve(static_cast<size_t>(Count));
-        bool AnyPinned = false;
-        for (int I = 0; I < Count; ++I) {
-          const SpecPoint &P = Spec[static_cast<size_t>(Base + I)];
-          Xs.push_back(P.X);
-          Pinned.push_back(P.Pattern ? &*P.Pattern : nullptr);
-          AnyPinned = AnyPinned || P.Pattern.has_value();
-        }
-        if (!AnyPinned)
-          Pinned.clear(); // pure batched forward, no per-row dispatch
-        return paramJacobianBatch(Net, LayerIndex, Xs, Pinned);
-      };
+    // The engine's shared artifact cache, when this job carries one:
+    // each chunk's assembled rows are addressed by the network
+    // fingerprint, the layer, the row margin, the effective-parameter
+    // map, and the chunk's points (inputs, pinned patterns, and
+    // output constraints) - everything the rows depend on - so a hit
+    // is bit-for-bit the block this chunk would assemble.
+    ArtifactCache *Cache =
+        (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
+    auto ChunkKey = [&](int Base, int Count) {
+      Hasher H;
+      const NetworkFingerprint &Fp = Ctx->networkFingerprint();
+      H.u64(Fp.Digest.Hi);
+      H.u64(Fp.Digest.Lo);
+      hashDeterminism(H, Tier); // Fast blocks never serve Strict
+      H.i32(LayerIndex);
+      H.f64(Options.RowMargin);
+      H.i32(NumEff);
+      for (int E : Effective)
+        H.i32(E);
+      H.i32(Count);
+      for (int I = 0; I < Count; ++I) {
+        const SpecPoint &P = Spec[static_cast<size_t>(Base + I)];
+        hashVector(H, P.X);
+        H.i32(P.Pattern ? 1 : 0);
+        if (P.Pattern)
+          hashPattern(H, *P.Pattern);
+        hashMatrix(H, P.Constraint.A);
+        hashVector(H, P.Constraint.B);
+      }
+      return CacheKey{ArtifactKind::JacobianRows, H.digest()};
+    };
+    // One chunk's Jacobians, exactly as the uncached path computes
+    // them.
+    auto ComputeChunkJacobians = [&](int Base, int Count) {
+      std::vector<Vector> Xs;
+      std::vector<const NetworkPattern *> Pinned;
+      Xs.reserve(static_cast<size_t>(Count));
+      Pinned.reserve(static_cast<size_t>(Count));
+      bool AnyPinned = false;
+      for (int I = 0; I < Count; ++I) {
+        const SpecPoint &P = Spec[static_cast<size_t>(Base + I)];
+        Xs.push_back(P.X);
+        Pinned.push_back(P.Pattern ? &*P.Pattern : nullptr);
+        AnyPinned = AnyPinned || P.Pattern.has_value();
+      }
+      if (!AnyPinned)
+        Pinned.clear(); // pure batched forward, no per-row dispatch
+      return paramJacobianBatch(Net, LayerIndex, Xs, Pinned);
+    };
 
-      for (int Base = 0; Base < NumPoints; Base += ChunkPoints) {
-        if (Ctx && Ctx->checkpoint(RepairPhase::Jacobian)) {
-          StampJacobian();
-          return Cancelled();
-        }
-        int Count = std::min(ChunkPoints, NumPoints - Base);
-        if (!Cache) {
-          std::vector<JacobianResult> Jrs = ComputeChunkJacobians(Base, Count);
-          parallelFor(0, Count, [&](std::int64_t I) {
-            AssembleRows(Base + static_cast<int>(I),
-                         Jrs[static_cast<size_t>(I)]);
-          });
-        } else {
-          int ChunkRowBase = RowOffset[static_cast<size_t>(Base)];
-          int ChunkRows =
-              RowOffset[static_cast<size_t>(Base + Count)] - ChunkRowBase;
-          bool Hit = false;
-          CacheTier Tier = CacheTier::None;
-          auto Artifact = std::static_pointer_cast<const JacobianRowsArtifact>(
-              Cache->getOrCompute(
-                  ChunkKey(Base, Count),
-                  [&]() -> std::shared_ptr<const CacheArtifact> {
-                    auto Block = std::make_shared<JacobianRowsArtifact>();
-                    Block->Coef.resize(static_cast<size_t>(ChunkRows));
-                    Block->Hi.resize(static_cast<size_t>(ChunkRows));
-                    std::vector<JacobianResult> Jrs =
-                        ComputeChunkJacobians(Base, Count);
-                    parallelFor(0, Count, [&](std::int64_t I) {
-                      int PointIndex = Base + static_cast<int>(I);
-                      const OutputConstraint &C =
-                          Spec[static_cast<size_t>(PointIndex)].Constraint;
-                      for (int K = 0; K < C.numRows(); ++K) {
-                        size_t Slot = static_cast<size_t>(
-                            RowOffset[static_cast<size_t>(PointIndex)] + K -
-                            ChunkRowBase);
-                        AssembleRow(PointIndex, K,
-                                    Jrs[static_cast<size_t>(I)],
-                                    Block->Coef[Slot], Block->Hi[Slot]);
-                      }
-                    });
-                    return Block;
-                  },
-                  &Hit, &Tier));
-          // Copy the (shared, immutable) block into this repair's row
-          // slots; copies cannot perturb bits.
-          parallelForRanges(0, ChunkRows, [&](std::int64_t BeginR,
-                                              std::int64_t EndR) {
-            for (std::int64_t RI = BeginR; RI < EndR; ++RI) {
-              SpecRow &Row =
-                  Rows[static_cast<size_t>(ChunkRowBase + RI)];
-              Row.Coef = Artifact->Coef[static_cast<size_t>(RI)];
-              Row.Hi = Artifact->Hi[static_cast<size_t>(RI)];
-            }
-          });
-          if (Hit) {
-            ++Result.Stats.JacobianCacheHits;
-            Ctx->noteCacheHits(1);
-            if (Tier == CacheTier::L2) {
-              ++Result.Stats.JacobianStoreHits;
-              Ctx->noteStoreHits(1);
-            }
-          } else {
-            ++Result.Stats.JacobianCacheMisses;
-            Ctx->noteCacheMisses(1);
+    for (int Base = 0; Base < NumPoints; Base += ChunkPoints) {
+      if (Ctx && Ctx->checkpoint(RepairPhase::Jacobian)) {
+        StampJacobian();
+        return Cancelled();
+      }
+      int Count = std::min(ChunkPoints, NumPoints - Base);
+      if (!Cache) {
+        std::vector<JacobianResult> Jrs = ComputeChunkJacobians(Base, Count);
+        parallelFor(0, Count, [&](std::int64_t I) {
+          AssembleRows(Base + static_cast<int>(I),
+                       Jrs[static_cast<size_t>(I)]);
+        });
+      } else {
+        int ChunkRowBase = RowOffset[static_cast<size_t>(Base)];
+        int ChunkRows =
+            RowOffset[static_cast<size_t>(Base + Count)] - ChunkRowBase;
+        bool Hit = false;
+        CacheTier Tier = CacheTier::None;
+        auto Artifact = std::static_pointer_cast<const JacobianRowsArtifact>(
+            Cache->getOrCompute(
+                ChunkKey(Base, Count),
+                [&]() -> std::shared_ptr<const CacheArtifact> {
+                  auto Block = std::make_shared<JacobianRowsArtifact>();
+                  Block->Coef.resize(static_cast<size_t>(ChunkRows));
+                  Block->Hi.resize(static_cast<size_t>(ChunkRows));
+                  std::vector<JacobianResult> Jrs =
+                      ComputeChunkJacobians(Base, Count);
+                  parallelFor(0, Count, [&](std::int64_t I) {
+                    int PointIndex = Base + static_cast<int>(I);
+                    const OutputConstraint &C =
+                        Spec[static_cast<size_t>(PointIndex)].Constraint;
+                    for (int K = 0; K < C.numRows(); ++K) {
+                      size_t Slot = static_cast<size_t>(
+                          RowOffset[static_cast<size_t>(PointIndex)] + K -
+                          ChunkRowBase);
+                      AssembleRow(PointIndex, K,
+                                  Jrs[static_cast<size_t>(I)],
+                                  Block->Coef[Slot], Block->Hi[Slot]);
+                    }
+                  });
+                  return Block;
+                },
+                &Hit, &Tier));
+        // Copy the (shared, immutable) block into this repair's row
+        // slots; copies cannot perturb bits.
+        parallelForRanges(0, ChunkRows, [&](std::int64_t BeginR,
+                                            std::int64_t EndR) {
+          for (std::int64_t RI = BeginR; RI < EndR; ++RI) {
+            SpecRow &Row =
+                Rows[static_cast<size_t>(ChunkRowBase + RI)];
+            Row.Coef = Artifact->Coef[static_cast<size_t>(RI)];
+            Row.Hi = Artifact->Hi[static_cast<size_t>(RI)];
           }
+        });
+        if (Hit) {
+          ++Result.Stats.JacobianCacheHits;
+          Ctx->noteCacheHits(1);
+          if (Tier == CacheTier::L2) {
+            ++Result.Stats.JacobianStoreHits;
+            Ctx->noteStoreHits(1);
+          }
+        } else {
+          ++Result.Stats.JacobianCacheMisses;
+          Ctx->noteCacheMisses(1);
         }
-        if (Ctx)
-          Ctx->advance(Count);
       }
+      if (Ctx)
+        Ctx->advance(Count);
     }
     StampJacobian();
   }

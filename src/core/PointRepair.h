@@ -83,18 +83,11 @@ struct RepairOptions {
   /// Optional per-parameter mask (size = layer param count); false
   /// freezes the parameter at its current value.
   std::optional<std::vector<bool>> ParamMask;
-  /// Compute spec-row Jacobians through the batched engine
-  /// (paramJacobianBatch + parallel row assembly). Disable to fall back
-  /// to the original per-point loop - kept as the ablation baseline for
-  /// benchmarks; both paths produce bit-for-bit identical rows.
-  bool BatchedJacobians = true;
   /// Consult the engine's shared artifact cache (cache/ArtifactCache.h)
   /// for Jacobian row blocks, SyReNN transforms, and pattern batches.
   /// Only effective when the job carries a cache (RepairEngine with
   /// EngineOptions::EnableCache); hits are bit-for-bit identical to
-  /// recomputation, so the default on never changes results. The
-  /// per-point ablation path (BatchedJacobians = false) always
-  /// recomputes.
+  /// recomputation, so the default on never changes results.
   bool UseCache = true;
   /// Cache the optimal simplex basis of each LP solve (one per
   /// constraint-generation round) as a fourth artifact kind
@@ -139,8 +132,7 @@ struct RepairStats {
   /// solve of this repair (all constraint-generation rounds): pivot /
   /// bound-flip / refactorization counts, the pivot-sequence hash, and
   /// per-kernel seconds (pricing, FTRAN/BTRAN, ratio test, eta update,
-  /// refactorization). ParallelKernels records whether any solve ran
-  /// the blocked parallel path.
+  /// refactorization).
   lp::SimplexStats LpKernels;
   /// Post-repair max spec violation measured on the network itself.
   double VerifiedViolation = 0.0;

@@ -197,17 +197,17 @@ public:
     return Out;
   }
 
-  /// Whether a checkpoint hook is installed. The engine serializes
-  /// sweep attempts for hooked jobs (EngineOptions::SweepShards): the
-  /// hook contract says "invoked on the job thread", and tests rely on
+  /// Whether a checkpoint hook is installed. The engine runs hooked
+  /// jobs' sweeps on one inline shard (api/RepairEngine.h): the hook
+  /// contract says "invoked on the job thread", and tests rely on
   /// deterministic single-threaded hook invocation to cancel at exact
   /// checkpoints.
   bool hasCheckpointHook() const { return static_cast<bool>(Hook); }
 
 private:
-  /// One per-thread open span, keyed by obs::threadOrdinal(): the
-  /// serialized path only ever holds one entry, the sharded sweep path
-  /// one per shard thread. Guarded by TraceMutex; all trace methods
+  /// One per-thread open span, keyed by obs::threadOrdinal(): a
+  /// one-shard sweep only ever holds one entry, a sharded sweep one per
+  /// shard thread. Guarded by TraceMutex; all trace methods
   /// are no-ops when TraceV is null, so the lock is never taken (and
   /// telemetry-off runs take no new synchronization at all).
   struct OpenSpan {

@@ -17,31 +17,27 @@
 // and before any terminal status is reported, so returned solutions are
 // always re-verified against a freshly factorized basis.
 //
-// Kernel parallelism. Once M >= SimplexOptions::ParallelMinDim (and
-// ParallelKernels is on), the dense inner kernels run blocked on the
-// shared support/Parallel.h pool under the library-wide determinism
-// contract - every output element keeps the exact accumulation order of
-// the scalar kernel, and block merges are deterministic - so the
-// parallel path is bit-for-bit identical to the scalar path at any
-// thread count (same pivot sequence, same LpSolution bits; enforced by
-// tests/lp_test.cpp). Per-kernel notes:
-//  - pricing: one batched reduced-cost pass rc = c - A~^T y over
+// Kernel parallelism. Once M >= ParallelMinRows, the dense inner
+// kernels that measured faster blocked run on the shared
+// support/Parallel.h pool under the library-wide determinism contract -
+// every output element keeps the exact accumulation order of the scalar
+// loop, and block merges are deterministic - so a solve is bit-for-bit
+// identical at any thread count (same pivot sequence, same LpSolution
+// bits; enforced by tests/lp_test.cpp). The crossover is derived from
+// M alone, never configured. Per-kernel notes:
+//  - Dantzig pricing: one batched reduced-cost pass rc = c - A~^T y over
 //    column-blocked ColA (slack columns are the -I block); per-block
-//    Dantzig candidates merge in ascending block order with the scalar
-//    scan's strict-> rule, so the chosen column matches the scalar
-//    earliest-max exactly. Bland's rule sweeps fixed groups of blocks
-//    with an early exit, returning the globally first improving index.
-//  - FTRAN/BTRAN: row-blocked (resp. column-blocked) matvecs; each
-//    output element is one sequential dot / accumulation in the scalar
-//    order.
-//  - refactorization / eta update: the O(M^2)-per-step row-elimination
-//    updates parallelize over rows; each row's arithmetic is
-//    independent of the partitioning.
-//  - ratio test: blocking rows are preselected per row block (the
-//    per-row limit computation is order-free), then merged by a serial
-//    replay of the scalar scan. The merge must be serial: the tie
-//    window tracks the incumbent ratio, so candidate selection is
-//    genuinely order-dependent and per-block winners would diverge.
+//    candidates merge in ascending block order with the scalar scan's
+//    strict-> rule, so the chosen column matches the scalar earliest-
+//    max exactly. Bland's rule always runs the scalar scan, whose early
+//    exit beats any blocked sweep.
+//  - FTRAN: row-blocked matvec; each output element is one sequential
+//    dot in the scalar order.
+//  - refactorization / eta update / basic values / bordered append:
+//    the O(M^2)-per-step row updates parallelize over rows; each row's
+//    arithmetic is independent of the partitioning.
+//  - BTRAN and the ratio test stay scalar: blocked, both measured
+//    slower on the repair LPs (src/lp/README.md).
 // See src/lp/README.md for the full contract.
 //
 // Incremental solves (SimplexSolver). The first solve is the cold
@@ -100,6 +96,11 @@ namespace {
 
 enum class VarStatus : uint8_t { Basic, AtLower, AtUpper, FreeNb };
 
+/// Kept-row count from which the blocked kernels engage; smaller LPs
+/// (the many per-layer solves of an engine sweep) pay no pool-dispatch
+/// cost. Purely a performance crossover: results are identical either
+/// side of it.
+constexpr int ParallelMinRows = 192;
 
 /// Accumulates the enclosing scope's wall time into a SimplexStats
 /// field; timing never feeds back into any computed value, so the
@@ -145,31 +146,17 @@ private:
   std::vector<double> W, Y, Cb, Rhs;
   std::vector<double> Alpha; // NT pivot-row entries (dual phase)
 
-  // Parallel-kernel state. All scratch lives on the Worker and is
-  // sized in sizeScratch() before any iteration, so the iteration hot
-  // loop allocates nothing (asserted in debug builds via the capacity
+  // Blocked-kernel state. All scratch lives on the Worker and is sized
+  // in sizeScratch() before any iteration, so the iteration hot loop
+  // allocates nothing (asserted in debug builds via the capacity
   // watermark).
-  bool Par = false; // parallel kernels active for the current shape
-  static constexpr int PriceGrain = 64;  // columns per pricing block
-  static constexpr int RatioGrain = 256; // rows per ratio block
-  /// Blocks swept together (with one deterministic merge) per early-
-  /// exit round of parallel Bland pricing. A fixed constant: the merge
-  /// result is group-size independent, but a fixed value keeps the
-  /// work profile reproducible too.
-  static constexpr int BlandGroupBlocks = 16;
-  int NumPriceBlocks = 0, NumRatioBlocks = 0;
+  bool Par = false; // M >= ParallelMinRows for the current shape
+  static constexpr int PriceGrain = 64; // columns per pricing block
+  int NumPriceBlocks = 0; // 1 (all of [0, NT)) unless Par
   std::vector<double> Rc; // NT reduced costs (batched pass, dual phase)
   std::vector<double> PriceBlockScore; // per pricing block: Dantzig best
   std::vector<int> PriceBlockJ, PriceBlockSigma;
-  std::vector<int> PriceBlockFirst; // per block: Bland first-improving
-  struct RatioCand {
-    double Limit;
-    double WAbs;
-    int Row;
-    bool AtUpper;
-  };
-  std::vector<std::vector<RatioCand>> RatioBlocks; // preselected rows
-  std::vector<double> RefB;                        // refactor scratch
+  std::vector<double> RefB; // refactor scratch
 
   SimplexStats Stats;
 
@@ -200,6 +187,26 @@ private:
   int scratchGrowths();
 #endif
 
+  /// Runs \p Body(R) for every row R in [Begin, End): on the pool once
+  /// Par, in order otherwise. Each row must write only its own outputs.
+  template <typename FnT> void forEachRow(int Begin, int End, FnT &&Body) {
+    if (Par)
+      parallelFor(Begin, End,
+                  [&](std::int64_t R) { Body(static_cast<int>(R)); });
+    else
+      for (int R = Begin; R < End; ++R)
+        Body(R);
+  }
+  /// Runs \p Body(Begin, End) over the NumPriceBlocks column blocks of
+  /// [0, NT): PriceGrain-wide blocks on the pool once Par, one block
+  /// otherwise.
+  template <typename FnT> void forEachPriceBlock(FnT &&Body) {
+    if (Par)
+      parallelForRanges(0, NT, Body, PriceGrain);
+    else
+      Body(0, NT);
+  }
+
   enum class RowKind { Kept, Vacuous, Infeasible };
   RowKind presolveRow(int I) const;
   /// Scales kept row \p R (problem row KeptRows[R]) into RowScale,
@@ -223,8 +230,8 @@ private:
   void computeDuals();
   bool isFixed(int J) const { return Hi[J] - Lo[J] <= 1e-30; }
 
-  /// The one pricing rule, shared by every kernel path (scalar scan,
-  /// parallel Dantzig blocks, Bland sweeps, batched verification):
+  /// The one pricing rule, shared by Dantzig and Bland pricing, the
+  /// batched reduced costs and the dual-feasibility verification:
   /// prices column \p J against the current duals Y and returns the
   /// improving direction (+1 rising from lower / free, -1 falling from
   /// upper / free) or 0. Skips basic and fixed columns, leaving
@@ -246,12 +253,9 @@ private:
   }
 
   int chooseEntering(bool Phase1, int &SigmaOut);
-  int chooseEnteringScalar(bool Phase1, int &SigmaOut);
-  int chooseEnteringDantzigPar(bool Phase1, int &SigmaOut);
-  int chooseEnteringBlandPar(bool Phase1, int &SigmaOut);
   /// Reduced-cost pass over every nonbasic, unfixed column into Rc (no
-  /// candidate selection), column-blocked on the parallel path; used by
-  /// the dual phase and the dual-feasibility verification.
+  /// candidate selection), column-blocked once Par; used by the dual
+  /// phase and the dual-feasibility verification.
   void batchReducedCosts(bool Phase1);
 
   struct RatioResult {
@@ -262,12 +266,9 @@ private:
     bool Unbounded = false;
   };
   RatioResult ratioTest(int J, int Sigma, bool Phase1);
-  RatioResult ratioTestScalar(int J, int Sigma, bool Phase1);
-  RatioResult ratioTestParallel(int J, int Sigma, bool Phase1);
 
-  /// The one per-row blocking computation, shared by the scalar scan
-  /// and the parallel preselection: how far the entering step travels
-  /// before basic row \p R blocks it (Blocking false if it never does).
+  /// How far the entering step travels before basic row \p R blocks it
+  /// (Blocking false if it never does).
   struct RowLimit {
     double Limit = 0.0;
     double WAbs = 0.0;
@@ -320,12 +321,11 @@ private:
     return Out;
   }
 
-  /// The one incumbent-relative acceptance rule of the ratio test,
-  /// shared by the scalar scan and the parallel merge. Prefer strictly
-  /// smaller ratios; within a small tie window prefer the larger pivot
-  /// magnitude for numerical stability (or the lowest basis index under
-  /// Bland's rule). Ties against a bound flip (BestRow < 0) keep the
-  /// flip, which is the cheapest step.
+  /// The incumbent-relative acceptance rule of the ratio test. Prefer
+  /// strictly smaller ratios; within a small tie window prefer the
+  /// larger pivot magnitude for numerical stability (or the lowest basis
+  /// index under Bland's rule). Ties against a bound flip (BestRow < 0)
+  /// keep the flip, which is the cheapest step.
   bool ratioBetter(double Limit, double WAbs, int Row, double BestT,
                    int BestRow, double BestPivotMag) const {
     if (!std::isfinite(BestT) || Limit < BestT - 1e-9 * (1.0 + BestT))
@@ -379,10 +379,7 @@ void SimplexSolver::Worker::collectScratchCaps(
   Out.push_back(PriceBlockScore.capacity());
   Out.push_back(PriceBlockJ.capacity());
   Out.push_back(PriceBlockSigma.capacity());
-  Out.push_back(PriceBlockFirst.capacity());
   Out.push_back(RefB.capacity());
-  for (const auto &Block : RatioBlocks)
-    Out.push_back(Block.capacity());
 }
 
 void SimplexSolver::Worker::snapshotScratch() {
@@ -523,38 +520,31 @@ bool SimplexSolver::Worker::appendRows(LpSolution &Out) {
   // [[B, 0], [C, -I]], C holding the new rows' entries in the basic
   // columns (old slack columns have none), and its inverse is
   // [[B^-1, 0], [C B^-1, -I]]. Each new row is independent.
-  Par = Opt.ParallelKernels && M >= Opt.ParallelMinDim;
-  auto BorderRow = [&](int R) {
-    double *Row = Binv.data() + static_cast<size_t>(R) * Ms;
-    for (int P = 0; P < OldM; ++P) {
-      int J = Basis[P];
-      if (J >= NS)
-        continue;
-      double C = ColA[static_cast<size_t>(J) * Ms + R];
-      if (C != 0.0)
-        linalg::kernelAxpy(Row, Binv.data() + static_cast<size_t>(P) * Ms,
-                           C, OldM, Opt.Determinism);
-    }
-    Row[R] = -1.0;
-  };
+  Par = M >= ParallelMinRows;
   {
     KernelTimer Timer(Stats.UpdateSeconds);
-    if (Par)
-      parallelFor(OldM, M,
-                  [&](std::int64_t R) { BorderRow(static_cast<int>(R)); });
-    else
-      for (int R = OldM; R < M; ++R)
-        BorderRow(R);
+    forEachRow(OldM, M, [&](int R) {
+      double *Row = Binv.data() + static_cast<size_t>(R) * Ms;
+      for (int P = 0; P < OldM; ++P) {
+        int J = Basis[P];
+        if (J >= NS)
+          continue;
+        double C = ColA[static_cast<size_t>(J) * Ms + R];
+        if (C != 0.0)
+          linalg::kernelAxpy(Row, Binv.data() + static_cast<size_t>(P) * Ms,
+                             C, OldM, Opt.Determinism);
+      }
+      Row[R] = -1.0;
+    });
   }
   Fresh = false;
   return true;
 }
 
 void SimplexSolver::Worker::sizeScratch() {
-  // Every per-iteration buffer - refactorization scratch, reduced costs
-  // and pivot row (both kernel paths), batched-pricing / ratio-
-  // preselection blocks (parallel path only) - is sized for the current
-  // shape here, so no iteration ever allocates.
+  // Every per-iteration buffer - refactorization scratch, reduced costs,
+  // pivot row, pricing blocks - is sized for the current shape here, so
+  // no iteration ever allocates.
   size_t Ms = static_cast<size_t>(M);
   W.resize(Ms);
   Y.resize(Ms);
@@ -563,17 +553,10 @@ void SimplexSolver::Worker::sizeScratch() {
   Rc.resize(static_cast<size_t>(NT));
   Alpha.resize(static_cast<size_t>(NT));
   RefB.resize(Ms * Ms); // released by finish(): see there
-  if (Par) {
-    NumPriceBlocks = (NT + PriceGrain - 1) / PriceGrain;
-    PriceBlockScore.resize(static_cast<size_t>(NumPriceBlocks));
-    PriceBlockJ.resize(static_cast<size_t>(NumPriceBlocks));
-    PriceBlockSigma.resize(static_cast<size_t>(NumPriceBlocks));
-    PriceBlockFirst.resize(static_cast<size_t>(NumPriceBlocks));
-    NumRatioBlocks = (M + RatioGrain - 1) / RatioGrain;
-    RatioBlocks.resize(static_cast<size_t>(NumRatioBlocks));
-    for (auto &Block : RatioBlocks)
-      Block.reserve(RatioGrain); // a block never holds more rows
-  }
+  NumPriceBlocks = Par ? (NT + PriceGrain - 1) / PriceGrain : 1;
+  PriceBlockScore.resize(static_cast<size_t>(NumPriceBlocks));
+  PriceBlockJ.resize(static_cast<size_t>(NumPriceBlocks));
+  PriceBlockSigma.resize(static_cast<size_t>(NumPriceBlocks));
 #ifndef NDEBUG
   snapshotScratch();
 #endif
@@ -705,7 +688,7 @@ bool SimplexSolver::Worker::refactor() {
   std::vector<double> &B = RefB;
   std::vector<double> &Inv = Binv;
   std::fill(B.begin(), B.end(), 0.0);
-  auto BuildColumn = [&](int R) {
+  forEachRow(0, M, [&](int R) { // column R of B
     int J = Basis[R];
     if (J < NS) {
       const double *Col = ColA.data() + static_cast<size_t>(J) * M;
@@ -714,12 +697,7 @@ bool SimplexSolver::Worker::refactor() {
     } else {
       B[static_cast<size_t>(J - NS) * M + R] = -1.0;
     }
-  };
-  if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { BuildColumn(static_cast<int>(R)); });
-  else
-    for (int R = 0; R < M; ++R)
-      BuildColumn(R);
+  });
   std::fill(Inv.begin(), Inv.end(), 0.0);
   for (int I = 0; I < M; ++I)
     Inv[static_cast<size_t>(I) * M + I] = 1.0;
@@ -748,7 +726,7 @@ bool SimplexSolver::Worker::refactor() {
       B[static_cast<size_t>(K) * M + C] *= Scale;
       Inv[static_cast<size_t>(K) * M + C] *= Scale;
     }
-    auto EliminateRow = [&](int I) {
+    forEachRow(0, M, [&](int I) {
       if (I == K)
         return;
       double Factor = B[static_cast<size_t>(I) * M + K];
@@ -763,13 +741,7 @@ bool SimplexSolver::Worker::refactor() {
       linalg::kernelAxpy(Inv.data() + static_cast<size_t>(I) * M,
                          Inv.data() + static_cast<size_t>(K) * M, -Factor, M,
                          Opt.Determinism);
-    };
-    if (Par)
-      parallelFor(0, M,
-                  [&](std::int64_t I) { EliminateRow(static_cast<int>(I)); });
-    else
-      for (int I = 0; I < M; ++I)
-        EliminateRow(I);
+    });
   }
   PivotsSinceRefactor = 0;
   Fresh = true;
@@ -791,16 +763,11 @@ void SimplexSolver::Worker::recomputeBasicValues() {
   }
   // Basic entries of X are distinct slots, so the row-blocked matvec
   // writes disjointly; each element keeps its scalar accumulation order.
-  auto RowValue = [&](int R) {
+  forEachRow(0, M, [&](int R) {
     X[Basis[R]] = linalg::kernelDot(
         Binv.data() + static_cast<size_t>(R) * M, Rhs.data(), M,
         Opt.Determinism);
-  };
-  if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { RowValue(static_cast<int>(R)); });
-  else
-    for (int R = 0; R < M; ++R)
-      RowValue(R);
+  });
 }
 
 double SimplexSolver::Worker::infeasibility() const {
@@ -847,117 +814,72 @@ void SimplexSolver::Worker::computeColumn(int J) {
     return;
   }
   const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-  auto RowDot = [&](int R) {
+  forEachRow(0, M, [&](int R) {
     W[R] = linalg::kernelDot(Binv.data() + static_cast<size_t>(R) * M, Col,
                              M, Opt.Determinism);
-  };
-  if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { RowDot(static_cast<int>(R)); });
-  else
-    for (int R = 0; R < M; ++R)
-      RowDot(R);
+  });
 }
 
 void SimplexSolver::Worker::computeDuals() {
-  // BTRAN: Y^T = Cb^T Binv. Column-blocked: each block walks the basic
-  // rows in ascending order and accumulates its slice of Y, preserving
-  // every Y[I]'s scalar accumulation order while still reading Binv
-  // rows contiguously.
+  // BTRAN: Y^T = Cb^T Binv, one axpy per basic row with a nonzero cost.
+  // Scalar at every size: the column-blocked version re-walks every
+  // basic row per block and measured slower (src/lp/README.md).
   KernelTimer Timer(Stats.BtranSeconds);
-  if (!Par) {
-    std::fill(Y.begin(), Y.end(), 0.0);
-    for (int R = 0; R < M; ++R) {
-      double C = Cb[R];
-      if (C == 0.0)
-        continue;
-      linalg::kernelAxpy(Y.data(), Binv.data() + static_cast<size_t>(R) * M,
-                         C, M, Opt.Determinism);
-    }
-    return;
+  std::fill(Y.begin(), Y.end(), 0.0);
+  for (int R = 0; R < M; ++R) {
+    double C = Cb[R];
+    if (C == 0.0)
+      continue;
+    linalg::kernelAxpy(Y.data(), Binv.data() + static_cast<size_t>(R) * M,
+                       C, M, Opt.Determinism);
   }
-  parallelForRanges(0, M, [&](std::int64_t Begin, std::int64_t End) {
-    std::fill(Y.begin() + Begin, Y.begin() + End, 0.0);
-    for (int R = 0; R < M; ++R) {
-      double C = Cb[R];
-      if (C == 0.0)
-        continue;
-      const double *Row = Binv.data() + static_cast<size_t>(R) * M;
-      linalg::kernelAxpy(Y.data() + Begin, Row + Begin, C,
-                         static_cast<int>(End - Begin), Opt.Determinism);
-    }
-  });
 }
 
 int SimplexSolver::Worker::chooseEntering(bool Phase1, int &SigmaOut) {
   KernelTimer Timer(Stats.PricingSeconds);
-  if (!Par)
-    return chooseEnteringScalar(Phase1, SigmaOut);
-  return Bland ? chooseEnteringBlandPar(Phase1, SigmaOut)
-               : chooseEnteringDantzigPar(Phase1, SigmaOut);
-}
-
-int SimplexSolver::Worker::chooseEnteringScalar(bool Phase1,
-                                                int &SigmaOut) {
-  // Full Dantzig pricing (best |rc|); Bland's rule takes the first
-  // improving index instead. Partial pricing was tried and reverted: on
-  // the repair LPs' split-variable columns it zigzags into iteration
-  // blow-ups that dwarf the per-iteration savings.
-  int BestJ = -1;
-  int BestSigma = 0;
-  double BestScore = Opt.OptTol;
-  for (int J = 0; J < NT; ++J) {
-    double RcJ = 0.0;
-    int Sigma = priceColumn(J, Phase1, RcJ);
-    if (Sigma == 0)
-      continue;
-    if (Bland) {
-      // Bland's rule: first improving index.
-      SigmaOut = Sigma;
-      return J;
+  if (Bland) {
+    // Bland's rule: the first improving index. One scan at every size:
+    // its early exit beats any blocked sweep.
+    for (int J = 0; J < NT; ++J) {
+      double RcJ = 0.0;
+      if (int Sigma = priceColumn(J, Phase1, RcJ)) {
+        SigmaOut = Sigma;
+        return J;
+      }
     }
-    double Score = std::fabs(RcJ);
-    if (Score > BestScore) {
-      BestScore = Score;
-      BestJ = J;
-      BestSigma = Sigma;
-    }
+    SigmaOut = 0;
+    return -1;
   }
-  SigmaOut = BestSigma;
-  return BestJ;
-}
-
-int SimplexSolver::Worker::chooseEnteringDantzigPar(bool Phase1,
-                                                    int &SigmaOut) {
-  // Batched reduced-cost pass rc = c - A~^T y over column blocks of
-  // ColA (slack columns j >= NS are the -I block inside columnDot).
-  // Each column's dot keeps the scalar accumulation order; each block
-  // keeps the scalar scan's running-best rule (strict >, earliest index
-  // kept on ties), and blocks merge in ascending order under the same
-  // rule - so the winner is exactly the scalar scan's earliest-max.
-  parallelForRanges(
-      0, NT,
-      [&](std::int64_t Begin, std::int64_t End) {
-        size_t Block = static_cast<size_t>(Begin / PriceGrain);
-        double BestScore = Opt.OptTol;
-        int BestJ = -1;
-        int BestSigma = 0;
-        for (std::int64_t J = Begin; J < End; ++J) {
-          double RcJ = 0.0;
-          int Sigma = priceColumn(static_cast<int>(J), Phase1, RcJ);
-          if (Sigma == 0)
-            continue;
-          double Score = std::fabs(RcJ);
-          if (Score > BestScore) {
-            BestScore = Score;
-            BestJ = static_cast<int>(J);
-            BestSigma = Sigma;
-          }
-        }
-        PriceBlockScore[Block] = BestScore;
-        PriceBlockJ[Block] = BestJ;
-        PriceBlockSigma[Block] = BestSigma;
-      },
-      PriceGrain);
+  // Full Dantzig pricing (best |rc|) as one reduced-cost pass rc =
+  // c - A~^T y over the column blocks of ColA (slack columns j >= NS are
+  // the -I block inside columnDot). Each column's dot keeps the scalar
+  // accumulation order; each block keeps a running best under the
+  // strict-> rule (earliest index kept on ties), and blocks merge in
+  // ascending order under the same rule - so the winner is exactly a
+  // single scan's earliest-max. Partial pricing was tried and reverted:
+  // on the repair LPs' split-variable columns it zigzags into iteration
+  // blow-ups that dwarf the per-iteration savings.
+  forEachPriceBlock([&](std::int64_t Begin, std::int64_t End) {
+    size_t Block = static_cast<size_t>(Begin / PriceGrain);
+    double BestScore = Opt.OptTol;
+    int BestJ = -1;
+    int BestSigma = 0;
+    for (std::int64_t J = Begin; J < End; ++J) {
+      double RcJ = 0.0;
+      int Sigma = priceColumn(static_cast<int>(J), Phase1, RcJ);
+      if (Sigma == 0)
+        continue;
+      double Score = std::fabs(RcJ);
+      if (Score > BestScore) {
+        BestScore = Score;
+        BestJ = static_cast<int>(J);
+        BestSigma = Sigma;
+      }
+    }
+    PriceBlockScore[Block] = BestScore;
+    PriceBlockJ[Block] = BestJ;
+    PriceBlockSigma[Block] = BestSigma;
+  });
 
   double BestScore = Opt.OptTol;
   int BestJ = -1;
@@ -973,73 +895,23 @@ int SimplexSolver::Worker::chooseEnteringDantzigPar(bool Phase1,
   return BestJ;
 }
 
-int SimplexSolver::Worker::chooseEnteringBlandPar(bool Phase1,
-                                                  int &SigmaOut) {
-  // Bland's rule wants the globally first improving index, so a full
-  // batched pass would waste the early exit the scalar scan enjoys.
-  // Instead sweep fixed-size groups of column blocks: within a group
-  // each block finds its first improving index in parallel, then the
-  // ascending-order merge takes the earliest hit - the same index the
-  // scalar scan returns - and later groups are never priced.
-  for (int Group = 0; Group < NumPriceBlocks; Group += BlandGroupBlocks) {
-    int GroupEnd = std::min(NumPriceBlocks, Group + BlandGroupBlocks);
-    std::int64_t ColBegin = static_cast<std::int64_t>(Group) * PriceGrain;
-    std::int64_t ColEnd =
-        std::min<std::int64_t>(NT, static_cast<std::int64_t>(GroupEnd) *
-                                       PriceGrain);
-    parallelForRanges(
-        ColBegin, ColEnd,
-        [&](std::int64_t Begin, std::int64_t End) {
-          size_t Block = static_cast<size_t>(Begin / PriceGrain);
-          int Found = -1;
-          int FoundSigma = 0;
-          for (std::int64_t J = Begin; J < End; ++J) {
-            double RcJ = 0.0;
-            int Sigma = priceColumn(static_cast<int>(J), Phase1, RcJ);
-            if (Sigma != 0) {
-              Found = static_cast<int>(J);
-              FoundSigma = Sigma;
-              break;
-            }
-          }
-          PriceBlockFirst[Block] = Found;
-          PriceBlockSigma[Block] = FoundSigma;
-        },
-        PriceGrain);
-    for (int Block = Group; Block < GroupEnd; ++Block) {
-      if (PriceBlockFirst[Block] >= 0) {
-        SigmaOut = PriceBlockSigma[Block];
-        return PriceBlockFirst[Block];
-      }
-    }
-  }
-  SigmaOut = 0;
-  return -1;
-}
-
 void SimplexSolver::Worker::batchReducedCosts(bool Phase1) {
   KernelTimer Timer(Stats.PricingSeconds);
   // Rc[J] stays untouched (stale) for skipped basic/fixed columns,
   // which no reader consults.
-  auto Price = [&](std::int64_t Begin, std::int64_t End) {
+  forEachPriceBlock([&](std::int64_t Begin, std::int64_t End) {
     for (std::int64_t J = Begin; J < End; ++J)
       priceColumn(static_cast<int>(J), Phase1, Rc[static_cast<size_t>(J)]);
-  };
-  if (Par)
-    parallelForRanges(0, NT, Price, PriceGrain);
-  else
-    Price(0, NT);
+  });
 }
 
 SimplexSolver::Worker::RatioResult
 SimplexSolver::Worker::ratioTest(int J, int Sigma, bool Phase1) {
+  // One scan in row order: the tie window is relative to the incumbent
+  // BestT, which drifts across ties, so the winner is order-dependent.
+  // A blocked preselection plus serial merge measured slower
+  // (src/lp/README.md).
   KernelTimer Timer(Stats.RatioSeconds);
-  return Par ? ratioTestParallel(J, Sigma, Phase1)
-             : ratioTestScalar(J, Sigma, Phase1);
-}
-
-SimplexSolver::Worker::RatioResult
-SimplexSolver::Worker::ratioTestScalar(int J, int Sigma, bool Phase1) {
   RatioResult Result;
   double BestT = kInfinity;
   bool BestIsFlip = false;
@@ -1077,77 +949,12 @@ SimplexSolver::Worker::ratioTestScalar(int J, int Sigma, bool Phase1) {
   return Result;
 }
 
-SimplexSolver::Worker::RatioResult
-SimplexSolver::Worker::ratioTestParallel(int J, int Sigma, bool Phase1) {
-  // Phase A - blocking-row preselection: rowLimit is pure per-row
-  // arithmetic (the same helper the scalar scan uses), so row blocks
-  // compute it in parallel, compacting the rows that actually block
-  // (finite limit, pivot above tolerance) into per-block candidate
-  // lists in row order.
-  parallelForRanges(
-      0, M,
-      [&](std::int64_t Begin, std::int64_t End) {
-        auto &Cands = RatioBlocks[static_cast<size_t>(Begin / RatioGrain)];
-        Cands.clear();
-        for (std::int64_t R = Begin; R < End; ++R) {
-          RowLimit L = rowLimit(static_cast<int>(R), Sigma, Phase1);
-          if (L.Blocking)
-            Cands.push_back({L.Limit, L.WAbs, static_cast<int>(R),
-                             L.AtUpper});
-        }
-      },
-      RatioGrain);
-
-  // Phase B - deterministic merge: a serial replay of the scalar scan
-  // over the preselected rows in ascending block/row order. This must
-  // stay serial: the tie window is relative to the incumbent BestT,
-  // which drifts across ties, so "which row wins" is order-dependent -
-  // a per-block winner could discard a row that wins a tie against a
-  // *different* incumbent in the global ordering. Non-blocking rows
-  // never touch the scalar state, so skipping them here is exact.
-  RatioResult Result;
-  double BestT = kInfinity;
-  bool BestIsFlip = false;
-  int BestRow = -1;
-  bool BestAtUpper = false;
-  double BestPivotMag = 0.0;
-
-  // The entering variable's own travel between its bounds.
-  if (std::isfinite(Lo[J]) && std::isfinite(Hi[J])) {
-    BestT = Hi[J] - Lo[J];
-    BestIsFlip = true;
-  }
-
-  for (int Block = 0; Block < NumRatioBlocks; ++Block) {
-    for (const RatioCand &Cand : RatioBlocks[static_cast<size_t>(Block)]) {
-      if (ratioBetter(Cand.Limit, Cand.WAbs, Cand.Row, BestT, BestRow,
-                      BestPivotMag)) {
-        BestT = Cand.Limit;
-        BestRow = Cand.Row;
-        BestAtUpper = Cand.AtUpper;
-        BestPivotMag = Cand.WAbs;
-        BestIsFlip = false;
-      }
-    }
-  }
-
-  if (!std::isfinite(BestT)) {
-    Result.Unbounded = true;
-    return Result;
-  }
-  Result.T = BestT;
-  Result.Row = BestRow;
-  Result.LeaveAtUpper = BestAtUpper;
-  Result.BoundFlip = BestIsFlip;
-  return Result;
-}
-
 void SimplexSolver::Worker::applyStep(int J, int Sigma,
                                       const RatioResult &R) {
   // Pivot-sequence digest (order-sensitive FNV-1a): entering index,
   // direction, and bound-flip vs. (row, leaving side). Tests compare it
-  // across kernel paths and thread counts - equal hashes mean the
-  // parallel kernels walked the exact scalar pivot path.
+  // across thread counts - equal hashes mean the blocked kernels walked
+  // the same pivot path at every pool size.
   auto Mix = [this](std::uint64_t V) {
     Stats.PivotHash = (Stats.PivotHash ^ V) * 0x100000001b3ULL;
   };
@@ -1199,7 +1006,7 @@ void SimplexSolver::Worker::updateBinv(int PivotRow) {
   double Inv = 1.0 / Pivot;
   for (int C = 0; C < M; ++C)
     PivRow[C] *= Inv;
-  auto UpdateRow = [&](int R) {
+  forEachRow(0, M, [&](int R) {
     if (R == PivotRow)
       return;
     double Factor = W[R];
@@ -1207,12 +1014,7 @@ void SimplexSolver::Worker::updateBinv(int PivotRow) {
       return;
     linalg::kernelAxpy(Binv.data() + static_cast<size_t>(R) * M, PivRow,
                        -Factor, M, Opt.Determinism);
-  };
-  if (Par)
-    parallelFor(0, M, [&](std::int64_t R) { UpdateRow(static_cast<int>(R)); });
-  else
-    for (int R = 0; R < M; ++R)
-      UpdateRow(R);
+  });
 }
 
 int SimplexSolver::Worker::chooseLeavingRow(bool &ToUpper) const {
@@ -1240,17 +1042,13 @@ void SimplexSolver::Worker::pivotRowAlphas(int R) {
   // is one sequential dot, so partitioning cannot move a bit.
   KernelTimer Timer(Stats.PricingSeconds);
   const double *Rho = Binv.data() + static_cast<size_t>(R) * M;
-  auto Row = [&](std::int64_t Begin, std::int64_t End) {
+  forEachPriceBlock([&](std::int64_t Begin, std::int64_t End) {
     for (std::int64_t J = Begin; J < End; ++J) {
       int Jc = static_cast<int>(J);
       if (Stat[static_cast<size_t>(J)] != VarStatus::Basic && !isFixed(Jc))
         Alpha[static_cast<size_t>(J)] = columnDot(Rho, Jc);
     }
-  };
-  if (Par)
-    parallelForRanges(0, NT, Row, PriceGrain);
-  else
-    Row(0, NT);
+  });
 }
 
 int SimplexSolver::Worker::dualRatioTest(bool ToUpper, int &SigmaOut) {
@@ -1460,7 +1258,6 @@ LpSolution SimplexSolver::Worker::finish(SolveStatus Status) {
   Out.Iterations = Iterations;
   Out.Phase1Iterations = Phase1Iterations;
   Stats.Iterations = Iterations;
-  Stats.ParallelKernels = Par;
   Out.WarmStarted = WarmStartedV;
   HaveOptimum = Status == SolveStatus::Optimal;
   // Between solves the solver keeps what the next one continues from;
@@ -1543,11 +1340,10 @@ LpSolution SimplexSolver::Worker::coldSolve() {
   if (!buildProblem(Early))
     return Early;
 
-  // Kernel-path decision, made once per shape: the blocked/parallel
-  // kernels only pay off when the O(M^2) FTRAN/BTRAN and O(M * NT)
-  // pricing passes dominate the pool-dispatch cost. Either path yields
-  // bit-identical results; this is purely a performance crossover.
-  Par = Opt.ParallelKernels && M >= Opt.ParallelMinDim;
+  // Kernel-path decision, made once per shape: the blocked kernels only
+  // pay off when the O(M^2) FTRAN/update and O(M * NT) pricing passes
+  // dominate the pool-dispatch cost.
+  Par = M >= ParallelMinRows;
 
   // Trivial cases first; neither leaves a basis to continue from.
   if (NS == 0) {

@@ -16,14 +16,14 @@
 /// a final clean-solve verification before an Optimal status is
 /// reported, and dual values for optimality certificates.
 ///
-/// The dense inner kernels (pricing, FTRAN/BTRAN, refactorization, eta
-/// update, ratio-test preselection) run blocked and parallel on the
-/// shared support/Parallel.h pool once the problem reaches
-/// SimplexOptions::ParallelMinDim kept rows; below that - or with
-/// SimplexOptions::ParallelKernels off (the ablation baseline) - the
-/// scalar reference kernels run instead. Both paths are bit-for-bit
-/// identical at any thread count: identical pivot sequences, identical
-/// LpSolution bits (see src/lp/README.md for the determinism contract).
+/// Once the problem has 192 or more kept rows, the dense inner kernels
+/// that measured faster blocked (Dantzig pricing, FTRAN, refactorization
+/// and the eta update, among others) run on the shared
+/// support/Parallel.h pool; smaller LPs, BTRAN, the ratio test and
+/// Bland's rule always run the scalar loops.
+/// Results are bit-for-bit identical at any thread count: identical
+/// pivot sequences, identical LpSolution bits (see src/lp/README.md for
+/// the determinism contract and the measurements behind the split).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,15 +98,6 @@ struct SimplexOptions {
   /// it becomes true the solve returns SolveStatus::Cancelled. The
   /// pointee must outlive the solve; null disables polling.
   const std::atomic<bool> *CancelFlag = nullptr;
-  /// Run the blocked/parallel inner kernels on the shared thread pool.
-  /// Off is the scalar-kernels ablation baseline; both settings produce
-  /// bit-for-bit identical solutions and pivot sequences.
-  bool ParallelKernels = true;
-  /// Minimum kept-row count M before the parallel kernels engage;
-  /// smaller LPs (the many per-layer solves of an engine sweep) run the
-  /// scalar kernels and pay no pool-dispatch overhead. Results are
-  /// identical either way; this only moves the crossover.
-  int ParallelMinDim = 192;
   /// Optional warm-start basis (advisory; see SimplexBasis). When
   /// non-null and structurally valid for this LP, the solve starts from
   /// it after one fresh refactorization instead of the slack basis; on
@@ -139,8 +130,8 @@ struct SimplexOptions {
 /// and accumulated into RepairStats::LpKernels by the repair pipeline.
 /// PivotHash is an order-sensitive FNV-1a digest of the pivot sequence
 /// (entering index, direction, bound flip / leaving row per step);
-/// tests compare it across thread counts to assert the parallel kernels
-/// reproduce the scalar pivot path exactly.
+/// tests compare it across thread counts to assert the blocked kernels
+/// walk the same pivot path at any pool size.
 struct SimplexStats {
   int Iterations = 0;
   int Pivots = 0;
@@ -153,9 +144,6 @@ struct SimplexStats {
   double RatioSeconds = 0.0;
   double UpdateSeconds = 0.0;
   double RefactorSeconds = 0.0;
-  /// Whether this solve ran the parallel kernels (ParallelKernels on
-  /// and M >= ParallelMinDim).
-  bool ParallelKernels = false;
 
   /// Total seconds attributed to the six instrumented kernels.
   double kernelSeconds() const {
@@ -177,7 +165,6 @@ struct SimplexStats {
     RatioSeconds += Other.RatioSeconds;
     UpdateSeconds += Other.UpdateSeconds;
     RefactorSeconds += Other.RefactorSeconds;
-    ParallelKernels = ParallelKernels || Other.ParallelKernels;
   }
 };
 

@@ -62,7 +62,7 @@ const char *toString(CodecError Error);
 
 /// Current frame format version. Bump on any layout change; readers
 /// reject other versions with BadVersion (no silent migrations).
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Fixed frame prologue: magic + version + endian tag + kind + payload
 /// size. A stream consumer (rpc/Wire.h) reads exactly this many bytes,

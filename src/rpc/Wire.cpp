@@ -212,7 +212,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
     for (bool Bit : *O.ParamMask)
       W.u8(Bit ? 1 : 0);
   }
-  W.u8(O.BatchedJacobians ? 1 : 0);
   W.u8(O.UseCache ? 1 : 0);
   W.u8(O.WarmStartBasis ? 1 : 0);
   // Optional determinism tier: 0 = unset (server default applies),
@@ -230,10 +229,23 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.u8(O.Lp.ScaleRows ? 1 : 0);
   W.i32(O.Lp.StallLimit);
   W.i32(O.Lp.RefactorInterval);
-  W.u8(O.Lp.ParallelKernels ? 1 : 0);
-  W.i32(O.Lp.ParallelMinDim);
   W.u8(O.Lp.ExportBasis ? 1 : 0);
   W.u8(static_cast<std::uint8_t>(O.Lp.Determinism));
+}
+
+/// Semantic validation of a decoded RepairOptions: the request crossed a
+/// trust boundary, and values the pipeline never produces itself (a
+/// negative CgBatch indexes before its row vector, a zero one spins
+/// every round without adding rows, a NaN tolerance breaks every
+/// comparison) must fail the decode rather than reach a job. Every
+/// default passes.
+bool validRepairOptions(const RepairOptions &O) {
+  auto PositiveFinite = [](double V) { return std::isfinite(V) && V > 0.0; };
+  return O.CgBatch >= 1 && O.MaxCgRounds >= 0 &&
+         !std::isnan(O.DeltaBound) && std::isfinite(O.RowMargin) &&
+         PositiveFinite(O.Lp.FeasTol) && PositiveFinite(O.Lp.OptTol) &&
+         PositiveFinite(O.Lp.PivotTol) && O.Lp.MaxIterations >= 1 &&
+         O.Lp.RefactorInterval >= 1 && O.Lp.StallLimit >= 1;
 }
 
 bool readRepairOptions(ByteReader &R, RepairOptions &O) {
@@ -268,9 +280,6 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   }
   if (!readEnum8(R, Flag, 1))
     return false;
-  O.BatchedJacobians = Flag != 0;
-  if (!readEnum8(R, Flag, 1))
-    return false;
   O.UseCache = Flag != 0;
   if (!readEnum8(R, Flag, 1))
     return false;
@@ -292,17 +301,16 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
     return false;
   if (!readEnum8(R, Flag, 1))
     return false;
-  O.Lp.ParallelKernels = Flag != 0;
-  if (!R.i32(O.Lp.ParallelMinDim))
-    return false;
-  if (!readEnum8(R, Flag, 1))
-    return false;
   O.Lp.ExportBasis = Flag != 0;
   if (!readEnum8(R, Flag, 1))
     return false;
   O.Lp.Determinism = static_cast<linalg::Determinism>(Flag);
   O.Lp.CancelFlag = nullptr;
   O.Lp.WarmBasis = nullptr;
+  if (!validRepairOptions(O)) {
+    R.fail(CodecError::Corrupt);
+    return false;
+  }
   return true;
 }
 
@@ -318,20 +326,14 @@ void writeSimplexStats(ByteWriter &W, const lp::SimplexStats &S) {
   W.f64(S.RatioSeconds);
   W.f64(S.UpdateSeconds);
   W.f64(S.RefactorSeconds);
-  W.u8(S.ParallelKernels ? 1 : 0);
 }
 
 bool readSimplexStats(ByteReader &R, lp::SimplexStats &S) {
-  std::uint8_t Flag = 0;
-  if (!R.i32(S.Iterations) || !R.i32(S.Pivots) || !R.i32(S.BoundFlips) ||
-      !R.i32(S.Refactors) || !R.u64(S.PivotHash) ||
-      !R.f64(S.PricingSeconds) || !R.f64(S.FtranSeconds) ||
-      !R.f64(S.BtranSeconds) || !R.f64(S.RatioSeconds) ||
-      !R.f64(S.UpdateSeconds) || !R.f64(S.RefactorSeconds) ||
-      !readEnum8(R, Flag, 1))
-    return false;
-  S.ParallelKernels = Flag != 0;
-  return true;
+  return R.i32(S.Iterations) && R.i32(S.Pivots) && R.i32(S.BoundFlips) &&
+         R.i32(S.Refactors) && R.u64(S.PivotHash) &&
+         R.f64(S.PricingSeconds) && R.f64(S.FtranSeconds) &&
+         R.f64(S.BtranSeconds) && R.f64(S.RatioSeconds) &&
+         R.f64(S.UpdateSeconds) && R.f64(S.RefactorSeconds);
 }
 
 void writeRepairStats(ByteWriter &W, const RepairStats &S) {

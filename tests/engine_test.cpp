@@ -639,11 +639,12 @@ TEST(RepairEngine, SweepAttemptsCarryPhaseTimingsOnAllExitPaths) {
   }
 }
 
-TEST(RepairEngine, ShardedSweepBitIdenticalAcrossShardCounts) {
-  // EngineOptions::SweepShards fans the sweep's independent layer
-  // attempts across LpScheduler shard threads. The contract: any shard
-  // count (1 = the serialized loop, explicit N, 0 = auto) produces the
-  // same sweep log and a bit-identical winner.
+TEST(RepairEngine, SweepBitIdenticalAcrossPoolSizes) {
+  // A sweep fans its independent layer attempts across
+  // min(candidates, pool size) LpScheduler shards. The contract: any
+  // pool size produces the same sweep log and a bit-identical winner,
+  // and every attempt names a shard the pool size allows.
+  const int SavedThreads = globalThreadCount();
   Rng R(91020);
   auto Net = std::make_shared<Network>(makeClassifier(R));
   PointSpec Spec = makeFlipSpec(*Net, R, 16);
@@ -652,21 +653,17 @@ TEST(RepairEngine, ShardedSweepBitIdenticalAcrossShardCounts) {
   Request.Spec = Spec;
   Request.LayerIndex = kAutoLayer;
 
-  EngineOptions Serialized;
-  Serialized.SweepShards = 1;
-  RepairEngine SerialEngine(Serialized);
-  RepairReport Baseline = SerialEngine.run(Request);
+  setGlobalThreadCount(1);
+  RepairReport Baseline = RepairEngine().run(Request);
   ASSERT_EQ(Baseline.Status, RepairStatus::Success);
   ASSERT_GT(Baseline.Sweep.size(), 1u);
   for (const SweepAttempt &Attempt : Baseline.Sweep)
     EXPECT_EQ(Attempt.ShardId, 0);
 
-  for (int Shards : {2, 4, 8, /*auto=*/0}) {
-    EngineOptions Options;
-    Options.SweepShards = Shards;
-    RepairEngine Engine(Options);
-    RepairReport Sharded = Engine.run(Request);
-    std::string What = "shards=" + std::to_string(Shards);
+  for (int Pool : {2, 4, 8}) {
+    setGlobalThreadCount(Pool);
+    RepairReport Sharded = RepairEngine().run(Request);
+    std::string What = "pool=" + std::to_string(Pool);
     ASSERT_EQ(Sharded.Status, Baseline.Status) << What;
     EXPECT_EQ(Sharded.RepairedLayer, Baseline.RepairedLayer) << What;
     ASSERT_EQ(Sharded.Sweep.size(), Baseline.Sweep.size()) << What;
@@ -678,11 +675,49 @@ TEST(RepairEngine, ShardedSweepBitIdenticalAcrossShardCounts) {
       EXPECT_EQ(Sharded.Sweep[C].DeltaLInf, Baseline.Sweep[C].DeltaLInf)
           << What;
       EXPECT_GE(Sharded.Sweep[C].ShardId, 0) << What;
-      if (Shards > 0)
-        EXPECT_LT(Sharded.Sweep[C].ShardId, Shards) << What;
+      EXPECT_LT(Sharded.Sweep[C].ShardId, Pool) << What;
     }
     expectBitIdentical(Sharded.Result, Baseline.Result);
   }
+  setGlobalThreadCount(SavedThreads);
+}
+
+TEST(RepairEngine, HookedSweepRunsOnTheJobThread) {
+  // A checkpoint hook is invoked on the job thread, so a hooked sweep
+  // runs on one shard, inline, however large the pool: every hook call
+  // lands on one thread, and every attempt reports shard 0.
+  const int SavedThreads = globalThreadCount();
+  setGlobalThreadCount(4);
+  Rng R(91021);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 16);
+  RepairRequest Request;
+  Request.Net = Net;
+  Request.Spec = Spec;
+  Request.LayerIndex = kAutoLayer;
+
+  RepairEngine Engine;
+  // Both written on the job's worker thread, read after report().
+  std::vector<std::thread::id> HookThreads;
+  std::thread::id JobThread;
+  JobHandle Handle = Engine.submit(
+      Request,
+      [&](RepairPhase) { HookThreads.push_back(std::this_thread::get_id()); },
+      // The completion hook runs on the worker thread that executed
+      // the job: the job thread the checkpoint hook must run on.
+      [&](const RepairReport &) { JobThread = std::this_thread::get_id(); });
+  const RepairReport &Report = Handle.report();
+  ASSERT_EQ(Report.Status, RepairStatus::Success);
+  ASSERT_EQ(Report.Sweep.size(), Net->parameterizedLayerIndices().size());
+  for (const SweepAttempt &Attempt : Report.Sweep)
+    EXPECT_EQ(Attempt.ShardId, 0);
+  ASSERT_FALSE(HookThreads.empty());
+  EXPECT_NE(JobThread, std::thread::id());
+  for (std::thread::id Id : HookThreads)
+    EXPECT_EQ(Id, JobThread);
+  // The hooked sweep is the unhooked one, bit for bit.
+  expectBitIdentical(Report.Result, Engine.run(Request).Result);
+  setGlobalThreadCount(SavedThreads);
 }
 
 TEST(RepairEngine, BoundedQueueBackpressure) {

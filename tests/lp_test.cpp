@@ -458,15 +458,16 @@ TEST_P(DeltaLpRandomTest, SolutionsSatisfyConstraints) {
 INSTANTIATE_TEST_SUITE_P(Sweep, DeltaLpRandomTest,
                          ::testing::Values(31, 32, 33, 34, 35, 36, 37, 38));
 
-// --- Parallel-vs-scalar kernel bit-identity ----------------------------------
+// --- Kernel bit-identity across thread counts ---------------------------------
 //
-// The blocked/parallel simplex kernels promise bit-for-bit the scalar
-// path's behaviour at any thread count: the same pivot sequence
-// (PivotHash, pivot/flip/refactor counts) and the same LpSolution bits
-// (status, X, objective, duals). These tests drive every terminal
-// status - Optimal, Infeasible, Unbounded, IterationLimit - plus
-// Bland's-rule and degenerate pivoting, at 1/4/8 pool threads. The
-// suite also runs in the CI ThreadSanitizer job.
+// From 192 kept rows the simplex runs its blocked kernels on the shared
+// pool; a solve promises the same pivot sequence (PivotHash, pivot/
+// flip/refactor counts) and the same LpSolution bits (status, X,
+// objective, duals) at any pool size. These tests drive every terminal
+// status - Optimal, Infeasible, Unbounded, IterationLimit - on both
+// sides of the 192-row crossover, plus Bland's-rule and degenerate
+// pivoting, at 1/4/8 pool threads. The suite also runs in the CI
+// ThreadSanitizer job.
 
 /// Bitwise (memcmp) equality, so -0.0 vs 0.0 or NaN payload drift
 /// fails where a tolerance compare would hide it.
@@ -478,20 +479,20 @@ void expectSameBits(const std::vector<double> &A, const std::vector<double> &B,
         << What;
 }
 
-void expectBitIdentical(const LpSolution &Scalar, const LpSolution &Par,
+void expectBitIdentical(const LpSolution &Ref, const LpSolution &Got,
                         const std::string &What) {
-  EXPECT_EQ(Scalar.Status, Par.Status) << What;
-  EXPECT_EQ(Scalar.Iterations, Par.Iterations) << What;
-  EXPECT_EQ(Scalar.Phase1Iterations, Par.Phase1Iterations) << What;
+  EXPECT_EQ(Ref.Status, Got.Status) << What;
+  EXPECT_EQ(Ref.Iterations, Got.Iterations) << What;
+  EXPECT_EQ(Ref.Phase1Iterations, Got.Phase1Iterations) << What;
   // Same pivot sequence, not merely the same endpoint.
-  EXPECT_EQ(Scalar.Stats.PivotHash, Par.Stats.PivotHash) << What;
-  EXPECT_EQ(Scalar.Stats.Pivots, Par.Stats.Pivots) << What;
-  EXPECT_EQ(Scalar.Stats.BoundFlips, Par.Stats.BoundFlips) << What;
-  EXPECT_EQ(Scalar.Stats.Refactors, Par.Stats.Refactors) << What;
-  expectSameBits(Scalar.X, Par.X, What + ": X");
-  expectSameBits(Scalar.RowDuals, Par.RowDuals, What + ": RowDuals");
-  double ScalarObj = Scalar.Objective, ParObj = Par.Objective;
-  EXPECT_EQ(0, std::memcmp(&ScalarObj, &ParObj, sizeof(double)))
+  EXPECT_EQ(Ref.Stats.PivotHash, Got.Stats.PivotHash) << What;
+  EXPECT_EQ(Ref.Stats.Pivots, Got.Stats.Pivots) << What;
+  EXPECT_EQ(Ref.Stats.BoundFlips, Got.Stats.BoundFlips) << What;
+  EXPECT_EQ(Ref.Stats.Refactors, Got.Stats.Refactors) << What;
+  expectSameBits(Ref.X, Got.X, What + ": X");
+  expectSameBits(Ref.RowDuals, Got.RowDuals, What + ": RowDuals");
+  double RefObj = Ref.Objective, GotObj = Got.Objective;
+  EXPECT_EQ(0, std::memcmp(&RefObj, &GotObj, sizeof(double)))
       << What << ": Objective";
 }
 
@@ -566,55 +567,63 @@ std::vector<KernelCase> kernelCases() {
     C.Expected = SolveStatus::Optimal;
     Cases.push_back(std::move(C));
   }
-  {
-    KernelCase C;
-    C.Name = "infeasible";
-    C.P = makeDenseFeasibleLp(32, 64, 1003);
-    // Contradictory pair on variable 0 (its box is [-10, 10]).
-    C.P.addRowGe({0}, {1.0}, 6.0);
-    C.P.addRowLe({0}, {1.0}, -6.0);
-    C.Expected = SolveStatus::Infeasible;
-    Cases.push_back(std::move(C));
-  }
-  {
-    // Feasible at zero, with a cost-improving ray x0 = 1 + x1.
-    KernelCase C;
-    C.Name = "unbounded";
-    int X0 = C.P.addFreeVariable(-1.0);
-    int X1 = C.P.addVariable(0.0, kInfinity, 0.0);
-    C.P.addRowLe({X0, X1}, {1.0, -1.0}, 1.0);
-    Rng R(1004);
-    for (int J = 0; J < 30; ++J)
-      C.P.addVariable(0.0, 5.0, R.normal());
-    for (int I = 0; I < 40; ++I) {
-      std::vector<int> Index;
-      std::vector<double> Value;
-      for (int J = 2; J < 32; ++J)
-        if (R.bernoulli(0.5)) {
-          Index.push_back(J);
-          Value.push_back(R.normal());
-        }
-      if (Index.empty())
-        continue;
-      C.P.addRowLe(std::move(Index), std::move(Value), R.uniform(5.0, 20.0));
+  // Infeasible, Unbounded and IterationLimit each below and above the
+  // 192-row crossover, so the blocked kernels see every terminal status.
+  for (bool Wide : {false, true}) {
+    std::string Suffix = Wide ? "-wide" : "";
+    uint64_t Seed = Wide ? 2000 : 1000;
+    {
+      KernelCase C;
+      C.Name = "infeasible" + Suffix;
+      C.P = makeDenseFeasibleLp(32, Wide ? 200 : 64, Seed + 3);
+      // Contradictory pair on variable 0 (its box is [-10, 10]).
+      C.P.addRowGe({0}, {1.0}, 6.0);
+      C.P.addRowLe({0}, {1.0}, -6.0);
+      C.Expected = SolveStatus::Infeasible;
+      Cases.push_back(std::move(C));
     }
-    C.Expected = SolveStatus::Unbounded;
-    Cases.push_back(std::move(C));
+    {
+      // Feasible at zero, with a cost-improving ray x0 = 1 + x1.
+      KernelCase C;
+      C.Name = "unbounded" + Suffix;
+      int X0 = C.P.addFreeVariable(-1.0);
+      int X1 = C.P.addVariable(0.0, kInfinity, 0.0);
+      C.P.addRowLe({X0, X1}, {1.0, -1.0}, 1.0);
+      Rng R(Seed + 4);
+      for (int J = 0; J < 30; ++J)
+        C.P.addVariable(0.0, 5.0, R.normal());
+      for (int I = 0; I < (Wide ? 220 : 40); ++I) {
+        std::vector<int> Index;
+        std::vector<double> Value;
+        for (int J = 2; J < 32; ++J)
+          if (R.bernoulli(0.5)) {
+            Index.push_back(J);
+            Value.push_back(R.normal());
+          }
+        if (Index.empty())
+          continue;
+        C.P.addRowLe(std::move(Index), std::move(Value),
+                     R.uniform(5.0, 20.0));
+      }
+      C.Expected = SolveStatus::Unbounded;
+      Cases.push_back(std::move(C));
+    }
+    {
+      KernelCase C;
+      C.Name = "iteration-limit" + Suffix;
+      C.P = makeDenseFeasibleLp(48, Wide ? 224 : 96, Seed + 5);
+      C.Base.MaxIterations = 3;
+      C.Expected = SolveStatus::IterationLimit;
+      Cases.push_back(std::move(C));
+    }
   }
-  {
+  // Heavily degenerate vertex (all ones), with StallLimit = 1 so
+  // pricing flips into Bland's rule almost immediately. N = 20 has
+  // N(N-1)/2 + N = 210 rows: Bland's scalar scan next to the blocked
+  // FTRAN, refactorization and eta update.
+  for (int N : {10, 20}) {
     KernelCase C;
-    C.Name = "iteration-limit";
-    C.P = makeDenseFeasibleLp(48, 96, 1005);
-    C.Base.MaxIterations = 3;
-    C.Expected = SolveStatus::IterationLimit;
-    Cases.push_back(std::move(C));
-  }
-  {
-    // Heavily degenerate vertex (all ones), with StallLimit = 1 so
-    // pricing flips into Bland's rule almost immediately.
-    KernelCase C;
-    C.Name = "bland-degenerate";
-    const int N = 10;
+    C.Name = N == 10 ? "bland-degenerate" : "bland-degenerate-wide";
     for (int J = 0; J < N; ++J)
       C.P.addVariable(0.0, kInfinity, -1.0);
     for (int I = 0; I < N; ++I)
@@ -627,40 +636,11 @@ std::vector<KernelCase> kernelCases() {
     Cases.push_back(std::move(C));
   }
   {
-    // M = 300 kept rows crosses the ratio-test block size (RatioGrain
-    // = 256), so the blocking-row preselection fills more than one
-    // block and the serial merge actually crosses a block boundary -
-    // the most order-sensitive code path in the parallel kernels.
+    // M = 300 kept rows: an Optimal solve on the blocked kernels, its
+    // NT = 360 columns priced in six blocks.
     KernelCase C;
-    C.Name = "ratio-multiblock";
+    C.Name = "optimal-wide";
     C.P = makeDenseFeasibleLp(60, 300, 1006);
-    C.Expected = SolveStatus::Optimal;
-    Cases.push_back(std::move(C));
-  }
-  {
-    // Crosses a Bland sweep group (BlandGroupBlocks * PriceGrain =
-    // 1024 columns): 1100 zero-cost padding variables occupy the low
-    // column indices - their reduced cost is exactly 0, never
-    // improving - while the degenerate improving variables (and the
-    // slacks) all sit above index 1100, i.e. in the *second* sweep
-    // group. Every Bland-mode pricing pass therefore scans group one,
-    // finds nothing, and advances across the group boundary; StallLimit
-    // = 1 plus the heavy degeneracy guarantees Bland mode engages.
-    KernelCase C;
-    C.Name = "bland-multigroup";
-    const int Pad = 1100, N = 10;
-    for (int J = 0; J < Pad; ++J)
-      C.P.addVariable(0.0, 1.0, 0.0);
-    std::vector<int> V(N);
-    for (int J = 0; J < N; ++J)
-      V[static_cast<size_t>(J)] = C.P.addVariable(0.0, kInfinity, -1.0);
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J)
-        C.P.addRowLe({V[static_cast<size_t>(I)], V[static_cast<size_t>(J)]},
-                     {1.0, 1.0}, 2.0);
-    for (int J = 0; J < N; ++J)
-      C.P.addRowLe({V[static_cast<size_t>(J)]}, {1.0}, 1.0);
-    C.Base.StallLimit = 1;
     C.Expected = SolveStatus::Optimal;
     Cases.push_back(std::move(C));
   }
@@ -688,64 +668,37 @@ protected:
   int SavedThreads = globalThreadCount();
 };
 
-TEST_F(LpKernelIdentityTest, ParallelMatchesScalarAcrossThreadCounts) {
-  for (KernelCase &Case : kernelCases()) {
-    SimplexOptions ScalarOpts = Case.Base;
-    ScalarOpts.ParallelKernels = false;
-    LpSolution Scalar = solveLp(Case.P, ScalarOpts);
-    EXPECT_EQ(Scalar.Status, Case.Expected) << Case.Name;
-    EXPECT_FALSE(Scalar.Stats.ParallelKernels) << Case.Name;
+/// Solves \p P at 1, 4 and 8 pool threads and expects every solve
+/// bit-identical to the 1-thread one; returns that reference.
+LpSolution expectSameAtEveryThreadCount(const LinearProgram &P,
+                                        const SimplexOptions &Options,
+                                        const std::string &What) {
+  setGlobalThreadCount(1);
+  LpSolution Ref = solveLp(P, Options);
+  for (int Threads : {4, 8}) {
+    setGlobalThreadCount(Threads);
+    expectBitIdentical(Ref, solveLp(P, Options),
+                       What + " @" + std::to_string(Threads) + " threads");
+  }
+  return Ref;
+}
 
-    SimplexOptions ParOpts = Case.Base;
-    ParOpts.ParallelKernels = true;
-    ParOpts.ParallelMinDim = 1; // force the parallel kernels on small LPs
-    for (int Threads : {1, 4, 8}) {
-      setGlobalThreadCount(Threads);
-      LpSolution Par = solveLp(Case.P, ParOpts);
-      EXPECT_TRUE(Par.Stats.ParallelKernels) << Case.Name;
-      expectBitIdentical(Scalar, Par,
-                         Case.Name + " @" + std::to_string(Threads) +
-                             " threads");
-    }
+TEST_F(LpKernelIdentityTest, KernelCasesBitIdenticalAcrossThreadCounts) {
+  for (KernelCase &Case : kernelCases()) {
+    LpSolution Ref = expectSameAtEveryThreadCount(Case.P, Case.Base, Case.Name);
+    EXPECT_EQ(Ref.Status, Case.Expected) << Case.Name;
   }
 }
 
-TEST_F(LpKernelIdentityTest, DefaultMinDimKeepsSmallLpsScalar) {
-  // Below ParallelMinDim the default options run the scalar kernels -
-  // small sweep LPs pay no pool overhead - and results are identical
-  // to an explicit scalar solve.
-  LinearProgram P = makeDenseFeasibleLp(16, 24, 1100);
-  SimplexOptions Default; // ParallelKernels on, ParallelMinDim = 192
-  setGlobalThreadCount(4);
-  LpSolution Sol = solveLp(P, Default);
-  EXPECT_FALSE(Sol.Stats.ParallelKernels);
-  SimplexOptions ScalarOpts;
-  ScalarOpts.ParallelKernels = false;
-  expectBitIdentical(solveLp(P, ScalarOpts), Sol, "default-min-dim");
-}
-
-TEST_F(LpKernelIdentityTest, ParallelMinDimBoundaryBitIdentity) {
-  // The parallel-kernel crossover is M >= ParallelMinDim (M = kept
-  // rows; the default threshold is 192). Straddle the boundary with
-  // M = 191 / 192 / 193 so both the last-scalar and first-parallel
-  // sizes are pinned: the engaged path must flip exactly at the
-  // threshold and both paths must agree bit-for-bit.
+TEST_F(LpKernelIdentityTest, CrossoverBoundaryBitIdenticalAcrossThreadCounts) {
+  // The blocked kernels engage at M >= 192 kept rows. Straddle the
+  // crossover with M = 191 / 192 / 193 so the last scalar and the first
+  // blocked sizes are both pinned at every thread count.
   for (int M : {191, 192, 193}) {
     LinearProgram P = makeDenseFeasibleLp(40, M, 1300 + M);
-    SimplexOptions ScalarOpts;
-    ScalarOpts.ParallelKernels = false;
-    LpSolution Scalar = solveLp(P, ScalarOpts);
-    ASSERT_EQ(Scalar.Status, SolveStatus::Optimal) << "M=" << M;
-    SimplexOptions Default; // ParallelKernels on, ParallelMinDim = 192
-    for (int Threads : {1, 4, 8}) {
-      setGlobalThreadCount(Threads);
-      LpSolution Sol = solveLp(P, Default);
-      EXPECT_EQ(Sol.Stats.ParallelKernels, M >= Default.ParallelMinDim)
-          << "M=" << M;
-      expectBitIdentical(Scalar, Sol,
-                         "min-dim boundary M=" + std::to_string(M) + " @" +
-                             std::to_string(Threads) + " threads");
-    }
+    LpSolution Ref = expectSameAtEveryThreadCount(
+        P, SimplexOptions(), "crossover M=" + std::to_string(M));
+    EXPECT_EQ(Ref.Status, SolveStatus::Optimal) << "M=" << M;
   }
 }
 
@@ -1116,14 +1069,14 @@ TEST(LpIncremental, DeltaLpBoxAcrossRounds) {
 }
 
 TEST_F(LpKernelIdentityTest, WarmPathBitIdenticalAcrossThreadCounts) {
-  // Rounds large enough for the parallel kernels (M >= ParallelMinDim)
-  // partway through, forced on from the start, and off.
-  auto Run = [](const SimplexOptions &Options) {
+  // 150 kept rows in round 1, then 190, 230 and 270: the solver crosses
+  // the 192-row crossover between warm rounds.
+  auto Run = [] {
     Rng R(3006);
     std::vector<double> Witness;
     LinearProgram P = makeBoxLp(60, R, Witness);
     appendWitnessRows(P, Witness, 150, 0.5, R);
-    SimplexSolver Solver(P, Options);
+    SimplexSolver Solver(P);
     std::vector<LpSolution> Rounds;
     Rounds.push_back(Solver.solve());
     for (int Round = 0; Round < 3; ++Round) {
@@ -1132,22 +1085,17 @@ TEST_F(LpKernelIdentityTest, WarmPathBitIdenticalAcrossThreadCounts) {
     }
     return Rounds;
   };
-  SimplexOptions Scalar;
-  Scalar.ParallelKernels = false;
-  std::vector<LpSolution> Reference = Run(Scalar);
+  setGlobalThreadCount(1);
+  std::vector<LpSolution> Reference = Run();
   ASSERT_EQ(Reference.back().Status, SolveStatus::Optimal);
-  SimplexOptions Forced;
-  Forced.ParallelMinDim = 1;
-  for (const SimplexOptions &Options : {SimplexOptions(), Forced}) {
-    for (int Threads : {1, 4, 8}) {
-      setGlobalThreadCount(Threads);
-      std::vector<LpSolution> Rounds = Run(Options);
-      ASSERT_EQ(Rounds.size(), Reference.size());
-      for (size_t I = 0; I < Rounds.size(); ++I)
-        expectBitIdentical(Reference[I], Rounds[I],
-                           "round " + std::to_string(I + 1) + " @" +
-                               std::to_string(Threads) + " threads");
-    }
+  for (int Threads : {4, 8}) {
+    setGlobalThreadCount(Threads);
+    std::vector<LpSolution> Rounds = Run();
+    ASSERT_EQ(Rounds.size(), Reference.size());
+    for (size_t I = 0; I < Rounds.size(); ++I)
+      expectBitIdentical(Reference[I], Rounds[I],
+                         "round " + std::to_string(I + 1) + " @" +
+                             std::to_string(Threads) + " threads");
   }
 }
 

@@ -396,30 +396,6 @@ TEST(PointRepair, DeltaIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PointRepair, BatchedAndSeedJacobianPathsMatchBitForBit) {
-  Rng R(73);
-  Network Net = makeRandomReluClassifier(R, 5, 12, 3);
-  PointSpec Spec;
-  for (int I = 0; I < 25; ++I) {
-    Vector X = randomVector(R, 5);
-    Spec.push_back({X, classificationConstraint(3, Net.classify(X), 1e-3),
-                    I % 5 == 0 ? std::optional<NetworkPattern>(
-                                     computePattern(Net, X))
-                               : std::nullopt});
-  }
-  int OutputLayer = Net.parameterizedLayerIndices().back();
-  RepairOptions Batched, Seed;
-  Seed.BatchedJacobians = false;
-  setGlobalThreadCount(4);
-  RepairResult A = repairPoints(Net, OutputLayer, Spec, Batched);
-  RepairResult B = repairPoints(Net, OutputLayer, Spec, Seed);
-  setGlobalThreadCount(1);
-  ASSERT_EQ(A.Status, B.Status);
-  ASSERT_EQ(A.Delta.size(), B.Delta.size());
-  for (size_t P = 0; P < A.Delta.size(); ++P)
-    EXPECT_EQ(A.Delta[P], B.Delta[P]) << "param " << P;
-}
-
 TEST(PolytopeRepair, KeyPointsIdenticalAcrossThreadCounts) {
   Rng R(72);
   Network Net = makeRandomReluClassifier(R, 4, 10, 3);

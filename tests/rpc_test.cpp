@@ -6,13 +6,14 @@
 // cache-free in-process twins; typed degradation of every failure path
 // - malformed frames (truncated, bad magic, wrong version, corrupted
 // digest, oversized declarations) answered with typed errors and the
-// connection recoverable exactly when the stream stayed in sync; Await
-// deadlines expiring typed with the job unharmed; saturation and
-// connection-limit rejects carrying the same typed vocabulary as
-// admission; a client killed mid-request leaking no admission ticket;
-// and toString() total over every wire-visible enum, so a byte from a
-// foreign peer can never print garbage. Runs under the CI
-// ThreadSanitizer job next to serve_test and engine_test.
+// connection recoverable exactly when the stream stayed in sync;
+// out-of-range RepairOptions values rejected at decode, before any job
+// runs; Await deadlines expiring typed with the job unharmed;
+// saturation and connection-limit rejects carrying the same typed
+// vocabulary as admission; a client killed mid-request leaking no
+// admission ticket; and toString() total over every wire-visible enum,
+// so a byte from a foreign peer can never print garbage. Runs under the
+// CI ThreadSanitizer job next to serve_test and engine_test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +34,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <future>
+#include <limits>
 #include <netinet/in.h>
 #include <set>
 #include <string>
@@ -851,6 +854,115 @@ TEST(RpcEndToEnd, MalformedFramesAreTypedAndConnectionsRecoverInSync) {
   }
   Server.stop();
 }
+
+// --- RepairOptions validation at the trust boundary -------------------------
+
+/// One out-of-range RepairOptions field a client could put on the wire.
+struct BadOptionsCase {
+  const char *Name;
+  std::function<void(RepairOptions &)> Break;
+};
+
+const double NaN = std::numeric_limits<double>::quiet_NaN();
+const double Inf = std::numeric_limits<double>::infinity();
+
+const BadOptionsCase BadOptionsCases[] = {
+    {"CgBatchNegative", [](RepairOptions &O) { O.CgBatch = -1; }},
+    {"CgBatchZero", [](RepairOptions &O) { O.CgBatch = 0; }},
+    {"MaxCgRoundsNegative", [](RepairOptions &O) { O.MaxCgRounds = -1; }},
+    {"MaxIterationsZero", [](RepairOptions &O) { O.Lp.MaxIterations = 0; }},
+    {"RefactorIntervalZero",
+     [](RepairOptions &O) { O.Lp.RefactorInterval = 0; }},
+    {"StallLimitZero", [](RepairOptions &O) { O.Lp.StallLimit = 0; }},
+    {"DeltaBoundNaN", [](RepairOptions &O) { O.DeltaBound = NaN; }},
+    {"RowMarginInfinite", [](RepairOptions &O) { O.RowMargin = Inf; }},
+    {"RowMarginNaN", [](RepairOptions &O) { O.RowMargin = NaN; }},
+    {"FeasTolZero", [](RepairOptions &O) { O.Lp.FeasTol = 0.0; }},
+    {"FeasTolInfinite", [](RepairOptions &O) { O.Lp.FeasTol = Inf; }},
+    {"OptTolNegative", [](RepairOptions &O) { O.Lp.OptTol = -1e-7; }},
+    {"OptTolNaN", [](RepairOptions &O) { O.Lp.OptTol = NaN; }},
+    {"PivotTolZero", [](RepairOptions &O) { O.Lp.PivotTol = 0.0; }},
+    {"PivotTolInfinite", [](RepairOptions &O) { O.Lp.PivotTol = Inf; }},
+};
+
+/// The encoded ServeRequest of a small fixed-layer repair with \p Options.
+std::vector<std::uint8_t> encodeRequestWith(const NetworkFingerprint &Fp,
+                                            const Network &Net,
+                                            const RepairOptions &Options) {
+  Rng SpecR(8400);
+  serve::ServeRequest Request;
+  Request.Model = Fp;
+  Request.Spec = makeFlipSpec(Net, SpecR, 6);
+  Request.LayerIndex = 4;
+  Request.Options = Options;
+  ByteWriter W;
+  writeServeRequest(W, Request);
+  return W.buffer();
+}
+
+TEST(RpcWire, DefaultAndBoundaryRepairOptionsDecode) {
+  Rng R(8401);
+  Network Net = makeClassifier(R);
+  RepairOptions Edge;
+  Edge.CgBatch = 1;
+  Edge.MaxCgRounds = 0;
+  Edge.DeltaBound = Inf;
+  Edge.RowMargin = 0.0;
+  Edge.Lp.MaxIterations = 1;
+  Edge.Lp.RefactorInterval = 1;
+  Edge.Lp.StallLimit = 1;
+  for (const RepairOptions &Options : {RepairOptions(), Edge}) {
+    std::vector<std::uint8_t> Bytes =
+        encodeRequestWith(fingerprintNetwork(Net), Net, Options);
+    ByteReader Reader(Bytes.data(), Bytes.size());
+    serve::ServeRequest Back;
+    EXPECT_TRUE(readServeRequest(Reader, Back));
+    EXPECT_EQ(Reader.error(), CodecError::None);
+  }
+}
+
+class RpcBadOptionsTest : public ::testing::TestWithParam<BadOptionsCase> {};
+
+TEST_P(RpcBadOptionsTest, FrameFailsToDecodeAndServerRunsNoJob) {
+  const BadOptionsCase &Case = GetParam();
+  ServiceFixture Fx(std::string("rpc-badopts-") + Case.Name);
+  RepairOptions Options;
+  Case.Break(Options);
+  std::vector<std::uint8_t> Bytes =
+      encodeRequestWith(Fx.Fp, Fx.Classifier, Options);
+
+  // The payload is well-formed bytes; the values fail validation.
+  ByteReader Reader(Bytes.data(), Bytes.size());
+  serve::ServeRequest Back;
+  EXPECT_FALSE(readServeRequest(Reader, Back));
+  EXPECT_EQ(Reader.error(), CodecError::Corrupt);
+
+  // Over the wire: a typed error, and the service never admitted a job.
+  RpcServer Server(Fx.Service, RpcServerOptions{});
+  ASSERT_TRUE(Server.start());
+  RawConn Conn;
+  ASSERT_TRUE(Conn.connectTo(Server.port()));
+  ASSERT_TRUE(Conn.sendBytes(persist::frame(
+      static_cast<std::uint8_t>(MessageKind::Submit), Bytes)));
+  std::uint8_t Kind = 0;
+  std::vector<std::uint8_t> Payload;
+  ASSERT_EQ(Conn.recvReply(Kind, Payload), RpcError::None);
+  ASSERT_EQ(static_cast<MessageKind>(Kind), MessageKind::ErrorReply);
+  EXPECT_EQ(decodeErrorReply(Payload), RpcError::Corrupt);
+  Conn.close();
+  Server.stop();
+  EXPECT_EQ(Server.stats().MalformedFrames, 1u);
+  serve::ServiceStats Stats = Fx.Service.stats();
+  EXPECT_EQ(Stats.Accepted, 0u);
+  EXPECT_EQ(Stats.Admission.Depth, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRejectedField, RpcBadOptionsTest,
+    ::testing::ValuesIn(BadOptionsCases),
+    [](const ::testing::TestParamInfo<BadOptionsCase> &Info) {
+      return std::string(Info.param.Name);
+    });
 
 TEST(RpcEndToEnd, ClientKilledMidRequestLeaksNoTicketAndServerSurvives) {
   ServiceFixture Fx("rpc-kill", /*Workers=*/1);
