@@ -3,6 +3,7 @@
 #include "BenchUtil.h"
 
 #include "linalg/Kernels.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
@@ -238,9 +239,12 @@ Task3Workload prdnn::bench::makeTask3Workload(int NumRepairSlices,
                                               int NumOtherSlices,
                                               int SetSize) {
   Task3Workload W;
-  Rng R(3001);
-  W.Net = trainAcasNetwork(/*Hidden=*/24, /*TrainCount=*/8000,
-                           /*Epochs=*/16, R);
+  // The recipe whose network really violates the phi_8-style property
+  // (integration_test's Task3StyleSliceRepair and perfbench train the
+  // same one); a wider, longer-trained net finds no violating slice.
+  Rng R(9201);
+  W.Net = trainAcasNetwork(/*Hidden=*/12, /*TrainCount=*/3000,
+                           /*Epochs=*/10, R);
   Rng TestR(3002);
   Dataset Policy = makeAcasDataset(3000, TestR);
   W.PolicyAccuracy = accuracy(W.Net, Policy.Inputs, Policy.Labels);
@@ -277,6 +281,10 @@ Task3Workload prdnn::bench::makeTask3Workload(int NumRepairSlices,
     if (SliceViolations(Slice, nullptr) > 0)
       W.RepairSlices.push_back(std::move(Slice));
   }
+
+  if (W.RepairSlices.empty())
+    fatalError("makeTask3Workload: no violating slice found; the "
+               "workload would repair an empty spec");
 
   // Generalization set: counterexamples harvested from *other*
   // violating slices (at least NumOtherSlices of them, or until the
@@ -336,5 +344,7 @@ PointSpec prdnn::bench::task3Spec(const Task3Workload &W,
     if (FtSamples)
       FtSamples->push(P.X, Target);
   }
+  if (Points.empty())
+    fatalError("task3Spec: the repair slices yield an empty spec");
   return Points;
 }

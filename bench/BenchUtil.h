@@ -90,6 +90,8 @@ struct Task3Workload {
   double PolicyAccuracy = 0.0;
 };
 
+/// Trains the buggy ACAS network and scans random safe-region slices
+/// for violations; aborts with a message when it finds none.
 Task3Workload makeTask3Workload(int NumRepairSlices, int NumOtherSlices,
                                 int SetSize);
 
@@ -97,7 +99,8 @@ Task3Workload makeTask3Workload(int NumRepairSlices, int NumOtherSlices,
 /// the disjunction strengthened per key point to the buggy network's
 /// preferred safe advisory (§7.3). Outputs transform time / region
 /// counts like keyPointSpec. \p FtSamples, when non-null, receives the
-/// matching labeled dataset the FT/MFT baselines train on.
+/// matching labeled dataset the FT/MFT baselines train on. Aborts with a
+/// message when the spec comes out empty.
 PointSpec task3Spec(const Task3Workload &W, double *LinRegionsSeconds,
                     int *NumRegions, Dataset *FtSamples = nullptr);
 

@@ -2,7 +2,9 @@
 //
 // RQ4 support: simplex scaling with problem size, and the cost of the
 // two norm encodings (l1 via split variables adds columns; l-infinity
-// adds coupling rows - rows are what simplex iterations pay for).
+// adds coupling rows), and the tall, few-tight-rows shape of the repair
+// LPs, whose cost the structural-core basis factor keeps near
+// O(k * rows) per iteration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,8 +84,43 @@ void BM_DeltaLpNorm(benchmark::State &State) {
                                        : "linf (coupling rows)");
 }
 
+/// The repair LP's shape (fog-lines, output layer): an l1 DeltaLp with
+/// many rows and few tight ones - 1,000 rows over 330 deltas, one row in
+/// twelve tight near a witness, the rest holding with room to spare.
+/// Few structurals are basic at the optimum, unlike the square-ish
+/// random LPs above.
+void BM_DeltaLpRepairShape(benchmark::State &State) {
+  const int N = 330, Rows = 1000;
+  Rng R(11);
+  DeltaLp D(N, Norm::L1, 10.0);
+  std::vector<double> Witness(N);
+  for (int J = 0; J < N; ++J)
+    Witness[J] = R.uniform(-0.1, 0.1);
+  for (int I = 0; I < Rows; ++I) {
+    std::vector<double> Coef(N);
+    double Activity = 0.0;
+    for (int J = 0; J < N; ++J) {
+      Coef[J] = R.normal();
+      Activity += Coef[J] * Witness[J];
+    }
+    double Hi = R.bernoulli(1.0 / 12)
+                    ? Activity + R.uniform(0.0, 0.05)
+                    : std::max(Activity, 0.0) + R.uniform(0.5, 2.0);
+    D.addConstraint(Coef, -kInfinity, Hi);
+  }
+  for (auto _ : State) {
+    LpSolution S = solveLp(D.problem());
+    benchmark::DoNotOptimize(S.Objective);
+    if (S.Status != SolveStatus::Optimal)
+      State.SkipWithError("solve failed");
+  }
+  State.SetLabel(std::to_string(Rows) + " rows x " + std::to_string(N) +
+                 " deltas (l1)");
+}
+
 } // namespace
 
 BENCHMARK(BM_SimplexDense)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeltaLpNorm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeltaLpRepairShape)->Unit(benchmark::kMillisecond);

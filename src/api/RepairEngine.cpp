@@ -479,6 +479,16 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
   if (!Options.Determinism)
     Options.Determinism = Opts.Determinism;
   const linalg::Determinism Tier = *Options.Determinism;
+  // Values the pipeline cannot run fail here, before any phase and
+  // with no LP work.
+  if (!validRepairOptions(Options)) {
+    Report.Status = RepairStatus::SolverFailure;
+    Report.Result.Status = RepairStatus::SolverFailure;
+    Report.Result.Stats.Determinism = Tier;
+    Report.TotalSeconds = Total.seconds();
+    Ctx.markDone();
+    return Report;
+  }
   // Hand the engine's shared artifact cache to the job. The network
   // fingerprint (content hash of topology + parameter bits) is what
   // keys this job's artifacts, so jobs on different - or mutated -

@@ -115,6 +115,14 @@ struct RepairOptions {
   lp::SimplexOptions Lp;
 };
 
+/// Whether \p O holds values the repair pipeline can run. A negative
+/// CgBatch would index before its row vector, a zero one spins every
+/// round without adding rows, and a NaN tolerance breaks every
+/// comparison; every default passes. RepairEngine rejects an invalid
+/// request as SolverFailure before any phase runs, and the RPC decoder
+/// (rpc/Wire.cpp) fails the decode.
+bool validRepairOptions(const RepairOptions &O);
+
 struct RepairStats {
   /// The kernel tier this repair actually ran under (the request's
   /// RepairOptions::Determinism resolved against the engine default).
@@ -131,7 +139,7 @@ struct RepairStats {
   /// Simplex kernel counters and timings accumulated over every LP
   /// solve of this repair (all constraint-generation rounds): pivot /
   /// bound-flip / refactorization counts, the pivot-sequence hash, and
-  /// per-kernel seconds (pricing, FTRAN/BTRAN, ratio test, eta update,
+  /// per-kernel seconds (pricing, FTRAN/BTRAN, ratio test, core update,
   /// refactorization).
   lp::SimplexStats LpKernels;
   /// Post-repair max spec violation measured on the network itself.

@@ -12,62 +12,77 @@
 // nonsingular; phase 1 then minimizes the total bound violation of the
 // basic variables (composite phase-1 for bounded variables, cf. Chvatal
 // ch. 8), after which phase 2 minimizes the true objective. The basis
-// inverse is kept densely and updated with product-form (eta) pivots;
-// it is recomputed from scratch by Gauss-Jordan elimination periodically
-// and before any terminal status is reported, so returned solutions are
-// always re-verified against a freshly factorized basis.
+// factor is updated in place at every pivot; it is recomputed from
+// scratch periodically and before any terminal status is reported, so
+// returned solutions are always re-verified against a fresh
+// factorization.
 //
-// Kernel parallelism. Once M >= ParallelMinRows, the dense inner
-// kernels that measured faster blocked run on the shared
-// support/Parallel.h pool under the library-wide determinism contract -
-// every output element keeps the exact accumulation order of the scalar
-// loop, and block merges are deterministic - so a solve is bit-for-bit
-// identical at any thread count (same pivot sequence, same LpSolution
-// bits; enforced by tests/lp_test.cpp). The crossover is derived from
-// M alone, never configured. Per-kernel notes:
-//  - Dantzig pricing: one batched reduced-cost pass rc = c - A~^T y over
-//    column-blocked ColA (slack columns are the -I block); per-block
-//    candidates merge in ascending block order with the scalar scan's
-//    strict-> rule, so the chosen column matches the scalar earliest-
-//    max exactly. Bland's rule always runs the scalar scan, whose early
-//    exit beats any blocked sweep.
-//  - FTRAN: row-blocked matvec; each output element is one sequential
-//    dot in the scalar order.
-//  - refactorization / eta update / basic values / bordered append:
-//    the O(M^2)-per-step row updates parallelize over rows; each row's
-//    arithmetic is independent of the partitioning.
-//  - BTRAN and the ratio test stay scalar: blocked, both measured
-//    slower on the repair LPs (src/lp/README.md).
-// See src/lp/README.md for the full contract.
+// Basis representation. A basis of this system is almost all slack
+// columns: the repair LPs keep hundreds to thousands of rows, but only a
+// few dozen structurals are ever basic. Order the rows as T (slack
+// nonbasic) and R (slack basic), and let S be the basic structural
+// columns, |S| = |T| = k. The basis and its inverse are
+//
+//   B = [[A_TS, 0], [A_RS, -I]],   B^-1 = [[A_TS^-1, 0], [A_RS A_TS^-1, -I]],
+//
+// so the solver keeps only the k x k core inverse G = A_TS^-1, and every
+// kernel goes through it:
+//  - FTRAN:   w_S = G a_T, w_R = A_RS w_S - a_R, in O(k^2 + k M);
+//  - BTRAN:   y_R = -c_R, y_T = G^T (c_S + A_RS^T c_R); in phase 2 and
+//             the dual phase c_R = 0, so y lives on T alone;
+//  - pricing: rc = c - A~^T y as one row axpy over RowA per nonzero of
+//             y_T (phase 1 adds the running cost row below), and the
+//             dual phase's pivot row likewise over its at most k + 1
+//             nonzeros;
+//  - updates: one O(k^2) kind per pivot: grow (a structural replaces a
+//             slack: G is bordered), shrink (a slack replaces a
+//             structural: Schur downdate), column swap (structural for
+//             structural: product-form eta) and row swap (slack for
+//             slack: a rank-one update of G's columns);
+//  - refactorization: Gauss-Jordan with partial pivoting on A_TS, O(k^3).
+// A basic slack always sits in its own row's basis position, so basis
+// positions are rows, and T is the positions that hold structurals. The
+// core slot of a T row pairs it with the structural at its position:
+// row b of G belongs to that structural, column b to that row.
+// refactor() lists T in ascending row order from Basis alone, so it is
+// a pure function of the basis; between refactorizations the slot order
+// follows the pivot history. A is stored once, row-major (RowA), which
+// the row passes of pricing stream and appended rows extend; the k basic
+// columns are copied column-major by slot (AS) for FTRAN and the core.
+//
+// Phase-1 pricing. The basic slacks' phase-1 costs make y_R = -c_R
+// dense, so phase 1 keeps the R rows' part of A~^T y as a running cost
+// row, updated by the few rows whose cost changed since the last pass
+// and rebuilt at each phase-1 start and refactorization.
+//
+// Every kernel runs scalar: they are small enough that the shared pool
+// measured slower (src/lp/README.md), so a solve is bit-for-bit
+// identical at any thread count (enforced by tests/lp_test.cpp).
 //
 // Incremental solves (SimplexSolver). The first solve is the cold
 // primal solve above. A later solve appends the rows added to the
-// problem since, with their slacks basic: the new basis is
-// [[B, 0], [C, -I]] (C = the new rows' entries in the basic columns),
-// whose inverse [[B^-1, 0], [C B^-1, -I]] is bordered onto Binv in
-// O(k M^2) instead of refactorized. The previous optimum stays dual-
-// feasible, so a bounded dual simplex re-optimizes from it: the leaving
-// row is the most infeasible basic variable, its Binv row is the pivot
-// row, alpha_j = rho . A~_j comes from one column-blocked pass like
-// pricing, a Harris ratio test on |d_j / alpha_j| picks the entering
-// column, and the reduced costs are updated from the pivot row instead
-// of a BTRAN. The primal phases then verify the result exactly as they
-// verify a cold solve; a dual phase that finds no entering column
-// (primal infeasible) or gives up hands its basis to primal phase 1.
+// problem since, with their slacks basic: they join R, so the core and
+// its inverse do not change. The previous optimum stays dual-feasible,
+// so a bounded dual simplex re-optimizes from it: the leaving row is
+// the most infeasible basic variable, its row of B^-1 is the pivot row
+// rho, alpha_j = rho . A~_j comes from one row pass like pricing, a
+// Harris ratio test on |d_j / alpha_j| picks the entering column, and
+// the reduced costs are updated from the pivot row instead of a BTRAN.
+// The primal phases then verify the result exactly as they verify a
+// cold solve; a dual phase that finds no entering column (primal
+// infeasible) or gives up hands its basis to primal phase 1.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lp/Simplex.h"
 
 #include "support/Error.h"
-#include "support/Parallel.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 using namespace prdnn;
 using namespace prdnn::lp;
@@ -96,12 +111,6 @@ namespace {
 
 enum class VarStatus : uint8_t { Basic, AtLower, AtUpper, FreeNb };
 
-/// Kept-row count from which the blocked kernels engage; smaller LPs
-/// (the many per-layer solves of an engine sweep) pay no pool-dispatch
-/// cost. Purely a performance crossover: results are identical either
-/// side of it.
-constexpr int ParallelMinRows = 192;
-
 /// Accumulates the enclosing scope's wall time into a SimplexStats
 /// field; timing never feeds back into any computed value, so the
 /// instrumentation cannot perturb determinism.
@@ -116,6 +125,14 @@ private:
   double &Accumulator;
   WallTimer Timer;
 };
+
+/// Nz = the indices of V's nonzero entries, ascending.
+void collectNonzeros(const std::vector<double> &V, std::vector<int> &Nz) {
+  Nz.clear();
+  for (size_t I = 0; I < V.size(); ++I)
+    if (V[I] != 0.0)
+      Nz.push_back(static_cast<int>(I));
+}
 
 } // namespace
 
@@ -135,28 +152,47 @@ private:
   // Shapes: M kept rows, NS structural variables, NT = NS + M total.
   int M = 0, NS = 0, NT = 0;
   std::vector<int> KeptRows;     // worker row -> original row index
-  std::vector<double> ColA;      // column-major scaled A, entry (i,j) at
-                                 // j*M + i
+  std::vector<double> RowA;      // row-major scaled A, entry (i,j) at
+                                 // i*NS + j
   std::vector<double> RowScale;  // per kept row
   std::vector<double> Lo, Hi, Cost; // per total variable
-  std::vector<int> Basis;           // var basic in each row
+  /// Variable basic in each position; the basic slack of row i always
+  /// sits at position i.
+  std::vector<int> Basis;
   std::vector<VarStatus> Stat;      // per total variable
   std::vector<double> X;            // per total variable
-  std::vector<double> Binv;         // dense M*M, row-major
-  std::vector<double> W, Y, Cb, Rhs;
+
+  // The core: G = A_TS^-1, CoreSize x CoreSize with row stride CoreCap.
+  // Slot b pairs T row CoreRow[b] with the structural at that position,
+  // Basis[CoreRow[b]]; CoreSlot maps a row back to its slot (-1 in R).
+  int CoreSize = 0, CoreCap = 0;
+  std::vector<int> CoreRow, CoreSlot;
+  std::vector<double> G;
+  /// The basic structural columns of A, column-major by slot: entry
+  /// (i, b) = A(i, S_b) at b*M + i (FTRAN, the core updates).
+  std::vector<double> AS;
+  std::vector<double> CoreWork; // A_TS during refactorization
+  std::vector<double> CoreU, CoreV; // per-slot scratch
+
+  std::vector<double> W, Y, Cb, Rhs, Col;
+  std::vector<double> Rho;       // pivot row of B^-1 (dual phase)
+  std::vector<int> YNz;          // T rows with a nonzero dual, ascending
+  std::vector<int> RhoNz;        // Rho's nonzero rows, ascending
+  // Phase 1 prices the R rows' part of A~^T y through the cost row
+  // CostRow = sum over i in R of c_i A_i (c_i the phase-1 cost of row
+  // i's basic slack), updated only by the rows whose cost changed since
+  // the last pricing pass; CostWeight[i] is the c_i it holds.
+  std::vector<double> CostRow, CostWeight;
+  /// CostRow is a running sum; rebuilt from scratch when false (at each
+  /// phase-1 start and after every refactorization, bounding its drift).
+  bool CostRowFresh = false;
+  std::vector<double> Rc;    // NT reduced costs
   std::vector<double> Alpha; // NT pivot-row entries (dual phase)
 
-  // Blocked-kernel state. All scratch lives on the Worker and is sized
-  // in sizeScratch() before any iteration, so the iteration hot loop
-  // allocates nothing (asserted in debug builds via the capacity
-  // watermark).
-  bool Par = false; // M >= ParallelMinRows for the current shape
-  static constexpr int PriceGrain = 64; // columns per pricing block
-  int NumPriceBlocks = 0; // 1 (all of [0, NT)) unless Par
-  std::vector<double> Rc; // NT reduced costs (batched pass, dual phase)
-  std::vector<double> PriceBlockScore; // per pricing block: Dantzig best
-  std::vector<int> PriceBlockJ, PriceBlockSigma;
-  std::vector<double> RefB; // refactor scratch
+  // All scratch lives on the Worker and is sized in sizeScratch()
+  // before any iteration, so the iteration hot loop allocates nothing
+  // (asserted in debug builds via the capacity watermark) - except the
+  // core, which doubles its capacity when it outgrows it.
 
   SimplexStats Stats;
 
@@ -173,8 +209,8 @@ private:
   /// The last solve ended Optimal: its basis is dual-feasible for the
   /// problem with rows appended, so the next solve can continue warm.
   bool HaveOptimum = false;
-  /// Binv is exactly what refactor() would compute from Basis: no pivot
-  /// and no row append since the last successful refactorization.
+  /// The core is exactly what refactor() would compute from Basis: no
+  /// pivot since the last successful refactorization.
   bool Fresh = false;
 
 #ifndef NDEBUG
@@ -187,35 +223,15 @@ private:
   int scratchGrowths();
 #endif
 
-  /// Runs \p Body(R) for every row R in [Begin, End): on the pool once
-  /// Par, in order otherwise. Each row must write only its own outputs.
-  template <typename FnT> void forEachRow(int Begin, int End, FnT &&Body) {
-    if (Par)
-      parallelFor(Begin, End,
-                  [&](std::int64_t R) { Body(static_cast<int>(R)); });
-    else
-      for (int R = Begin; R < End; ++R)
-        Body(R);
-  }
-  /// Runs \p Body(Begin, End) over the NumPriceBlocks column blocks of
-  /// [0, NT): PriceGrain-wide blocks on the pool once Par, one block
-  /// otherwise.
-  template <typename FnT> void forEachPriceBlock(FnT &&Body) {
-    if (Par)
-      parallelForRanges(0, NT, Body, PriceGrain);
-    else
-      Body(0, NT);
-  }
-
   enum class RowKind { Kept, Vacuous, Infeasible };
   RowKind presolveRow(int I) const;
-  /// Scales kept row \p R (problem row KeptRows[R]) into RowScale,
-  /// ColA (stride M) and its slack's bounds.
+  /// Scales kept row \p R (problem row KeptRows[R]) into RowScale, RowA
+  /// and its slack's bounds.
   void loadRow(int R);
   bool buildProblem(LpSolution &Out); // false => Out holds final status
   /// Takes in the rows appended to the problem since the last solve,
-  /// their slacks basic, bordering Binv (the caller re-sizes scratch and
-  /// recomputes basic values); false => Out holds the status.
+  /// their slacks basic, and re-sizes scratch (the caller recomputes
+  /// basic values); false => Out holds the status.
   bool appendRows(LpSolution &Out);
   void sizeScratch();
   void initialBasis();
@@ -225,24 +241,44 @@ private:
   void recomputeBasicValues();
   double infeasibility() const;
   double currentObjective() const;
-  double columnDot(const double *Vec, int J) const;
-  void computeColumn(int J);
-  void computeDuals();
   bool isFixed(int J) const { return Hi[J] - Lo[J] <= 1e-30; }
 
-  /// The one pricing rule, shared by Dantzig and Bland pricing, the
-  /// batched reduced costs and the dual-feasibility verification:
-  /// prices column \p J against the current duals Y and returns the
-  /// improving direction (+1 rising from lower / free, -1 falling from
-  /// upper / free) or 0. Skips basic and fixed columns, leaving
-  /// \p RcOut untouched; otherwise stores the reduced cost there.
-  int priceColumn(int J, bool Phase1, double &RcOut) const {
+  /// Grows the core's capacity to at least \p Need slots.
+  void reserveCore(int Need);
+  const double *coreColumn(int Slot) const {
+    return AS.data() + static_cast<size_t>(Slot) * static_cast<size_t>(M);
+  }
+  /// Copies the column of slot \p Slot's structural from RowA into AS.
+  void loadCoreColumn(int Slot);
+  double *coreRow(int Slot) {
+    return G.data() + static_cast<size_t>(Slot) * static_cast<size_t>(CoreCap);
+  }
+  /// Out = B^-1 V for a row-indexed \p V; Out is indexed by position.
+  void solveBasis(const double *V, std::vector<double> &Out);
+  /// CoreV = A(R, S) G, row \p R (in R) of A_RS times the core inverse.
+  void rowTimesCore(int R);
+  /// Out[j] = sum over i in Nz of V[i] * A~(i, j) for every column j:
+  /// the structural columns as one RowA axpy per listed row (in list
+  /// order), the slack columns (-e_i) as -V[i].
+  void rowPass(const std::vector<double> &V, const std::vector<int> &Nz,
+               std::vector<double> &Out) const;
+  void computeColumn(int J);
+  /// BTRAN: Y (and YNz) from the basic costs Cb; \p Phase1 when the
+  /// basic slacks carry costs, which CostRow must already reflect.
+  void computeDuals(bool Phase1);
+  /// Brings CostRow up to date with the phase-1 costs in Cb.
+  void updateCostRow();
+
+  /// The one pricing rule, shared by Dantzig and Bland pricing and the
+  /// dual-feasibility verification: the improving direction of column
+  /// \p J at reduced cost Rc[J] (+1 rising from lower / free, -1
+  /// falling from upper / free), or 0. Basic and fixed columns never
+  /// improve.
+  int improvingDirection(int J) const {
     VarStatus S = Stat[static_cast<size_t>(J)];
     if (S == VarStatus::Basic || isFixed(J))
       return 0;
-    double RcJ = (Phase1 ? 0.0 : Cost[static_cast<size_t>(J)]) -
-                 columnDot(Y.data(), J);
-    RcOut = RcJ;
+    double RcJ = Rc[static_cast<size_t>(J)];
     if ((S == VarStatus::AtLower || S == VarStatus::FreeNb) &&
         RcJ < -Opt.OptTol)
       return 1;
@@ -253,9 +289,8 @@ private:
   }
 
   int chooseEntering(bool Phase1, int &SigmaOut);
-  /// Reduced-cost pass over every nonbasic, unfixed column into Rc (no
-  /// candidate selection), column-blocked once Par; used by the dual
-  /// phase and the dual-feasibility verification.
+  /// Reduced costs of every column into Rc against the duals Y; used by
+  /// pricing, the dual phase and the dual-feasibility verification.
   void batchReducedCosts(bool Phase1);
 
   struct RatioResult {
@@ -339,7 +374,18 @@ private:
     return false;
   }
   void applyStep(int J, int Sigma, const RatioResult &R);
-  void updateBinv(int PivotRow);
+
+  /// Basis and core update for entering column \p J replacing the basic
+  /// variable at position \p Row, with W = B^-1 A~_J; dispatches on
+  /// which kinds of column enter and leave.
+  void updateCore(int Row, int J);
+  void growCore(int Row, int J);
+  void shrinkCore(int Row, int I);
+  void swapCoreColumn(int Row, int J);
+  void swapCoreRow(int Row, int I);
+  /// Drops slot \p Slot (row and column of G), moving the last slot
+  /// into it.
+  void removeCoreSlot(int Slot);
 
   SolveStatus iterate(bool Phase1);
 
@@ -350,8 +396,8 @@ private:
   SolveStatus dualPhase();
   /// The most infeasible basic row (-1 when primal feasible).
   int chooseLeavingRow(bool &ToUpper) const;
-  /// Alpha[j] = rho . A~_j over the nonbasic, unfixed columns, with rho
-  /// row \p R of Binv.
+  /// Alpha[j] = rho . A~_j with rho = row \p R of B^-1 (read only for
+  /// the nonbasic, unfixed columns).
   void pivotRowAlphas(int R);
   /// Harris ratio test on |Rc[j] / Alpha[j]|; -1 when no column enters.
   int dualRatioTest(bool ToUpper, int &SigmaOut);
@@ -367,19 +413,13 @@ private:
 void SimplexSolver::Worker::collectScratchCaps(
     std::vector<size_t> &Out) const {
   Out.clear();
-  Out.push_back(W.capacity());
-  Out.push_back(Y.capacity());
-  Out.push_back(Cb.capacity());
-  Out.push_back(Rhs.capacity());
-  Out.push_back(Binv.capacity());
-  Out.push_back(X.capacity());
-  Out.push_back(Basis.capacity());
-  Out.push_back(Rc.capacity());
-  Out.push_back(Alpha.capacity());
-  Out.push_back(PriceBlockScore.capacity());
-  Out.push_back(PriceBlockJ.capacity());
-  Out.push_back(PriceBlockSigma.capacity());
-  Out.push_back(RefB.capacity());
+  for (const std::vector<double> *V :
+       {&W, &Y, &Cb, &Rhs, &Col, &Rho, &X, &Rc, &Alpha, &G, &AS, &CoreWork,
+        &CoreU, &CoreV, &CostRow, &CostWeight})
+    Out.push_back(V->capacity());
+  for (const std::vector<int> *V :
+       {&Basis, &YNz, &RhoNz, &CoreRow, &CoreSlot})
+    Out.push_back(V->capacity());
 }
 
 void SimplexSolver::Worker::snapshotScratch() {
@@ -426,10 +466,9 @@ void SimplexSolver::Worker::loadRow(int R) {
       Scale = MaxAbs;
   }
   RowScale[R] = Scale;
-  for (size_t K = 0; K < Row.Index.size(); ++K) {
-    int J = Row.Index[K];
-    ColA[static_cast<size_t>(J) * M + R] += Row.Value[K] / Scale;
-  }
+  double *Dst = RowA.data() + static_cast<size_t>(R) * NS;
+  for (size_t K = 0; K < Row.Index.size(); ++K)
+    Dst[Row.Index[K]] += Row.Value[K] / Scale;
   Lo[NS + R] = Row.Lo / Scale;
   Hi[NS + R] = Row.Hi / Scale;
 }
@@ -452,7 +491,7 @@ bool SimplexSolver::Worker::buildProblem(LpSolution &Out) {
   NT = NS + M;
 
   RowScale.assign(static_cast<size_t>(M), 1.0);
-  ColA.assign(static_cast<size_t>(M) * static_cast<size_t>(NS), 0.0);
+  RowA.assign(static_cast<size_t>(M) * static_cast<size_t>(NS), 0.0);
   Lo.resize(NT);
   Hi.resize(NT);
   Cost.assign(static_cast<size_t>(NT), 0.0);
@@ -483,82 +522,70 @@ bool SimplexSolver::Worker::appendRows(LpSolution &Out) {
   if (M == OldM)
     return true;
   NT = NS + M;
-  size_t Ms = static_cast<size_t>(M), OldMs = static_cast<size_t>(OldM);
 
-  // Re-stride Binv (row-major) from OldM to M in place, back to front:
-  // every row moves to a higher address, so a row never lands on one
-  // not yet moved. Its new columns start at zero. Capacity grows by
-  // doubling the row count, so Binv reallocates O(log rounds) times.
-  if (Binv.capacity() < Ms * Ms)
-    Binv.reserve(std::max(Ms * Ms, 4 * Binv.capacity()));
-  Binv.resize(Ms * Ms);
-  for (int R = OldM - 1; R >= 0; --R) {
-    double *Row = Binv.data() + static_cast<size_t>(R) * Ms;
-    std::memmove(Row, Binv.data() + static_cast<size_t>(R) * OldMs,
-                 OldMs * sizeof(double));
-    std::fill(Row + OldM, Row + M, 0.0);
-  }
-
-  // ColA (column-major, stride M) is rebuilt from the problem rather
-  // than re-strided: the old copy goes first, so the largest buffer of
-  // the solve is never held twice. Every row reloads to the same bits.
-  std::vector<double>().swap(ColA);
-  ColA.assign(Ms * static_cast<size_t>(NS), 0.0);
+  // RowA grows at its end and AS (stride M) is reloaded from it. The new
+  // rows enter with their slacks basic, so they join R: T, S and the
+  // core inverse are unchanged, and a Fresh core stays fresh.
+  size_t Ms = static_cast<size_t>(M);
   RowScale.resize(Ms);
+  RowA.resize(Ms * static_cast<size_t>(NS), 0.0);
   Lo.resize(static_cast<size_t>(NT));
   Hi.resize(static_cast<size_t>(NT));
   Cost.resize(static_cast<size_t>(NT), 0.0);
   Stat.resize(static_cast<size_t>(NT), VarStatus::Basic);
   X.resize(static_cast<size_t>(NT), 0.0);
   Basis.resize(Ms);
-  for (int R = 0; R < M; ++R)
+  CoreSlot.resize(Ms, -1);
+  for (int R = OldM; R < M; ++R) {
     loadRow(R);
-  for (int R = OldM; R < M; ++R)
-    Basis[R] = NS + R; // the new slacks are basic
-
-  // Bordered inverse: with the new slacks basic the basis is
-  // [[B, 0], [C, -I]], C holding the new rows' entries in the basic
-  // columns (old slack columns have none), and its inverse is
-  // [[B^-1, 0], [C B^-1, -I]]. Each new row is independent.
-  Par = M >= ParallelMinRows;
-  {
-    KernelTimer Timer(Stats.UpdateSeconds);
-    forEachRow(OldM, M, [&](int R) {
-      double *Row = Binv.data() + static_cast<size_t>(R) * Ms;
-      for (int P = 0; P < OldM; ++P) {
-        int J = Basis[P];
-        if (J >= NS)
-          continue;
-        double C = ColA[static_cast<size_t>(J) * Ms + R];
-        if (C != 0.0)
-          linalg::kernelAxpy(Row, Binv.data() + static_cast<size_t>(P) * Ms,
-                             C, OldM, Opt.Determinism);
-      }
-      Row[R] = -1.0;
-    });
+    Basis[R] = NS + R;
   }
-  Fresh = false;
+  sizeScratch();
+  for (int B = 0; B < CoreSize; ++B)
+    loadCoreColumn(B);
   return true;
 }
 
 void SimplexSolver::Worker::sizeScratch() {
-  // Every per-iteration buffer - refactorization scratch, reduced costs,
-  // pivot row, pricing blocks - is sized for the current shape here, so
-  // no iteration ever allocates.
+  // Every per-iteration buffer - FTRAN/BTRAN vectors, reduced costs,
+  // pivot row, nonzero lists - is sized for the current shape here, so
+  // no iteration allocates; the core doubles its capacity on demand
+  // (reserveCore).
   size_t Ms = static_cast<size_t>(M);
-  W.resize(Ms);
-  Y.resize(Ms);
-  Cb.resize(Ms);
-  Rhs.resize(Ms);
+  for (std::vector<double> *V : {&W, &Y, &Cb, &Rhs, &Col, &Rho, &CoreU, &CoreV})
+    V->resize(Ms);
+  for (std::vector<int> *V : {&YNz, &RhoNz})
+    V->reserve(Ms);
+  CostWeight.resize(Ms);
+  CostRow.resize(static_cast<size_t>(NS));
+  CostRowFresh = false;
+  CoreRow.resize(Ms);
+  AS.resize(static_cast<size_t>(CoreCap) * Ms);
   Rc.resize(static_cast<size_t>(NT));
   Alpha.resize(static_cast<size_t>(NT));
-  RefB.resize(Ms * Ms); // released by finish(): see there
-  NumPriceBlocks = Par ? (NT + PriceGrain - 1) / PriceGrain : 1;
-  PriceBlockScore.resize(static_cast<size_t>(NumPriceBlocks));
-  PriceBlockJ.resize(static_cast<size_t>(NumPriceBlocks));
-  PriceBlockSigma.resize(static_cast<size_t>(NumPriceBlocks));
 #ifndef NDEBUG
   snapshotScratch();
+#endif
+}
+
+void SimplexSolver::Worker::reserveCore(int Need) {
+  if (Need <= CoreCap)
+    return;
+  // Doubling, capped by the largest core this shape admits: a solve
+  // reallocates O(log k) times.
+  int NewCap = std::max(Need, std::min(std::max(16, 2 * CoreCap),
+                                       std::min(M, NS)));
+  size_t Cap = static_cast<size_t>(NewCap);
+  std::vector<double> Grown(Cap * Cap);
+  for (int B = 0; B < CoreSize; ++B)
+    std::copy(coreRow(B), coreRow(B) + CoreSize,
+              Grown.data() + static_cast<size_t>(B) * Cap);
+  G.swap(Grown);
+  CoreWork.assign(Cap * Cap, 0.0);
+  AS.resize(Cap * static_cast<size_t>(M));
+  CoreCap = NewCap;
+#ifndef NDEBUG
+  snapshotScratch(); // the one sanctioned growth
 #endif
 }
 
@@ -566,7 +593,7 @@ void SimplexSolver::Worker::initialBasis() {
   Basis.resize(M);
   Stat.assign(static_cast<size_t>(NT), VarStatus::AtLower);
   X.assign(static_cast<size_t>(NT), 0.0);
-  Binv.assign(static_cast<size_t>(M) * M, 0.0);
+  CoreSlot.assign(static_cast<size_t>(M), -1);
   sizeScratch();
   setSlackBasis();
 }
@@ -574,9 +601,10 @@ void SimplexSolver::Worker::initialBasis() {
 void SimplexSolver::Worker::setSlackBasis() {
   // The cold starting point: every structural nonbasic at its
   // "cheaper" bound (or free at zero) and the always-nonsingular slack
-  // basis with inverse -I. Also the bit-exact fallback target when a
-  // warm basis is rejected: it rebuilds Stat/X/Basis/Binv wholesale, so
-  // a failed warm attempt leaves no trace in any computed value.
+  // basis, whose core is empty. Also the bit-exact fallback target when
+  // a warm basis is rejected: it rebuilds Stat/X/Basis and the core
+  // wholesale, so a failed warm attempt leaves no trace in any computed
+  // value.
   for (int J = 0; J < NS; ++J) {
     bool LoFinite = std::isfinite(Lo[J]);
     bool HiFinite = std::isfinite(Hi[J]);
@@ -591,14 +619,16 @@ void SimplexSolver::Worker::setSlackBasis() {
       X[J] = Hi[J];
     }
   }
-  std::fill(Binv.begin(), Binv.end(), 0.0);
-  Fresh = false; // -I, but not refactor()'s bits (its zeros are -0.0)
   for (int R = 0; R < M; ++R) {
     Basis[R] = NS + R;
     Stat[NS + R] = VarStatus::Basic;
     X[NS + R] = 0.0;
-    Binv[static_cast<size_t>(R) * M + R] = -1.0;
+    CoreSlot[R] = -1;
   }
+  // The empty core is exactly what refactor() derives from this basis.
+  CoreSize = 0;
+  PivotsSinceRefactor = 0;
+  Fresh = true;
   recomputeBasicValues();
 }
 
@@ -665,8 +695,21 @@ bool SimplexSolver::Worker::tryWarmStart(const SimplexBasis &Warm) {
       break;
     }
   }
-  for (int R = 0; R < M; ++R)
-    Basis[R] = Warm.Basic[R];
+  // Positions: each basic slack in its own row, the structurals in the
+  // remaining rows in their listed order. A basis this solver exported
+  // already has that shape and maps to itself.
+  std::fill(Basis.begin(), Basis.end(), -1);
+  for (int J : Warm.Basic)
+    if (J >= NS)
+      Basis[J - NS] = J;
+  int Free = 0;
+  for (int J : Warm.Basic) {
+    if (J >= NS)
+      continue;
+    while (Basis[Free] >= 0)
+      ++Free;
+    Basis[Free] = J;
+  }
   if (!refactor()) {
     setSlackBasis();
     return false;
@@ -676,37 +719,46 @@ bool SimplexSolver::Worker::tryWarmStart(const SimplexBasis &Warm) {
 }
 
 bool SimplexSolver::Worker::refactor() {
-  // Rebuild Binv from the current basis by Gauss-Jordan elimination with
-  // partial pivoting, with B in the hoisted RefB scratch and the inverse
-  // built in place in Binv (a failure leaves Binv unusable; every caller
-  // then either stops or resets the basis). The row-elimination updates
-  // parallelize over rows: each row's arithmetic is independent of the
-  // partitioning, so the factorization is bit-identical to the serial
-  // one.
+  // Rebuild G = A_TS^-1 by Gauss-Jordan elimination with partial
+  // pivoting, A_TS in CoreWork and the inverse built in place in G (a
+  // failure leaves G unusable; every caller then either stops or resets
+  // the basis). T is listed in ascending row order, so the result is a
+  // pure function of Basis.
   KernelTimer Timer(Stats.RefactorSeconds);
   ++Stats.Refactors;
-  std::vector<double> &B = RefB;
-  std::vector<double> &Inv = Binv;
-  std::fill(B.begin(), B.end(), 0.0);
-  forEachRow(0, M, [&](int R) { // column R of B
-    int J = Basis[R];
-    if (J < NS) {
-      const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-      for (int I = 0; I < M; ++I)
-        B[static_cast<size_t>(I) * M + R] = Col[I];
+  Fresh = false;
+  CostRowFresh = false;
+  int K = 0;
+  for (int P = 0; P < M; ++P) {
+    if (Basis[P] < NS) {
+      CoreRow[K] = P;
+      CoreSlot[P] = K++;
     } else {
-      B[static_cast<size_t>(J - NS) * M + R] = -1.0;
+      assert(Basis[P] == NS + P && "basic slack outside its own row");
+      CoreSlot[P] = -1;
     }
-  });
-  std::fill(Inv.begin(), Inv.end(), 0.0);
-  for (int I = 0; I < M; ++I)
-    Inv[static_cast<size_t>(I) * M + I] = 1.0;
+  }
+  CoreSize = 0; // nothing of the old inverse survives
+  reserveCore(K);
+  CoreSize = K;
+  for (int B = 0; B < K; ++B)
+    loadCoreColumn(B);
+  size_t Cap = static_cast<size_t>(CoreCap);
+  double *C = CoreWork.data();
+  double *Inv = G.data();
+  for (int A = 0; A < K; ++A) {
+    int Row = CoreRow[A];
+    for (int B = 0; B < K; ++B) {
+      C[A * Cap + B] = coreColumn(B)[Row];
+      Inv[A * Cap + B] = A == B ? 1.0 : 0.0;
+    }
+  }
 
-  for (int K = 0; K < M; ++K) {
-    int Pivot = K;
-    double Best = std::fabs(B[static_cast<size_t>(K) * M + K]);
-    for (int I = K + 1; I < M; ++I) {
-      double Mag = std::fabs(B[static_cast<size_t>(I) * M + K]);
+  for (int P = 0; P < K; ++P) {
+    int Pivot = P;
+    double Best = std::fabs(C[P * Cap + P]);
+    for (int I = P + 1; I < K; ++I) {
+      double Mag = std::fabs(C[I * Cap + P]);
       if (Mag > Best) {
         Best = Mag;
         Pivot = I;
@@ -714,60 +766,82 @@ bool SimplexSolver::Worker::refactor() {
     }
     if (Best < 1e-12)
       return false;
-    if (Pivot != K)
-      for (int C = 0; C < M; ++C) {
-        std::swap(B[static_cast<size_t>(K) * M + C],
-                  B[static_cast<size_t>(Pivot) * M + C]);
-        std::swap(Inv[static_cast<size_t>(K) * M + C],
-                  Inv[static_cast<size_t>(Pivot) * M + C]);
-      }
-    double Scale = 1.0 / B[static_cast<size_t>(K) * M + K];
-    for (int C = 0; C < M; ++C) {
-      B[static_cast<size_t>(K) * M + C] *= Scale;
-      Inv[static_cast<size_t>(K) * M + C] *= Scale;
+    if (Pivot != P) {
+      std::swap_ranges(C + P * Cap, C + P * Cap + K, C + Pivot * Cap);
+      std::swap_ranges(Inv + P * Cap, Inv + P * Cap + K, Inv + Pivot * Cap);
     }
-    forEachRow(0, M, [&](int I) {
-      if (I == K)
-        return;
-      double Factor = B[static_cast<size_t>(I) * M + K];
-      if (Factor == 0.0)
-        return;
-      // y -= F * x as axpy(y, x, -F): exact in IEEE, so the Strict bits
-      // match the fused loop; splitting B/Inv into two sweeps only
-      // reorders independent elementwise updates.
-      linalg::kernelAxpy(B.data() + static_cast<size_t>(I) * M,
-                         B.data() + static_cast<size_t>(K) * M, -Factor, M,
+    double Scale = 1.0 / C[P * Cap + P];
+    for (int B = 0; B < K; ++B) {
+      C[P * Cap + B] *= Scale;
+      Inv[P * Cap + B] *= Scale;
+    }
+    for (int I = 0; I < K; ++I) {
+      double Factor = C[I * Cap + P];
+      if (I == P || Factor == 0.0)
+        continue;
+      linalg::kernelAxpy(C + I * Cap, C + P * Cap, -Factor, K,
                          Opt.Determinism);
-      linalg::kernelAxpy(Inv.data() + static_cast<size_t>(I) * M,
-                         Inv.data() + static_cast<size_t>(K) * M, -Factor, M,
+      linalg::kernelAxpy(Inv + I * Cap, Inv + P * Cap, -Factor, K,
                          Opt.Determinism);
-    });
+    }
   }
   PivotsSinceRefactor = 0;
   Fresh = true;
   return true;
 }
 
+void SimplexSolver::Worker::loadCoreColumn(int Slot) {
+  double *Dst = AS.data() + static_cast<size_t>(Slot) * M;
+  const double *Src = RowA.data() + Basis[CoreRow[Slot]];
+  for (int I = 0; I < M; ++I)
+    Dst[I] = Src[static_cast<size_t>(I) * NS];
+}
+
+void SimplexSolver::Worker::solveBasis(const double *V,
+                                       std::vector<double> &Out) {
+  // w_S = G v_T, then w_R = A_RS w_S - v_R as one column axpy per slot;
+  // the T positions take w_S itself.
+  int K = CoreSize;
+  for (int A = 0; A < K; ++A)
+    CoreV[A] = V[CoreRow[A]];
+  for (int B = 0; B < K; ++B)
+    CoreU[B] = linalg::kernelDot(coreRow(B), CoreV.data(), K, Opt.Determinism);
+  for (int I = 0; I < M; ++I)
+    Out[I] = -V[I];
+  for (int B = 0; B < K; ++B)
+    if (CoreU[B] != 0.0)
+      linalg::kernelAxpy(Out.data(), coreColumn(B), CoreU[B], M,
+                         Opt.Determinism);
+  for (int B = 0; B < K; ++B)
+    Out[CoreRow[B]] = CoreU[B];
+}
+
+void SimplexSolver::Worker::rowTimesCore(int R) {
+  int K = CoreSize;
+  std::fill(CoreV.begin(), CoreV.begin() + K, 0.0);
+  for (int B = 0; B < K; ++B) {
+    double Arb = coreColumn(B)[R];
+    if (Arb != 0.0)
+      linalg::kernelAxpy(CoreV.data(), coreRow(B), Arb, K, Opt.Determinism);
+  }
+}
+
 void SimplexSolver::Worker::recomputeBasicValues() {
-  // Basic values solve B xB = -N xN (the equality rhs is zero).
+  // Basic values solve B xB = -N xN (the equality rhs is zero); the
+  // nonbasic slacks are exactly the T rows'.
   std::fill(Rhs.begin(), Rhs.end(), 0.0);
-  for (int J = 0; J < NT; ++J) {
+  for (int J = 0; J < NS; ++J) {
     if (Stat[J] == VarStatus::Basic || X[J] == 0.0)
       continue;
-    if (J < NS) {
-      const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-      linalg::kernelAxpy(Rhs.data(), Col, -X[J], M, Opt.Determinism);
-    } else {
-      Rhs[J - NS] += X[J];
-    }
+    double Scale = -X[J];
+    for (int I = 0; I < M; ++I)
+      Rhs[I] += Scale * RowA[static_cast<size_t>(I) * NS + J];
   }
-  // Basic entries of X are distinct slots, so the row-blocked matvec
-  // writes disjointly; each element keeps its scalar accumulation order.
-  forEachRow(0, M, [&](int R) {
-    X[Basis[R]] = linalg::kernelDot(
-        Binv.data() + static_cast<size_t>(R) * M, Rhs.data(), M,
-        Opt.Determinism);
-  });
+  for (int B = 0; B < CoreSize; ++B)
+    Rhs[CoreRow[B]] += X[NS + CoreRow[B]];
+  solveBasis(Rhs.data(), Col);
+  for (int P = 0; P < M; ++P)
+    X[Basis[P]] = Col[P];
 }
 
 double SimplexSolver::Worker::infeasibility() const {
@@ -795,122 +869,120 @@ double SimplexSolver::Worker::currentObjective() const {
   return Sum;
 }
 
-double SimplexSolver::Worker::columnDot(const double *Vec, int J) const {
-  if (J >= NS)
-    return -Vec[J - NS];
-  const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-  return linalg::kernelDot(Vec, Col, M, Opt.Determinism);
-}
-
 void SimplexSolver::Worker::computeColumn(int J) {
-  // FTRAN: W = Binv * Atilde_J. Row-blocked parallel matvec; every
-  // W[R] is one sequential dot in the scalar order, so partitioning
-  // cannot move a single bit.
+  // FTRAN: W = B^-1 A~_J; a slack column is -e_i.
   KernelTimer Timer(Stats.FtranSeconds);
-  if (J >= NS) {
-    int K = J - NS;
-    for (int R = 0; R < M; ++R)
-      W[R] = -Binv[static_cast<size_t>(R) * M + K];
-    return;
+  if (J < NS) {
+    for (int I = 0; I < M; ++I)
+      Col[I] = RowA[static_cast<size_t>(I) * NS + J];
+  } else {
+    std::fill(Col.begin(), Col.end(), 0.0);
+    Col[J - NS] = -1.0;
   }
-  const double *Col = ColA.data() + static_cast<size_t>(J) * M;
-  forEachRow(0, M, [&](int R) {
-    W[R] = linalg::kernelDot(Binv.data() + static_cast<size_t>(R) * M, Col,
-                             M, Opt.Determinism);
-  });
+  solveBasis(Col.data(), W);
 }
 
-void SimplexSolver::Worker::computeDuals() {
-  // BTRAN: Y^T = Cb^T Binv, one axpy per basic row with a nonzero cost.
-  // Scalar at every size: the column-blocked version re-walks every
-  // basic row per block and measured slower (src/lp/README.md).
+void SimplexSolver::Worker::computeDuals(bool Phase1) {
+  // BTRAN from the position-indexed basic costs Cb: y_R = -c_R and
+  // y_T = G^T (c_S + A_RS^T c_R). The basic slacks carry costs in phase 1
+  // only, and there A_RS^T c_R is the cost row read at S.
   KernelTimer Timer(Stats.BtranSeconds);
-  std::fill(Y.begin(), Y.end(), 0.0);
-  for (int R = 0; R < M; ++R) {
-    double C = Cb[R];
-    if (C == 0.0)
+  int K = CoreSize;
+  for (int B = 0; B < K; ++B) {
+    CoreV[B] = Cb[CoreRow[B]];
+    if (Phase1)
+      CoreV[B] += CostRow[Basis[CoreRow[B]]];
+  }
+  std::fill(CoreU.begin(), CoreU.begin() + K, 0.0);
+  for (int B = 0; B < K; ++B)
+    if (CoreV[B] != 0.0)
+      linalg::kernelAxpy(CoreU.data(), coreRow(B), CoreV[B], K,
+                         Opt.Determinism);
+  YNz.clear();
+  for (int I = 0; I < M; ++I) {
+    int Slot = CoreSlot[I];
+    if (Slot < 0) {
+      Y[I] = Cb[I] != 0.0 ? -Cb[I] : 0.0;
       continue;
-    linalg::kernelAxpy(Y.data(), Binv.data() + static_cast<size_t>(R) * M,
-                       C, M, Opt.Determinism);
+    }
+    Y[I] = CoreU[Slot];
+    if (Y[I] != 0.0)
+      YNz.push_back(I);
   }
 }
 
-int SimplexSolver::Worker::chooseEntering(bool Phase1, int &SigmaOut) {
+void SimplexSolver::Worker::updateCostRow() {
+  // CostRow = sum over R of c_i A_i, kept as a running sum: only the rows
+  // whose phase-1 cost changed since the last update cost anything.
   KernelTimer Timer(Stats.PricingSeconds);
-  if (Bland) {
-    // Bland's rule: the first improving index. One scan at every size:
-    // its early exit beats any blocked sweep.
-    for (int J = 0; J < NT; ++J) {
-      double RcJ = 0.0;
-      if (int Sigma = priceColumn(J, Phase1, RcJ)) {
-        SigmaOut = Sigma;
-        return J;
-      }
-    }
-    SigmaOut = 0;
-    return -1;
+  if (!CostRowFresh) {
+    std::fill(CostRow.begin(), CostRow.end(), 0.0);
+    std::fill(CostWeight.begin(), CostWeight.end(), 0.0);
+    CostRowFresh = true;
   }
-  // Full Dantzig pricing (best |rc|) as one reduced-cost pass rc =
-  // c - A~^T y over the column blocks of ColA (slack columns j >= NS are
-  // the -I block inside columnDot). Each column's dot keeps the scalar
-  // accumulation order; each block keeps a running best under the
-  // strict-> rule (earliest index kept on ties), and blocks merge in
-  // ascending order under the same rule - so the winner is exactly a
-  // single scan's earliest-max. Partial pricing was tried and reverted:
-  // on the repair LPs' split-variable columns it zigzags into iteration
-  // blow-ups that dwarf the per-iteration savings.
-  forEachPriceBlock([&](std::int64_t Begin, std::int64_t End) {
-    size_t Block = static_cast<size_t>(Begin / PriceGrain);
-    double BestScore = Opt.OptTol;
-    int BestJ = -1;
-    int BestSigma = 0;
-    for (std::int64_t J = Begin; J < End; ++J) {
-      double RcJ = 0.0;
-      int Sigma = priceColumn(static_cast<int>(J), Phase1, RcJ);
-      if (Sigma == 0)
-        continue;
-      double Score = std::fabs(RcJ);
-      if (Score > BestScore) {
-        BestScore = Score;
-        BestJ = static_cast<int>(J);
-        BestSigma = Sigma;
-      }
-    }
-    PriceBlockScore[Block] = BestScore;
-    PriceBlockJ[Block] = BestJ;
-    PriceBlockSigma[Block] = BestSigma;
-  });
+  for (int I = 0; I < M; ++I) {
+    double C = CoreSlot[I] < 0 ? Cb[I] : 0.0;
+    if (C == CostWeight[I])
+      continue;
+    linalg::kernelAxpy(CostRow.data(),
+                       RowA.data() + static_cast<size_t>(I) * NS,
+                       C - CostWeight[I], NS, Opt.Determinism);
+    CostWeight[I] = C;
+  }
+}
 
-  double BestScore = Opt.OptTol;
-  int BestJ = -1;
-  int BestSigma = 0;
-  for (int Block = 0; Block < NumPriceBlocks; ++Block) {
-    if (PriceBlockJ[Block] >= 0 && PriceBlockScore[Block] > BestScore) {
-      BestScore = PriceBlockScore[Block];
-      BestJ = PriceBlockJ[Block];
-      BestSigma = PriceBlockSigma[Block];
-    }
-  }
-  SigmaOut = BestSigma;
-  return BestJ;
+void SimplexSolver::Worker::rowPass(const std::vector<double> &V,
+                                    const std::vector<int> &Nz,
+                                    std::vector<double> &Out) const {
+  std::fill(Out.begin(), Out.begin() + NS, 0.0);
+  for (int I : Nz)
+    linalg::kernelAxpy(Out.data(), RowA.data() + static_cast<size_t>(I) * NS,
+                       V[I], NS, Opt.Determinism);
+  for (int J = NS; J < NT; ++J)
+    Out[J] = -V[J - NS];
 }
 
 void SimplexSolver::Worker::batchReducedCosts(bool Phase1) {
+  // rc = c - A~^T y, with y's R part, nonzero in phase 1 only, priced
+  // through the cost row: -sum over R of y_i A_i = CostRow.
   KernelTimer Timer(Stats.PricingSeconds);
-  // Rc[J] stays untouched (stale) for skipped basic/fixed columns,
-  // which no reader consults.
-  forEachPriceBlock([&](std::int64_t Begin, std::int64_t End) {
-    for (std::int64_t J = Begin; J < End; ++J)
-      priceColumn(static_cast<int>(J), Phase1, Rc[static_cast<size_t>(J)]);
-  });
+  rowPass(Y, YNz, Rc);
+  for (int J = 0; J < NT; ++J)
+    Rc[J] = (Phase1 ? (J < NS ? CostRow[J] : 0.0) : Cost[J]) - Rc[J];
+}
+
+int SimplexSolver::Worker::chooseEntering(bool Phase1, int &SigmaOut) {
+  batchReducedCosts(Phase1);
+  // Full Dantzig pricing (best |rc|, earliest on ties), or under Bland's
+  // rule the first improving index. Partial pricing was tried and
+  // reverted: on the repair LPs' split-variable columns it zigzags into
+  // iteration blow-ups that dwarf the per-iteration savings.
+  KernelTimer Timer(Stats.PricingSeconds);
+  double BestScore = Opt.OptTol;
+  int BestJ = -1;
+  SigmaOut = 0;
+  for (int J = 0; J < NT; ++J) {
+    int Sigma = improvingDirection(J);
+    if (Sigma == 0)
+      continue;
+    if (Bland) {
+      SigmaOut = Sigma;
+      return J;
+    }
+    double Score = std::fabs(Rc[static_cast<size_t>(J)]);
+    if (Score > BestScore) {
+      BestScore = Score;
+      BestJ = J;
+      SigmaOut = Sigma;
+    }
+  }
+  return BestJ;
 }
 
 SimplexSolver::Worker::RatioResult
 SimplexSolver::Worker::ratioTest(int J, int Sigma, bool Phase1) {
   // One scan in row order: the tie window is relative to the incumbent
   // BestT, which drifts across ties, so the winner is order-dependent.
-  // A blocked preselection plus serial merge measured slower
-  // (src/lp/README.md).
   KernelTimer Timer(Stats.RatioSeconds);
   RatioResult Result;
   double BestT = kInfinity;
@@ -953,8 +1025,8 @@ void SimplexSolver::Worker::applyStep(int J, int Sigma,
                                       const RatioResult &R) {
   // Pivot-sequence digest (order-sensitive FNV-1a): entering index,
   // direction, and bound-flip vs. (row, leaving side). Tests compare it
-  // across thread counts - equal hashes mean the blocked kernels walked
-  // the same pivot path at every pool size.
+  // across thread counts - equal hashes mean the solve walked the same
+  // pivot path at every pool size.
   auto Mix = [this](std::uint64_t V) {
     Stats.PivotHash = (Stats.PivotHash ^ V) * 0x100000001b3ULL;
   };
@@ -987,34 +1059,142 @@ void SimplexSolver::Worker::applyStep(int J, int Sigma,
   Stat[Leaving] = R.LeaveAtUpper ? VarStatus::AtUpper : VarStatus::AtLower;
 
   X[J] += Sigma * T;
-  Basis[R.Row] = J;
   Stat[J] = VarStatus::Basic;
-  updateBinv(R.Row);
+  updateCore(R.Row, J);
   ++PivotsSinceRefactor;
 }
 
-void SimplexSolver::Worker::updateBinv(int PivotRow) {
-  // Product-form update: with W = Binv * Atilde_entering, the new inverse
-  // is E * Binv where E differs from the identity only in column
-  // PivotRow. Rows other than the pivot row update independently, so
-  // the eta update parallelizes over rows bit-identically.
+void SimplexSolver::Worker::updateCore(int Row, int J) {
   KernelTimer Timer(Stats.UpdateSeconds);
   Fresh = false;
-  double Pivot = W[PivotRow];
-  assert(std::fabs(Pivot) > 0.0 && "zero pivot in eta update");
-  double *PivRow = Binv.data() + static_cast<size_t>(PivotRow) * M;
-  double Inv = 1.0 / Pivot;
-  for (int C = 0; C < M; ++C)
-    PivRow[C] *= Inv;
-  forEachRow(0, M, [&](int R) {
-    if (R == PivotRow)
-      return;
-    double Factor = W[R];
-    if (Factor == 0.0)
-      return;
-    linalg::kernelAxpy(Binv.data() + static_cast<size_t>(R) * M, PivRow,
-                       -Factor, M, Opt.Determinism);
-  });
+  assert(std::fabs(W[Row]) > 0.0 && "zero pivot in core update");
+  bool OutStructural = Basis[Row] < NS;
+  if (J < NS) {
+    if (OutStructural)
+      swapCoreColumn(Row, J);
+    else
+      growCore(Row, J);
+  } else if (OutStructural) {
+    shrinkCore(Row, J - NS);
+  } else {
+    swapCoreRow(Row, J - NS);
+  }
+}
+
+void SimplexSolver::Worker::swapCoreColumn(int Row, int J) {
+  // Structural J replaces the structural of slot b: T is unchanged, and
+  // the product-form eta update with u = w_S gives the new inverse.
+  int K = CoreSize;
+  int Slot = CoreSlot[Row];
+  double *PivRow = coreRow(Slot);
+  double Inv = 1.0 / W[Row];
+  for (int A = 0; A < K; ++A)
+    PivRow[A] *= Inv;
+  for (int B = 0; B < K; ++B) {
+    double Factor = W[CoreRow[B]];
+    if (B == Slot || Factor == 0.0)
+      continue;
+    linalg::kernelAxpy(coreRow(B), PivRow, -Factor, K, Opt.Determinism);
+  }
+  Basis[Row] = J;
+  loadCoreColumn(Slot);
+}
+
+void SimplexSolver::Worker::growCore(int Row, int J) {
+  // Structural J replaces the slack of row r (in R): r joins T and J
+  // joins S as a new last slot. With u = w_S, g = A(r, S) G and the
+  // Schur complement s = A(r, J) - A(r, S) u = -w_r, the bordered
+  // inverse is [[G + u g^T / s, -u / s], [-g^T / s, 1 / s]].
+  double S = -W[Row];
+  rowTimesCore(Row);
+  reserveCore(CoreSize + 1);
+  int K = CoreSize;
+  for (int B = 0; B < K; ++B) {
+    double U = W[CoreRow[B]];
+    double *GRow = coreRow(B);
+    if (U != 0.0)
+      linalg::kernelAxpy(GRow, CoreV.data(), U / S, K, Opt.Determinism);
+    GRow[K] = -U / S;
+  }
+  double *Last = coreRow(K);
+  for (int A = 0; A < K; ++A)
+    Last[A] = -CoreV[A] / S;
+  Last[K] = 1.0 / S;
+  CoreRow[K] = Row;
+  CoreSlot[Row] = K;
+  ++CoreSize;
+  Basis[Row] = J;
+  loadCoreColumn(K);
+}
+
+void SimplexSolver::Worker::shrinkCore(int Row, int I) {
+  // The slack of row i (in T, slot c) replaces the structural of slot b
+  // at position r: row i leaves T and that structural leaves S. The
+  // inverse of A_TS without row c and column b is G without row b and
+  // column c, downdated by G[:, c] G[b, :] / G[b][c] (G[b][c] = -w_r).
+  // The structural that sat at position i moves to position r and
+  // takes slot b.
+  int K = CoreSize;
+  int SlotB = CoreSlot[Row], SlotC = CoreSlot[I];
+  int Moved = Basis[I];
+  const double *RowB = coreRow(SlotB);
+  double Pivot = RowB[SlotC];
+  for (int B = 0; B < K; ++B) {
+    if (B == SlotB)
+      continue;
+    double Factor = coreRow(B)[SlotC] / Pivot;
+    if (Factor != 0.0)
+      linalg::kernelAxpy(coreRow(B), RowB, -Factor, K, Opt.Determinism);
+  }
+  if (SlotB != SlotC) {
+    std::copy(coreRow(SlotC), coreRow(SlotC) + K, coreRow(SlotB));
+    std::copy(coreColumn(SlotC), coreColumn(SlotC) + M,
+              AS.begin() + static_cast<std::ptrdiff_t>(SlotB) * M);
+  }
+  CoreSlot[I] = -1;
+  removeCoreSlot(SlotC);
+  Basis[I] = NS + I;
+  if (Row != I)
+    Basis[Row] = Moved;
+}
+
+void SimplexSolver::Worker::swapCoreRow(int Row, int I) {
+  // The slack of row i (in T, slot c) replaces the slack of row r (in
+  // R): r takes i's place in T, S is unchanged. Row c of A_TS becomes
+  // A(r, S), a rank-one change; with g = A(r, S) G, column c of G is
+  // divided by g[c] = -w_r and every other column a loses
+  // G[:, c] g[a] / g[c]. The structural at position i moves to r.
+  int K = CoreSize;
+  int Slot = CoreSlot[I];
+  int Moved = Basis[I];
+  rowTimesCore(Row);
+  double Gc = CoreV[Slot];
+  for (int B = 0; B < K; ++B) {
+    double *GRow = coreRow(B);
+    double Factor = GRow[Slot] / Gc;
+    if (Factor != 0.0)
+      linalg::kernelAxpy(GRow, CoreV.data(), -Factor, K, Opt.Determinism);
+    GRow[Slot] = Factor;
+  }
+  CoreRow[Slot] = Row;
+  CoreSlot[Row] = Slot;
+  CoreSlot[I] = -1;
+  Basis[I] = NS + I;
+  Basis[Row] = Moved;
+}
+
+void SimplexSolver::Worker::removeCoreSlot(int Slot) {
+  int Last = CoreSize - 1;
+  if (Slot != Last) {
+    for (int B = 0; B < CoreSize; ++B)
+      coreRow(B)[Slot] = coreRow(B)[Last];
+    std::copy(coreRow(Last), coreRow(Last) + Last, coreRow(Slot));
+    std::copy(coreColumn(Last), coreColumn(Last) + M,
+              AS.begin() + static_cast<std::ptrdiff_t>(Slot) * M);
+    CoreRow[Slot] = CoreRow[Last];
+    CoreSlot[CoreRow[Slot]] = Slot;
+  }
+  CoreSize = Last;
 }
 
 int SimplexSolver::Worker::chooseLeavingRow(bool &ToUpper) const {
@@ -1038,17 +1218,23 @@ int SimplexSolver::Worker::chooseLeavingRow(bool &ToUpper) const {
 }
 
 void SimplexSolver::Worker::pivotRowAlphas(int R) {
-  // The pivot row in the column-blocked pricing layout: each Alpha[J]
-  // is one sequential dot, so partitioning cannot move a bit.
+  // rho = e_r^T B^-1: row b of G on the T rows when position r holds
+  // slot b's structural, else A(r, S) G on the T rows and -1 at r - at
+  // most k + 1 nonzeros, taken through the pricing row pass.
   KernelTimer Timer(Stats.PricingSeconds);
-  const double *Rho = Binv.data() + static_cast<size_t>(R) * M;
-  forEachPriceBlock([&](std::int64_t Begin, std::int64_t End) {
-    for (std::int64_t J = Begin; J < End; ++J) {
-      int Jc = static_cast<int>(J);
-      if (Stat[static_cast<size_t>(J)] != VarStatus::Basic && !isFixed(Jc))
-        Alpha[static_cast<size_t>(J)] = columnDot(Rho, Jc);
-    }
-  });
+  std::fill(Rho.begin(), Rho.end(), 0.0);
+  int Slot = CoreSlot[R];
+  const double *RowG = CoreV.data();
+  if (Slot >= 0) {
+    RowG = coreRow(Slot);
+  } else {
+    rowTimesCore(R);
+    Rho[R] = -1.0;
+  }
+  for (int A = 0; A < CoreSize; ++A)
+    Rho[CoreRow[A]] = RowG[A];
+  collectNonzeros(Rho, RhoNz);
+  rowPass(Rho, RhoNz, Alpha);
 }
 
 int SimplexSolver::Worker::dualRatioTest(bool ToUpper, int &SigmaOut) {
@@ -1114,7 +1300,7 @@ SolveStatus SimplexSolver::Worker::dualPhase() {
   auto FreshReducedCosts = [&] {
     for (int R = 0; R < M; ++R)
       Cb[R] = Cost[Basis[R]];
-    computeDuals();
+    computeDuals(/*Phase1=*/false);
     batchReducedCosts(/*Phase1=*/false);
   };
   FreshReducedCosts();
@@ -1181,12 +1367,13 @@ SolveStatus SimplexSolver::Worker::dualPhase() {
 }
 
 SolveStatus SimplexSolver::Worker::iterate(bool Phase1) {
+  CostRowFresh = false;
   Bland = false;
   Stall = 0;
   HavePrevObj = false;
   while (true) {
     // Cooperative cancellation: a relaxed load per iteration is noise
-    // next to the O(M * NT) pricing pass below.
+    // next to the pricing pass below.
     if (Opt.CancelFlag &&
         Opt.CancelFlag->load(std::memory_order_relaxed))
       return SolveStatus::Cancelled;
@@ -1213,13 +1400,14 @@ SolveStatus SimplexSolver::Worker::iterate(bool Phase1) {
                 : V > Hi[K] + Opt.FeasTol ? 1.0
                                           : 0.0;
       }
+      updateCostRow();
       Obj = Infeas;
     } else {
       for (int R = 0; R < M; ++R)
         Cb[R] = Cost[Basis[R]];
       Obj = currentObjective();
     }
-    computeDuals();
+    computeDuals(Phase1);
 
     // Cycling guard: no measurable progress for StallLimit iterations
     // switches pricing to Bland's rule until progress resumes.
@@ -1260,10 +1448,6 @@ LpSolution SimplexSolver::Worker::finish(SolveStatus Status) {
   Stats.Iterations = Iterations;
   Out.WarmStarted = WarmStartedV;
   HaveOptimum = Status == SolveStatus::Optimal;
-  // Between solves the solver keeps what the next one continues from;
-  // the refactorization scratch, as large as Binv, is released and
-  // re-sized by the next solve.
-  std::vector<double>().swap(RefB);
   if (Status != SolveStatus::Optimal) {
     Out.Stats = Stats;
     return Out;
@@ -1289,7 +1473,7 @@ LpSolution SimplexSolver::Worker::finish(SolveStatus Status) {
   // and scatter over dropped (vacuous) rows.
   for (int R = 0; R < M; ++R)
     Cb[R] = Cost[Basis[R]];
-  computeDuals();
+  computeDuals(/*Phase1=*/false);
   Out.RowDuals.assign(static_cast<size_t>(Prob.numRows()), 0.0);
   for (int R = 0; R < M; ++R)
     Out.RowDuals[KeptRows[R]] = Y[R] / RowScale[R];
@@ -1311,7 +1495,6 @@ LpSolution SimplexSolver::Worker::solve() {
     Early.Stats = Stats;
     return Early;
   }
-  sizeScratch();
   recomputeBasicValues();
   SolveStatus Dual = dualPhase();
   if (Dual == SolveStatus::Cancelled || Dual == SolveStatus::IterationLimit)
@@ -1339,11 +1522,6 @@ LpSolution SimplexSolver::Worker::coldSolve() {
   LpSolution Early;
   if (!buildProblem(Early))
     return Early;
-
-  // Kernel-path decision, made once per shape: the blocked kernels only
-  // pay off when the O(M^2) FTRAN/update and O(M * NT) pricing passes
-  // dominate the pool-dispatch cost.
-  Par = M >= ParallelMinRows;
 
   // Trivial cases first; neither leaves a basis to continue from.
   if (NS == 0) {
@@ -1460,7 +1638,7 @@ LpSolution SimplexSolver::Worker::primalPhases() {
     // serially.
     for (int R = 0; R < M; ++R)
       Cb[R] = Cost[Basis[R]];
-    computeDuals();
+    computeDuals(/*Phase1=*/false);
     batchReducedCosts(/*Phase1=*/false);
     bool DualOk = true;
     for (int J = 0; J < NT && DualOk; ++J) {

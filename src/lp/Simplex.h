@@ -9,21 +9,22 @@
 ///
 ///   A x - s = 0,   VarLo <= x <= VarHi,   RowLo <= s <= RowHi,
 ///
-/// and solved with a dense basis inverse maintained by product-form
-/// (eta) updates. Features: composite phase-1 (infeasibility
-/// minimization), Dantzig pricing with Bland's rule anti-cycling
-/// fallback, row equilibration, periodic refactorization with
-/// a final clean-solve verification before an Optimal status is
-/// reported, and dual values for optimality certificates.
+/// and solved with a factor of the basis's structural core alone. The
+/// basic slack columns are unit vectors, so with T the rows whose slack
+/// is nonbasic and S the basic structurals (|S| = |T| = k, a few dozen
+/// on the repair LPs against hundreds or thousands of rows) the solver
+/// keeps only A_TS^-1: FTRAN and BTRAN cost O(k^2 + k M), each pivot
+/// updates the core in O(k^2), and a refactorization costs O(k^3).
+/// Features: composite phase-1 (infeasibility minimization), Dantzig
+/// pricing with Bland's rule anti-cycling fallback, row equilibration,
+/// periodic refactorization with a final clean-solve verification
+/// before an Optimal status is reported, and dual values for optimality
+/// certificates.
 ///
-/// Once the problem has 192 or more kept rows, the dense inner kernels
-/// that measured faster blocked (Dantzig pricing, FTRAN, refactorization
-/// and the eta update, among others) run on the shared
-/// support/Parallel.h pool; smaller LPs, BTRAN, the ratio test and
-/// Bland's rule always run the scalar loops.
-/// Results are bit-for-bit identical at any thread count: identical
-/// pivot sequences, identical LpSolution bits (see src/lp/README.md for
-/// the determinism contract and the measurements behind the split).
+/// Every kernel runs scalar on the calling thread - they measured faster
+/// than blocked versions on the shared pool (src/lp/README.md) - so
+/// results are bit-for-bit identical at any thread count: identical
+/// pivot sequences, identical LpSolution bits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +92,7 @@ struct SimplexOptions {
   /// Iterations without objective progress before switching to Bland's
   /// rule (guards against cycling under degeneracy).
   int StallLimit = 300;
-  /// Recompute the basis inverse from scratch every this many pivots.
+  /// Refactorize the basis core from scratch every this many pivots.
   int RefactorInterval = 2000;
   /// Optional cooperative-cancellation flag, polled between simplex
   /// iterations (the engine points this at its job's JobContext). When
@@ -115,14 +116,14 @@ struct SimplexOptions {
   /// LpSolution::OptimalBasis (off by default: the snapshot copies
   /// O(M + NT) ints, which the common non-cached solve never needs).
   bool ExportBasis = false;
-  /// Kernel determinism tier for the dense inner loops (pricing dots,
-  /// FTRAN/BTRAN, refactorization elimination, eta updates). Strict is
-  /// the bit-for-bit contract above. Fast vectorizes those loops; the
-  /// rounding drift can change pivot choices near ties, so Fast solves
-  /// are verified at the *solution* level (status, objective,
-  /// feasibility within tolerance - bench_kernel_backends), never by
-  /// pivot hash, and warm-start basis caching is restricted to Strict
-  /// (core/PointRepair.cpp).
+  /// Kernel determinism tier for the dense inner loops (pricing row
+  /// passes, FTRAN/BTRAN, refactorization elimination, core updates).
+  /// Strict is the bit-for-bit contract above. Fast vectorizes those
+  /// loops; the rounding drift can change pivot choices near ties, so
+  /// Fast solves are verified at the *solution* level (status,
+  /// objective, feasibility within tolerance - bench_kernel_backends),
+  /// never by pivot hash, and warm-start basis caching is restricted to
+  /// Strict (core/PointRepair.cpp).
   linalg::Determinism Determinism = linalg::Determinism::Strict;
 };
 
@@ -130,8 +131,8 @@ struct SimplexOptions {
 /// and accumulated into RepairStats::LpKernels by the repair pipeline.
 /// PivotHash is an order-sensitive FNV-1a digest of the pivot sequence
 /// (entering index, direction, bound flip / leaving row per step);
-/// tests compare it across thread counts to assert the blocked kernels
-/// walk the same pivot path at any pool size.
+/// tests compare it across thread counts to assert every solve walks
+/// the same pivot path at any pool size.
 struct SimplexStats {
   int Iterations = 0;
   int Pivots = 0;

@@ -276,7 +276,10 @@ void RpcServer::acceptLoop() {
     }
     if (Live >= Opts.MaxConnections) {
       // Same typed-reject vocabulary as admission: tell the peer why,
-      // then close. Best-effort - the peer may already be gone.
+      // then close. Best-effort - the peer may already be gone. Counted
+      // before the send, so a peer that has read the reject also sees
+      // it in stats().
+      RejectedCount.fetch_add(1, std::memory_order_relaxed);
       ByteWriter W;
       W.u8(static_cast<std::uint8_t>(serve::ServeReject::Saturated));
       std::uint64_t Sent = 0;
@@ -285,7 +288,6 @@ void RpcServer::acceptLoop() {
       BytesOut.fetch_add(Sent, std::memory_order_relaxed);
       if (Err == RpcError::None && FramesOutCount)
         FramesOutCount->inc();
-      RejectedCount.fetch_add(1, std::memory_order_relaxed);
       ::close(Fd);
       continue;
     }

@@ -233,21 +233,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.u8(static_cast<std::uint8_t>(O.Lp.Determinism));
 }
 
-/// Semantic validation of a decoded RepairOptions: the request crossed a
-/// trust boundary, and values the pipeline never produces itself (a
-/// negative CgBatch indexes before its row vector, a zero one spins
-/// every round without adding rows, a NaN tolerance breaks every
-/// comparison) must fail the decode rather than reach a job. Every
-/// default passes.
-bool validRepairOptions(const RepairOptions &O) {
-  auto PositiveFinite = [](double V) { return std::isfinite(V) && V > 0.0; };
-  return O.CgBatch >= 1 && O.MaxCgRounds >= 0 &&
-         !std::isnan(O.DeltaBound) && std::isfinite(O.RowMargin) &&
-         PositiveFinite(O.Lp.FeasTol) && PositiveFinite(O.Lp.OptTol) &&
-         PositiveFinite(O.Lp.PivotTol) && O.Lp.MaxIterations >= 1 &&
-         O.Lp.RefactorInterval >= 1 && O.Lp.StallLimit >= 1;
-}
-
 bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   std::uint8_t Objective = 0, Flag = 0;
   if (!readEnum8(R, Objective, 2))
@@ -307,7 +292,9 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   O.Lp.Determinism = static_cast<linalg::Determinism>(Flag);
   O.Lp.CancelFlag = nullptr;
   O.Lp.WarmBasis = nullptr;
-  if (!validRepairOptions(O)) {
+  // The request crossed a trust boundary: values the pipeline never
+  // produces itself fail the decode rather than reach a job.
+  if (!prdnn::validRepairOptions(O)) {
     R.fail(CodecError::Corrupt);
     return false;
   }

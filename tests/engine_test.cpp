@@ -925,6 +925,39 @@ TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
   fs::remove_all(Dir, Ec);
 }
 
+TEST(RepairEngine, InvalidOptionsFailBeforeAnyPhase) {
+  // Options the pipeline cannot run fail as SolverFailure before any
+  // phase, through run() and submit() alike. A CgBatch of -1 used to
+  // reach the round's row selection and read out of bounds.
+  Rng R(91043);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 12);
+  std::vector<std::pair<std::string, RepairOptions>> Cases(3);
+  Cases[0].first = "CgBatch=-1";
+  Cases[0].second.CgBatch = -1;
+  Cases[1].first = "CgBatch=0";
+  Cases[1].second.CgBatch = 0;
+  Cases[2].first = "MaxCgRounds=-1";
+  Cases[2].second.MaxCgRounds = -1;
+
+  RepairEngine Engine;
+  for (const auto &[Name, Options] : Cases) {
+    EXPECT_FALSE(validRepairOptions(Options)) << Name;
+    RepairRequest Request = RepairRequest::points(Net, 2, Spec, Options);
+    RepairReport Ran = Engine.run(Request);
+    RepairReport Submitted = Engine.submit(Request).report();
+    for (const RepairReport *Report : {&Ran, &Submitted}) {
+      EXPECT_EQ(Report->Status, RepairStatus::SolverFailure) << Name;
+      EXPECT_EQ(Report->Result.Status, RepairStatus::SolverFailure) << Name;
+      EXPECT_TRUE(Report->Sweep.empty()) << Name;
+      EXPECT_EQ(Report->Result.Stats.SpecRows, 0) << Name;
+      EXPECT_EQ(Report->Result.Stats.CgRounds, 0) << Name;
+      EXPECT_EQ(Report->Result.Stats.LpIterations, 0) << Name;
+    }
+  }
+  EXPECT_TRUE(validRepairOptions(RepairOptions()));
+}
+
 TEST(RepairEngine, DestructorCancelsQueuedJobs) {
   Rng R(91008);
   auto Net = std::make_shared<Network>(makeClassifier(R));

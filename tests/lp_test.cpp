@@ -185,6 +185,50 @@ TEST(Lp, DualSignsOnActiveRows) {
 
 // --- Random feasible LPs (property sweep) ----------------------------------
 
+/// KKT sign conditions from the reported duals:
+///   rc_j = c_j - sum_i y_i a_ij, with rc >= 0 at lower bounds,
+///   rc <= 0 at upper bounds, rc ~ 0 for interior variables; duals obey
+///   y_i >= 0 on rows active at Lo, y_i <= 0 on rows active at Hi,
+///   y_i ~ 0 on inactive rows.
+void expectKktConditions(const LinearProgram &P, const LpSolution &S,
+                         const std::string &What) {
+  ASSERT_EQ(S.X.size(), static_cast<size_t>(P.numVariables())) << What;
+  ASSERT_EQ(S.RowDuals.size(), static_cast<size_t>(P.numRows())) << What;
+  std::vector<double> Rc(static_cast<size_t>(P.numVariables()));
+  for (int J = 0; J < P.numVariables(); ++J)
+    Rc[J] = P.objectiveCoef(J);
+  for (int I = 0; I < P.numRows(); ++I) {
+    const LpRow &Row = P.row(I);
+    for (size_t K = 0; K < Row.Index.size(); ++K)
+      Rc[Row.Index[K]] -= S.RowDuals[I] * Row.Value[K];
+  }
+  const double Tol = 1e-5;
+  for (int J = 0; J < P.numVariables(); ++J) {
+    bool AtLo = S.X[J] <= P.variableLo(J) + 1e-6;
+    bool AtHi = S.X[J] >= P.variableHi(J) - 1e-6;
+    if (AtLo && !AtHi) {
+      EXPECT_GE(Rc[J], -Tol) << What << ": var " << J;
+    } else if (AtHi && !AtLo) {
+      EXPECT_LE(Rc[J], Tol) << What << ": var " << J;
+    } else if (!AtLo && !AtHi) {
+      EXPECT_NEAR(Rc[J], 0.0, Tol) << What << ": var " << J;
+    }
+  }
+  for (int I = 0; I < P.numRows(); ++I) {
+    double Activity = P.rowActivity(I, S.X);
+    const LpRow &Row = P.row(I);
+    bool AtLo = std::isfinite(Row.Lo) && Activity <= Row.Lo + 1e-6;
+    bool AtHi = std::isfinite(Row.Hi) && Activity >= Row.Hi - 1e-6;
+    if (!AtLo && !AtHi) {
+      EXPECT_NEAR(S.RowDuals[I], 0.0, Tol) << What << ": row " << I;
+    } else if (AtLo && !AtHi) {
+      EXPECT_GE(S.RowDuals[I], -Tol) << What << ": row " << I;
+    } else if (AtHi && !AtLo) {
+      EXPECT_LE(S.RowDuals[I], Tol) << What << ": row " << I;
+    }
+  }
+}
+
 struct RandomLpParams {
   uint64_t Seed;
   int NumVars;
@@ -230,44 +274,7 @@ TEST_P(RandomLpTest, OptimalFeasibleAndKktConsistent) {
   // Cannot be worse than the witness.
   EXPECT_LE(S.Objective, P.objectiveValue(Witness) + 1e-6);
 
-  // KKT sign conditions from the reported duals:
-  //   rc_j = c_j - sum_i y_i a_ij, with rc >= 0 at lower bounds,
-  //   rc <= 0 at upper bounds, rc ~ 0 for interior variables; duals obey
-  //   y_i >= 0 on rows active at Lo, y_i <= 0 on rows active at Hi,
-  //   y_i ~ 0 on inactive rows.
-  std::vector<double> Rc(Params.NumVars);
-  for (int J = 0; J < Params.NumVars; ++J)
-    Rc[J] = P.objectiveCoef(J);
-  for (int I = 0; I < P.numRows(); ++I) {
-    const LpRow &Row = P.row(I);
-    for (size_t K = 0; K < Row.Index.size(); ++K)
-      Rc[Row.Index[K]] -= S.RowDuals[I] * Row.Value[K];
-  }
-  const double Tol = 1e-5;
-  for (int J = 0; J < Params.NumVars; ++J) {
-    bool AtLo = S.X[J] <= P.variableLo(J) + 1e-6;
-    bool AtHi = S.X[J] >= P.variableHi(J) - 1e-6;
-    if (AtLo && !AtHi) {
-      EXPECT_GE(Rc[J], -Tol) << "var " << J;
-    } else if (AtHi && !AtLo) {
-      EXPECT_LE(Rc[J], Tol) << "var " << J;
-    } else if (!AtLo && !AtHi) {
-      EXPECT_NEAR(Rc[J], 0.0, Tol) << "var " << J;
-    }
-  }
-  for (int I = 0; I < P.numRows(); ++I) {
-    double Activity = P.rowActivity(I, S.X);
-    const LpRow &Row = P.row(I);
-    bool AtLo = std::isfinite(Row.Lo) && Activity <= Row.Lo + 1e-6;
-    bool AtHi = std::isfinite(Row.Hi) && Activity >= Row.Hi - 1e-6;
-    if (!AtLo && !AtHi) {
-      EXPECT_NEAR(S.RowDuals[I], 0.0, Tol) << "row " << I;
-    } else if (AtLo && !AtHi) {
-      EXPECT_GE(S.RowDuals[I], -Tol) << "row " << I;
-    } else if (AtHi && !AtLo) {
-      EXPECT_LE(S.RowDuals[I], Tol) << "row " << I;
-    }
-  }
+  expectKktConditions(P, S, "random LP");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -460,12 +467,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DeltaLpRandomTest,
 
 // --- Kernel bit-identity across thread counts ---------------------------------
 //
-// From 192 kept rows the simplex runs its blocked kernels on the shared
-// pool; a solve promises the same pivot sequence (PivotHash, pivot/
-// flip/refactor counts) and the same LpSolution bits (status, X,
-// objective, duals) at any pool size. These tests drive every terminal
-// status - Optimal, Infeasible, Unbounded, IterationLimit - on both
-// sides of the 192-row crossover, plus Bland's-rule and degenerate
+// A solve promises the same pivot sequence (PivotHash, pivot/flip/
+// refactor counts) and the same LpSolution bits (status, X, objective,
+// duals) at any pool size. The simplex kernels run scalar today; these
+// tests keep the contract pinned for any kernel that moves onto the
+// pool. They drive every terminal status - Optimal, Infeasible,
+// Unbounded, IterationLimit - below and above 192 kept rows (where
+// blocked kernels used to engage), plus Bland's-rule and degenerate
 // pivoting, at 1/4/8 pool threads. The suite also runs in the CI
 // ThreadSanitizer job.
 
@@ -567,8 +575,8 @@ std::vector<KernelCase> kernelCases() {
     C.Expected = SolveStatus::Optimal;
     Cases.push_back(std::move(C));
   }
-  // Infeasible, Unbounded and IterationLimit each below and above the
-  // 192-row crossover, so the blocked kernels see every terminal status.
+  // Infeasible, Unbounded and IterationLimit each below and above 192
+  // kept rows.
   for (bool Wide : {false, true}) {
     std::string Suffix = Wide ? "-wide" : "";
     uint64_t Seed = Wide ? 2000 : 1000;
@@ -619,8 +627,7 @@ std::vector<KernelCase> kernelCases() {
   }
   // Heavily degenerate vertex (all ones), with StallLimit = 1 so
   // pricing flips into Bland's rule almost immediately. N = 20 has
-  // N(N-1)/2 + N = 210 rows: Bland's scalar scan next to the blocked
-  // FTRAN, refactorization and eta update.
+  // N(N-1)/2 + N = 210 rows.
   for (int N : {10, 20}) {
     KernelCase C;
     C.Name = N == 10 ? "bland-degenerate" : "bland-degenerate-wide";
@@ -636,8 +643,7 @@ std::vector<KernelCase> kernelCases() {
     Cases.push_back(std::move(C));
   }
   {
-    // M = 300 kept rows: an Optimal solve on the blocked kernels, its
-    // NT = 360 columns priced in six blocks.
+    // M = 300 kept rows, NT = 360 columns: a wide Optimal solve.
     KernelCase C;
     C.Name = "optimal-wide";
     C.P = makeDenseFeasibleLp(60, 300, 1006);
@@ -691,9 +697,9 @@ TEST_F(LpKernelIdentityTest, KernelCasesBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(LpKernelIdentityTest, CrossoverBoundaryBitIdenticalAcrossThreadCounts) {
-  // The blocked kernels engage at M >= 192 kept rows. Straddle the
-  // crossover with M = 191 / 192 / 193 so the last scalar and the first
-  // blocked sizes are both pinned at every thread count.
+  // M = 191 / 192 / 193 straddle the 192 kept rows from which blocked
+  // kernels used to engage; every size stays pinned at every thread
+  // count.
   for (int M : {191, 192, 193}) {
     LinearProgram P = makeDenseFeasibleLp(40, M, 1300 + M);
     LpSolution Ref = expectSameAtEveryThreadCount(
@@ -1069,8 +1075,7 @@ TEST(LpIncremental, DeltaLpBoxAcrossRounds) {
 }
 
 TEST_F(LpKernelIdentityTest, WarmPathBitIdenticalAcrossThreadCounts) {
-  // 150 kept rows in round 1, then 190, 230 and 270: the solver crosses
-  // the 192-row crossover between warm rounds.
+  // 150 kept rows in round 1, then 190, 230 and 270 in warm rounds.
   auto Run = [] {
     Rng R(3006);
     std::vector<double> Witness;
@@ -1092,6 +1097,233 @@ TEST_F(LpKernelIdentityTest, WarmPathBitIdenticalAcrossThreadCounts) {
     setGlobalThreadCount(Threads);
     std::vector<LpSolution> Rounds = Run();
     ASSERT_EQ(Rounds.size(), Reference.size());
+    for (size_t I = 0; I < Rounds.size(); ++I)
+      expectBitIdentical(Reference[I], Rounds[I],
+                         "round " + std::to_string(I + 1) + " @" +
+                             std::to_string(Threads) + " threads");
+  }
+}
+
+// --- The structural core -----------------------------------------------------
+//
+// The solver factors only the basis's structural core A_TS (T: the rows
+// whose slack is nonbasic, S: the basic structurals, k = |S| = |T|).
+// These cases pin its extremes - k = 0 (every slack basic) and k = M (a
+// square equality system) - drive each of its four updates from a hand-
+// checked basis, and run a tall repair-shaped LP across rounds. Every
+// case is checked for KKT and for bit-identity at 1, 4 and 8 threads.
+
+class LpCoreTest : public LpKernelIdentityTest {};
+
+/// k of an exported basis: how many structurals it holds.
+int coreSize(const SimplexBasis &B, int NumStructurals) {
+  int K = 0;
+  for (int J : B.Basic)
+    K += J < NumStructurals;
+  return K;
+}
+
+/// Solves \p P at 1, 4 and 8 threads (bit-identical), expects Optimal
+/// and the KKT conditions, and returns the solution with its basis.
+LpSolution solveCoreCase(const LinearProgram &P, SimplexOptions Options,
+                         const std::string &What) {
+  Options.ExportBasis = true;
+  LpSolution S = expectSameAtEveryThreadCount(P, Options, What);
+  EXPECT_EQ(S.Status, SolveStatus::Optimal) << What;
+  if (S.Status == SolveStatus::Optimal) {
+    expectKktConditions(P, S, What);
+    EXPECT_NE(S.OptimalBasis, nullptr) << What;
+  }
+  return S;
+}
+
+TEST_F(LpCoreTest, AllSlackOptimumHasAnEmptyCore) {
+  // Rows that never bind inside the box: the optimum puts every variable
+  // at its cheaper bound (bound flips from the cold start), and every
+  // slack stays basic.
+  Rng R(4001);
+  const int Vars = 10;
+  LinearProgram P;
+  for (int J = 0; J < Vars; ++J)
+    P.addVariable(-3.0, 2.0, R.normal());
+  for (int I = 0; I < 30; ++I) {
+    std::vector<int> Index;
+    std::vector<double> Value;
+    for (int J = 0; J < Vars; ++J) {
+      Index.push_back(J);
+      Value.push_back(R.normal());
+    }
+    P.addRow(std::move(Index), std::move(Value), -100.0, 100.0);
+  }
+  LpSolution S = solveCoreCase(P, SimplexOptions(), "k = 0");
+  ASSERT_NE(S.OptimalBasis, nullptr);
+  EXPECT_EQ(coreSize(*S.OptimalBasis, Vars), 0);
+  EXPECT_EQ(S.Stats.Pivots, 0);
+  for (int J = 0; J < Vars; ++J)
+    EXPECT_EQ(S.X[J], P.objectiveCoef(J) > 0.0 ? -3.0 : 2.0) << J;
+}
+
+TEST_F(LpCoreTest, SquareEqualitySystemFillsTheCore) {
+  // M equality rows over M free variables: the unique solution has every
+  // structural basic and every (fixed) slack nonbasic, k = M, at a
+  // small and a wide size.
+  for (int M : {24, 200}) {
+    Rng R(4002 + M);
+    LinearProgram P;
+    std::vector<double> Witness(static_cast<size_t>(M));
+    for (int J = 0; J < M; ++J) {
+      P.addFreeVariable(R.normal());
+      Witness[static_cast<size_t>(J)] = R.uniform(-2.0, 2.0);
+    }
+    for (int I = 0; I < M; ++I) {
+      std::vector<int> Index;
+      std::vector<double> Value;
+      double Activity = 0.0;
+      for (int J = 0; J < M; ++J) {
+        double C = R.normal();
+        Index.push_back(J);
+        Value.push_back(C);
+        Activity += C * Witness[static_cast<size_t>(J)];
+      }
+      P.addRowEq(std::move(Index), std::move(Value), Activity);
+    }
+    std::string What = "k = M = " + std::to_string(M);
+    LpSolution S = solveCoreCase(P, SimplexOptions(), What);
+    ASSERT_NE(S.OptimalBasis, nullptr) << What;
+    EXPECT_EQ(coreSize(*S.OptimalBasis, M), M) << What;
+    EXPECT_LE(P.maxViolation(S.X), 1e-7) << What;
+    for (int J = 0; J < M; ++J)
+      EXPECT_NEAR(S.X[J], Witness[static_cast<size_t>(J)], 1e-6) << What;
+  }
+}
+
+TEST_F(LpCoreTest, EachCoreUpdateKind) {
+  // Hand-checked pivot paths, each from a basis whose next pivots are
+  // forced. Variables and slacks live in [0, 10] and (-inf, Hi].
+  SimplexBasis Warm;
+  auto Expect = [&](const LinearProgram &P, const SimplexBasis *Start,
+                    const std::string &What, int Pivots, int CoreSize,
+                    double Objective) {
+    SimplexOptions Options;
+    Options.WarmBasis = Start;
+    LpSolution S = solveCoreCase(P, Options, What);
+    ASSERT_NE(S.OptimalBasis, nullptr) << What;
+    EXPECT_EQ(S.WarmStarted, Start != nullptr) << What;
+    EXPECT_EQ(S.Stats.Pivots, Pivots) << What;
+    EXPECT_EQ(coreSize(*S.OptimalBasis, P.numVariables()), CoreSize) << What;
+    EXPECT_NEAR(S.Objective, Objective, 1e-12) << What;
+  };
+  constexpr std::uint8_t Basic = 0, AtLower = 1, AtUpper = 2;
+
+  // Grow: min -x s.t. x <= 1 from the slack basis. x enters and the
+  // slack leaves at its bound: k 0 -> 1.
+  {
+    LinearProgram P;
+    P.addVariable(0.0, 10.0, -1.0);
+    P.addRowLe({0}, {1.0}, 1.0);
+    Expect(P, nullptr, "grow", 1, 1, -1.0);
+  }
+  // Column swap: min -x - 2y s.t. x + y <= 1 from x basic. y enters and
+  // x leaves: S changes, T does not.
+  {
+    LinearProgram P;
+    P.addVariable(0.0, 10.0, -1.0);
+    P.addVariable(0.0, 10.0, -2.0);
+    P.addRowLe({0, 1}, {1.0, 1.0}, 1.0);
+    Warm.NumRows = 1;
+    Warm.NumVars = 3;
+    Warm.Basic = {0};
+    Warm.NonbasicState = {Basic, AtLower, AtUpper};
+    Expect(P, &Warm, "column swap", 1, 1, -2.0);
+  }
+  // Row swap: min -x s.t. x <= 1 (row 0), x <= 2 (row 1) from x basic
+  // in row 1 and slack 0 basic at 2, above its bound. Phase 1 brings
+  // slack 1 in and pushes slack 0 out: T changes, S does not.
+  {
+    LinearProgram P;
+    P.addVariable(0.0, 10.0, -1.0);
+    P.addRowLe({0}, {1.0}, 1.0);
+    P.addRowLe({0}, {1.0}, 2.0);
+    Warm.NumRows = 2;
+    Warm.NumVars = 3;
+    Warm.Basic = {1, 0};
+    Warm.NonbasicState = {Basic, Basic, AtUpper};
+    Expect(P, &Warm, "row swap", 1, 1, -1.0);
+  }
+  // Shrink, twice: min x + y s.t. x + y <= 2, 2x - y <= 1 from the
+  // vertex (1, 1) with both structurals basic. Slack 0 enters and y
+  // leaves from row 1, so x moves to row 1; then slack 1 enters and x
+  // leaves from its own row: k 2 -> 1 -> 0.
+  {
+    LinearProgram P;
+    P.addVariable(0.0, 10.0, 1.0);
+    P.addVariable(0.0, 10.0, 1.0);
+    P.addRowLe({0, 1}, {1.0, 1.0}, 2.0);
+    P.addRowLe({0, 1}, {2.0, -1.0}, 1.0);
+    Warm.NumRows = 2;
+    Warm.NumVars = 4;
+    Warm.Basic = {0, 1};
+    Warm.NonbasicState = {Basic, Basic, AtUpper, AtUpper};
+    Expect(P, &Warm, "shrink", 2, 0, 0.0);
+  }
+}
+
+TEST_F(LpCoreTest, TallRepairShapedDeltaLpAcrossRounds) {
+  // The fog-lines shape: an l1 DeltaLp with many rows and few tight
+  // ones, 1,000 rows over 64 deltas appended in three rounds. Each round
+  // must match a cold solve of the rows so far, satisfy KKT, and be
+  // bit-identical at 1, 4 and 8 threads.
+  const int Dim = 64;
+  auto Run = [&] {
+    Rng R(4010);
+    DeltaLp D(Dim, Norm::L1, 10.0);
+    std::vector<double> Witness(static_cast<size_t>(Dim));
+    for (double &Wj : Witness)
+      Wj = R.uniform(-0.5, 0.5);
+    auto AddRows = [&](int Count) {
+      for (int I = 0; I < Count; ++I) {
+        std::vector<double> Coef(static_cast<size_t>(Dim));
+        double Activity = 0.0;
+        for (int J = 0; J < Dim; ++J) {
+          Coef[static_cast<size_t>(J)] = R.normal();
+          Activity +=
+              Coef[static_cast<size_t>(J)] * Witness[static_cast<size_t>(J)];
+        }
+        // One row in twelve is tight near the witness; the rest hold
+        // with room to spare at Delta = 0 and at the witness.
+        double Hi = R.bernoulli(1.0 / 12)
+                        ? Activity + R.uniform(0.0, 0.05)
+                        : std::max(Activity, 0.0) + R.uniform(0.5, 2.0);
+        D.addConstraint(Coef, -kInfinity, Hi);
+      }
+    };
+    std::vector<LpSolution> Rounds;
+    std::vector<LinearProgram> Problems;
+    AddRows(400);
+    SimplexSolver Solver(D.problem());
+    for (int Count : {0, 300, 300}) {
+      AddRows(Count);
+      Rounds.push_back(Solver.solve());
+      Problems.push_back(D.problem());
+    }
+    return std::make_pair(Rounds, Problems);
+  };
+  setGlobalThreadCount(1);
+  auto [Reference, Problems] = Run();
+  for (size_t I = 0; I < Reference.size(); ++I) {
+    std::string What = "round " + std::to_string(I + 1);
+    ASSERT_EQ(Reference[I].Status, SolveStatus::Optimal) << What;
+    expectMatchesCold(Problems[I], Reference[I], What);
+    expectKktConditions(Problems[I], Reference[I], What);
+    if (I > 0) { // re-optimized by the dual simplex
+      EXPECT_GT(Reference[I].Iterations, 0) << What;
+      EXPECT_EQ(Reference[I].Phase1Iterations, 0) << What;
+    }
+  }
+  EXPECT_EQ(Problems.back().numRows(), 1000);
+  for (int Threads : {4, 8}) {
+    setGlobalThreadCount(Threads);
+    std::vector<LpSolution> Rounds = Run().first;
     for (size_t I = 0; I < Rounds.size(); ++I)
       expectBitIdentical(Reference[I], Rounds[I],
                          "round " + std::to_string(I + 1) + " @" +
