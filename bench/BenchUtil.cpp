@@ -2,7 +2,6 @@
 
 #include "BenchUtil.h"
 
-#include "linalg/Kernels.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -51,10 +50,7 @@ std::string BenchJson::write() const {
   Os << "{\"bench\": \"" << Name << "\", \"git_sha\": \"" PRDNN_GIT_SHA
      << "\", \"build_type\": \"" PRDNN_BUILD_TYPE
      << "\", \"hardware_concurrency\": "
-     << std::thread::hardware_concurrency()
-     << ", \"kernel_backend\": \"" << linalg::kernelBackendName()
-     << "\", \"kernel_backend_simd\": "
-     << (linalg::kernelBackendIsSimd() ? 1 : 0) << ", \"records\": [";
+     << std::thread::hardware_concurrency() << ", \"records\": [";
   for (size_t R = 0; R < Records.size(); ++R) {
     Os << (R == 0 ? "\n" : ",\n") << "  {";
     const auto &Record = Records[R];

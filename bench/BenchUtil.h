@@ -110,15 +110,11 @@ PointSpec task3Spec(const Task3Workload &W, double *LinRegionsSeconds,
 /// (points/sec, Jacobian/LP seconds, thread count, ...) without
 /// scraping the human-readable tables. Every file is stamped with the
 /// host's hardware_concurrency, the git commit the tree was configured
-/// at, the CMake build type ("unknown" when not built through the
-/// repo's CMakeLists), and the resolved Fast-tier kernel backend
-/// (linalg::kernelBackendName() - "avx2_fma" or "portable" -
-/// plus a 0/1 SIMD flag), so archived artifacts stay attributable and
-/// numbers from SIMD and portable hosts are never conflated. Schema:
+/// at, and the CMake build type ("unknown" when not built through the
+/// repo's CMakeLists), so archived artifacts stay attributable. Schema:
 ///
 ///   { "bench": "<name>", "git_sha": "<sha|unknown>",
 ///     "build_type": "<Release|...|unknown>", "hardware_concurrency": n,
-///     "kernel_backend": "<name>", "kernel_backend_simd": 0|1,
 ///     "records": [ {"k": v | "s", ...}, ... ] }
 class BenchJson {
 public:

@@ -9,12 +9,6 @@
 // worse drawdown, MFT fast/low-drawdown but low-efficacy - is the
 // reproduction target.
 //
-// --tier strict|fast selects the kernel determinism tier
-// (src/linalg/Kernels.h) for every PR repair in the run; the tier is
-// stamped into each JSON record. The seed-vs-engine Jacobian
-// bit-identity sanity check always runs Strict - it is a check of the
-// deterministic path, not of the tier under test.
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -31,7 +25,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 
@@ -265,26 +258,13 @@ double batchedPhaseSeconds(const Network &Net, const PointSpec &Spec,
 
 } // namespace
 
-int main(int argc, char **argv) {
-  linalg::Determinism Tier = linalg::Determinism::Strict;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--tier") == 0 && I + 1 < argc) {
-      ++I;
-      if (std::strcmp(argv[I], "fast") == 0) {
-        Tier = linalg::Determinism::Fast;
-      } else if (std::strcmp(argv[I], "strict") != 0) {
-        std::printf("unknown tier '%s' (expected strict|fast)\n", argv[I]);
-        return 1;
-      }
-    }
-  }
+int main() {
   // The paper uses 100/200/400/752 points on a 727k-parameter network;
   // our substrate is ~100x smaller, so the sweep is scaled to
   // 50/100/200 (documented in EXPERIMENTS.md).
   const int Sizes[] = {50, 100, 200};
   std::printf("=== Task 1: Pointwise repair of a conv image classifier "
-              "(Tables 1 and 4), %s tier ===\n",
-              linalg::toString(Tier));
+              "(Tables 1 and 4) ===\n");
   Task1Workload W = makeTask1Workload(200);
   std::printf("buggy network: %.1f%% validation accuracy, %.1f%% on %d "
               "adversarial images\n",
@@ -298,11 +278,9 @@ int main(int argc, char **argv) {
 
   RepairEngine Engine;
   auto RunRepair = [&](int LayerIdx, const PointSpec &Spec) {
-    RepairOptions Options;
-    Options.Determinism = Tier;
     return Engine
         .run(RepairRequest::points(RepairRequest::borrow(W.Net), LayerIdx,
-                                   Spec, std::move(Options)))
+                                   Spec))
         .Result;
   };
 
@@ -385,7 +363,6 @@ int main(int argc, char **argv) {
       Json.beginRecord();
       Json.add("points", SpecPoints);
       Json.add("rows", BatchRun.Stats.SpecRows);
-      Json.add("tier", linalg::toString(Tier));
       Json.add("threads", BenchThreads);
       Json.add("layer", AblationLayer);
       Json.add("status_batched", toString(BatchRun.Status));

@@ -212,10 +212,6 @@ void RepairEngine::recordJobMetrics(const RepairReport &Report) {
     T->JobsFailed->inc();
     break;
   }
-  if (Report.Result.Stats.Determinism == linalg::Determinism::Fast)
-    T->JobsFastTier->inc();
-  else
-    T->JobsStrictTier->inc();
   T->QueueWaitSeconds->observe(Report.QueueSeconds);
   T->JobSeconds->observe(Report.TotalSeconds);
   for (const SweepAttempt &Attempt : Report.Sweep) {
@@ -470,21 +466,12 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
   Report.QueueSeconds = QueueSeconds;
 
   const Network &Net = *Request.Net;
-  // Resolve the job's kernel determinism tier: an explicit request
-  // tier wins, otherwise the engine default applies. Every attempt of
-  // the job (and the shared polytope key points) runs under the
-  // resolved tier, which the impls stamp into RepairStats and key
-  // cached artifacts with.
-  RepairOptions Options = Request.Options;
-  if (!Options.Determinism)
-    Options.Determinism = Opts.Determinism;
-  const linalg::Determinism Tier = *Options.Determinism;
+  const RepairOptions &Options = Request.Options;
   // Values the pipeline cannot run fail here, before any phase and
   // with no LP work.
   if (!validRepairOptions(Options)) {
     Report.Status = RepairStatus::SolverFailure;
     Report.Result.Status = RepairStatus::SolverFailure;
-    Report.Result.Stats.Determinism = Tier;
     Report.TotalSeconds = Total.seconds();
     Ctx.markDone();
     return Report;
@@ -548,7 +535,7 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
       SawCancel = true;
     } else {
       SharedKeyPoints.emplace(
-          keyPoints(Net, PolySpec, &Ctx, Options.UseCache, Tier));
+          keyPoints(Net, PolySpec, &Ctx, Options.UseCache));
       Ctx.advance(static_cast<std::int64_t>(PolySpec.size()));
     }
   }
@@ -577,10 +564,9 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     return Attempt;
   };
 
-  auto MakeEntry = [Tier](int Layer, const RepairResult &Attempt, int Shard) {
+  auto MakeEntry = [](int Layer, const RepairResult &Attempt, int Shard) {
     SweepAttempt Entry;
     Entry.LayerIndex = Layer;
-    Entry.Determinism = Tier;
     Entry.Status = Attempt.Status;
     Entry.DeltaL1 = Attempt.DeltaL1;
     Entry.DeltaLInf = Attempt.DeltaLInf;
@@ -708,9 +694,6 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     Report.CacheMisses += Attempt.CacheMisses;
     Report.StoreHits += Attempt.StoreHits;
   }
-  // Attempts that ran stamped this already; restate it so jobs
-  // cancelled before any attempt still report the tier they resolved.
-  Report.Result.Stats.Determinism = Tier;
   Report.TotalSeconds = Total.seconds();
   Ctx.markDone();
   return Report;

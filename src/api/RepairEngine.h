@@ -127,13 +127,6 @@ struct EngineOptions {
   /// earlier submission. 0 (the default) disables aging, preserving
   /// strict class order. Scheduling only - results are unaffected.
   double AgingSeconds = 0.0;
-  /// Default kernel determinism tier (linalg/Kernels.h) for jobs whose
-  /// RepairOptions::Determinism is unset. Strict (the default) keeps
-  /// every job bit-for-bit reproducible and warm-start/basis-cache
-  /// eligible; Fast trades that for SIMD throughput, epsilon-verified
-  /// against Strict (see src/linalg/README.md). A request's explicit
-  /// tier always wins over this engine default.
-  linalg::Determinism Determinism = linalg::Determinism::Strict;
   /// Telemetry sink (obs/Telemetry.h): when set, the engine registers
   /// queue/cache/store collectors with its MetricsRegistry, records
   /// job lifecycle counters and phase/kernel timings, and feeds each

@@ -54,11 +54,6 @@ struct SweepAttempt {
   /// fixed-layer requests, hooked jobs, a one-thread pool). Purely
   /// informational: results are independent of shard assignment.
   int ShardId = 0;
-  /// Kernel determinism tier the attempt ran under (the request's
-  /// RepairOptions::Determinism resolved against the engine default).
-  /// Uniform across a sweep - stamped per attempt so the log is
-  /// self-describing.
-  linalg::Determinism Determinism = linalg::Determinism::Strict;
 };
 
 struct RepairReport {

@@ -46,15 +46,6 @@ void prdnn::hashMatrix(Hasher &H, const Matrix &M) {
                   static_cast<std::size_t>(M.cols()));
 }
 
-void prdnn::hashDeterminism(Hasher &H, linalg::Determinism Tier) {
-  if (Tier == linalg::Determinism::Strict)
-    return; // pre-tier keys were all Strict; keep them byte-identical
-  H.u64(0x74696572ull); // "tier" tag, so Fast can never alias a Strict
-                        // stream that happened to end the same way
-  H.u64(static_cast<std::uint64_t>(Tier));
-  H.str(linalg::kernelBackendName());
-}
-
 std::string prdnn::toHex(const Digest128 &Digest) {
   static const char *Alphabet = "0123456789abcdef";
   std::string Out;

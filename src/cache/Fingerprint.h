@@ -18,7 +18,6 @@
 #ifndef PRDNN_CACHE_FINGERPRINT_H
 #define PRDNN_CACHE_FINGERPRINT_H
 
-#include "linalg/Kernels.h"
 #include "support/Hash.h"
 
 #include <optional>
@@ -48,17 +47,6 @@ NetworkFingerprint fingerprintNetwork(const Network &Net);
 void hashVector(Hasher &H, const Vector &V);
 void hashMatrix(Hasher &H, const Matrix &M);
 void hashPattern(Hasher &H, const NetworkPattern &Pattern);
-
-/// Absorbs the kernel determinism tier the artifact was (or would be)
-/// computed under. Every cache/store/basis key must call this: a
-/// Fast-tier artifact is epsilon-, not bit-, equal to its Strict twin
-/// and must never satisfy a Strict request. Strict absorbs nothing, so
-/// every pre-tier cache key (all of which were Strict by construction)
-/// is unchanged and warm L2 stores survive the upgrade; Fast absorbs a
-/// tier tag plus the resolved backend name
-/// (linalg::kernelBackendName()), because Fast bits depend on the
-/// host's backend and the L2 store is shared across machines.
-void hashDeterminism(Hasher &H, linalg::Determinism Tier);
 
 /// 32 lowercase hex chars (Hi then Lo): the digest's canonical text
 /// form, used wherever a content address becomes a file name or wire

@@ -102,16 +102,6 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   RepairResult Result;
   Result.Stats.SpecPoints = static_cast<int>(Spec.size());
 
-  // Resolve the request's kernel tier (the engine resolves the optional
-  // against EngineOptions::Determinism before calling; a direct
-  // detail:: call with it unset runs Strict) and install it as this
-  // thread's ambient tier, so the nn/ GEMM entry points of the Jacobian
-  // phase - all invoked from this thread - inherit it.
-  linalg::Determinism Tier =
-      Options.Determinism.value_or(linalg::Determinism::Strict);
-  linalg::KernelTierScope TierScope(Tier);
-  Result.Stats.Determinism = Tier;
-
   // LP accounting, declared up front so every exit path - cancellation
   // included - stamps the timing stats consistently.
   double LpSeconds = 0.0;
@@ -248,7 +238,6 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       const NetworkFingerprint &Fp = Ctx->networkFingerprint();
       H.u64(Fp.Digest.Hi);
       H.u64(Fp.Digest.Lo);
-      hashDeterminism(H, Tier); // Fast blocks never serve Strict
       H.i32(LayerIndex);
       H.f64(Options.RowMargin);
       H.i32(NumEff);
@@ -375,12 +364,6 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   lp::SimplexOptions LpOptions = Options.Lp;
   if (Ctx && !LpOptions.CancelFlag)
     LpOptions.CancelFlag = Ctx->cancelFlag();
-  // A Fast repair tier promotes the simplex kernels too (a caller who
-  // pre-set Options.Lp.Determinism = Fast under a Strict repair tier
-  // keeps their setting - the basis gate below keys off the effective
-  // LP tier either way).
-  if (Tier == linalg::Determinism::Fast)
-    LpOptions.Determinism = linalg::Determinism::Fast;
   bool LpCancelled = false;
 
   // Warm-start basis cache (the fourth artifact kind). The key hashes
@@ -400,22 +383,14 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   // cache-off by construction) and counts as a basis miss. Equal keys
   // imply an identically-shaped LP, so an exported basis always has
   // the right dimensions for a replayed hit.
-  // Strict is the only basis-cache tier: a Fast solve's terminal basis
-  // reflects Fast pivoting on this host's backend, and replaying it
-  // cannot re-derive the Strict solution bit-for-bit - so Fast solves
-  // never read or publish bases (they solve cold; the tier is also in
-  // the key via hashDeterminism as defense in depth).
-  bool LpStrict = LpOptions.Determinism == linalg::Determinism::Strict;
   ArtifactCache *BasisCache =
-      (Ctx && Options.UseCache && Options.WarmStartBasis && LpStrict)
-          ? Ctx->cache()
-          : nullptr;
+      (Ctx && Options.UseCache && Options.WarmStartBasis) ? Ctx->cache()
+                                                          : nullptr;
   auto BasisKey = [&](const std::vector<int> &Use) {
     Hasher H;
     const NetworkFingerprint &Fp = Ctx->networkFingerprint();
     H.u64(Fp.Digest.Hi);
     H.u64(Fp.Digest.Lo);
-    hashDeterminism(H, LpOptions.Determinism);
     H.i32(LayerIndex);
     H.i32(NumEff);
     for (int E : Effective)

@@ -103,15 +103,6 @@ struct RepairOptions {
   /// never changes results. Only effective when the job carries a
   /// cache, like UseCache.
   bool WarmStartBasis = true;
-  /// Kernel determinism tier for this repair's dense hot paths (the
-  /// batched-Jacobian GEMMs and, unless Lp.Determinism is already Fast,
-  /// the simplex inner loops). Unset inherits the engine's default
-  /// (EngineOptions::Determinism; Strict for the one-shot wrappers).
-  /// Fast results are epsilon-close, not bit-identical, to Strict; the
-  /// resolved tier is stamped into RepairStats::Determinism, keys every
-  /// cached artifact (a Fast artifact never satisfies a Strict request),
-  /// and disables warm-start basis caching, which is Strict-only.
-  std::optional<linalg::Determinism> Determinism;
   lp::SimplexOptions Lp;
 };
 
@@ -124,9 +115,6 @@ struct RepairOptions {
 bool validRepairOptions(const RepairOptions &O);
 
 struct RepairStats {
-  /// The kernel tier this repair actually ran under (the request's
-  /// RepairOptions::Determinism resolved against the engine default).
-  linalg::Determinism Determinism = linalg::Determinism::Strict;
   double JacobianSeconds = 0.0;
   double LpSeconds = 0.0;
   double OtherSeconds = 0.0;

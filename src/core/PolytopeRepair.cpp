@@ -15,14 +15,9 @@
 using namespace prdnn;
 
 KeyPointsResult prdnn::keyPoints(const Network &Net, const PolytopeSpec &Spec,
-                                 JobContext *Ctx, bool UseCache,
-                                 linalg::Determinism Tier) {
+                                 JobContext *Ctx, bool UseCache) {
   assert(Net.isPiecewiseLinear() &&
          "polytope repair requires a piecewise-linear network (§6)");
-  // Ambient tier for the batched work on this thread; the per-polytope
-  // transform tasks below run on pool workers and install it
-  // themselves.
-  linalg::KernelTierScope TierScope(Tier);
   int NumPolytopes = static_cast<int>(Spec.size());
   KeyPointsResult Result;
   // Wall time of the whole key-point construction, measured on the
@@ -42,7 +37,6 @@ KeyPointsResult prdnn::keyPoints(const Network &Net, const PolytopeSpec &Spec,
     auto Artifact = std::make_shared<SyrennTransformArtifact>();
     Artifact->Partitions.resize(static_cast<size_t>(NumPolytopes));
     parallelFor(0, NumPolytopes, [&](std::int64_t PIdx) {
-      linalg::KernelTierScope WorkerScope(Tier);
       const SpecPolytope &P = Spec[static_cast<size_t>(PIdx)];
       if (const auto *Segment = std::get_if<SegmentPolytope>(&P.Shape))
         Artifact->Partitions[static_cast<size_t>(PIdx)] =
@@ -59,7 +53,6 @@ KeyPointsResult prdnn::keyPoints(const Network &Net, const PolytopeSpec &Spec,
     const NetworkFingerprint &Fp = Ctx->networkFingerprint();
     H.u64(Fp.Digest.Hi);
     H.u64(Fp.Digest.Lo);
-    hashDeterminism(H, Tier);
     H.i32(NumPolytopes);
     for (const SpecPolytope &P : Spec) {
       if (const auto *Segment = std::get_if<SegmentPolytope>(&P.Shape)) {
@@ -131,7 +124,6 @@ KeyPointsResult prdnn::keyPoints(const Network &Net, const PolytopeSpec &Spec,
     const NetworkFingerprint &Fp = Ctx->networkFingerprint();
     H.u64(Fp.Digest.Hi);
     H.u64(Fp.Digest.Lo);
-    hashDeterminism(H, Tier);
     H.i32(static_cast<int>(Reps.size()));
     for (const Vector &V : Reps)
       hashVector(H, V);
@@ -221,9 +213,7 @@ RepairResult prdnn::detail::repairPolytopesImpl(const Network &Net,
       return Result;
     }
   }
-  KeyPointsResult KeyPts =
-      keyPoints(Net, Spec, Ctx, Options.UseCache,
-                Options.Determinism.value_or(linalg::Determinism::Strict));
+  KeyPointsResult KeyPts = keyPoints(Net, Spec, Ctx, Options.UseCache);
   if (Ctx)
     Ctx->advance(static_cast<std::int64_t>(Spec.size()));
 

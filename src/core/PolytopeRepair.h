@@ -73,14 +73,9 @@ struct KeyPointsResult {
 /// fingerprint and the polytope *shapes*, so specs differing only in
 /// output constraints share them) and the per-region pattern batch are
 /// cached artifacts. Bit-for-bit identical to keyPointSpec for every
-/// cache state. \p Tier is the kernel determinism tier the construction
-/// runs under (and part of both artifact keys when Fast, so a Fast
-/// transform never serves a Strict request); Strict is bit-for-bit the
-/// pre-tier behavior.
-KeyPointsResult
-keyPoints(const Network &Net, const PolytopeSpec &Spec,
-          JobContext *Ctx = nullptr, bool UseCache = true,
-          linalg::Determinism Tier = linalg::Determinism::Strict);
+/// cache state.
+KeyPointsResult keyPoints(const Network &Net, const PolytopeSpec &Spec,
+                          JobContext *Ctx = nullptr, bool UseCache = true);
 
 namespace detail {
 

@@ -1,126 +1,60 @@
-//===- linalg/Kernels.h - dense kernel backends with tiers -----*- C++ -*-===//
+//===- linalg/Kernels.h - dense dot and axpy kernels -----------*- C++ -*-===//
 ///
 /// \file
-/// The kernel-backend layer behind every dense hot loop (GEMM in
-/// Matrix.cpp, the simplex pricing/FTRAN/BTRAN/refactorization loops in
-/// lp/Simplex.cpp): two explicit determinism tiers over the same two
-/// primitives, dot and axpy.
+/// The two primitives behind every dense hot loop (GEMM in Matrix.cpp,
+/// the simplex pricing/FTRAN/BTRAN/refactorization loops in
+/// lp/Simplex.cpp): dot and axpy.
 ///
-///  - Determinism::Strict (the default) preserves the repo's bit-exact
-///    contract: plain left-to-right scalar accumulation, no fusing, no
-///    reassociation. It is byte-for-byte the pre-existing scalar loop -
-///    the Strict path is inlined below precisely so routing a caller
-///    through this layer cannot change its codegen-visible semantics.
-///  - Determinism::Fast trades bit-reproducibility for throughput:
-///    reassociated multi-accumulator reductions, and AVX2/FMA when the
-///    *running* CPU supports it (decided once at runtime, never at
-///    compile time - see kernelBackendName). Fast results are
-///    epsilon-verified against Strict (tests/kernels_test.cpp,
-///    bench_kernel_backends); the bound is documented in
-///    src/linalg/README.md.
-///
-/// The active tier travels two ways: explicitly (every kernel takes a
-/// Determinism argument) and ambiently (a thread-local set by
-/// KernelTierScope, read by Matrix's default entry points so deep
-/// callees like the batched-Jacobian GEMMs inherit the requesting
-/// job's tier without signature churn). Worker threads do NOT inherit
-/// the scope automatically - parallel callers must capture the tier by
-/// value into their task lambdas, as Matrix.cpp does.
+/// Both are defined so that their result bits depend only on their
+/// inputs - not on the ISA, the compiler's vectorization choices, or
+/// the thread count. Each is a fixed sequence of IEEE-754 multiplies
+/// and adds (no FMA: the library is built with -ffp-contract=off and
+/// exports that flag to everything that inlines this header), and IEEE
+/// add and multiply are correctly rounded, so any evaluation that keeps
+/// that sequence - scalar, SSE2, AVX2, AVX-512 - produces the same
+/// bits. src/linalg/README.md has the definition and its measurement;
+/// tests/kernels_test.cpp pins it with known-answer checks and a golden
+/// digest.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRDNN_LINALG_KERNELS_H
 #define PRDNN_LINALG_KERNELS_H
 
-#include <cstdint>
-
 namespace prdnn {
 namespace linalg {
 
-/// Kernel determinism tier. Values are the wire encoding
-/// (rpc/Wire.cpp) - append only.
-enum class Determinism : std::uint8_t {
-  /// Bit-for-bit scalar accumulation order; identical results across
-  /// thread counts, machines, and builds. Mandatory for warm-start
-  /// basis replay and the ablation benches' identity checks.
-  Strict = 0,
-  /// Vectorized/reassociated accumulation, epsilon-close to Strict.
-  /// Backend (AVX2+FMA vs portable unrolled scalar) is chosen at
-  /// runtime per host, so Fast artifacts are not comparable across
-  /// machines and never enter the Strict cache key space.
-  Fast = 1,
-};
-
-const char *toString(Determinism Tier);
-
-/// Name of the backend the Fast tier resolved to on this host:
-/// "avx2_fma" or "portable". Resolved once, at first use, from CPUID -
-/// a binary built with AVX2 available never executes AVX2 instructions
-/// on a host without them.
-const char *kernelBackendName();
-
-/// True when the Fast tier is using SIMD (AVX2+FMA) on this host.
-bool kernelBackendIsSimd();
-
-namespace detail {
-
-/// Out-of-line Fast-tier primitives (multi-accumulator / SIMD).
-double fastDot(const double *A, const double *B, int N);
-void fastAxpy(double *Y, const double *X, double Scale, int N);
-
-} // namespace detail
-
-/// Dot product sum_i A[i]*B[i].
+/// Dot product sum_i A[i]*B[i] in a fixed 8-lane order.
 ///
-/// Strict: the exact scalar loop every pre-existing caller ran, inlined
-/// here so the compiler sees the same code it always did.
-inline double kernelDot(const double *A, const double *B, int N,
-                        Determinism Tier) {
-  if (Tier == Determinism::Strict) {
-    double Sum = 0.0;
-    for (int I = 0; I < N; ++I)
-      Sum += A[I] * B[I];
-    return Sum;
-  }
-  return detail::fastDot(A, B, N);
+/// The first N - N%8 products accumulate into lane I%8 (each lane
+/// starts at +0.0 and adds its products in ascending I); the lanes
+/// combine in the fixed tree ((S0+S4)+(S2+S6)) + ((S1+S5)+(S3+S7));
+/// the remaining N%8 products are then added in ascending order. For
+/// N < 8 this is exactly the plain left-to-right loop.
+inline double kernelDot(const double *A, const double *B, int N) {
+  double S[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  const int Body = N - N % 8;
+  for (int I = 0; I < Body; I += 8)
+    for (int L = 0; L < 8; ++L)
+      S[L] += A[I + L] * B[I + L];
+  double Sum =
+      ((S[0] + S[4]) + (S[2] + S[6])) + ((S[1] + S[5]) + (S[3] + S[7]));
+  for (int I = Body; I < N; ++I)
+    Sum += A[I] * B[I];
+  return Sum;
 }
 
-/// Y[i] += Scale * X[i]. Callers' zero-skips (skipping Scale == 0
-/// entirely) stay at the call site - they are semantically identical in
-/// both tiers and part of the Strict accumulation order.
+/// Y[i] += Scale * X[i], elementwise. Callers' zero-skips (skipping
+/// Scale == 0 entirely) stay at the call site and are part of the
+/// caller's accumulation order.
 ///
 /// A subtraction loop `Y[i] -= F * X[i]` routes through here as
 /// kernelAxpy(Y, X, -F, N): IEEE negation is exact and
-/// a + (-t) == a - t, so the Strict bits are unchanged.
-inline void kernelAxpy(double *Y, const double *X, double Scale, int N,
-                       Determinism Tier) {
-  if (Tier == Determinism::Strict) {
-    for (int I = 0; I < N; ++I)
-      Y[I] += Scale * X[I];
-    return;
-  }
-  detail::fastAxpy(Y, X, Scale, N);
+/// a + (-t) == a - t, so the bits are unchanged.
+inline void kernelAxpy(double *Y, const double *X, double Scale, int N) {
+  for (int I = 0; I < N; ++I)
+    Y[I] += Scale * X[I];
 }
-
-/// The calling thread's ambient tier (Strict unless a KernelTierScope
-/// is live on this thread).
-Determinism currentKernelTier();
-
-/// RAII ambient-tier override for the current thread. Installed at the
-/// top of each repair job (core/PointRepair.cpp) so the nn/ GEMMs the
-/// job calls inherit the request's tier; restores the previous tier on
-/// destruction, so nested scopes and reused pool threads stay correct.
-class KernelTierScope {
-public:
-  explicit KernelTierScope(Determinism Tier);
-  ~KernelTierScope();
-
-  KernelTierScope(const KernelTierScope &) = delete;
-  KernelTierScope &operator=(const KernelTierScope &) = delete;
-
-private:
-  Determinism Saved;
-};
 
 } // namespace linalg
 } // namespace prdnn

@@ -71,36 +71,33 @@ void Matrix::setRow(int Row, const Vector &V) {
     Data[C] = V[C];
 }
 
-Vector Matrix::apply(const Vector &X, linalg::Determinism Tier) const {
+Vector Matrix::apply(const Vector &X) const {
   assert(X.size() == NumCols && "matrix-vector shape mismatch");
   Vector Result(NumRows);
   for (int R = 0; R < NumRows; ++R)
-    Result[R] = linalg::kernelDot(rowData(R), X.data(), NumCols, Tier);
+    Result[R] = linalg::kernelDot(rowData(R), X.data(), NumCols);
   return Result;
 }
 
-Vector Matrix::applyTransposed(const Vector &X,
-                               linalg::Determinism Tier) const {
+Vector Matrix::applyTransposed(const Vector &X) const {
   assert(X.size() == NumRows && "matrix-vector shape mismatch");
   Vector Result(NumCols);
   for (int R = 0; R < NumRows; ++R) {
     double Scale = X[R];
     if (Scale == 0.0)
       continue;
-    linalg::kernelAxpy(Result.data(), rowData(R), Scale, NumCols, Tier);
+    linalg::kernelAxpy(Result.data(), rowData(R), Scale, NumCols);
   }
   return Result;
 }
 
-Matrix Matrix::multiply(const Matrix &Other, linalg::Determinism Tier) const {
+Matrix Matrix::multiply(const Matrix &Other) const {
   assert(NumCols == Other.NumRows && "matrix-matrix shape mismatch");
   Matrix Result(NumRows, Other.NumCols);
-  // Blocked ikj kernel: K-blocks ascend, so under Strict each output
-  // element accumulates in the same order (with the same zero-skips) as
-  // the naive loop - blocking and threading never change the result
-  // bits. The tier is captured by value so pool workers use the
-  // caller's tier, not their own thread-local default.
-  auto RowRange = [&, Tier](std::int64_t RowBegin, std::int64_t RowEnd) {
+  // Blocked ikj kernel: K-blocks ascend, so each output element
+  // accumulates in the same order (with the same zero-skips) as the
+  // naive loop - blocking and threading never change the result bits.
+  auto RowRange = [&](std::int64_t RowBegin, std::int64_t RowEnd) {
     for (int KBlock = 0; KBlock < NumCols; KBlock += kGemmKBlock) {
       int KEnd = std::min(KBlock + kGemmKBlock, NumCols);
       for (int R = static_cast<int>(RowBegin); R < RowEnd; ++R) {
@@ -110,8 +107,7 @@ Matrix Matrix::multiply(const Matrix &Other, linalg::Determinism Tier) const {
           double Scale = LhsRow[K];
           if (Scale == 0.0)
             continue;
-          linalg::kernelAxpy(OutRow, Other.rowData(K), Scale, Other.NumCols,
-                             Tier);
+          linalg::kernelAxpy(OutRow, Other.rowData(K), Scale, Other.NumCols);
         }
       }
     }
@@ -124,17 +120,15 @@ Matrix Matrix::multiply(const Matrix &Other, linalg::Determinism Tier) const {
   return Result;
 }
 
-Matrix Matrix::multiplyTransposed(const Matrix &Other,
-                                  linalg::Determinism Tier) const {
+Matrix Matrix::multiplyTransposed(const Matrix &Other) const {
   assert(NumCols == Other.NumCols && "matrix-matrix shape mismatch");
   Matrix Result(NumRows, Other.NumRows);
-  auto RowRange = [&, Tier](std::int64_t RowBegin, std::int64_t RowEnd) {
+  auto RowRange = [&](std::int64_t RowBegin, std::int64_t RowEnd) {
     for (int R = static_cast<int>(RowBegin); R < RowEnd; ++R) {
       const double *LhsRow = rowData(R);
       double *OutRow = Result.rowData(R);
       for (int O = 0; O < Other.NumRows; ++O)
-        OutRow[O] =
-            linalg::kernelDot(Other.rowData(O), LhsRow, NumCols, Tier);
+        OutRow[O] = linalg::kernelDot(Other.rowData(O), LhsRow, NumCols);
     }
   };
   double Flops = static_cast<double>(NumRows) * NumCols * Other.NumRows;

@@ -8,16 +8,11 @@
 /// paramJacobianBatch).
 ///
 /// The matrix products are cache-blocked and run on the global thread
-/// pool (support/Parallel.h) when the operand sizes warrant it. Under
-/// the default Strict determinism tier each output row is produced by
-/// exactly one task with an accumulation order identical to the
-/// sequential loop, so results are bit-for-bit independent of the
-/// thread count. The Fast tier (linalg/Kernels.h) vectorizes the inner
-/// loops instead and is epsilon-verified against Strict. Entry points
-/// without an explicit tier argument read the calling thread's ambient
-/// tier (linalg::currentKernelTier()); the tier is captured by value
-/// before any pool fan-out so worker threads compute under the
-/// caller's tier.
+/// pool (support/Parallel.h) when the operand sizes warrant it. Each
+/// output row is produced by exactly one task, and every element is one
+/// linalg::kernelDot or a fixed ascending sequence of linalg::kernelAxpy
+/// updates, so results are bit-for-bit independent of the thread count
+/// and of the host (linalg/Kernels.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,37 +78,23 @@ public:
   /// Overwrites row \p Row with \p V (dimension must equal cols()).
   void setRow(int Row, const Vector &V);
 
-  /// Matrix-vector product A*x (ambient-tier overloads defer to the
-  /// calling thread's linalg::currentKernelTier()).
-  Vector apply(const Vector &X) const {
-    return apply(X, linalg::currentKernelTier());
-  }
-  Vector apply(const Vector &X, linalg::Determinism Tier) const;
+  /// Matrix-vector product A*x: one kernelDot per row.
+  Vector apply(const Vector &X) const;
 
   /// Transposed product A^T * x.
-  Vector applyTransposed(const Vector &X) const {
-    return applyTransposed(X, linalg::currentKernelTier());
-  }
-  Vector applyTransposed(const Vector &X, linalg::Determinism Tier) const;
+  Vector applyTransposed(const Vector &X) const;
 
   /// Matrix-matrix product (*this) * Other. Cache-blocked over the
   /// inner dimension and parallel over output rows for large operands;
-  /// under Strict the per-element accumulation order matches the naive
-  /// loop exactly.
-  Matrix multiply(const Matrix &Other) const {
-    return multiply(Other, linalg::currentKernelTier());
-  }
-  Matrix multiply(const Matrix &Other, linalg::Determinism Tier) const;
+  /// the per-element accumulation order matches the naive ikj loop
+  /// exactly.
+  Matrix multiply(const Matrix &Other) const;
 
   /// Product against a transposed right operand: (*this) * Other^T,
   /// with Other stored row-major (so each output entry is a dot product
   /// of two contiguous rows). This is the batched fully-connected
   /// forward kernel: Out = In * W^T.
-  Matrix multiplyTransposed(const Matrix &Other) const {
-    return multiplyTransposed(Other, linalg::currentKernelTier());
-  }
-  Matrix multiplyTransposed(const Matrix &Other,
-                            linalg::Determinism Tier) const;
+  Matrix multiplyTransposed(const Matrix &Other) const;
 
   Matrix transposed() const;
 

@@ -76,6 +76,7 @@
 
 #include "lp/Simplex.h"
 
+#include "linalg/Kernels.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 
@@ -779,10 +780,8 @@ bool SimplexSolver::Worker::refactor() {
       double Factor = C[I * Cap + P];
       if (I == P || Factor == 0.0)
         continue;
-      linalg::kernelAxpy(C + I * Cap, C + P * Cap, -Factor, K,
-                         Opt.Determinism);
-      linalg::kernelAxpy(Inv + I * Cap, Inv + P * Cap, -Factor, K,
-                         Opt.Determinism);
+      linalg::kernelAxpy(C + I * Cap, C + P * Cap, -Factor, K);
+      linalg::kernelAxpy(Inv + I * Cap, Inv + P * Cap, -Factor, K);
     }
   }
   PivotsSinceRefactor = 0;
@@ -805,13 +804,12 @@ void SimplexSolver::Worker::solveBasis(const double *V,
   for (int A = 0; A < K; ++A)
     CoreV[A] = V[CoreRow[A]];
   for (int B = 0; B < K; ++B)
-    CoreU[B] = linalg::kernelDot(coreRow(B), CoreV.data(), K, Opt.Determinism);
+    CoreU[B] = linalg::kernelDot(coreRow(B), CoreV.data(), K);
   for (int I = 0; I < M; ++I)
     Out[I] = -V[I];
   for (int B = 0; B < K; ++B)
     if (CoreU[B] != 0.0)
-      linalg::kernelAxpy(Out.data(), coreColumn(B), CoreU[B], M,
-                         Opt.Determinism);
+      linalg::kernelAxpy(Out.data(), coreColumn(B), CoreU[B], M);
   for (int B = 0; B < K; ++B)
     Out[CoreRow[B]] = CoreU[B];
 }
@@ -822,7 +820,7 @@ void SimplexSolver::Worker::rowTimesCore(int R) {
   for (int B = 0; B < K; ++B) {
     double Arb = coreColumn(B)[R];
     if (Arb != 0.0)
-      linalg::kernelAxpy(CoreV.data(), coreRow(B), Arb, K, Opt.Determinism);
+      linalg::kernelAxpy(CoreV.data(), coreRow(B), Arb, K);
   }
 }
 
@@ -896,8 +894,7 @@ void SimplexSolver::Worker::computeDuals(bool Phase1) {
   std::fill(CoreU.begin(), CoreU.begin() + K, 0.0);
   for (int B = 0; B < K; ++B)
     if (CoreV[B] != 0.0)
-      linalg::kernelAxpy(CoreU.data(), coreRow(B), CoreV[B], K,
-                         Opt.Determinism);
+      linalg::kernelAxpy(CoreU.data(), coreRow(B), CoreV[B], K);
   YNz.clear();
   for (int I = 0; I < M; ++I) {
     int Slot = CoreSlot[I];
@@ -926,7 +923,7 @@ void SimplexSolver::Worker::updateCostRow() {
       continue;
     linalg::kernelAxpy(CostRow.data(),
                        RowA.data() + static_cast<size_t>(I) * NS,
-                       C - CostWeight[I], NS, Opt.Determinism);
+                       C - CostWeight[I], NS);
     CostWeight[I] = C;
   }
 }
@@ -937,7 +934,7 @@ void SimplexSolver::Worker::rowPass(const std::vector<double> &V,
   std::fill(Out.begin(), Out.begin() + NS, 0.0);
   for (int I : Nz)
     linalg::kernelAxpy(Out.data(), RowA.data() + static_cast<size_t>(I) * NS,
-                       V[I], NS, Opt.Determinism);
+                       V[I], NS);
   for (int J = NS; J < NT; ++J)
     Out[J] = -V[J - NS];
 }
@@ -1094,7 +1091,7 @@ void SimplexSolver::Worker::swapCoreColumn(int Row, int J) {
     double Factor = W[CoreRow[B]];
     if (B == Slot || Factor == 0.0)
       continue;
-    linalg::kernelAxpy(coreRow(B), PivRow, -Factor, K, Opt.Determinism);
+    linalg::kernelAxpy(coreRow(B), PivRow, -Factor, K);
   }
   Basis[Row] = J;
   loadCoreColumn(Slot);
@@ -1113,7 +1110,7 @@ void SimplexSolver::Worker::growCore(int Row, int J) {
     double U = W[CoreRow[B]];
     double *GRow = coreRow(B);
     if (U != 0.0)
-      linalg::kernelAxpy(GRow, CoreV.data(), U / S, K, Opt.Determinism);
+      linalg::kernelAxpy(GRow, CoreV.data(), U / S, K);
     GRow[K] = -U / S;
   }
   double *Last = coreRow(K);
@@ -1144,7 +1141,7 @@ void SimplexSolver::Worker::shrinkCore(int Row, int I) {
       continue;
     double Factor = coreRow(B)[SlotC] / Pivot;
     if (Factor != 0.0)
-      linalg::kernelAxpy(coreRow(B), RowB, -Factor, K, Opt.Determinism);
+      linalg::kernelAxpy(coreRow(B), RowB, -Factor, K);
   }
   if (SlotB != SlotC) {
     std::copy(coreRow(SlotC), coreRow(SlotC) + K, coreRow(SlotB));
@@ -1173,7 +1170,7 @@ void SimplexSolver::Worker::swapCoreRow(int Row, int I) {
     double *GRow = coreRow(B);
     double Factor = GRow[Slot] / Gc;
     if (Factor != 0.0)
-      linalg::kernelAxpy(GRow, CoreV.data(), -Factor, K, Opt.Determinism);
+      linalg::kernelAxpy(GRow, CoreV.data(), -Factor, K);
     GRow[Slot] = Factor;
   }
   CoreRow[Slot] = Row;

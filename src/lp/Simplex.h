@@ -31,7 +31,6 @@
 #ifndef PRDNN_LP_SIMPLEX_H
 #define PRDNN_LP_SIMPLEX_H
 
-#include "linalg/Kernels.h"
 #include "lp/LinearProgram.h"
 
 #include <atomic>
@@ -116,15 +115,6 @@ struct SimplexOptions {
   /// LpSolution::OptimalBasis (off by default: the snapshot copies
   /// O(M + NT) ints, which the common non-cached solve never needs).
   bool ExportBasis = false;
-  /// Kernel determinism tier for the dense inner loops (pricing row
-  /// passes, FTRAN/BTRAN, refactorization elimination, core updates).
-  /// Strict is the bit-for-bit contract above. Fast vectorizes those
-  /// loops; the rounding drift can change pivot choices near ties, so
-  /// Fast solves are verified at the *solution* level (status,
-  /// objective, feasibility within tolerance - bench_kernel_backends),
-  /// never by pivot hash, and warm-start basis caching is restricted to
-  /// Strict (core/PointRepair.cpp).
-  linalg::Determinism Determinism = linalg::Determinism::Strict;
 };
 
 /// Per-solve counters and kernel timings, returned in LpSolution::Stats

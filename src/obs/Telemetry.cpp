@@ -24,12 +24,6 @@ Telemetry::Telemetry(const TelemetryOptions &Opts)
   JobsFailed =
       Registry.counter("prdnn_engine_jobs_solver_failure_total",
                        "Jobs resolved with RepairStatus::SolverFailure");
-  JobsStrictTier =
-      Registry.counter("prdnn_engine_jobs_strict_tier_total",
-                       "Jobs that ran under the Strict determinism tier");
-  JobsFastTier =
-      Registry.counter("prdnn_engine_jobs_fast_tier_total",
-                       "Jobs that ran under the Fast determinism tier");
   QueueWaitSeconds =
       Registry.histogram("prdnn_engine_queue_wait_seconds", Lat,
                          "Seconds from submit to worker pickup");

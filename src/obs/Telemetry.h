@@ -47,11 +47,6 @@ public:
   Counter *JobsInfeasible;
   Counter *JobsCancelled;
   Counter *JobsFailed;
-  /// Resolved kernel determinism tier of each completed job
-  /// (RepairStats::Determinism): fleet operators watch the Fast share
-  /// to see how much traffic runs off the bit-reproducible tier.
-  Counter *JobsStrictTier;
-  Counter *JobsFastTier;
   Histogram *QueueWaitSeconds;
   Histogram *JobSeconds;
 

@@ -60,9 +60,12 @@ enum class CodecError : std::uint8_t {
 
 const char *toString(CodecError Error);
 
-/// Current frame format version. Bump on any layout change; readers
-/// reject other versions with BadVersion (no silent migrations).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// Current frame format version. Bump on any layout change, and on any
+/// change to the kernel arithmetic (linalg/Kernels.h) - stored Jacobian
+/// rows, bases and repaired networks carry its bits. Readers reject
+/// other versions with BadVersion (no silent migrations), so old store
+/// entries and old peers degrade to recomputes.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Fixed frame prologue: magic + version + endian tag + kind + payload
 /// size. A stream consumer (rpc/Wire.h) reads exactly this many bytes,

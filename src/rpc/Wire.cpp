@@ -214,12 +214,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   }
   W.u8(O.UseCache ? 1 : 0);
   W.u8(O.WarmStartBasis ? 1 : 0);
-  // Optional determinism tier: 0 = unset (server default applies),
-  // else 1 + the linalg::Determinism value (1 = Strict, 2 = Fast).
-  W.u8(O.Determinism
-           ? static_cast<std::uint8_t>(
-                 static_cast<std::uint8_t>(*O.Determinism) + 1)
-           : 0);
   // SimplexOptions, minus its two non-owning pointers (CancelFlag,
   // WarmBasis): those are process-local wiring the server re-installs.
   W.f64(O.Lp.FeasTol);
@@ -230,7 +224,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.i32(O.Lp.StallLimit);
   W.i32(O.Lp.RefactorInterval);
   W.u8(O.Lp.ExportBasis ? 1 : 0);
-  W.u8(static_cast<std::uint8_t>(O.Lp.Determinism));
 }
 
 bool readRepairOptions(ByteReader &R, RepairOptions &O) {
@@ -269,12 +262,6 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   if (!readEnum8(R, Flag, 1))
     return false;
   O.WarmStartBasis = Flag != 0;
-  if (!readEnum8(R, Flag, 2))
-    return false;
-  if (Flag == 0)
-    O.Determinism.reset();
-  else
-    O.Determinism = static_cast<linalg::Determinism>(Flag - 1);
   if (!R.f64(O.Lp.FeasTol) || !R.f64(O.Lp.OptTol) || !R.f64(O.Lp.PivotTol))
     return false;
   if (!R.i32(O.Lp.MaxIterations))
@@ -287,9 +274,6 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   if (!readEnum8(R, Flag, 1))
     return false;
   O.Lp.ExportBasis = Flag != 0;
-  if (!readEnum8(R, Flag, 1))
-    return false;
-  O.Lp.Determinism = static_cast<linalg::Determinism>(Flag);
   O.Lp.CancelFlag = nullptr;
   O.Lp.WarmBasis = nullptr;
   // The request crossed a trust boundary: values the pipeline never
@@ -350,7 +334,6 @@ void writeRepairStats(ByteWriter &W, const RepairStats &S) {
   W.i32(S.LinRegionsStoreHits);
   W.i32(S.PatternStoreHits);
   W.i32(S.BasisStoreHits);
-  W.u8(static_cast<std::uint8_t>(S.Determinism));
 }
 
 bool readRepairStats(ByteReader &R, RepairStats &S) {
@@ -361,20 +344,14 @@ bool readRepairStats(ByteReader &R, RepairStats &S) {
     return false;
   if (!readSimplexStats(R, S.LpKernels))
     return false;
-  if (!R.f64(S.VerifiedViolation) || !R.f64(S.LinRegionsSeconds) ||
-      !R.i32(S.KeyPoints) || !R.i32(S.LinearRegions) ||
-      !R.i32(S.JacobianCacheHits) || !R.i32(S.JacobianCacheMisses) ||
-      !R.i32(S.LinRegionsCacheHits) || !R.i32(S.LinRegionsCacheMisses) ||
-      !R.i32(S.PatternCacheHits) || !R.i32(S.PatternCacheMisses) ||
-      !R.i32(S.BasisHits) || !R.i32(S.BasisMisses) ||
-      !R.i32(S.JacobianStoreHits) || !R.i32(S.LinRegionsStoreHits) ||
-      !R.i32(S.PatternStoreHits) || !R.i32(S.BasisStoreHits))
-    return false;
-  std::uint8_t Tier = 0;
-  if (!readEnum8(R, Tier, 1))
-    return false;
-  S.Determinism = static_cast<linalg::Determinism>(Tier);
-  return true;
+  return R.f64(S.VerifiedViolation) && R.f64(S.LinRegionsSeconds) &&
+         R.i32(S.KeyPoints) && R.i32(S.LinearRegions) &&
+         R.i32(S.JacobianCacheHits) && R.i32(S.JacobianCacheMisses) &&
+         R.i32(S.LinRegionsCacheHits) && R.i32(S.LinRegionsCacheMisses) &&
+         R.i32(S.PatternCacheHits) && R.i32(S.PatternCacheMisses) &&
+         R.i32(S.BasisHits) && R.i32(S.BasisMisses) &&
+         R.i32(S.JacobianStoreHits) && R.i32(S.LinRegionsStoreHits) &&
+         R.i32(S.PatternStoreHits) && R.i32(S.BasisStoreHits);
 }
 
 void writeRepairResult(ByteWriter &W, const RepairResult &Result) {
@@ -444,11 +421,10 @@ void writeSweepAttempt(ByteWriter &W, const SweepAttempt &A) {
   W.i32(A.StoreHits);
   W.u8(A.WarmStarted ? 1 : 0);
   W.i32(A.ShardId);
-  W.u8(static_cast<std::uint8_t>(A.Determinism));
 }
 
 bool readSweepAttempt(ByteReader &R, SweepAttempt &A) {
-  std::uint8_t Status = 0, Warm = 0, Tier = 0;
+  std::uint8_t Status = 0, Warm = 0;
   if (!R.i32(A.LayerIndex) || !readEnum8(R, Status, 3))
     return false;
   A.Status = static_cast<RepairStatus>(Status);
@@ -457,11 +433,9 @@ bool readSweepAttempt(ByteReader &R, SweepAttempt &A) {
       !R.f64(A.LinRegionsSeconds) || !R.i32(A.LpIterations) ||
       !R.i32(A.LpRefactors) || !R.i32(A.CacheHits) ||
       !R.i32(A.CacheMisses) || !R.i32(A.StoreHits) ||
-      !readEnum8(R, Warm, 1) || !R.i32(A.ShardId) ||
-      !readEnum8(R, Tier, 1))
+      !readEnum8(R, Warm, 1) || !R.i32(A.ShardId))
     return false;
   A.WarmStarted = Warm != 0;
-  A.Determinism = static_cast<linalg::Determinism>(Tier);
   return true;
 }
 

@@ -877,43 +877,68 @@ TEST(EngineStore, L2WarmRestartBitIdenticalAtAnyThreadCount) {
 }
 
 TEST(EngineStore, CorruptedEntryDegradesToRecompute) {
-  TempDir Dir("engine-corrupt");
   Rng R(6602);
   auto Net = std::make_shared<Network>(makeClassifier(R));
   PointSpec Spec = makeFlipSpec(*Net, R, 24);
   RepairRequest Request = RepairRequest::points(Net, 4, Spec);
   RepairResult Serial = repairPoints(*Net, 4, Spec);
 
-  EngineOptions WithStore;
-  WithStore.StoreDirectory = Dir.str();
-  {
-    RepairEngine Cold(WithStore);
-    expectBitIdentical(Cold.run(Request).Result, Serial);
-    Cold.flushStore();
-  }
-
-  // Vandalize every stored entry (truncate to a prefix).
-  int Vandalized = 0;
-  for (const auto &Entry : fs::recursive_directory_iterator(Dir.Path))
-    if (Entry.is_regular_file() &&
-        Entry.path().extension() == ".art") {
-      fs::resize_file(Entry.path(), fs::file_size(Entry.path()) * 2 / 3);
-      ++Vandalized;
+  // Two ways a stored entry goes bad: a torn write (truncated to a
+  // prefix), and a frame of the previous format version - what every
+  // entry of a store written before a kFormatVersion bump looks like.
+  struct Vandal {
+    const char *Name;
+    void (*Apply)(const fs::path &);
+  };
+  const Vandal Vandals[] = {
+      {"truncated",
+       [](const fs::path &P) {
+         fs::resize_file(P, fs::file_size(P) * 2 / 3);
+       }},
+      {"previous-version",
+       [](const fs::path &P) {
+         std::uint32_t Old = persist::kFormatVersion - 1;
+         const char Le[4] = {static_cast<char>(Old & 0xff),
+                             static_cast<char>((Old >> 8) & 0xff),
+                             static_cast<char>((Old >> 16) & 0xff),
+                             static_cast<char>((Old >> 24) & 0xff)};
+         std::fstream F(P, std::ios::in | std::ios::out | std::ios::binary);
+         F.seekp(4); // the version field follows the 4-byte magic
+         F.write(Le, sizeof(Le));
+       }},
+  };
+  for (const Vandal &V : Vandals) {
+    SCOPED_TRACE(V.Name);
+    TempDir Dir(std::string("engine-") + V.Name);
+    EngineOptions WithStore;
+    WithStore.StoreDirectory = Dir.str();
+    {
+      RepairEngine Cold(WithStore);
+      expectBitIdentical(Cold.run(Request).Result, Serial);
+      Cold.flushStore();
     }
-  ASSERT_GT(Vandalized, 0);
 
-  RepairEngine Warm(WithStore);
-  RepairReport Report = Warm.run(Request);
-  expectBitIdentical(Report.Result, Serial); // recomputed, not wrong
-  EXPECT_EQ(Report.StoreHits, 0);
-  EXPECT_GE(Warm.storeStats().CorruptSkips, 1u);
+    int Vandalized = 0;
+    for (const auto &Entry : fs::recursive_directory_iterator(Dir.Path))
+      if (Entry.is_regular_file() && Entry.path().extension() == ".art") {
+        V.Apply(Entry.path());
+        ++Vandalized;
+      }
+    ASSERT_GT(Vandalized, 0);
 
-  // The recompute re-published good bytes: a third engine is warm.
-  Warm.flushStore();
-  RepairEngine Healed(WithStore);
-  RepairReport HealedReport = Healed.run(Request);
-  expectBitIdentical(HealedReport.Result, Serial);
-  EXPECT_GT(HealedReport.StoreHits, 0);
+    RepairEngine Warm(WithStore);
+    RepairReport Report = Warm.run(Request);
+    expectBitIdentical(Report.Result, Serial); // recomputed, not wrong
+    EXPECT_EQ(Report.StoreHits, 0);
+    EXPECT_GE(Warm.storeStats().CorruptSkips, 1u);
+
+    // The recompute re-published good bytes: a third engine is warm.
+    Warm.flushStore();
+    RepairEngine Healed(WithStore);
+    RepairReport HealedReport = Healed.run(Request);
+    expectBitIdentical(HealedReport.Result, Serial);
+    EXPECT_GT(HealedReport.StoreHits, 0);
+  }
 }
 
 TEST(EngineStore, PolytopeTransformsWarmAcrossRestart) {
