@@ -1,9 +1,11 @@
-//===- bench/bench_task1_points.cpp - Table 1 and Table 4 --------------------===//
+//===- bench/bench_task1_points.cpp - Tables 1 and 4, Figure 7 ---------------===//
 //
 // Task 1 (§7.1): pointwise repair of a convolutional image classifier
 // on natural-adversarial-style points. Regenerates Table 1 (summary:
 // best-drawdown PR vs FT[1]/FT[2] vs best-drawdown MFT[1]/MFT[2]) and
-// Table 4 (extended per-layer results). Our substrate is ShapeWorld
+// Table 4 (extended per-layer results), and prints each size's per-layer
+// repairs as Figures 7(a) and 7(b): drawdown and the Jacobian / LP /
+// other time split by repaired layer. Our substrate is ShapeWorld
 // (DESIGN.md §3); absolute numbers differ from the paper, the shape -
 // PR reaching 100% efficacy with the smallest drawdown, FT slower with
 // worse drawdown, MFT fast/low-drawdown but low-efficacy - is the
@@ -14,19 +16,14 @@
 #include "BenchUtil.h"
 
 #include "api/RepairEngine.h"
-#include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
-#include "support/Parallel.h"
 #include "support/Table.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <map>
 
 using namespace prdnn;
 using namespace prdnn::bench;
@@ -39,223 +36,6 @@ struct PrRow {
   double BestTime = 0.0, FastestTime = 1e9, SlowestTime = 0.0;
 };
 
-// --- Frozen seed-reference Jacobian phase -----------------------------------
-//
-// The single-threaded baseline the JSON speedup numbers are measured
-// against: a faithful copy of the pre-batch-engine (seed) per-point
-// pipeline - convolution kernels that re-derive the tap geometry per
-// point, one scalar backward sweep per point, sequential row assembly.
-// It lives in the bench (not the library) precisely so future kernel
-// work cannot silently accelerate the baseline; it produces bit-for-bit
-// the same Jacobians as the current engine, which main() verifies.
-
-struct SeedConv {
-  int InC, InH, InW, OutC, KH, KW, Stride, Pad, OutH, OutW;
-  std::vector<double> Kernels, Bias;
-
-  template <typename FnT> void forEachTap(FnT Fn) const {
-    for (int K = 0; K < OutC; ++K) {
-      for (int OY = 0; OY < OutH; ++OY) {
-        for (int OX = 0; OX < OutW; ++OX) {
-          int OutIndex = (K * OutH + OY) * OutW + OX;
-          for (int C = 0; C < InC; ++C) {
-            for (int Y = 0; Y < KH; ++Y) {
-              int IY = OY * Stride - Pad + Y;
-              if (IY < 0 || IY >= InH)
-                continue;
-              for (int X = 0; X < KW; ++X) {
-                int IX = OX * Stride - Pad + X;
-                if (IX < 0 || IX >= InW)
-                  continue;
-                int InIndex = (C * InH + IY) * InW + IX;
-                int ParamIndex = ((K * InC + C) * KH + Y) * KW + X;
-                Fn(OutIndex, InIndex, ParamIndex);
-              }
-            }
-          }
-          Fn(OutIndex, -1, OutC * InC * KH * KW + K);
-        }
-      }
-    }
-  }
-
-  Vector apply(const Vector &In) const {
-    Vector Out(OutC * OutH * OutW);
-    forEachTap([&](int OutIndex, int InIndex, int ParamIndex) {
-      if (InIndex < 0)
-        Out[OutIndex] += Bias[static_cast<size_t>(ParamIndex -
-                                                  OutC * InC * KH * KW)];
-      else
-        Out[OutIndex] +=
-            Kernels[static_cast<size_t>(ParamIndex)] * In[InIndex];
-    });
-    return Out;
-  }
-
-  Vector vjp(const Vector &GradOut) const {
-    Vector GradIn(InC * InH * InW);
-    forEachTap([&](int OutIndex, int InIndex, int ParamIndex) {
-      if (InIndex < 0)
-        return;
-      GradIn[InIndex] +=
-          Kernels[static_cast<size_t>(ParamIndex)] * GradOut[OutIndex];
-    });
-    return GradIn;
-  }
-};
-
-std::map<int, SeedConv> collectSeedConvs(const Network &Net) {
-  std::map<int, SeedConv> Result;
-  for (int I = 0; I < Net.numLayers(); ++I) {
-    const auto *Conv = dyn_cast<Conv2DLayer>(&Net.layer(I));
-    if (!Conv)
-      continue;
-    SeedConv S;
-    S.InC = Conv->inChannels();
-    S.InH = Conv->inHeight();
-    S.InW = Conv->inWidth();
-    S.OutC = Conv->outChannels();
-    S.KH = Conv->kernelHeight();
-    S.KW = Conv->kernelWidth();
-    S.Stride = Conv->stride();
-    S.Pad = Conv->padding();
-    S.OutH = Conv->outHeight();
-    S.OutW = Conv->outWidth();
-    std::vector<double> Params;
-    Conv->getParams(Params);
-    size_t KernelCount =
-        static_cast<size_t>(S.OutC) * S.InC * S.KH * S.KW;
-    S.Kernels.assign(Params.begin(), Params.begin() + KernelCount);
-    S.Bias.assign(Params.begin() + KernelCount, Params.end());
-    Result.emplace(I, std::move(S));
-  }
-  return Result;
-}
-
-JacobianResult seedParamJacobian(const Network &Net,
-                                 const std::map<int, SeedConv> &Convs,
-                                 int LayerIndex, const Vector &X) {
-  const auto *Target = cast<LinearLayer>(&Net.layer(LayerIndex));
-  std::vector<Vector> Values;
-  Values.push_back(X);
-  for (int I = 0; I < Net.numLayers(); ++I) {
-    auto It = Convs.find(I);
-    Values.push_back(It != Convs.end()
-                         ? It->second.apply(Values.back())
-                         : Net.layer(I).apply(Values.back()));
-  }
-  int OutDim = Net.outputSize();
-  Matrix M = Matrix::identity(OutDim);
-  for (int I = Net.numLayers() - 1; I > LayerIndex; --I) {
-    const Layer &L = Net.layer(I);
-    Matrix Next(OutDim, L.inputSize());
-    auto It = Convs.find(I);
-    for (int R = 0; R < OutDim; ++R) {
-      Vector GradOut = M.row(R);
-      Vector GradIn;
-      if (It != Convs.end())
-        GradIn = It->second.vjp(GradOut);
-      else if (const auto *Linear = dyn_cast<LinearLayer>(&L))
-        GradIn = Linear->vjpLinear(GradOut);
-      else
-        GradIn = cast<ActivationLayer>(L).vjpLinearized(
-            Values[static_cast<size_t>(I)], GradOut);
-      Next.setRow(R, GradIn);
-    }
-    M = std::move(Next);
-  }
-  JacobianResult Result;
-  Result.J = Matrix(OutDim, Target->numParams());
-  Target->paramJacobian(M, Values[static_cast<size_t>(LayerIndex)],
-                        Result.J);
-  Result.Output = Values.back();
-  return Result;
-}
-
-/// Seed-style row assembly for one point; returns a |row| checksum that
-/// doubles as an optimization barrier.
-double assembleRowsChecksum(const JacobianResult &Jr,
-                            const OutputConstraint &C, int NumParams,
-                            double RowMargin) {
-  double Checksum = 0.0;
-  for (int K = 0; K < C.numRows(); ++K) {
-    std::vector<double> Coef(static_cast<size_t>(NumParams), 0.0);
-    double Activity = 0.0;
-    for (int O = 0; O < C.A.cols(); ++O) {
-      double AKo = C.A(K, O);
-      if (AKo == 0.0)
-        continue;
-      Activity += AKo * Jr.Output[O];
-      const double *JRow = Jr.J.rowData(O);
-      for (int E = 0; E < NumParams; ++E)
-        Coef[static_cast<size_t>(E)] += AKo * JRow[E];
-    }
-    Checksum += std::fabs(C.B[K] - Activity - RowMargin) +
-                std::fabs(Coef[0]);
-  }
-  return Checksum;
-}
-
-/// Times the full seed Jacobian/constraint-assembly phase (sequential,
-/// per point, frozen PR-0 kernels).
-double seedJacobianPhaseSeconds(const Network &Net, const PointSpec &Spec,
-                                int LayerIndex, double RowMargin,
-                                double *HiChecksum) {
-  std::map<int, SeedConv> Convs = collectSeedConvs(Net);
-  int NumParams =
-      cast<LinearLayer>(&Net.layer(LayerIndex))->numParams();
-  double Checksum = 0.0;
-  WallTimer Timer;
-  for (const SpecPoint &P : Spec)
-    Checksum += assembleRowsChecksum(
-        seedParamJacobian(Net, Convs, LayerIndex, P.X), P.Constraint,
-        NumParams, RowMargin);
-  double Seconds = Timer.seconds();
-  if (HiChecksum)
-    *HiChecksum = Checksum;
-  return Seconds;
-}
-
-/// Same phase through today's per-point kernels (no batching).
-double perPointPhaseSeconds(const Network &Net, const PointSpec &Spec,
-                            int LayerIndex, double RowMargin) {
-  int NumParams =
-      cast<LinearLayer>(&Net.layer(LayerIndex))->numParams();
-  double Checksum = 0.0;
-  WallTimer Timer;
-  for (const SpecPoint &P : Spec)
-    Checksum += assembleRowsChecksum(
-        paramJacobian(Net, LayerIndex, P.X,
-                      P.Pattern ? &*P.Pattern : nullptr),
-        P.Constraint, NumParams, RowMargin);
-  (void)Checksum;
-  return Timer.seconds();
-}
-
-/// Same phase through the batched engine (mirrors repairPoints'
-/// batched Jacobian phase: one batch call + parallel row assembly).
-double batchedPhaseSeconds(const Network &Net, const PointSpec &Spec,
-                           int LayerIndex, double RowMargin) {
-  int NumParams =
-      cast<LinearLayer>(&Net.layer(LayerIndex))->numParams();
-  std::vector<double> PerPoint(Spec.size(), 0.0);
-  WallTimer Timer;
-  std::vector<Vector> Xs;
-  Xs.reserve(Spec.size());
-  for (const SpecPoint &P : Spec)
-    Xs.push_back(P.X);
-  std::vector<JacobianResult> Jrs =
-      paramJacobianBatch(Net, LayerIndex, Xs);
-  parallelFor(0, static_cast<std::int64_t>(Spec.size()),
-              [&](std::int64_t I) {
-                PerPoint[static_cast<size_t>(I)] = assembleRowsChecksum(
-                    Jrs[static_cast<size_t>(I)],
-                    Spec[static_cast<size_t>(I)].Constraint, NumParams,
-                    RowMargin);
-              });
-  return Timer.seconds();
-}
-
 } // namespace
 
 int main() {
@@ -264,7 +44,7 @@ int main() {
   // 50/100/200 (documented in EXPERIMENTS.md).
   const int Sizes[] = {50, 100, 200};
   std::printf("=== Task 1: Pointwise repair of a conv image classifier "
-              "(Tables 1 and 4) ===\n");
+              "(Tables 1 and 4, Figure 7) ===\n");
   Task1Workload W = makeTask1Workload(200);
   std::printf("buggy network: %.1f%% validation accuracy, %.1f%% on %d "
               "adversarial images\n",
@@ -289,100 +69,14 @@ int main() {
                        "D", "T"});
   TablePrinter Table4({"Points", "Efficacy", "D best", "D worst",
                        "T fastest", "T slowest", "T bestD"});
-
-  // Machine-readable trajectory output (BENCH_task1_points.json): per
-  // spec size, the batched engine's Jacobian/constraint-assembly phase
-  // vs the single-threaded seed and per-point phase timings.
-  BenchJson Json("task1_points");
-  // Honor an explicit PRDNN_NUM_THREADS; otherwise use at least 4
-  // threads so the JSON tracks the multi-threaded engine.
-  const int BenchThreads = std::getenv("PRDNN_NUM_THREADS")
-                               ? defaultThreadCount()
-                               : std::max(4, defaultThreadCount());
+  TablePrinter Figure7({"Points", "Layer", "Kind", "Params", "Drawdown(%)",
+                        "T total", "T jacobian", "T lp", "T other",
+                        "LP rows used", "CG rounds"});
 
   const int AnchorCount = 40;
   for (int Size : Sizes) {
     PointSpec Spec = task1Spec(W, Size, AnchorCount);
 
-    // --- Batched-engine ablation on the last repairable layer --------------
-    {
-      int AblationLayer = Layers.back();
-
-      // Sanity: the frozen seed reference must produce bit-for-bit the
-      // same Jacobian as the current engine (checked outside timers).
-      {
-        std::map<int, SeedConv> Convs = collectSeedConvs(W.Net);
-        JacobianResult Ref =
-            seedParamJacobian(W.Net, Convs, AblationLayer, Spec[0].X);
-        JacobianResult Cur =
-            paramJacobian(W.Net, AblationLayer, Spec[0].X);
-        if (Ref.J.maxAbsDiff(Cur.J) != 0.0 ||
-            Ref.Output.maxAbsDiff(Cur.Output) != 0.0) {
-          std::fprintf(stderr,
-                       "seed reference diverged from current engine\n");
-          return 1;
-        }
-      }
-
-      // Phase-only timings (no LP), min of three runs: wall-clock noise
-      // on shared machines dwarfs the phase itself at small sizes.
-      const int Reps = 3;
-      double RowMargin = RepairOptions().RowMargin;
-
-      // Seed baseline: frozen PR-0 per-point pipeline, single-threaded.
-      double SeedChecksum = 0.0;
-      double SeedSeconds = 1e99;
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        SeedSeconds = std::min(
-            SeedSeconds,
-            seedJacobianPhaseSeconds(W.Net, Spec, AblationLayer,
-                                     RowMargin, &SeedChecksum));
-      // Current per-point path (today's kernels, no batching), 1 thread.
-      setGlobalThreadCount(1);
-      double PerPointSeconds = 1e99;
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        PerPointSeconds = std::min(
-            PerPointSeconds,
-            perPointPhaseSeconds(W.Net, Spec, AblationLayer, RowMargin));
-      // Batched engine.
-      setGlobalThreadCount(BenchThreads);
-      double BatchedSeconds = 1e99;
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        BatchedSeconds = std::min(
-            BatchedSeconds,
-            batchedPhaseSeconds(W.Net, Spec, AblationLayer, RowMargin));
-
-      // One full repair (LP included) for the end-to-end stats.
-      RepairResult BatchRun = RunRepair(AblationLayer, Spec);
-
-      int SpecPoints = Size + AnchorCount;
-      double SpeedupVsSeed =
-          BatchedSeconds > 0.0 ? SeedSeconds / BatchedSeconds : 0.0;
-      double SpeedupVsPerPoint =
-          BatchedSeconds > 0.0 ? PerPointSeconds / BatchedSeconds : 0.0;
-      Json.beginRecord();
-      Json.add("points", SpecPoints);
-      Json.add("rows", BatchRun.Stats.SpecRows);
-      Json.add("threads", BenchThreads);
-      Json.add("layer", AblationLayer);
-      Json.add("status_batched", toString(BatchRun.Status));
-      Json.add("jacobian_seconds_seed_1t", SeedSeconds);
-      Json.add("jacobian_seconds_perpoint_1t", PerPointSeconds);
-      Json.add("jacobian_seconds_batched", BatchedSeconds);
-      Json.add("jacobian_speedup_vs_seed", SpeedupVsSeed);
-      Json.add("jacobian_speedup_vs_perpoint", SpeedupVsPerPoint);
-      Json.add("lp_seconds", BatchRun.Stats.LpSeconds);
-      Json.add("other_seconds", BatchRun.Stats.OtherSeconds);
-      Json.add("total_seconds", BatchRun.Stats.TotalSeconds);
-      Json.add("points_per_sec",
-               BatchedSeconds > 0.0 ? SpecPoints / BatchedSeconds : 0.0);
-      Json.add("seed_row_checksum", SeedChecksum);
-      std::printf("[ablation] %d points: Jacobian phase %.3fs (seed, 1t) / "
-                  "%.3fs (per-point, 1t) -> %.3fs (batched, %dt): "
-                  "%.2fx vs seed, %.2fx vs per-point\n",
-                  SpecPoints, SeedSeconds, PerPointSeconds, BatchedSeconds,
-                  BenchThreads, SpeedupVsSeed, SpeedupVsPerPoint);
-    }
     // FT/MFT train on the same repair set, incl. the non-buggy anchors
     // ("In all cases PR, FT, and MFT were given the same repair set").
     Dataset RepairSet;
@@ -396,21 +90,33 @@ int main() {
     Pr.Total = static_cast<int>(Layers.size());
     for (int LayerIdx : Layers) {
       RepairResult Result = RunRepair(LayerIdx, Spec);
-      if (Result.Status != RepairStatus::Success)
-        continue;
-      ++Pr.Feasible;
-      double Drawdown =
-          100 * (W.ValidationAccuracy -
-                 Result.Repaired->accuracy(W.Validation.Inputs,
-                                           W.Validation.Labels));
-      double T = Result.Stats.TotalSeconds;
-      Pr.FastestTime = std::min(Pr.FastestTime, T);
-      Pr.SlowestTime = std::max(Pr.SlowestTime, T);
-      Pr.WorstDrawdown = std::max(Pr.WorstDrawdown, Drawdown);
-      if (Drawdown < Pr.BestDrawdown) {
-        Pr.BestDrawdown = Drawdown;
-        Pr.BestTime = T;
+      std::string DrawdownCell = "infeasible";
+      if (Result.Status == RepairStatus::Success) {
+        ++Pr.Feasible;
+        double Drawdown =
+            100 * (W.ValidationAccuracy -
+                   Result.Repaired->accuracy(W.Validation.Inputs,
+                                             W.Validation.Labels));
+        double T = Result.Stats.TotalSeconds;
+        Pr.FastestTime = std::min(Pr.FastestTime, T);
+        Pr.SlowestTime = std::max(Pr.SlowestTime, T);
+        Pr.WorstDrawdown = std::max(Pr.WorstDrawdown, Drawdown);
+        if (Drawdown < Pr.BestDrawdown) {
+          Pr.BestDrawdown = Drawdown;
+          Pr.BestTime = T;
+        }
+        DrawdownCell = formatDouble(Drawdown, 1);
       }
+      Figure7.addRow(
+          {std::to_string(Size), std::to_string(LayerIdx),
+           W.Net.layer(LayerIdx).describe(),
+           std::to_string(cast<LinearLayer>(W.Net.layer(LayerIdx)).numParams()),
+           DrawdownCell, formatDuration(Result.Stats.TotalSeconds),
+           formatDuration(Result.Stats.JacobianSeconds),
+           formatDuration(Result.Stats.LpSeconds),
+           formatDuration(Result.Stats.OtherSeconds),
+           std::to_string(Result.Stats.LpRowsUsed),
+           std::to_string(Result.Stats.CgRounds)});
     }
 
     // --- FT[1] / FT[2] -------------------------------------------------------
@@ -480,9 +186,8 @@ int main() {
   Table1.print(std::cout);
   std::printf("\nTable 4 (extended per-layer PR results):\n");
   Table4.print(std::cout);
-
-  std::string JsonFile = Json.write();
-  if (!JsonFile.empty())
-    std::printf("\nwrote %s\n", JsonFile.c_str());
+  std::printf("\nFigures 7(a) and 7(b) (per-layer PR; 7a: the Drawdown "
+              "column, 7b: the T jacobian / T lp / T other columns):\n");
+  Figure7.print(std::cout);
   return 0;
 }

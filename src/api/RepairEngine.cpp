@@ -518,16 +518,15 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
   bool SawCancel = false;
   bool SawFailure = false;
 
-  // For polytope sweeps, the SyReNN transform is layer-independent:
-  // compute the key points once, before any attempt runs, and share
-  // them across candidates instead of re-running Algorithm 2's
-  // LinRegions phase per layer - and, with the engine cache, across
-  // *jobs* too (a SyrennTransform / PatternBatch artifact hit).
-  // Attempts only ever read SharedKeyPoints, so they can run
-  // concurrently. Fixed-layer requests keep the exact
-  // repairPolytopesImpl path of the one-shot wrappers.
+  // Algorithm 2's LinRegions phase: the SyReNN transform is
+  // layer-independent, so compute the key points once, before any
+  // attempt runs, and share them across candidates (a fixed-layer
+  // request is a sweep with one candidate) - and, with the engine
+  // cache, across *jobs* too (a SyrennTransform / PatternBatch artifact
+  // hit). Attempts only ever read SharedKeyPoints, so they can run
+  // concurrently.
   std::optional<KeyPointsResult> SharedKeyPoints;
-  if (Request.isPolytope() && Candidates.size() > 1) {
+  if (Request.isPolytope()) {
     const auto &PolySpec = std::get<PolytopeSpec>(Request.Spec);
     Ctx.beginPhase(RepairPhase::LinRegions,
                    static_cast<std::int64_t>(PolySpec.size()));
@@ -545,22 +544,13 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
       return detail::repairPointsImpl(Net, Layer,
                                       std::get<PointSpec>(Request.Spec),
                                       Options, &Ctx);
-    if (Candidates.size() == 1)
-      return detail::repairPolytopesImpl(
-          Net, Layer, std::get<PolytopeSpec>(Request.Spec), Options, &Ctx);
-    WallTimer AttemptTotal;
     RepairResult Attempt = detail::repairPointsImpl(
         Net, Layer, SharedKeyPoints->Points, Options, &Ctx);
-    // Stamp the Algorithm 2 stats as repairPolytopesImpl would; the
-    // transform itself is credited to the first candidate below.
+    // Stamp the Algorithm 2 stats; the transform itself is credited to
+    // the first candidate below.
     Attempt.Stats.KeyPoints =
         static_cast<int>(SharedKeyPoints->Points.size());
     Attempt.Stats.LinearRegions = SharedKeyPoints->LinearRegions;
-    Attempt.Stats.TotalSeconds = AttemptTotal.seconds();
-    Attempt.Stats.OtherSeconds =
-        std::max(0.0, Attempt.Stats.TotalSeconds -
-                          Attempt.Stats.JacobianSeconds -
-                          Attempt.Stats.LpSeconds);
     return Attempt;
   };
 
@@ -616,8 +606,8 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
   // Fan the independent attempts out across LpScheduler shard threads,
   // one per pool thread up to the candidate count, then assemble the
   // report serially in candidate order - bit-identical at any shard
-  // count because attempts share no mutable state (each repair*Impl run
-  // is a pure function of its inputs at any thread count, and the
+  // count because attempts share no mutable state (each repairPointsImpl
+  // run is a pure function of its inputs at any thread count, and the
   // artifact cache is a content-addressed concurrent consumer). A job
   // with a checkpoint hook gets one shard, which runTasks runs inline:
   // the hook's contract is "invoked on the job thread", and the
@@ -702,8 +692,9 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
 // --- One-shot wrappers (the pre-engine public API) --------------------------
 //
 // Bit-for-bit identical to calling the algorithms directly: a fixed-
-// layer request executes exactly one repair*Impl call with a null-
-// equivalent context, and run() adds no work around it.
+// layer request executes exactly one repairPointsImpl call (after
+// keyPoints, for polytopes) with a null-equivalent context, and run()
+// adds no work around it.
 
 namespace {
 

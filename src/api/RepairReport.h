@@ -46,9 +46,9 @@ struct SweepAttempt {
   /// store).
   int StoreHits = 0;
   /// Whether any LP solve of this attempt started from a cached
-  /// simplex basis (RepairOptions::WarmStartBasis; equals the
-  /// attempt's RepairStats::BasisHits > 0). Warm attempts are
-  /// bit-identical to cold ones - this only explains the pivot counts.
+  /// simplex basis (equals the attempt's RepairStats::BasisHits > 0).
+  /// Warm attempts are bit-identical to cold ones - this only explains
+  /// the pivot counts.
   bool WarmStarted = false;
   /// Which LpScheduler shard ran this attempt (0 for one-shard sweeps:
   /// fixed-layer requests, hooked jobs, a one-thread pool). Purely

@@ -384,8 +384,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   // imply an identically-shaped LP, so an exported basis always has
   // the right dimensions for a replayed hit.
   ArtifactCache *BasisCache =
-      (Ctx && Options.UseCache && Options.WarmStartBasis) ? Ctx->cache()
-                                                          : nullptr;
+      (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
   auto BasisKey = [&](const std::vector<int> &Use) {
     Hasher H;
     const NetworkFingerprint &Fp = Ctx->networkFingerprint();
@@ -563,7 +562,60 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     return Rest;
   };
 
-  if (!Options.UseConstraintGeneration) {
+  // Constraint generation: start from the rows violated by Delta = 0
+  // and add violated rows until the relaxation optimum is feasible for
+  // every row (then it is optimal for the full LP).
+  std::vector<int> Add;
+  for (size_t RI = 0; RI < Rows.size(); ++RI)
+    if (Rows[RI].Hi < 0.0)
+      Add.push_back(static_cast<int>(RI));
+
+  if (Add.empty()) {
+    // Delta = 0 already satisfies the (margined) spec.
+    Solved = true;
+  } else {
+    for (int Round = 0; Round < Options.MaxCgRounds && !Solved; ++Round) {
+      if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
+        return Cancelled();
+      ++Result.Stats.CgRounds;
+      lp::SolveStatus Status = SolveRound(Add, DeltaEff);
+      if (LpCancelled)
+        return Cancelled();
+      if (Status == lp::SolveStatus::Infeasible) {
+        // A subset is infeasible, so the full system is too.
+        Result.Status = RepairStatus::Infeasible;
+        FinalizeStats();
+        return Result;
+      }
+      if (Status != lp::SolveStatus::Optimal)
+        break; // fall through to the full solve below
+
+      // Collect rows the relaxation optimum still violates (parallel
+      // scan, sequential order).
+      std::vector<std::pair<double, int>> Violated =
+          violatedRows(Rows, &InLp, DeltaEff, 10 * Options.Lp.FeasTol);
+      if (Violated.empty()) {
+        Solved = true;
+        break;
+      }
+      int Take = std::min<int>(Options.CgBatch,
+                               static_cast<int>(Violated.size()));
+      std::partial_sort(Violated.begin(), Violated.begin() + Take,
+                        Violated.end(), std::greater<>());
+      Add.clear();
+      for (int K = 0; K < Take; ++K)
+        Add.push_back(Violated[K].second);
+    }
+  }
+
+  if (!Solved) {
+    // Generation did not converge in budget (or a round failed):
+    // append every remaining row as one more round, which makes the
+    // LP the full one (still exact). After an Optimal round this is
+    // warm like any other; after a failed one - or with MaxCgRounds =
+    // 0, which skips generation - the solver runs cold on every row.
+    if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
+      return Cancelled();
     lp::SolveStatus Status = SolveRound(Remaining(), DeltaEff);
     if (LpCancelled)
       return Cancelled();
@@ -573,70 +625,6 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       return Result;
     }
     Solved = Status == lp::SolveStatus::Optimal;
-  } else {
-    // Constraint generation: start from the rows violated by Delta = 0
-    // and add violated rows until the relaxation optimum is feasible for
-    // every row (then it is optimal for the full LP).
-    std::vector<int> Add;
-    for (size_t RI = 0; RI < Rows.size(); ++RI)
-      if (Rows[RI].Hi < 0.0)
-        Add.push_back(static_cast<int>(RI));
-
-    if (Add.empty()) {
-      // Delta = 0 already satisfies the (margined) spec.
-      Solved = true;
-    } else {
-      for (int Round = 0; Round < Options.MaxCgRounds && !Solved; ++Round) {
-        if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
-          return Cancelled();
-        ++Result.Stats.CgRounds;
-        lp::SolveStatus Status = SolveRound(Add, DeltaEff);
-        if (LpCancelled)
-          return Cancelled();
-        if (Status == lp::SolveStatus::Infeasible) {
-          // A subset is infeasible, so the full system is too.
-          Result.Status = RepairStatus::Infeasible;
-          FinalizeStats();
-          return Result;
-        }
-        if (Status != lp::SolveStatus::Optimal)
-          break; // fall through to the full solve below
-
-        // Collect rows the relaxation optimum still violates (parallel
-        // scan, sequential order).
-        std::vector<std::pair<double, int>> Violated =
-            violatedRows(Rows, &InLp, DeltaEff, 10 * Options.Lp.FeasTol);
-        if (Violated.empty()) {
-          Solved = true;
-          break;
-        }
-        int Take = std::min<int>(Options.CgBatch,
-                                 static_cast<int>(Violated.size()));
-        std::partial_sort(Violated.begin(), Violated.begin() + Take,
-                          Violated.end(), std::greater<>());
-        Add.clear();
-        for (int K = 0; K < Take; ++K)
-          Add.push_back(Violated[K].second);
-      }
-    }
-
-    if (!Solved) {
-      // Generation did not converge in budget (or a round failed):
-      // append every remaining row as one more round, which makes the
-      // LP the full one (still exact). After an Optimal round this is
-      // warm like any other; after a failed one the solver runs cold.
-      if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
-        return Cancelled();
-      lp::SolveStatus Status = SolveRound(Remaining(), DeltaEff);
-      if (LpCancelled)
-        return Cancelled();
-      if (Status == lp::SolveStatus::Infeasible) {
-        Result.Status = RepairStatus::Infeasible;
-        FinalizeStats();
-        return Result;
-      }
-      Solved = Status == lp::SolveStatus::Optimal;
-    }
   }
 
   if (!Solved) {

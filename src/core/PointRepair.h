@@ -18,9 +18,9 @@
 ///
 /// Engineering additions over the paper's pseudocode, all
 /// guarantee-preserving:
-///  - optional constraint generation: solve on the violated rows first
-///    and add rows lazily; a relaxation optimum feasible for all rows is
-///    optimal for the full LP (standard cutting-plane argument);
+///  - constraint generation: solve on the violated rows first and add
+///    rows lazily; a relaxation optimum feasible for all rows is optimal
+///    for the full LP (standard cutting-plane argument);
 ///  - an optional parameter mask to freeze a subset of the layer's
 ///    parameters (used e.g. to reproduce the paper's Figure 3 example,
 ///    whose hand-drawn network lacks some bias edges);
@@ -70,13 +70,13 @@ struct RepairOptions {
   /// Margin subtracted from spec rows inside the LP; a small positive
   /// value keeps satisfaction strict under floating-point noise.
   double RowMargin = 1e-6;
-  /// Solve on violated rows first, adding violated rows lazily. One
-  /// solver serves every round: round 1 solves cold, later rounds
-  /// append their rows and re-optimize with the dual simplex
-  /// (lp/Simplex.h, SimplexSolver).
-  bool UseConstraintGeneration = true;
-  /// Generation rounds before every remaining row is appended as one
-  /// final (still warm) round, which makes the LP the full one.
+  /// Constraint generation: solve on the rows violated at Delta = 0
+  /// first and add violated rows lazily. One solver serves every round:
+  /// round 1 solves cold, later rounds append their rows and
+  /// re-optimize with the dual simplex (lp/Simplex.h, SimplexSolver).
+  /// After MaxCgRounds rounds every remaining row is appended as one
+  /// final (still warm) round, which makes the LP the full one; 0
+  /// skips generation and solves the full LP in one cold round.
   int MaxCgRounds = 64;
   /// Violated rows admitted per generation round.
   int CgBatch = 512;
@@ -84,25 +84,21 @@ struct RepairOptions {
   /// freezes the parameter at its current value.
   std::optional<std::vector<bool>> ParamMask;
   /// Consult the engine's shared artifact cache (cache/ArtifactCache.h)
-  /// for Jacobian row blocks, SyReNN transforms, and pattern batches.
-  /// Only effective when the job carries a cache (RepairEngine with
+  /// for all four artifact kinds: Jacobian row blocks, SyReNN
+  /// transforms, pattern batches, and the optimal simplex basis of each
+  /// LP solve (one per constraint-generation round). Only effective
+  /// when the job carries a cache (RepairEngine with
   /// EngineOptions::EnableCache); hits are bit-for-bit identical to
   /// recomputation, so the default on never changes results.
+  ///
+  /// The basis key hashes the constraint *coefficients* but not the
+  /// right-hand sides, so a resubmission whose spec moved only row
+  /// bounds shares the entry slot; replay, though, is gated on an exact
+  /// digest of the remaining LP data, because only replaying the
+  /// terminal basis of the identical LP re-derives that solve's result
+  /// bit for bit (drift-hits, and bases the solver rejects, get the
+  /// round's own solve, exactly as with the cache off).
   bool UseCache = true;
-  /// Cache the optimal simplex basis of each LP solve (one per
-  /// constraint-generation round) as a fourth artifact kind
-  /// (ArtifactKind::SimplexBasis) and replay later identical solves
-  /// from it (lp/Simplex.h, SimplexOptions::WarmBasis). The basis key
-  /// hashes the constraint *coefficients* but not the right-hand
-  /// sides, so a resubmission whose spec moved only row bounds shares
-  /// the entry slot; replay, though, is gated on an exact digest of
-  /// the remaining LP data, because only replaying the terminal basis
-  /// of the identical LP re-derives that solve's result bit for bit
-  /// (drift-hits, and bases the solver rejects, get the round's own
-  /// solve, exactly as with the cache off). The default on therefore
-  /// never changes results. Only effective when the job carries a
-  /// cache, like UseCache.
-  bool WarmStartBasis = true;
   lp::SimplexOptions Lp;
 };
 
@@ -152,7 +148,7 @@ struct RepairStats {
   int PatternCacheHits = 0;
   int PatternCacheMisses = 0;
   /// Simplex warm-start basis lookups (one per LP solve attempted
-  /// against the cache; see RepairOptions::WarmStartBasis). A hit
+  /// against the cache; see RepairOptions::UseCache). A hit
   /// means the LP actually replayed a cached basis; a cached basis
   /// that failed solver validation counts as a miss, and so does a
   /// round that re-optimized from the previous round's basis.

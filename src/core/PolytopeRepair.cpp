@@ -9,7 +9,6 @@
 #include "syrenn/LineTransform.h"
 #include "syrenn/PlaneTransform.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace prdnn;
@@ -191,46 +190,4 @@ PointSpec prdnn::keyPointSpec(const Network &Net, const PolytopeSpec &Spec,
   if (NumRegions)
     *NumRegions = Result.LinearRegions;
   return std::move(Result.Points);
-}
-
-RepairResult prdnn::detail::repairPolytopesImpl(const Network &Net,
-                                                int LayerIndex,
-                                                const PolytopeSpec &Spec,
-                                                const RepairOptions &Options,
-                                                JobContext *Ctx) {
-  WallTimer Total;
-
-  // --- LinRegions phase (Algorithm 2, line 2) -------------------------------
-  // The SyReNN transform runs to completion once started; cancellation
-  // is polled at its boundaries.
-  if (Ctx) {
-    Ctx->beginPhase(RepairPhase::LinRegions,
-                    static_cast<std::int64_t>(Spec.size()));
-    if (Ctx->checkpoint(RepairPhase::LinRegions)) {
-      RepairResult Result;
-      Result.Status = RepairStatus::Cancelled;
-      Result.Stats.TotalSeconds = Total.seconds();
-      return Result;
-    }
-  }
-  KeyPointsResult KeyPts = keyPoints(Net, Spec, Ctx, Options.UseCache);
-  if (Ctx)
-    Ctx->advance(static_cast<std::int64_t>(Spec.size()));
-
-  RepairResult Result =
-      repairPointsImpl(Net, LayerIndex, KeyPts.Points, Options, Ctx);
-  Result.Stats.LinRegionsSeconds = KeyPts.Seconds;
-  Result.Stats.KeyPoints = static_cast<int>(KeyPts.Points.size());
-  Result.Stats.LinearRegions = KeyPts.LinearRegions;
-  Result.Stats.LinRegionsCacheHits = KeyPts.TransformCacheHits;
-  Result.Stats.LinRegionsCacheMisses = KeyPts.TransformCacheMisses;
-  Result.Stats.PatternCacheHits = KeyPts.PatternCacheHits;
-  Result.Stats.PatternCacheMisses = KeyPts.PatternCacheMisses;
-  Result.Stats.LinRegionsStoreHits = KeyPts.TransformStoreHits;
-  Result.Stats.PatternStoreHits = KeyPts.PatternStoreHits;
-  Result.Stats.TotalSeconds = Total.seconds();
-  Result.Stats.OtherSeconds =
-      std::max(0.0, Result.Stats.TotalSeconds - Result.Stats.JacobianSeconds -
-                        Result.Stats.LpSeconds - KeyPts.Seconds);
-  return Result;
 }

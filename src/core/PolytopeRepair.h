@@ -77,18 +77,6 @@ struct KeyPointsResult {
 KeyPointsResult keyPoints(const Network &Net, const PolytopeSpec &Spec,
                           JobContext *Ctx = nullptr, bool UseCache = true);
 
-namespace detail {
-
-/// Algorithm 2 proper; see repairPointsImpl for the \p Ctx contract
-/// (cancellation here is additionally polled around the LinRegions
-/// transform phase).
-RepairResult repairPolytopesImpl(const Network &Net, int LayerIndex,
-                                 const PolytopeSpec &Spec,
-                                 const RepairOptions &Options,
-                                 JobContext *Ctx);
-
-} // namespace detail
-
 } // namespace prdnn
 
 #endif // PRDNN_CORE_POLYTOPEREPAIR_H

@@ -25,10 +25,10 @@ void LpScheduler::runTasks(
   if (NumTasks <= 0)
     return;
 
-  // Dedicated shard threads rather than pool loops: a task may itself
-  // call parallelFor (large LPs, Jacobian assembly), and nesting whole
-  // multi-second tasks inside one pool loop would hold the pool's run
-  // lock across the batch. The shard threads are coarse (one spawn per
+  // Dedicated shard threads rather than pool loops: a repair attempt
+  // itself calls parallelFor (its Jacobian and Verify loops), and
+  // nesting whole multi-second tasks inside one pool loop would hold the
+  // pool's run lock across the batch. The shard threads are coarse (one spawn per
   // slot per batch), so thread-creation cost is noise next to a solve.
   int Shards = NumTasks < SlotCount ? NumTasks : SlotCount;
   std::atomic<int> NextTask{0};

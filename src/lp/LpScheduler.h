@@ -5,10 +5,10 @@
 /// concurrently on a fixed number of shard threads, instead of
 /// serializing them on the calling thread. The motivating consumer is
 /// the repair engine's auto-layer sweep (api/RepairEngine.cpp): each
-/// candidate layer's repair attempt is an independent job whose LPs are
-/// typically far below the simplex's 192-row blocked-kernel crossover
-/// (lp/Simplex.h), so the in-solve kernels run scalar and the sweep's
-/// parallelism must come from running *whole attempts* side by side.
+/// candidate layer's repair attempt is an independent job, and the
+/// simplex runs scalar on the attempt's own thread (lp/Simplex.h), so
+/// the LP phase's parallelism must come from running *whole attempts*
+/// side by side.
 /// The engine sizes every sweep at min(candidates, pool size) slots,
 /// or one slot for a job with a checkpoint hook; a one-slot batch runs
 /// inline on the calling thread.

@@ -42,6 +42,30 @@ Digest128 payloadDigest(const std::uint8_t *Data, std::size_t Size) {
 
 } // namespace
 
+bool prdnn::persist::plausibleCount(ByteReader &R, std::uint64_t Count,
+                                    std::size_t ElementBytes) {
+  if (Count > R.remaining() / ElementBytes) {
+    R.fail(CodecError::Corrupt);
+    return false;
+  }
+  return true;
+}
+
+void prdnn::persist::writeDoubleSeq(ByteWriter &W,
+                                    const std::vector<double> &Values) {
+  W.u64(Values.size());
+  W.doubles(Values.data(), Values.size());
+}
+
+bool prdnn::persist::readDoubleSeq(ByteReader &R,
+                                   std::vector<double> &Values) {
+  std::uint64_t Count = 0;
+  if (!R.u64(Count) || !plausibleCount(R, Count, 8))
+    return false;
+  Values.resize(static_cast<std::size_t>(Count));
+  return R.doubles(Values.data(), Values.size());
+}
+
 std::vector<std::uint8_t>
 prdnn::persist::frame(std::uint8_t BlobKind,
                       const std::vector<std::uint8_t> &Payload) {

@@ -65,7 +65,7 @@ const char *toString(CodecError Error);
 /// rows, bases and repaired networks carry its bits. Readers reject
 /// other versions with BadVersion (no silent migrations), so old store
 /// entries and old peers degrade to recomputes.
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Fixed frame prologue: magic + version + endian tag + kind + payload
 /// size. A stream consumer (rpc/Wire.h) reads exactly this many bytes,
@@ -235,6 +235,17 @@ private:
   std::size_t Pos = 0;
   CodecError Err = CodecError::None;
 };
+
+/// Guards an element count against the bytes actually left in the
+/// stream (every element is at least \p ElementBytes wide), so a
+/// corrupted count fails with Corrupt before allocation instead of
+/// after.
+bool plausibleCount(ByteReader &R, std::uint64_t Count,
+                    std::size_t ElementBytes);
+
+/// u64 count + the doubles' bit patterns.
+void writeDoubleSeq(ByteWriter &W, const std::vector<double> &Values);
+bool readDoubleSeq(ByteReader &R, std::vector<double> &Values);
 
 /// Wraps \p Payload in the header + digest-trailer frame described in
 /// the file comment.

@@ -44,31 +44,6 @@ std::int64_t convParamCount(int OutC, int InC, int KH, int KW) {
   return Total > kMaxParams ? -1 : Total;
 }
 
-/// Guards an element count against the bytes actually left in the
-/// stream (every element is at least \p ElementBytes wide), so a
-/// corrupted count fails before allocation instead of after.
-bool plausibleCount(ByteReader &R, std::uint64_t Count,
-                    std::size_t ElementBytes) {
-  if (Count > R.remaining() / ElementBytes) {
-    R.fail(CodecError::Corrupt);
-    return false;
-  }
-  return true;
-}
-
-void writeDoubleSeq(ByteWriter &W, const std::vector<double> &Values) {
-  W.u64(Values.size());
-  W.doubles(Values.data(), Values.size());
-}
-
-bool readDoubleSeq(ByteReader &R, std::vector<double> &Values) {
-  std::uint64_t Count = 0;
-  if (!R.u64(Count) || !plausibleCount(R, Count, 8))
-    return false;
-  Values.resize(static_cast<std::size_t>(Count));
-  return R.doubles(Values.data(), Values.size());
-}
-
 // --- Artifact payloads ------------------------------------------------------
 
 void writeJacobianRows(ByteWriter &W, const JacobianRowsArtifact &A) {

@@ -15,6 +15,9 @@ using namespace prdnn::rpc;
 using persist::ByteReader;
 using persist::ByteWriter;
 using persist::CodecError;
+using persist::plausibleCount;
+using persist::readDoubleSeq;
+using persist::writeDoubleSeq;
 
 const char *prdnn::rpc::toString(RpcError Error) {
   switch (Error) {
@@ -65,17 +68,6 @@ RpcError prdnn::rpc::fromCodecError(CodecError Error) {
 
 namespace {
 
-/// Guards a count against the bytes actually left (>= \p ElementBytes
-/// per element), so a corrupted count fails before allocating.
-bool plausible(ByteReader &R, std::uint64_t Count,
-               std::size_t ElementBytes) {
-  if (Count > R.remaining() / ElementBytes) {
-    R.fail(CodecError::Corrupt);
-    return false;
-  }
-  return true;
-}
-
 /// Reads a u8 that must be a valid enum value in [0, MaxValue].
 bool readEnum8(ByteReader &R, std::uint8_t &V, std::uint8_t MaxValue) {
   if (!R.u8(V))
@@ -85,19 +77,6 @@ bool readEnum8(ByteReader &R, std::uint8_t &V, std::uint8_t MaxValue) {
     return false;
   }
   return true;
-}
-
-void writeDoubleSeq(ByteWriter &W, const std::vector<double> &Values) {
-  W.u64(Values.size());
-  W.doubles(Values.data(), Values.size());
-}
-
-bool readDoubleSeq(ByteReader &R, std::vector<double> &Values) {
-  std::uint64_t Count = 0;
-  if (!R.u64(Count) || !plausible(R, Count, 8))
-    return false;
-  Values.resize(static_cast<std::size_t>(Count));
-  return R.doubles(Values.data(), Values.size());
 }
 
 void writeConstraint(ByteWriter &W, const OutputConstraint &C) {
@@ -128,7 +107,7 @@ void writePointSpec(ByteWriter &W, const PointSpec &Spec) {
 
 bool readPointSpec(ByteReader &R, PointSpec &Spec) {
   std::uint64_t Count = 0;
-  if (!R.u64(Count) || !plausible(R, Count, 8))
+  if (!R.u64(Count) || !plausibleCount(R, Count, 8))
     return false;
   Spec.resize(static_cast<std::size_t>(Count));
   for (SpecPoint &P : Spec) {
@@ -169,7 +148,7 @@ void writePolytopeSpec(ByteWriter &W, const PolytopeSpec &Spec) {
 
 bool readPolytopeSpec(ByteReader &R, PolytopeSpec &Spec) {
   std::uint64_t Count = 0;
-  if (!R.u64(Count) || !plausible(R, Count, 8))
+  if (!R.u64(Count) || !plausibleCount(R, Count, 8))
     return false;
   Spec.resize(static_cast<std::size_t>(Count));
   for (SpecPolytope &P : Spec) {
@@ -184,7 +163,7 @@ bool readPolytopeSpec(ByteReader &R, PolytopeSpec &Spec) {
       P.Shape = std::move(Segment);
     } else {
       std::uint32_t Verts = 0;
-      if (!R.u32(Verts) || !plausible(R, Verts, 8))
+      if (!R.u32(Verts) || !plausibleCount(R, Verts, 8))
         return false;
       PlanePolytope Plane;
       Plane.Vertices.resize(Verts);
@@ -203,7 +182,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.u8(static_cast<std::uint8_t>(O.Objective));
   W.f64(O.DeltaBound);
   W.f64(O.RowMargin);
-  W.u8(O.UseConstraintGeneration ? 1 : 0);
   W.i32(O.MaxCgRounds);
   W.i32(O.CgBatch);
   W.u8(O.ParamMask ? 1 : 0);
@@ -213,7 +191,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
       W.u8(Bit ? 1 : 0);
   }
   W.u8(O.UseCache ? 1 : 0);
-  W.u8(O.WarmStartBasis ? 1 : 0);
   // SimplexOptions, minus its two non-owning pointers (CancelFlag,
   // WarmBasis): those are process-local wiring the server re-installs.
   W.f64(O.Lp.FeasTol);
@@ -233,9 +210,6 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   O.Objective = static_cast<lp::Norm>(Objective);
   if (!R.f64(O.DeltaBound) || !R.f64(O.RowMargin))
     return false;
-  if (!readEnum8(R, Flag, 1))
-    return false;
-  O.UseConstraintGeneration = Flag != 0;
   if (!R.i32(O.MaxCgRounds) || !R.i32(O.CgBatch))
     return false;
   std::uint8_t HasMask = 0;
@@ -243,7 +217,7 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
     return false;
   if (HasMask) {
     std::uint64_t Count = 0;
-    if (!R.u64(Count) || !plausible(R, Count, 1))
+    if (!R.u64(Count) || !plausibleCount(R, Count, 1))
       return false;
     std::vector<bool> Mask(static_cast<std::size_t>(Count));
     for (std::size_t I = 0; I < Mask.size(); ++I) {
@@ -259,9 +233,6 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   if (!readEnum8(R, Flag, 1))
     return false;
   O.UseCache = Flag != 0;
-  if (!readEnum8(R, Flag, 1))
-    return false;
-  O.WarmStartBasis = Flag != 0;
   if (!R.f64(O.Lp.FeasTol) || !R.f64(O.Lp.OptTol) || !R.f64(O.Lp.PivotTol))
     return false;
   if (!R.i32(O.Lp.MaxIterations))
@@ -481,7 +452,7 @@ bool prdnn::rpc::readServeRequest(ByteReader &R,
   if (!R.i32(Request.LayerIndex))
     return false;
   std::uint32_t SweepCount = 0;
-  if (!R.u32(SweepCount) || !plausible(R, SweepCount, 4))
+  if (!R.u32(SweepCount) || !plausibleCount(R, SweepCount, 4))
     return false;
   Request.SweepLayers.resize(SweepCount);
   for (int &Layer : Request.SweepLayers)
@@ -518,7 +489,7 @@ bool prdnn::rpc::readRepairReport(ByteReader &R, RepairReport &Report) {
   if (!R.i32(Report.RepairedLayer) || !readRepairResult(R, Report.Result))
     return false;
   std::uint32_t SweepCount = 0;
-  if (!R.u32(SweepCount) || !plausible(R, SweepCount, 8))
+  if (!R.u32(SweepCount) || !plausibleCount(R, SweepCount, 8))
     return false;
   Report.Sweep.resize(SweepCount);
   for (SweepAttempt &A : Report.Sweep)
@@ -680,7 +651,7 @@ bool prdnn::rpc::readMetricsSnapshot(ByteReader &R,
                                      obs::MetricsSnapshot &Snapshot) {
   std::uint64_t NumSamples = 0;
   // Each sample is at least 2 length-prefixed strings + a kind byte.
-  if (!R.u64(NumSamples) || !plausible(R, NumSamples, 17))
+  if (!R.u64(NumSamples) || !plausibleCount(R, NumSamples, 17))
     return false;
   Snapshot.Samples.clear();
   Snapshot.Samples.reserve(static_cast<std::size_t>(NumSamples));
@@ -708,7 +679,7 @@ bool prdnn::rpc::readMetricsSnapshot(ByteReader &R,
         }
       }
       const std::size_t NumBuckets = S.Hist.Edges.size() + 1;
-      if (!plausible(R, NumBuckets, 8))
+      if (!plausibleCount(R, NumBuckets, 8))
         return false;
       S.Hist.Counts.resize(NumBuckets);
       for (std::uint64_t &Count : S.Hist.Counts)

@@ -427,10 +427,10 @@ TEST(EngineCache, WarmResubmissionReplaysSimplexBases) {
   ASSERT_EQ(Warm.Sweep.size(), 1u);
   EXPECT_TRUE(Warm.Sweep[0].WarmStarted);
 
-  // Per-request opt-out: Jacobian chunks still hit, but every LP
-  // solves cold - bit-identically, as always.
+  // Per-request opt-out: no artifact is looked up, so every LP solves
+  // cold - bit-identically, as always.
   RepairRequest NoWarm = Request;
-  NoWarm.Options.WarmStartBasis = false;
+  NoWarm.Options.UseCache = false;
   RepairReport Off = Engine.run(NoWarm);
   EXPECT_EQ(Off.Result.Stats.BasisHits + Off.Result.Stats.BasisMisses, 0);
   EXPECT_GT(Off.Result.Stats.LpIterations, 0);

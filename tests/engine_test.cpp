@@ -841,7 +841,7 @@ TEST(RepairEngine, CgRoundBudgetFallbackReturnsFullLpOptimum) {
   auto Net = std::make_shared<Network>(makeClassifier(R));
   PointSpec Spec = makeFlipSpec(*Net, R, 30);
   RepairOptions Full;
-  Full.UseConstraintGeneration = false;
+  Full.MaxCgRounds = 0;
   RepairResult Reference = repairPoints(*Net, 2, Spec, Full);
   ASSERT_EQ(Reference.Status, RepairStatus::Success);
 
@@ -875,7 +875,7 @@ TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
   ASSERT_GE(Baseline.Result.Stats.CgRounds, 3);
 
   RepairOptions Full;
-  Full.UseConstraintGeneration = false;
+  Full.MaxCgRounds = 0;
   RepairResult Reference = repairPoints(*Net, 2, Spec, Full);
   ASSERT_EQ(Reference.Status, RepairStatus::Success);
   EXPECT_NEAR(Baseline.Result.DeltaL1, Reference.DeltaL1,

@@ -289,8 +289,9 @@ TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
   // constants means every stored Jacobian row, basis and repaired
   // network changes bits too: it requires a persist::kFormatVersion
   // bump (persist/Codec.h), so that old stores and old peers degrade to
-  // recomputes instead of serving stale bits.
-  static_assert(persist::kFormatVersion == 3,
+  // recomputes instead of serving stale bits. The version also moves
+  // for wire and store layout changes, which leave the constant alone.
+  static_assert(persist::kFormatVersion == 4,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
   const Digest128 Golden = {0x13306408124117f1ull, 0x047153c3a5539863ull};

@@ -237,7 +237,8 @@ TEST_P(RepairSweep, RepairedNetworkSatisfiesClassificationSpec) {
   }
 
   RepairOptions Options;
-  Options.UseConstraintGeneration = Params.UseCg;
+  if (!Params.UseCg)
+    Options.MaxCgRounds = 0; // the full LP in one round
   int OutputLayer = Net.parameterizedLayerIndices().back();
   RepairResult Result = repairPoints(Net, OutputLayer, Spec, Options);
   ASSERT_EQ(Result.Status, RepairStatus::Success);
@@ -274,13 +275,15 @@ TEST(PointRepair, ConstraintGenerationMatchesFullSolve) {
   int OutputLayer = Net.parameterizedLayerIndices().back();
 
   RepairOptions WithCg;
-  WithCg.UseConstraintGeneration = true;
   RepairOptions Without;
-  Without.UseConstraintGeneration = false;
+  Without.MaxCgRounds = 0;
   RepairResult A = repairPoints(Net, OutputLayer, Spec, WithCg);
   RepairResult B = repairPoints(Net, OutputLayer, Spec, Without);
   ASSERT_EQ(A.Status, RepairStatus::Success);
   ASSERT_EQ(B.Status, RepairStatus::Success);
+  // MaxCgRounds = 0 skips generation: one round over every row.
+  EXPECT_EQ(B.Stats.CgRounds, 0);
+  EXPECT_EQ(B.Stats.LpRowsUsed, B.Stats.SpecRows);
   EXPECT_NEAR(A.DeltaL1, B.DeltaL1, 1e-5 * (1.0 + B.DeltaL1));
 }
 
@@ -379,7 +382,8 @@ TEST(PointRepair, DeltaIdenticalAcrossThreadCounts) {
   int OutputLayer = Net.parameterizedLayerIndices().back();
   for (bool UseCg : {false, true}) {
     RepairOptions Options;
-    Options.UseConstraintGeneration = UseCg;
+    if (!UseCg)
+      Options.MaxCgRounds = 0;
 
     setGlobalThreadCount(1);
     RepairResult Single = repairPoints(Net, OutputLayer, Spec, Options);

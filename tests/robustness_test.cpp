@@ -113,7 +113,7 @@ TEST(Robustness, TinyCgBatchStillConverges) {
   Options.MaxCgRounds = 200;
   RepairResult A = repairPoints(Net, 2, Spec, Options);
   RepairOptions Reference;
-  Reference.UseConstraintGeneration = false;
+  Reference.MaxCgRounds = 0;
   RepairResult B = repairPoints(Net, 2, Spec, Reference);
   ASSERT_EQ(A.Status, RepairStatus::Success);
   ASSERT_EQ(B.Status, RepairStatus::Success);

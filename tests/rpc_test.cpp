@@ -204,7 +204,6 @@ serve::ServeRequest makeRichRequest(const NetworkFingerprint &Fp,
   Request.SweepLayers = {0, 2, 4};
   Request.Class = RepairRequest::Priority::High;
   Request.Options.DeltaBound = 17.5;
-  Request.Options.UseConstraintGeneration = true;
   Request.Options.CgBatch = 7;
   Request.Options.ParamMask = std::vector<bool>{true, false, true};
   Request.Options.Lp.MaxIterations = 1234;
