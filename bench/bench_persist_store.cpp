@@ -4,8 +4,9 @@
 // fixed mix of point- and polytope-repair requests drains through an
 // engine whose cache is backed by an on-disk store, the engine is torn
 // down (flushing write-behind), and a *fresh* engine on the same
-// directory drains the same mix - its Jacobian / LinRegions phases
-// come back from disk instead of being recomputed. Baselines: the same
+// directory drains the same mix - its LinRegions partitions, pattern
+// batches and LP bases come back from disk instead of being
+// recomputed. Baselines: the same
 // mix cache-off, cold (empty store), and L1-warm (same engine, second
 // drain).
 //
@@ -59,8 +60,8 @@ Matrix randomMatrix(Rng &R, int Rows, int Cols, double Scale = 1.0) {
   return M;
 }
 
-/// 16 -> 48 -> 48 -> 8 ReLU classifier: the Jacobian phase (what L2
-/// hits skip after a restart) carries real weight.
+/// 16 -> 48 -> 48 -> 8 ReLU classifier: the LP solves (whose bases L2
+/// hits replay after a restart) carry real weight.
 Network makeClassifier(Rng &R) {
   Network Net;
   Net.addLayer(std::make_unique<FullyConnectedLayer>(

@@ -11,8 +11,8 @@
 // result is compared bit-for-bit against a serial repairPoints /
 // repairPolytopes call of the same request - the engine's determinism
 // contract. The same mix is then resubmitted *warm*: the engine's
-// artifact cache turns the Jacobian / LinRegions phases into lookups
-// and every LP solve replays its cached terminal simplex basis
+// artifact cache turns the LinRegions phase into lookups and every LP
+// solve replays its cached terminal simplex basis
 // (BasisHits > 0) - and the warm results must still be bit-identical.
 // A final high-priority job demonstrates cooperative cancellation (and
 // the priority-classed queue).
@@ -144,9 +144,9 @@ int main() {
   }
 
   // --- Warm resubmission: the artifact cache at work -------------------------
-  // The same requests again: Jacobian row blocks, SyReNN transforms,
-  // and pattern batches now come from the engine's shared cache, and
-  // the results are still bit-identical (the cache's determinism
+  // The same requests again: SyReNN transforms, pattern batches and
+  // simplex bases now come from the engine's shared cache, and the
+  // results are still bit-identical (the cache's determinism
   // contract).
   std::vector<JobHandle> WarmHandles;
   WarmHandles.reserve(Requests.size());
@@ -193,8 +193,8 @@ int main() {
               1e3 * DoomedReport.TotalSeconds);
 
   // --- Warm restart: the persistent artifact store at work -------------------
-  // A repair service that restarts should not re-derive every Jacobian
-  // block and SyReNN transform from scratch: an engine backed by an
+  // A repair service that restarts should not re-derive every SyReNN
+  // transform and LP basis from scratch: an engine backed by an
   // on-disk store leaves its artifacts behind, and its successor reads
   // them back (bit-identically) on first touch.
   namespace fs = std::filesystem;

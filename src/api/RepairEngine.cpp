@@ -231,6 +231,10 @@ void RepairEngine::recordJobMetrics(const RepairReport &Report) {
   T->LpRatioSeconds->add(K.RatioSeconds);
   T->LpUpdateSeconds->add(K.UpdateSeconds);
   T->LpRefactorSeconds->add(K.RefactorSeconds);
+  if (Report.Result.Stats.VerifyTolerance > 0.0) {
+    T->VerifiedViolation->set(Report.Result.Stats.VerifiedViolation);
+    T->VerifyTolerance->set(Report.Result.Stats.VerifyTolerance);
+  }
 }
 
 bool RepairEngine::hasStore() const { return Store != nullptr; }

@@ -9,10 +9,12 @@
 /// Mapping to the paper:
 ///
 ///   RepairRequest{PointSpec}    -> Algorithm 1 (repairPoints, §5):
-///     Jacobian phase = lines 4-6 (batch parameter Jacobians and
-///     constraint assembly), Lp phase = lines 7-8 (norm-minimal Delta
-///     by LP, with constraint generation), Verify phase = lines 9-10
-///     (apply Delta, re-verify the spec on the DDNN itself).
+///     Jacobian phase = lines 4-6 (each point's forward state and its
+///     rows' right-hand sides; core/SpecRows.h), Lp phase = lines 7-8
+///     (norm-minimal Delta by LP, with constraint generation: forward
+///     scans of the DDNN pick the rows, and Jacobian rows are built
+///     only for those), Verify phase = lines 9-10 (apply Delta; the
+///     last scan re-verified the spec on the DDNN itself).
 ///   RepairRequest{PolytopeSpec} -> Algorithm 2 (repairPolytopes, §6):
 ///     a LinRegions phase (SyReNN transform, line 2) reduces each
 ///     polytope to key points with pinned activation patterns
@@ -35,9 +37,10 @@
 /// (notably the simplex solve) overlap freely across workers. An
 /// auto-layer sweep runs its candidate attempts on
 /// min(candidates, pool size) LpScheduler shards (lp/LpScheduler.h),
-/// derived from the global pool rather than configured; a job with a
-/// checkpoint hook runs on one shard, inline on its job thread. Shard
-/// count never changes a result.
+/// derived from the global pool rather than configured; with several
+/// shards, each runs its attempts' parallel loops inline, and a job
+/// with a checkpoint hook runs on one shard, inline on its job thread.
+/// Shard count never changes a result.
 ///
 /// Cancellation is cooperative: JobHandle::cancel() raises a flag the
 /// pipeline polls at phase/chunk boundaries and between simplex
@@ -47,8 +50,8 @@
 /// The engine owns one content-addressed ArtifactCache shared by all
 /// its jobs (EngineOptions::EnableCache / CacheBudgetBytes): repeated
 /// (network, layer, spec-prefix) keys - auto-layer sweeps, repeated-
-/// spec server workloads, iterative patch loops - reuse Jacobian row
-/// blocks, SyReNN transforms, and pattern batches instead of
+/// spec server workloads, iterative patch loops - reuse SyReNN
+/// transforms, pattern batches and simplex bases instead of
 /// recomputing them, with single-flight insertion so concurrent jobs
 /// on the same key compute once. Hits are bit-for-bit identical to
 /// recomputation, so warm runs equal cold runs exactly (see
@@ -97,7 +100,7 @@ struct EngineOptions {
   int QueueCapacity = 64;
   /// Own an ArtifactCache (cache/ArtifactCache.h) shared by every job
   /// of this engine: repeated (network, layer, spec-prefix) keys turn
-  /// the Jacobian / LinRegions phases into lookups. Hits are
+  /// the LinRegions phase into lookups and replay LP bases. Hits are
   /// bit-for-bit identical to recomputation (test-enforced), so the
   /// default on never changes results - disable only to reclaim the
   /// memory. Per-request opt-out: RepairOptions::UseCache.

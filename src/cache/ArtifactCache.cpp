@@ -12,8 +12,6 @@ using namespace prdnn;
 
 const char *prdnn::toString(ArtifactKind Kind) {
   switch (Kind) {
-  case ArtifactKind::JacobianRows:
-    return "JacobianRows";
   case ArtifactKind::SyrennTransform:
     return "SyrennTransform";
   case ArtifactKind::PatternBatch:
@@ -37,13 +35,6 @@ std::size_t vectorBytes(std::size_t Elements, std::size_t ElementSize) {
 }
 
 } // namespace
-
-std::size_t JacobianRowsArtifact::bytes() const {
-  std::size_t Total = sizeof(*this) + vectorBytes(Hi.size(), sizeof(double));
-  for (const std::vector<double> &Row : Coef)
-    Total += vectorBytes(Row.size(), sizeof(double));
-  return Total;
-}
 
 std::size_t SyrennTransformArtifact::bytes() const {
   std::size_t Total = sizeof(*this);

@@ -4,8 +4,6 @@
 /// A content-addressed, byte-budgeted cache for the expensive artifacts
 /// of the repair pipeline, shared by every job of a RepairEngine:
 ///
-///   JacobianRows    - the assembled LP constraint rows of one Jacobian
-///                     chunk of a point spec (Algorithm 1, lines 4-6);
 ///   SyrennTransform - the LinRegions partitions of a polytope spec's
 ///                     shapes (Algorithm 2, line 2);
 ///   PatternBatch    - activation patterns at a batch of points (the
@@ -81,7 +79,6 @@ class ArtifactStore;
 
 /// What a cache entry holds; see the file comment.
 enum class ArtifactKind : std::uint8_t {
-  JacobianRows,
   SyrennTransform,
   PatternBatch,
   SimplexBasis,
@@ -92,7 +89,7 @@ const char *toString(ArtifactKind Kind);
 /// Content address of one artifact: the kind plus a digest over every
 /// input the artifact depends on (network fingerprint included).
 struct CacheKey {
-  ArtifactKind Kind = ArtifactKind::JacobianRows;
+  ArtifactKind Kind = ArtifactKind::SyrennTransform;
   Digest128 Digest;
 
   bool operator==(const CacheKey &Other) const = default;
@@ -104,16 +101,6 @@ class CacheArtifact {
 public:
   virtual ~CacheArtifact();
   virtual std::size_t bytes() const = 0;
-};
-
-/// The assembled LP rows of one Jacobian chunk: row r is
-/// Coef[r] . Delta <= Hi[r], in the chunk's row order (the caller's
-/// RowOffset layout).
-struct JacobianRowsArtifact final : CacheArtifact {
-  std::vector<std::vector<double>> Coef;
-  std::vector<double> Hi;
-
-  std::size_t bytes() const override;
 };
 
 /// The LinRegions partitions of every polytope of a spec, in spec

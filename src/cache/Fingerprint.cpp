@@ -2,7 +2,6 @@
 
 #include "cache/Fingerprint.h"
 
-#include "nn/ActivationPattern.h"
 #include "nn/Layer.h"
 #include "nn/Network.h"
 #include "support/Casting.h"
@@ -37,15 +36,6 @@ void prdnn::hashVector(Hasher &H, const Vector &V) {
   H.doubles(V.data(), static_cast<std::size_t>(V.size()));
 }
 
-void prdnn::hashMatrix(Hasher &H, const Matrix &M) {
-  H.i32(M.rows());
-  H.i32(M.cols());
-  if (M.rows() > 0)
-    H.doubles(M.rowData(0),
-              static_cast<std::size_t>(M.rows()) *
-                  static_cast<std::size_t>(M.cols()));
-}
-
 std::string prdnn::toHex(const Digest128 &Digest) {
   static const char *Alphabet = "0123456789abcdef";
   std::string Out;
@@ -75,13 +65,4 @@ std::optional<Digest128> prdnn::digestFromHex(const std::string &Hex) {
       Words[W] = (Words[W] << 4) | Nibble;
     }
   return Digest128{Words[0], Words[1]};
-}
-
-void prdnn::hashPattern(Hasher &H, const NetworkPattern &Pattern) {
-  H.i32(static_cast<int>(Pattern.Patterns.size()));
-  for (const std::vector<int> &LayerPattern : Pattern.Patterns) {
-    H.i32(static_cast<int>(LayerPattern.size()));
-    for (int P : LayerPattern)
-      H.i32(P);
-  }
 }

@@ -3,8 +3,8 @@
 /// \file
 /// Content addressing for the repair-artifact cache: a stable
 /// NetworkFingerprint over a network's full topology *and* parameter
-/// bits, plus hashing helpers for the value types that appear in cache
-/// keys (vectors, matrices, activation patterns).
+/// bits, plus a hashing helper for the vectors that appear in cache
+/// keys.
 ///
 /// Two networks share a fingerprint iff they have the same layer
 /// sequence (kinds and geometry, via each layer's describe() string and
@@ -27,8 +27,6 @@ namespace prdnn {
 
 class Network;
 class Vector;
-class Matrix;
-struct NetworkPattern;
 
 /// Content address of one immutable network; see the file comment.
 struct NetworkFingerprint {
@@ -39,14 +37,12 @@ struct NetworkFingerprint {
 
 /// Hashes topology (layer count, kinds, geometry) and every parameter's
 /// bit pattern. Cost is one linear pass over the parameters - trivial
-/// next to a single Jacobian chunk - so engines recompute it per job
-/// rather than trusting object identity.
+/// next to a single forward pass over a spec - so engines recompute it
+/// per job rather than trusting object identity.
 NetworkFingerprint fingerprintNetwork(const Network &Net);
 
-/// Key-building helpers: absorb a value's dimensions and exact bits.
+/// Key-building helper: absorbs a vector's dimension and exact bits.
 void hashVector(Hasher &H, const Vector &V);
-void hashMatrix(Hasher &H, const Matrix &M);
-void hashPattern(Hasher &H, const NetworkPattern &Pattern);
 
 /// 32 lowercase hex chars (Hi then Lo): the digest's canonical text
 /// form, used wherever a content address becomes a file name or wire

@@ -4,11 +4,9 @@
 
 #include "cache/ArtifactCache.h"
 #include "core/RepairContext.h"
-#include "nn/Jacobian.h"
+#include "core/SpecRows.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
-#include "support/Error.h"
-#include "support/Parallel.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -16,6 +14,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 
 using namespace prdnn;
 
@@ -44,55 +43,6 @@ bool prdnn::validRepairOptions(const RepairOptions &O) {
          O.Lp.RefactorInterval >= 1 && O.Lp.StallLimit >= 1;
 }
 
-namespace {
-
-/// One LP row over the *effective* (unfrozen) parameters:
-/// Coef . Delta <= Hi.
-struct SpecRow {
-  std::vector<double> Coef;
-  double Hi;
-
-  double violationAt(const std::vector<double> &Delta) const {
-    double Activity = 0.0;
-    for (size_t J = 0; J < Coef.size(); ++J)
-      Activity += Coef[J] * Delta[J];
-    return Activity - Hi;
-  }
-};
-
-/// Rows of \p Rows (excluding those marked in \p InLp, when non-null)
-/// whose violation at \p Delta exceeds \p Tol, in ascending row order.
-/// The scan is chunked across the thread pool; chunks are merged in
-/// order, so the result matches the sequential scan exactly.
-std::vector<std::pair<double, int>>
-violatedRows(const std::vector<SpecRow> &Rows, const std::vector<char> *InLp,
-             const std::vector<double> &Delta, double Tol) {
-  std::int64_t NumRows = static_cast<std::int64_t>(Rows.size());
-  const std::int64_t Grain = 1024;
-  std::int64_t NumChunks = (NumRows + Grain - 1) / Grain;
-  std::vector<std::vector<std::pair<double, int>>> PerChunk(
-      static_cast<size_t>(NumChunks));
-  parallelForRanges(
-      0, NumRows,
-      [&](std::int64_t Begin, std::int64_t End) {
-        auto &Local = PerChunk[static_cast<size_t>(Begin / Grain)];
-        for (std::int64_t RI = Begin; RI < End; ++RI) {
-          if (InLp && (*InLp)[static_cast<size_t>(RI)])
-            continue;
-          double V = Rows[static_cast<size_t>(RI)].violationAt(Delta);
-          if (V > Tol)
-            Local.push_back({V, static_cast<int>(RI)});
-        }
-      },
-      Grain);
-  std::vector<std::pair<double, int>> Result;
-  for (auto &Local : PerChunk)
-    Result.insert(Result.end(), Local.begin(), Local.end());
-  return Result;
-}
-
-} // namespace
-
 RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
                                              int LayerIndex,
                                              const PointSpec &Spec,
@@ -103,16 +53,23 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   Result.Stats.SpecPoints = static_cast<int>(Spec.size());
 
   // LP accounting, declared up front so every exit path - cancellation
-  // included - stamps the timing stats consistently.
-  double LpSeconds = 0.0;
+  // included - stamps the timing stats consistently. LpTimer runs for
+  // the whole Lp phase (lazy rows, appends, basis-cache work, solves
+  // and scans), which is exactly the trace's Lp span.
+  std::optional<WallTimer> LpTimer;
   int LpIterations = 0;
   int RowsUsed = 0;
   bool Solved = false;
+  auto StampLp = [&] {
+    if (LpTimer)
+      Result.Stats.LpSeconds = LpTimer->seconds();
+    LpTimer.reset();
+  };
 
   /// Stamps TotalSeconds and the OtherSeconds remainder on *every* exit
   /// path, early returns and cancellations included.
   auto FinalizeStats = [&] {
-    Result.Stats.LpSeconds = LpSeconds;
+    StampLp();
     Result.Stats.LpIterations = LpIterations;
     Result.Stats.LpRowsUsed = RowsUsed;
     Result.Stats.TotalSeconds = Total.seconds();
@@ -146,212 +103,40 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   int NumEff = static_cast<int>(Effective.size());
   assert(NumEff > 0 && "all parameters frozen");
 
-  // --- Jacobian phase (Algorithm 1, lines 4-6) -----------------------------
-  // Jacobians come from the batched engine (nn/Jacobian.h) in chunks
-  // sized to bound the live J storage, and each chunk's constraint rows
-  // are assembled in parallel into preallocated slots (row order - and
-  // every row's bits - identical to a per-point paramJacobian loop).
-  // Cancellation is polled between chunks, never inside them.
+  // --- Jacobian phase (Algorithm 1, lines 4-6): forward state ---------------
+  // The rows of the LP are built lazily (core/SpecRows.h): this phase
+  // records only each point's forward state and every row's right-hand
+  // side. Jacobian rows are computed in the LP phase, for the rows
+  // constraint generation appends. Cancellation is polled between
+  // chunks, never inside them.
   int NumPoints = static_cast<int>(Spec.size());
   if (Ctx) {
     Ctx->beginPhase(RepairPhase::Jacobian, NumPoints);
     if (Ctx->checkpoint(RepairPhase::Jacobian))
       return Cancelled();
   }
-  std::vector<int> RowOffset(static_cast<size_t>(NumPoints) + 1, 0);
-  for (int P = 0; P < NumPoints; ++P) {
-    assert(Spec[static_cast<size_t>(P)].Constraint.A.cols() ==
-               Net.outputSize() &&
-           "constraint output dimension mismatch");
-    RowOffset[static_cast<size_t>(P) + 1] =
-        RowOffset[static_cast<size_t>(P)] +
-        Spec[static_cast<size_t>(P)].Constraint.numRows();
-  }
-  std::vector<SpecRow> Rows(
-      static_cast<size_t>(RowOffset[static_cast<size_t>(NumPoints)]));
-  {
-    WallTimer JacobianTimer;
-    /// Stamps the phase time on every exit from this scope, the
-    /// mid-phase cancellation returns included.
-    auto StampJacobian = [&] {
+  WallTimer JacobianTimer;
+  detail::SpecRows Rows(Net, LayerIndex, Spec, Effective, Options.RowMargin);
+  int NumRows = Rows.numRows();
+  Result.Stats.SpecRows = NumRows;
+  for (int Base = 0; Base < NumPoints; Base += Rows.chunkPoints()) {
+    if (Ctx && Ctx->checkpoint(RepairPhase::Jacobian)) {
       Result.Stats.JacobianSeconds = JacobianTimer.seconds();
-    };
-    // Assembles constraint row K of one point from its Jacobian into
-    // (CoefOut, HiOut). Shared by the in-place path and the
-    // cached-block path, so both produce identical rows.
-    auto AssembleRow = [&](int PointIndex, int K, const JacobianResult &Jr,
-                           std::vector<double> &CoefOut, double &HiOut) {
-      const OutputConstraint &C =
-          Spec[static_cast<size_t>(PointIndex)].Constraint;
-      // Row k: (A_k J) Delta <= b_k - A_k N(x) - RowMargin.
-      CoefOut.assign(static_cast<size_t>(NumEff), 0.0);
-      double Activity = 0.0;
-      for (int O = 0; O < C.A.cols(); ++O) {
-        double AKo = C.A(K, O);
-        if (AKo == 0.0)
-          continue;
-        Activity += AKo * Jr.Output[O];
-        const double *JRow = Jr.J.rowData(O);
-        for (int E = 0; E < NumEff; ++E)
-          CoefOut[static_cast<size_t>(E)] += AKo * JRow[Effective[E]];
-      }
-      HiOut = C.B[K] - Activity - Options.RowMargin;
-    };
-    // Assembles all of point PointIndex's rows into their preallocated
-    // Rows slots.
-    auto AssembleRows = [&](int PointIndex, const JacobianResult &Jr) {
-      const OutputConstraint &C =
-          Spec[static_cast<size_t>(PointIndex)].Constraint;
-      for (int K = 0; K < C.numRows(); ++K) {
-        SpecRow &Row = Rows[static_cast<size_t>(
-            RowOffset[static_cast<size_t>(PointIndex)] + K)];
-        AssembleRow(PointIndex, K, Jr, Row.Coef, Row.Hi);
-      }
-    };
-
-    // Batched engine, in chunks capping the live batch storage
-    // (Jacobians + stacked backward matrix + layer intermediates) at
-    // ~64 MiB, with each chunk's rows assembled in parallel.
-    std::int64_t MaxWidth = 0, SumWidths = Net.inputSize();
-    for (int I = 0; I < Net.numLayers(); ++I) {
-      MaxWidth = std::max<std::int64_t>(MaxWidth,
-                                        Net.layer(I).outputSize());
-      SumWidths += Net.layer(I).outputSize();
+      return Cancelled();
     }
-    std::int64_t BytesPerPoint =
-        static_cast<std::int64_t>(8) *
-        (static_cast<std::int64_t>(Net.outputSize()) * NumParams +
-         Net.outputSize() * MaxWidth + SumWidths);
-    int ChunkPoints = static_cast<int>(std::clamp<std::int64_t>(
-        (64 << 20) / std::max<std::int64_t>(1, BytesPerPoint), 1, 256));
-
-    // The engine's shared artifact cache, when this job carries one:
-    // each chunk's assembled rows are addressed by the network
-    // fingerprint, the layer, the row margin, the effective-parameter
-    // map, and the chunk's points (inputs, pinned patterns, and
-    // output constraints) - everything the rows depend on - so a hit
-    // is bit-for-bit the block this chunk would assemble.
-    ArtifactCache *Cache =
-        (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
-    auto ChunkKey = [&](int Base, int Count) {
-      Hasher H;
-      const NetworkFingerprint &Fp = Ctx->networkFingerprint();
-      H.u64(Fp.Digest.Hi);
-      H.u64(Fp.Digest.Lo);
-      H.i32(LayerIndex);
-      H.f64(Options.RowMargin);
-      H.i32(NumEff);
-      for (int E : Effective)
-        H.i32(E);
-      H.i32(Count);
-      for (int I = 0; I < Count; ++I) {
-        const SpecPoint &P = Spec[static_cast<size_t>(Base + I)];
-        hashVector(H, P.X);
-        H.i32(P.Pattern ? 1 : 0);
-        if (P.Pattern)
-          hashPattern(H, *P.Pattern);
-        hashMatrix(H, P.Constraint.A);
-        hashVector(H, P.Constraint.B);
-      }
-      return CacheKey{ArtifactKind::JacobianRows, H.digest()};
-    };
-    // One chunk's Jacobians, exactly as the uncached path computes
-    // them.
-    auto ComputeChunkJacobians = [&](int Base, int Count) {
-      std::vector<Vector> Xs;
-      std::vector<const NetworkPattern *> Pinned;
-      Xs.reserve(static_cast<size_t>(Count));
-      Pinned.reserve(static_cast<size_t>(Count));
-      bool AnyPinned = false;
-      for (int I = 0; I < Count; ++I) {
-        const SpecPoint &P = Spec[static_cast<size_t>(Base + I)];
-        Xs.push_back(P.X);
-        Pinned.push_back(P.Pattern ? &*P.Pattern : nullptr);
-        AnyPinned = AnyPinned || P.Pattern.has_value();
-      }
-      if (!AnyPinned)
-        Pinned.clear(); // pure batched forward, no per-row dispatch
-      return paramJacobianBatch(Net, LayerIndex, Xs, Pinned);
-    };
-
-    for (int Base = 0; Base < NumPoints; Base += ChunkPoints) {
-      if (Ctx && Ctx->checkpoint(RepairPhase::Jacobian)) {
-        StampJacobian();
-        return Cancelled();
-      }
-      int Count = std::min(ChunkPoints, NumPoints - Base);
-      if (!Cache) {
-        std::vector<JacobianResult> Jrs = ComputeChunkJacobians(Base, Count);
-        parallelFor(0, Count, [&](std::int64_t I) {
-          AssembleRows(Base + static_cast<int>(I),
-                       Jrs[static_cast<size_t>(I)]);
-        });
-      } else {
-        int ChunkRowBase = RowOffset[static_cast<size_t>(Base)];
-        int ChunkRows =
-            RowOffset[static_cast<size_t>(Base + Count)] - ChunkRowBase;
-        bool Hit = false;
-        CacheTier Tier = CacheTier::None;
-        auto Artifact = std::static_pointer_cast<const JacobianRowsArtifact>(
-            Cache->getOrCompute(
-                ChunkKey(Base, Count),
-                [&]() -> std::shared_ptr<const CacheArtifact> {
-                  auto Block = std::make_shared<JacobianRowsArtifact>();
-                  Block->Coef.resize(static_cast<size_t>(ChunkRows));
-                  Block->Hi.resize(static_cast<size_t>(ChunkRows));
-                  std::vector<JacobianResult> Jrs =
-                      ComputeChunkJacobians(Base, Count);
-                  parallelFor(0, Count, [&](std::int64_t I) {
-                    int PointIndex = Base + static_cast<int>(I);
-                    const OutputConstraint &C =
-                        Spec[static_cast<size_t>(PointIndex)].Constraint;
-                    for (int K = 0; K < C.numRows(); ++K) {
-                      size_t Slot = static_cast<size_t>(
-                          RowOffset[static_cast<size_t>(PointIndex)] + K -
-                          ChunkRowBase);
-                      AssembleRow(PointIndex, K,
-                                  Jrs[static_cast<size_t>(I)],
-                                  Block->Coef[Slot], Block->Hi[Slot]);
-                    }
-                  });
-                  return Block;
-                },
-                &Hit, &Tier));
-        // Copy the (shared, immutable) block into this repair's row
-        // slots; copies cannot perturb bits.
-        parallelForRanges(0, ChunkRows, [&](std::int64_t BeginR,
-                                            std::int64_t EndR) {
-          for (std::int64_t RI = BeginR; RI < EndR; ++RI) {
-            SpecRow &Row =
-                Rows[static_cast<size_t>(ChunkRowBase + RI)];
-            Row.Coef = Artifact->Coef[static_cast<size_t>(RI)];
-            Row.Hi = Artifact->Hi[static_cast<size_t>(RI)];
-          }
-        });
-        if (Hit) {
-          ++Result.Stats.JacobianCacheHits;
-          Ctx->noteCacheHits(1);
-          if (Tier == CacheTier::L2) {
-            ++Result.Stats.JacobianStoreHits;
-            Ctx->noteStoreHits(1);
-          }
-        } else {
-          ++Result.Stats.JacobianCacheMisses;
-          Ctx->noteCacheMisses(1);
-        }
-      }
-      if (Ctx)
-        Ctx->advance(Count);
-    }
-    StampJacobian();
+    int Count = std::min(Rows.chunkPoints(), NumPoints - Base);
+    Rows.computeState(Base, Base + Count);
+    if (Ctx)
+      Ctx->advance(Count);
   }
-  Result.Stats.SpecRows = static_cast<int>(Rows.size());
+  Result.Stats.JacobianSeconds = JacobianTimer.seconds();
 
   // --- LP phase (Algorithm 1, lines 7-8) ------------------------------------
   // The engine's cancel flag is threaded into the solver, which polls
-  // it between simplex iterations; rounds of constraint generation are
-  // additional checkpoints.
+  // it between simplex iterations; rounds of constraint generation (and
+  // the chunks of a large lazy row build) are additional checkpoints.
   std::vector<double> DeltaEff(static_cast<size_t>(NumEff), 0.0);
+  LpTimer.emplace();
   if (Ctx) {
     Ctx->beginPhase(RepairPhase::Lp, /*Total=*/0);
     if (Ctx->checkpoint(RepairPhase::Lp))
@@ -366,26 +151,37 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     LpOptions.CancelFlag = Ctx->cancelFlag();
   bool LpCancelled = false;
 
-  // Warm-start basis cache (the fourth artifact kind). The key hashes
-  // everything that fixes the LP's *structure* - network fingerprint,
-  // layer, effective-parameter map, objective norm, and every used
-  // row's coefficient bits in row order - but deliberately not the
-  // right-hand sides (Rows[].Hi, which absorb RowMargin and the spec's
-  // output bounds) nor DeltaBound: those only move bounds, so a
-  // resubmission whose spec drifted in RHS only still finds the entry
-  // instead of piling up near-duplicates. Replay, however, is gated on
-  // an exact digest of the excluded parts (RhsDigest below): replaying
-  // the terminal basis of the *identical* LP re-derives the solution
-  // bit-for-bit, whereas warm-starting a drifted LP can terminate at a
-  // different equally-optimal basis and change low-order bits - which
-  // would break the cache-never-changes-results contract. A
-  // digest-mismatched hit therefore solves cold (bit-identical to
-  // cache-off by construction) and counts as a basis miss. Equal keys
-  // imply an identically-shaped LP, so an exported basis always has
-  // the right dimensions for a replayed hit.
+  // One LP and one solver live across the constraint-generation rounds.
+  // Round 1 solves cold; each later round appends its new rows and the
+  // solver re-optimizes from the previous optimum with the dual simplex
+  // (lp/Simplex.h, SimplexSolver). Use lists the LP's rows in order,
+  // UseCoef their coefficients (no other row has any); InLp marks them.
+  lp::DeltaLp Lp(NumEff, Options.Objective, Options.DeltaBound);
+  std::vector<int> Use;
+  std::vector<std::vector<double>> UseCoef;
+  std::vector<char> InLp(static_cast<size_t>(NumRows), 0);
+  std::unique_ptr<lp::SimplexSolver> Solver;
+
+  // Warm-start basis cache. The key hashes everything that fixes the
+  // LP's *structure* - network fingerprint, layer, effective-parameter
+  // map, objective norm, and every used row's coefficient bits in row
+  // order - but deliberately not the right-hand sides (Rows.hi, which
+  // absorb RowMargin and the spec's output bounds) nor DeltaBound: those
+  // only move bounds, so a resubmission whose spec drifted in RHS only
+  // still finds the entry instead of piling up near-duplicates. Replay,
+  // however, is gated on an exact digest of the excluded parts
+  // (RhsDigest below): replaying the terminal basis of the *identical*
+  // LP re-derives the solution bit-for-bit, whereas warm-starting a
+  // drifted LP can terminate at a different equally-optimal basis and
+  // change low-order bits - which would break the
+  // cache-never-changes-results contract. A digest-mismatched hit
+  // therefore solves cold (bit-identical to cache-off by construction)
+  // and counts as a basis miss. Equal keys imply an identically-shaped
+  // LP, so an exported basis always has the right dimensions for a
+  // replayed hit.
   ArtifactCache *BasisCache =
       (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
-  auto BasisKey = [&](const std::vector<int> &Use) {
+  auto BasisKey = [&] {
     Hasher H;
     const NetworkFingerprint &Fp = Ctx->networkFingerprint();
     H.u64(Fp.Digest.Hi);
@@ -396,10 +192,8 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       H.i32(E);
     H.i32(static_cast<int>(Options.Objective));
     H.i32(static_cast<int>(Use.size()));
-    for (int RI : Use) {
-      const std::vector<double> &Coef = Rows[static_cast<size_t>(RI)].Coef;
+    for (const std::vector<double> &Coef : UseCoef)
       H.doubles(Coef.data(), Coef.size());
-    }
     return CacheKey{ArtifactKind::SimplexBasis, H.digest()};
   };
   /// Digest of everything the basis key leaves out: the built LP's
@@ -425,39 +219,36 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   /// single-flight claim without publishing, so nothing is cached.
   struct NoBasis {};
 
-  // One LP and one solver live across the constraint-generation rounds.
-  // Round 1 solves cold; each later round appends its new rows and the
-  // solver re-optimizes from the previous optimum with the dual simplex
-  // (lp/Simplex.h, SimplexSolver). Use lists the LP's rows in order;
-  // InLp marks them.
-  lp::DeltaLp Lp(NumEff, Options.Objective, Options.DeltaBound);
-  std::vector<int> Use;
-  std::vector<char> InLp(Rows.size(), 0);
-  std::unique_ptr<lp::SimplexSolver> Solver;
   lp::SimplexOptions SolveOptions = LpOptions;
   SolveOptions.ExportBasis = BasisCache != nullptr;
 
-  /// Appends \p NewRows to the LP and solves it: cold in round 1, warm
-  /// from the previous round's optimum after that.
+  /// Builds \p NewRows' Jacobian rows, appends them to the LP and
+  /// solves it: cold in round 1, warm from the previous round's optimum
+  /// after that.
   auto SolveRound = [&](const std::vector<int> &NewRows,
                         std::vector<double> &Out) -> lp::SolveStatus {
-    for (int RI : NewRows) {
-      Lp.addConstraint(Rows[static_cast<size_t>(RI)].Coef, -lp::kInfinity,
-                       Rows[static_cast<size_t>(RI)].Hi);
+    // Larger row sets (the Remaining() round) build in several batches,
+    // with a cancellation checkpoint between them.
+    std::vector<std::vector<double>> NewCoef;
+    if (!Rows.coefs(NewRows, NewCoef, [&] {
+          return Ctx && Ctx->checkpoint(RepairPhase::Lp);
+        })) {
+      LpCancelled = true;
+      return lp::SolveStatus::Cancelled;
+    }
+    for (size_t J = 0; J < NewRows.size(); ++J) {
+      int RI = NewRows[J];
+      Lp.addConstraint(NewCoef[J], -lp::kInfinity, Rows.hi(RI));
       Use.push_back(RI);
+      UseCoef.push_back(std::move(NewCoef[J]));
       InLp[static_cast<size_t>(RI)] = 1;
     }
     const lp::LinearProgram &Problem = Lp.problem();
     lp::LpSolution Sol;
-    auto Timed = [&](lp::SimplexSolver &S) {
-      WallTimer LpTimer;
-      Sol = S.solve();
-      LpSeconds += LpTimer.seconds();
-    };
     auto RunSolve = [&] {
       if (!Solver)
         Solver = std::make_unique<lp::SimplexSolver>(Problem, SolveOptions);
-      Timed(*Solver);
+      Sol = Solver->solve();
     };
 
     if (!BasisCache) {
@@ -476,7 +267,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       std::shared_ptr<const CacheArtifact> Cached;
       try {
         Cached = BasisCache->getOrCompute(
-            BasisKey(Use),
+            BasisKey(),
             [&]() -> std::shared_ptr<const CacheArtifact> {
               RunSolve();
               RanSolve = true;
@@ -515,7 +306,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
           ReplayOptions.WarmBasis = &Warm;
           auto Replay =
               std::make_unique<lp::SimplexSolver>(Problem, ReplayOptions);
-          Timed(*Replay);
+          Sol = Replay->solve();
           Replayed = Sol.WarmStarted;
           // In round 1 a rejected basis already ran the cold solve.
           if (Replayed || !Solver) {
@@ -556,23 +347,26 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   /// The rows not yet in the LP, in row order.
   auto Remaining = [&] {
     std::vector<int> Rest;
-    for (size_t RI = 0; RI < Rows.size(); ++RI)
-      if (!InLp[RI])
-        Rest.push_back(static_cast<int>(RI));
+    for (int RI = 0; RI < NumRows; ++RI)
+      if (!InLp[static_cast<size_t>(RI)])
+        Rest.push_back(RI);
     return Rest;
   };
 
   // Constraint generation: start from the rows violated by Delta = 0
-  // and add violated rows until the relaxation optimum is feasible for
-  // every row (then it is optimal for the full LP).
+  // and add the most violated rows of each relaxation optimum until it
+  // is feasible for every row (then it is optimal for the full LP).
+  // S holds the latest scan, s_k at the current Delta.
+  std::vector<double> S;
   std::vector<int> Add;
-  for (size_t RI = 0; RI < Rows.size(); ++RI)
-    if (Rows[RI].Hi < 0.0)
-      Add.push_back(static_cast<int>(RI));
+  for (int RI = 0; RI < NumRows; ++RI)
+    if (Rows.hi(RI) < 0.0)
+      Add.push_back(RI);
 
   if (Add.empty()) {
     // Delta = 0 already satisfies the (margined) spec.
     Solved = true;
+    S = Rows.scan(DeltaEff);
   } else {
     for (int Round = 0; Round < Options.MaxCgRounds && !Solved; ++Round) {
       if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
@@ -590,10 +384,15 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       if (Status != lp::SolveStatus::Optimal)
         break; // fall through to the full solve below
 
-      // Collect rows the relaxation optimum still violates (parallel
-      // scan, sequential order).
-      std::vector<std::pair<double, int>> Violated =
-          violatedRows(Rows, &InLp, DeltaEff, 10 * Options.Lp.FeasTol);
+      // The rows the relaxation optimum still violates, by a forward
+      // scan (s_k + RowMargin is the LP row's own violation).
+      S = Rows.scan(DeltaEff);
+      std::vector<std::pair<double, int>> Violated;
+      for (int RI = 0; RI < NumRows; ++RI) {
+        double V = S[static_cast<size_t>(RI)] + Options.RowMargin;
+        if (!InLp[static_cast<size_t>(RI)] && V > 10 * Options.Lp.FeasTol)
+          Violated.push_back({V, RI});
+      }
       if (Violated.empty()) {
         Solved = true;
         break;
@@ -604,7 +403,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
                         Violated.end(), std::greater<>());
       Add.clear();
       for (int K = 0; K < Take; ++K)
-        Add.push_back(Violated[K].second);
+        Add.push_back(Violated[static_cast<size_t>(K)].second);
     }
   }
 
@@ -625,6 +424,8 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       return Result;
     }
     Solved = Status == lp::SolveStatus::Optimal;
+    if (Solved)
+      S = Rows.scan(DeltaEff);
   }
 
   if (!Solved) {
@@ -632,8 +433,12 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     FinalizeStats();
     return Result;
   }
+  StampLp();
 
   // --- Apply and verify (Algorithm 1, lines 9-10) ---------------------------
+  // The last scan evaluated the repaired DDNN at every spec point, so
+  // its largest violation over all rows - LP rows included - is the
+  // network-level re-verification.
   if (Ctx) {
     Ctx->beginPhase(RepairPhase::Verify, NumPoints);
     if (Ctx->checkpoint(RepairPhase::Verify))
@@ -647,28 +452,14 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     Result.DeltaLInf = std::max(Result.DeltaLInf, std::fabs(D));
   }
 
-  DecoupledNetwork Repaired = DecoupledNetwork::fromNetwork(Net);
-  cast<LinearLayer>(Repaired.valueChannel().layer(LayerIndex))
-      .addToParams(Result.Delta);
-
-  // Re-verify the specification against the repaired DDNN itself. Max
-  // violation is order-independent, so the parallel scan over points is
-  // deterministic.
-  std::vector<double> PointViolation(static_cast<size_t>(NumPoints), 0.0);
-  parallelFor(0, NumPoints, [&](std::int64_t P) {
-    const SpecPoint &Point = Spec[static_cast<size_t>(P)];
-    Vector Y = Point.Pattern
-                   ? Repaired.evaluateWithPattern(Point.X, *Point.Pattern)
-                   : Repaired.evaluate(Point.X);
-    PointViolation[static_cast<size_t>(P)] = Point.Constraint.violation(Y);
-  });
   double Verified = 0.0;
-  for (double V : PointViolation)
+  for (double V : S)
     Verified = std::max(Verified, V);
   if (Ctx)
     Ctx->advance(NumPoints);
   Result.Stats.VerifiedViolation = Verified;
-  if (Verified > 100 * Options.Lp.FeasTol + 1e-9) {
+  Result.Stats.VerifyTolerance = 100 * Options.Lp.FeasTol + 1e-9;
+  if (Verified > Result.Stats.VerifyTolerance) {
     // The LP said feasible but the network disagrees: numerical failure,
     // never silently accepted.
     Result.Status = RepairStatus::SolverFailure;
@@ -676,6 +467,9 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     return Result;
   }
 
+  DecoupledNetwork Repaired = DecoupledNetwork::fromNetwork(Net);
+  cast<LinearLayer>(Repaired.valueChannel().layer(LayerIndex))
+      .addToParams(Result.Delta);
   Result.Repaired = std::move(Repaired);
   Result.Status = RepairStatus::Success;
   FinalizeStats();

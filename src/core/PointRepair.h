@@ -20,12 +20,17 @@
 /// guarantee-preserving:
 ///  - constraint generation: solve on the violated rows first and add
 ///    rows lazily; a relaxation optimum feasible for all rows is optimal
-///    for the full LP (standard cutting-plane argument);
+///    for the full LP (standard cutting-plane argument). Each round's
+///    violations come from a forward pass of the DDNN at the current
+///    Delta, and Jacobian rows are built only for the rows the LP
+///    takes;
 ///  - an optional parameter mask to freeze a subset of the layer's
 ///    parameters (used e.g. to reproduce the paper's Figure 3 example,
 ///    whose hand-drawn network lacks some bias edges);
-///  - a final network-level re-verification of the spec, so a Success
-///    status certifies the repaired DDNN itself, not just LP algebra;
+///  - a final network-level re-verification of the spec (the last
+///    constraint-generation scan, which evaluates the repaired DDNN at
+///    every spec point), so a Success status certifies the repaired
+///    DDNN itself, not just LP algebra;
 ///  - cooperative cancellation and progress reporting through an
 ///    optional JobContext (core/RepairContext.h), checked at phase and
 ///    chunk boundaries so cancellation never perturbs computed bits.
@@ -84,12 +89,12 @@ struct RepairOptions {
   /// freezes the parameter at its current value.
   std::optional<std::vector<bool>> ParamMask;
   /// Consult the engine's shared artifact cache (cache/ArtifactCache.h)
-  /// for all four artifact kinds: Jacobian row blocks, SyReNN
-  /// transforms, pattern batches, and the optimal simplex basis of each
-  /// LP solve (one per constraint-generation round). Only effective
-  /// when the job carries a cache (RepairEngine with
-  /// EngineOptions::EnableCache); hits are bit-for-bit identical to
-  /// recomputation, so the default on never changes results.
+  /// for all three artifact kinds: SyReNN transforms, pattern batches,
+  /// and the optimal simplex basis of each LP solve (one per
+  /// constraint-generation round). Only effective when the job carries
+  /// a cache (RepairEngine with EngineOptions::EnableCache); hits are
+  /// bit-for-bit identical to recomputation, so the default on never
+  /// changes results.
   ///
   /// The basis key hashes the constraint *coefficients* but not the
   /// right-hand sides, so a resubmission whose spec moved only row
@@ -111,6 +116,11 @@ struct RepairOptions {
 bool validRepairOptions(const RepairOptions &O);
 
 struct RepairStats {
+  /// The three phases partition TotalSeconds and match the trace's
+  /// spans: JacobianSeconds is the per-point forward-state pass (the
+  /// Jacobian span), LpSeconds the whole Lp phase - lazy Jacobian rows,
+  /// appends, basis-cache work, solves and constraint-generation scans
+  /// (the Lp span) - and OtherSeconds the remainder.
   double JacobianSeconds = 0.0;
   double LpSeconds = 0.0;
   double OtherSeconds = 0.0;
@@ -128,6 +138,10 @@ struct RepairStats {
   lp::SimplexStats LpKernels;
   /// Post-repair max spec violation measured on the network itself.
   double VerifiedViolation = 0.0;
+  /// The threshold VerifiedViolation was judged by (100 FeasTol +
+  /// 1e-9): a Success has VerifiedViolation <= VerifyTolerance. Zero
+  /// when the repair stopped before verification.
+  double VerifyTolerance = 0.0;
   // Filled by polytope repair (Algorithm 2) only:
   /// Time computing LinRegions (SyReNN transforms).
   double LinRegionsSeconds = 0.0;
@@ -138,7 +152,9 @@ struct RepairStats {
   // Artifact-cache lookups, by phase (all zero when the repair runs
   // without a cache). Hits are bit-identical to recomputation; the
   // counters only explain where the time went.
-  /// Jacobian row-block lookups (one per chunk of the Jacobian phase).
+  /// Always zero: Jacobian rows are built lazily per repair and no
+  /// longer cached. Kept (with JacobianStoreHits) for readers of the
+  /// wire format.
   int JacobianCacheHits = 0;
   int JacobianCacheMisses = 0;
   /// SyReNN transform lookups (one per polytope spec).

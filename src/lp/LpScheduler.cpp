@@ -25,11 +25,15 @@ void LpScheduler::runTasks(
   if (NumTasks <= 0)
     return;
 
-  // Dedicated shard threads rather than pool loops: a repair attempt
-  // itself calls parallelFor (its Jacobian and Verify loops), and
-  // nesting whole multi-second tasks inside one pool loop would hold the
-  // pool's run lock across the batch. The shard threads are coarse (one spawn per
+  // Dedicated shard threads rather than pool loops: nesting whole
+  // multi-second tasks inside one pool loop would hold the pool's run
+  // lock across the batch. The shard threads are coarse (one spawn per
   // slot per batch), so thread-creation cost is noise next to a solve.
+  // With several shards, each one runs its tasks' own parallel loops
+  // (a repair attempt's forward passes and Jacobians) inline, as the
+  // pool runs nested loops: the shards already fill the cores, and
+  // pool loops would only queue on the pool's run lock behind the
+  // other shards' loops.
   int Shards = NumTasks < SlotCount ? NumTasks : SlotCount;
   std::atomic<int> NextTask{0};
   std::exception_ptr FirstError;
@@ -60,11 +64,15 @@ void LpScheduler::runTasks(
     // Degenerate batch: run inline, no thread churn.
     ShardMain(0);
   } else {
+    auto InlineShard = [&](int Shard) {
+      InlineLoopsScope Inline;
+      ShardMain(Shard);
+    };
     std::vector<std::thread> Threads;
     Threads.reserve(static_cast<std::size_t>(Shards - 1));
     for (int S = 1; S < Shards; ++S)
-      Threads.emplace_back(ShardMain, S);
-    ShardMain(0);
+      Threads.emplace_back(InlineShard, S);
+    InlineShard(0);
     for (std::thread &T : Threads)
       T.join();
   }

@@ -11,7 +11,9 @@
 /// side by side.
 /// The engine sizes every sweep at min(candidates, pool size) slots,
 /// or one slot for a job with a checkpoint hook; a one-slot batch runs
-/// inline on the calling thread.
+/// inline on the calling thread, with the pool behind its parallel
+/// loops. In a batch of several shards, each shard runs its tasks'
+/// parallel loops inline (support/Parallel.h, InlineLoopsScope).
 ///
 /// Model: the scheduler owns \c slots() shard threads for the duration
 /// of one runTasks() call. Tasks are claimed from a single atomic

@@ -57,6 +57,13 @@ Telemetry::Telemetry(const TelemetryOptions &Opts)
                                      "Eta-update kernel seconds");
   LpRefactorSeconds = Registry.counter("prdnn_lp_refactor_seconds_total",
                                        "Refactorization kernel seconds");
+
+  VerifiedViolation = Registry.gauge(
+      "prdnn_verify_violation",
+      "Worst spec violation of the last verified repair, on its DDNN");
+  VerifyTolerance = Registry.gauge(
+      "prdnn_verify_tolerance",
+      "Tolerance the last verified repair was judged by (100 FeasTol + 1e-9)");
 }
 
 void Telemetry::reset() {

@@ -66,6 +66,12 @@ public:
   Counter *LpUpdateSeconds;
   Counter *LpRefactorSeconds;
 
+  // Algorithm 1's verification of the last job that reached it: the
+  // repaired DDNN's worst spec violation and the tolerance it was
+  // judged by (RepairStats::VerifiedViolation / VerifyTolerance).
+  Gauge *VerifiedViolation;
+  Gauge *VerifyTolerance;
+
   /// Uniform reset: zeroes every registry instrument, runs the tier
   /// reset hooks (cache, store, admission, registry counters), and
   /// clears the trace ring.

@@ -46,31 +46,6 @@ std::int64_t convParamCount(int OutC, int InC, int KH, int KW) {
 
 // --- Artifact payloads ------------------------------------------------------
 
-void writeJacobianRows(ByteWriter &W, const JacobianRowsArtifact &A) {
-  W.u64(A.Coef.size());
-  for (const std::vector<double> &Row : A.Coef)
-    writeDoubleSeq(W, Row);
-  writeDoubleSeq(W, A.Hi);
-}
-
-std::shared_ptr<const CacheArtifact> readJacobianRows(ByteReader &R) {
-  auto A = std::make_shared<JacobianRowsArtifact>();
-  std::uint64_t Rows = 0;
-  if (!R.u64(Rows) || !plausibleCount(R, Rows, 8))
-    return nullptr;
-  A->Coef.resize(static_cast<std::size_t>(Rows));
-  for (std::vector<double> &Row : A->Coef)
-    if (!readDoubleSeq(R, Row))
-      return nullptr;
-  if (!readDoubleSeq(R, A->Hi))
-    return nullptr;
-  if (A->Hi.size() != A->Coef.size()) {
-    R.fail(CodecError::Corrupt);
-    return nullptr;
-  }
-  return A;
-}
-
 void writeLinePartition(ByteWriter &W, const LinePartition &Line) {
   writeVector(W, Line.A);
   writeVector(W, Line.B);
@@ -306,9 +281,6 @@ bool prdnn::persist::readPattern(ByteReader &R, NetworkPattern &Pattern) {
 void prdnn::persist::serializeArtifact(const CacheArtifact &Artifact,
                                        ArtifactKind Kind, ByteWriter &W) {
   switch (Kind) {
-  case ArtifactKind::JacobianRows:
-    writeJacobianRows(W, static_cast<const JacobianRowsArtifact &>(Artifact));
-    return;
   case ArtifactKind::SyrennTransform:
     writeSyrennTransform(
         W, static_cast<const SyrennTransformArtifact &>(Artifact));
@@ -327,9 +299,6 @@ std::shared_ptr<const CacheArtifact>
 prdnn::persist::deserializeArtifact(ArtifactKind Kind, ByteReader &R) {
   std::shared_ptr<const CacheArtifact> Artifact;
   switch (Kind) {
-  case ArtifactKind::JacobianRows:
-    Artifact = readJacobianRows(R);
-    break;
   case ArtifactKind::SyrennTransform:
     Artifact = readSyrennTransform(R);
     break;

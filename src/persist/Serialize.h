@@ -4,8 +4,8 @@
 /// Binary (de)serializers over persist/Codec.h for everything the
 /// persistent artifact store holds:
 ///
-///   - the three cache artifact kinds (Jacobian row blocks, SyReNN
-///     transform sets, activation-pattern batches), bit-exact so an L2
+///   - the three cache artifact kinds (SyReNN transform sets,
+///     activation-pattern batches, simplex bases), bit-exact so an L2
 ///     hit returns exactly the bytes a recomputation would produce;
 ///   - whole Networks (every layer kind), the binary sibling of
 ///     nn/Serialization's text format - same information, but doubles

@@ -290,6 +290,7 @@ void writeRepairStats(ByteWriter &W, const RepairStats &S) {
   W.i32(S.LpIterations);
   writeSimplexStats(W, S.LpKernels);
   W.f64(S.VerifiedViolation);
+  W.f64(S.VerifyTolerance);
   W.f64(S.LinRegionsSeconds);
   W.i32(S.KeyPoints);
   W.i32(S.LinearRegions);
@@ -315,7 +316,8 @@ bool readRepairStats(ByteReader &R, RepairStats &S) {
     return false;
   if (!readSimplexStats(R, S.LpKernels))
     return false;
-  return R.f64(S.VerifiedViolation) && R.f64(S.LinRegionsSeconds) &&
+  return R.f64(S.VerifiedViolation) && R.f64(S.VerifyTolerance) &&
+         R.f64(S.LinRegionsSeconds) &&
          R.i32(S.KeyPoints) && R.i32(S.LinearRegions) &&
          R.i32(S.JacobianCacheHits) && R.i32(S.JacobianCacheMisses) &&
          R.i32(S.LinRegionsCacheHits) && R.i32(S.LinRegionsCacheMisses) &&

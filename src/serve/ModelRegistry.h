@@ -12,7 +12,7 @@
 /// network's own content fingerprint. The `.net` suffix keeps entries
 /// invisible to the artifact store's LRU GC, which only considers
 /// `.art` entry files - a registered model is never evicted to make
-/// room for Jacobian blocks (registry entries are the *roots* the
+/// room for cached artifacts (registry entries are the *roots* the
 /// artifacts hang off; losing one invalidates a fingerprint every
 /// client may still hold).
 ///

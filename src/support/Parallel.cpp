@@ -142,6 +142,12 @@ void ThreadPool::forRanges(
     std::rethrow_exception(Error);
 }
 
+InlineLoopsScope::InlineLoopsScope() : Saved(InParallelRegion) {
+  InParallelRegion = true;
+}
+
+InlineLoopsScope::~InlineLoopsScope() { InParallelRegion = Saved; }
+
 int prdnn::defaultThreadCount() {
   if (const char *Env = std::getenv("PRDNN_NUM_THREADS")) {
     int Parsed = std::atoi(Env);

@@ -73,6 +73,21 @@ private:
   bool Stopping = false;
 };
 
+/// While alive, parallel loops started on the constructing thread run
+/// inline, as nested loops do: for a thread that is itself one of
+/// several concurrent workers (the sweep shards of lp/LpScheduler.h),
+/// so those workers fill the cores instead of queueing on the pool.
+class InlineLoopsScope {
+public:
+  InlineLoopsScope();
+  ~InlineLoopsScope();
+  InlineLoopsScope(const InlineLoopsScope &) = delete;
+  InlineLoopsScope &operator=(const InlineLoopsScope &) = delete;
+
+private:
+  bool Saved;
+};
+
 /// Thread count the global pool is created with: PRDNN_NUM_THREADS when
 /// set to a positive integer, else std::thread::hardware_concurrency()
 /// (at least 1).

@@ -118,7 +118,7 @@ struct SizedArtifact final : CacheArtifact {
 CacheKey keyOf(std::uint64_t Tag) {
   Hasher H;
   H.u64(Tag);
-  return CacheKey{ArtifactKind::JacobianRows, H.digest()};
+  return CacheKey{ArtifactKind::PatternBatch, H.digest()};
 }
 
 // --- Fingerprints -----------------------------------------------------------
@@ -317,24 +317,24 @@ TEST(EngineCache, SingleFlightAcrossEightConcurrentJobs) {
   RepairEngine Engine(Options);
   ASSERT_TRUE(Engine.hasCache());
 
-  // Eight identical jobs racing on the same Jacobian-chunk key: the
-  // block is computed exactly once (single-flight), every job matches
-  // the (cache-free) serial wrapper bit-for-bit.
+  // Eight identical jobs racing on the same simplex-basis keys: each
+  // basis is solved exactly once (single-flight), every job matches the
+  // (cache-free) serial wrapper bit-for-bit.
   std::vector<JobHandle> Handles;
   for (int J = 0; J < 8; ++J)
     Handles.push_back(Engine.submit(RepairRequest::points(Net, 4, Spec)));
   for (JobHandle &Handle : Handles)
     expectBitIdentical(Handle.report().Result, Serial);
 
-  // Identical jobs perform identical lookup sequences: one Jacobian
-  // chunk plus one simplex-basis lookup per LP solve (all jobs solve
-  // the same LPs, so LpSolves is the same for every report). Each
-  // distinct key is computed exactly once (single-flight) and hits for
-  // the other seven jobs.
+  // Identical jobs perform identical lookup sequences: one
+  // simplex-basis lookup per LP solve (all jobs solve the same LPs, so
+  // LpSolves is the same for every report). Each distinct key is
+  // computed exactly once (single-flight) and hits for the other seven
+  // jobs.
   const RepairStats &FirstStats = Handles[0].report().Result.Stats;
   int LpSolves = FirstStats.BasisHits + FirstStats.BasisMisses;
   EXPECT_GT(LpSolves, 0);
-  int KeysPerJob = 1 + LpSolves;
+  int KeysPerJob = LpSolves;
   CacheStats Stats = Engine.cacheStats();
   EXPECT_EQ(Stats.Misses, static_cast<std::uint64_t>(KeysPerJob));
   EXPECT_EQ(Stats.Hits, static_cast<std::uint64_t>(7 * KeysPerJob));
@@ -345,10 +345,11 @@ TEST(EngineCache, SingleFlightAcrossEightConcurrentJobs) {
     const RepairReport &Report = Handle.report();
     EXPECT_EQ(Report.CacheHits + Report.CacheMisses, KeysPerJob);
     TotalHits += Report.CacheHits;
-    // The per-phase breakdown lands in the attempt stats.
+    // The per-phase breakdown lands in the attempt stats; Jacobian
+    // rows are built lazily and never cached.
     EXPECT_EQ(Report.Result.Stats.JacobianCacheHits +
                   Report.Result.Stats.JacobianCacheMisses,
-              1);
+              0);
     EXPECT_EQ(Report.Result.Stats.BasisHits + Report.Result.Stats.BasisMisses,
               LpSolves);
   }
@@ -375,7 +376,7 @@ TEST(EngineCache, ColdWarmOffBitIdentityPointsAnyThreadCount) {
   EXPECT_EQ(Cold.CacheHits, 0);
   EXPECT_GT(Warm.CacheHits, 0);
   EXPECT_EQ(Warm.CacheMisses, 0);
-  EXPECT_GT(Warm.Result.Stats.JacobianCacheHits, 0);
+  EXPECT_GT(Warm.Result.Stats.BasisHits, 0);
 
   expectBitIdentical(Cold.Result, OffReport.Result);
   expectBitIdentical(Warm.Result, OffReport.Result);
@@ -459,13 +460,13 @@ TEST(EngineCache, ColdWarmBitIdentityPolytopes) {
   EXPECT_EQ(Cold.Result.Stats.LinRegionsCacheMisses, 1);
   EXPECT_EQ(Warm.Result.Stats.LinRegionsCacheHits, 1);
   EXPECT_EQ(Warm.Result.Stats.PatternCacheHits, 1);
-  EXPECT_GT(Warm.Result.Stats.JacobianCacheHits, 0);
+  EXPECT_GT(Warm.Result.Stats.BasisHits, 0);
   EXPECT_EQ(Warm.Result.Stats.KeyPoints, Serial.Stats.KeyPoints);
   EXPECT_EQ(Warm.Result.Stats.LinearRegions, Serial.Stats.LinearRegions);
 
   // A spec with the same shapes but different output constraints
-  // shares the transform artifact (shape-keyed) while its Jacobian
-  // rows recompute (constraint-keyed).
+  // shares the transform artifact (shape-keyed); its LP rounds replay a
+  // cached basis only where the LP is identical.
   PolytopeSpec Tighter;
   Tighter.push_back(SpecPolytope{SegmentPolytope{Vector{0.5}, Vector{1.5}},
                                  boxConstraint(Vector{-0.8}, Vector{-0.5})});
@@ -473,7 +474,8 @@ TEST(EngineCache, ColdWarmBitIdentityPolytopes) {
       RepairRequest::borrow(Net), 0, Tighter, Options));
   EXPECT_EQ(Shared.Result.Stats.LinRegionsCacheHits, 1);
   EXPECT_EQ(Shared.Result.Stats.PatternCacheHits, 1);
-  EXPECT_EQ(Shared.Result.Stats.JacobianCacheMisses, 1);
+  EXPECT_GT(Shared.Result.Stats.BasisHits + Shared.Result.Stats.BasisMisses,
+            0);
   expectBitIdentical(Shared.Result, repairPolytopes(Net, 0, Tighter, Options));
 }
 

@@ -634,8 +634,9 @@ TEST(RepairEngine, SweepAttemptsCarryPhaseTimingsOnAllExitPaths) {
   for (const SweepAttempt &Attempt : Success.Sweep) {
     EXPECT_GT(Attempt.JacobianSeconds, 0.0);
     EXPECT_GT(Attempt.LpSeconds, 0.0);
-    // One Jacobian chunk plus a simplex-basis lookup per LP solve.
-    EXPECT_GE(Attempt.CacheHits + Attempt.CacheMisses, 2);
+    // A simplex-basis lookup per LP solve (Jacobian rows are never
+    // cached).
+    EXPECT_GE(Attempt.CacheHits + Attempt.CacheMisses, 1);
   }
 }
 

@@ -285,13 +285,15 @@ Digest128 goldenDigest() {
 }
 
 TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
-  // The checked-in bits of the kernel arithmetic. Changing these
-  // constants means every stored Jacobian row, basis and repaired
-  // network changes bits too: it requires a persist::kFormatVersion
-  // bump (persist/Codec.h), so that old stores and old peers degrade to
-  // recomputes instead of serving stale bits. The version also moves
-  // for wire and store layout changes, which leave the constant alone.
-  static_assert(persist::kFormatVersion == 4,
+  // The checked-in bits of the kernel arithmetic and of one point
+  // repair. Changing these constants means every stored basis and
+  // repaired network changes bits too: it requires a
+  // persist::kFormatVersion bump (persist/Codec.h), so that old stores
+  // and old peers degrade to recomputes instead of serving stale bits.
+  // The version also moves for wire and store layout changes, which
+  // leave the constant alone (version 5, lazy Jacobians, picked the same
+  // rows here, so the constant stayed).
+  static_assert(persist::kFormatVersion == 5,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
   const Digest128 Golden = {0x13306408124117f1ull, 0x047153c3a5539863ull};

@@ -475,6 +475,13 @@ TEST(ObsEngine, TelemetryIsBitInertEvenUnderConcurrentScraping) {
   EXPECT_EQ(On.Telemetry->JobsSubmitted->value(), 1.0);
   EXPECT_EQ(On.Telemetry->JobsCompleted->value(), 1.0);
   EXPECT_GT(On.Telemetry->Trace.recorded(), 0u);
+  // The verification gauges mirror the report's margin and tolerance.
+  obs::MetricsSnapshot Verified = On.Telemetry->Registry.snapshot();
+  EXPECT_EQ(Verified.value("prdnn_verify_violation"),
+            Reference.Result.Stats.VerifiedViolation);
+  EXPECT_EQ(Verified.value("prdnn_verify_tolerance"),
+            Reference.Result.Stats.VerifyTolerance);
+  EXPECT_GT(Verified.value("prdnn_verify_tolerance"), 0.0);
 
   // Leg 3: telemetry on, with a scraper thread snapshotting and
   // rendering the registry the whole time the job runs.

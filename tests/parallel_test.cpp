@@ -3,8 +3,8 @@
 // Covers: full index coverage (each index exactly once) under various
 // thread counts and grains, chunk ordering/disjointness guarantees of
 // parallelForRanges, exception propagation with pool reuse afterwards,
-// nested parallelFor, the PRDNN_NUM_THREADS override, and global pool
-// resizing.
+// nested parallelFor and InlineLoopsScope, the PRDNN_NUM_THREADS
+// override, and global pool resizing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -103,6 +105,34 @@ TEST(Parallel, NestedParallelForRunsInline) {
     parallelFor(0, 100, [&](std::int64_t) { Total.fetch_add(1); });
   });
   EXPECT_EQ(Total.load(), 800);
+}
+
+TEST(Parallel, InlineLoopsScopeKeepsLoopsOnTheCallingThread) {
+  setGlobalThreadCount(4);
+  // 64 one-index chunks of 1 ms each: long enough that idle workers
+  // claim some whenever the loop reaches the pool.
+  auto ThreadsUsed = [] {
+    std::vector<std::thread::id> Ids(64);
+    parallelForRanges(
+        0, 64,
+        [&](std::int64_t Begin, std::int64_t) {
+          Ids[static_cast<size_t>(Begin)] = std::this_thread::get_id();
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        },
+        /*Grain=*/1);
+    std::sort(Ids.begin(), Ids.end());
+    return std::unique(Ids.begin(), Ids.end()) - Ids.begin();
+  };
+  {
+    InlineLoopsScope Inline;
+    EXPECT_EQ(ThreadsUsed(), 1);
+    {
+      InlineLoopsScope Nested;
+    }
+    EXPECT_EQ(ThreadsUsed(), 1); // an inner scope restores, not clears
+  }
+  EXPECT_GT(ThreadsUsed(), 1); // out of scope, loops reach the pool again
+  setGlobalThreadCount(defaultThreadCount());
 }
 
 TEST(Parallel, DefaultThreadCountHonorsEnv) {

@@ -145,25 +145,26 @@ void expectBitIdentical(const RepairResult &A, const RepairResult &B) {
 }
 
 CacheKey keyOf(std::uint64_t Tag, ArtifactKind Kind =
-                                      ArtifactKind::JacobianRows) {
+                                      ArtifactKind::PatternBatch) {
   Hasher H;
   H.u64(Tag);
   return CacheKey{Kind, H.digest()};
 }
 
-std::shared_ptr<JacobianRowsArtifact> makeRowsArtifact(int Rows, int Cols,
-                                                       double Seed) {
-  auto A = std::make_shared<JacobianRowsArtifact>();
-  A->Coef.resize(static_cast<size_t>(Rows));
-  A->Hi.resize(static_cast<size_t>(Rows));
-  double V = Seed;
-  for (int R = 0; R < Rows; ++R) {
-    A->Coef[static_cast<size_t>(R)].resize(static_cast<size_t>(Cols));
-    for (int C = 0; C < Cols; ++C) {
-      A->Coef[static_cast<size_t>(R)][static_cast<size_t>(C)] = V;
-      V = V * 1.000001 + 0.5;
+/// A pattern batch of \p Points one-layer patterns of \p Units entries
+/// each, filled from \p Seed: a store payload of a chosen size.
+std::shared_ptr<PatternBatchArtifact> makePatternArtifact(int Points,
+                                                          int Units,
+                                                          int Seed) {
+  auto A = std::make_shared<PatternBatchArtifact>();
+  A->Patterns.resize(static_cast<size_t>(Points));
+  int V = Seed;
+  for (NetworkPattern &P : A->Patterns) {
+    P.Patterns.assign(1, std::vector<int>(static_cast<size_t>(Units)));
+    for (int &Unit : P.Patterns[0]) {
+      Unit = V;
+      V = (V * 7 + 3) % 1009;
     }
-    A->Hi[static_cast<size_t>(R)] = -V;
   }
   return A;
 }
@@ -276,46 +277,6 @@ TEST(Codec, FrameRoundTripAndTypedRejection) {
 
 // --- Artifact serializers ---------------------------------------------------
 
-TEST(Serialize, JacobianRowsRoundTripBitExact) {
-  auto A = makeRowsArtifact(5, 9, 0.125);
-  // Adversarial values the "same bits" contract must preserve.
-  A->Coef[0][0] = -0.0;
-  A->Coef[1][2] = std::numeric_limits<double>::quiet_NaN();
-  A->Hi[4] = std::numeric_limits<double>::infinity();
-
-  ByteWriter W;
-  persist::serializeArtifact(*A, ArtifactKind::JacobianRows, W);
-  ByteReader R(W.buffer().data(), W.buffer().size());
-  auto Back = std::static_pointer_cast<const JacobianRowsArtifact>(
-      persist::deserializeArtifact(ArtifactKind::JacobianRows, R));
-  ASSERT_NE(Back, nullptr);
-  ASSERT_EQ(Back->Coef.size(), A->Coef.size());
-  for (size_t I = 0; I < A->Coef.size(); ++I) {
-    ASSERT_EQ(Back->Coef[I].size(), A->Coef[I].size());
-    for (size_t J = 0; J < A->Coef[I].size(); ++J) {
-      std::uint64_t Want, Got;
-      std::memcpy(&Want, &A->Coef[I][J], 8);
-      std::memcpy(&Got, &Back->Coef[I][J], 8);
-      EXPECT_EQ(Got, Want) << "Coef[" << I << "][" << J << "]";
-    }
-  }
-  for (size_t I = 0; I < A->Hi.size(); ++I) {
-    std::uint64_t Want, Got;
-    std::memcpy(&Want, &A->Hi[I], 8);
-    std::memcpy(&Got, &Back->Hi[I], 8);
-    EXPECT_EQ(Got, Want);
-  }
-
-  // Truncated payload: typed failure, no partial artifact. (The exact
-  // code depends on where the cut lands - a count whose data is gone
-  // reads as Corrupt via the plausibility guard, a cut mid-field as
-  // Truncated - but it is never None.)
-  ByteReader Short(W.buffer().data(), W.buffer().size() - 3);
-  EXPECT_EQ(persist::deserializeArtifact(ArtifactKind::JacobianRows, Short),
-            nullptr);
-  EXPECT_NE(Short.error(), CodecError::None);
-}
-
 TEST(Serialize, SyrennTransformRoundTrip) {
   auto A = std::make_shared<SyrennTransformArtifact>();
   LinePartition Line;
@@ -379,6 +340,15 @@ TEST(Serialize, PatternBatchRoundTrip) {
   ASSERT_EQ(Back->Patterns.size(), 2u);
   EXPECT_TRUE(Back->Patterns[0] == P1);
   EXPECT_TRUE(Back->Patterns[1] == P2);
+
+  // Truncated payload: typed failure, no partial artifact. (The exact
+  // code depends on where the cut lands - a count whose data is gone
+  // reads as Corrupt via the plausibility guard, a cut mid-field as
+  // Truncated - but it is never None.)
+  ByteReader Short(W.buffer().data(), W.buffer().size() - 3);
+  EXPECT_EQ(persist::deserializeArtifact(ArtifactKind::PatternBatch, Short),
+            nullptr);
+  EXPECT_NE(Short.error(), CodecError::None);
 }
 
 TEST(Serialize, SimplexBasisRoundTripAndCorruptRejection) {
@@ -593,17 +563,16 @@ TEST(ArtifactStore, StoreLoadRoundTripAndMiss) {
   Options.Directory = Dir.str();
   ArtifactStore Store(Options);
 
-  auto A = makeRowsArtifact(4, 6, 1.5);
+  auto A = makePatternArtifact(4, 6, 15);
   Store.storeSync(keyOf(1), *A);
   EXPECT_EQ(Store.stats().Writes, 1u);
   EXPECT_EQ(Store.stats().Entries, 1u);
   EXPECT_GT(Store.stats().BytesHeld, 0u);
 
-  auto Loaded = std::static_pointer_cast<const JacobianRowsArtifact>(
+  auto Loaded = std::static_pointer_cast<const PatternBatchArtifact>(
       Store.load(keyOf(1)));
   ASSERT_NE(Loaded, nullptr);
-  EXPECT_EQ(Loaded->Coef, A->Coef);
-  EXPECT_EQ(Loaded->Hi, A->Hi);
+  EXPECT_EQ(Loaded->Patterns, A->Patterns);
   EXPECT_EQ(Store.stats().Hits, 1u);
 
   EXPECT_EQ(Store.load(keyOf(2)), nullptr);
@@ -627,7 +596,7 @@ TEST(ArtifactStore, WriteBehindFlushAndKindMismatch) {
   Options.Directory = Dir.str();
   ArtifactStore Store(Options);
 
-  auto A = makeRowsArtifact(3, 3, -2.0);
+  auto A = makePatternArtifact(3, 3, -2);
   Store.storeAsync(keyOf(7), A);
   Store.flush();
   EXPECT_EQ(Store.stats().Writes, 1u);
@@ -635,7 +604,7 @@ TEST(ArtifactStore, WriteBehindFlushAndKindMismatch) {
   EXPECT_NE(Store.load(keyOf(7)), nullptr);
 
   // The same digest under a different kind is a different entry.
-  EXPECT_EQ(Store.load(keyOf(7, ArtifactKind::PatternBatch)), nullptr);
+  EXPECT_EQ(Store.load(keyOf(7, ArtifactKind::SyrennTransform)), nullptr);
 }
 
 TEST(ArtifactStore, CorruptEntryIsSkippedAndDeleted) {
@@ -644,7 +613,7 @@ TEST(ArtifactStore, CorruptEntryIsSkippedAndDeleted) {
   Options.Directory = Dir.str();
   ArtifactStore Store(Options);
 
-  auto A = makeRowsArtifact(4, 4, 3.0);
+  auto A = makePatternArtifact(4, 4, 3);
   Store.storeSync(keyOf(3), *A);
   const std::string Path = Store.entryPath(keyOf(3));
   ASSERT_TRUE(fs::exists(Path));
@@ -674,7 +643,7 @@ TEST(ArtifactStore, CorruptEntryIsSkippedAndDeleted) {
 
 TEST(ArtifactStore, GcEvictsOldestAtBudget) {
   TempDir Dir("gc");
-  auto A = makeRowsArtifact(8, 32, 0.75); // ~2.3 KiB serialized
+  auto A = makePatternArtifact(8, 64, 1); // ~2.2 KiB serialized
   std::uint64_t EntryBytes;
   {
     StoreOptions Options;
@@ -740,7 +709,7 @@ TEST(ArtifactStore, ReadHitsAndRepublishesRefreshMtimeForGc) {
   // is hot, and GC must not treat it as stale just because it was
   // written long ago.
   TempDir Dir("gc-touch");
-  auto A = makeRowsArtifact(8, 32, 0.75);
+  auto A = makePatternArtifact(8, 64, 1);
   std::uint64_t EntryBytes;
   {
     StoreOptions Options;
@@ -785,21 +754,21 @@ TEST(ArtifactStore, AtomicPublicationUnderConcurrentWriters) {
   // 8 writers race on one key while 8 more spray distinct keys; every
   // concurrent load must see either nothing or a fully valid entry -
   // never a torn write (CorruptSkips == 0).
-  auto Shared = makeRowsArtifact(6, 24, 0.5);
+  auto Shared = makePatternArtifact(6, 48, 5);
   std::vector<std::thread> Threads;
   std::atomic<int> LoadedOk{0};
   for (int T = 0; T < 8; ++T)
     Threads.emplace_back([&, T] {
       ArtifactStore Mine(Options); // own store handle: cross-"process"
-      auto Private = makeRowsArtifact(3 + T, 8, 0.25 * T);
+      auto Private = makePatternArtifact(3 + T, 16, T);
       for (int Round = 0; Round < 8; ++Round) {
         Mine.storeSync(keyOf(4242), *Shared);
         Mine.storeSync(keyOf(5000 + static_cast<std::uint64_t>(T)),
                        *Private);
-        if (auto Loaded = std::static_pointer_cast<const JacobianRowsArtifact>(
+        if (auto Loaded = std::static_pointer_cast<const PatternBatchArtifact>(
                 Mine.load(keyOf(4242)))) {
           ++LoadedOk;
-          EXPECT_EQ(Loaded->Coef, Shared->Coef);
+          EXPECT_EQ(Loaded->Patterns, Shared->Patterns);
         }
       }
       EXPECT_EQ(Mine.stats().CorruptSkips, 0u);
@@ -809,10 +778,10 @@ TEST(ArtifactStore, AtomicPublicationUnderConcurrentWriters) {
   EXPECT_GT(LoadedOk.load(), 0);
   EXPECT_EQ(Store.stats().CorruptSkips, 0u);
 
-  auto Final = std::static_pointer_cast<const JacobianRowsArtifact>(
+  auto Final = std::static_pointer_cast<const PatternBatchArtifact>(
       Store.load(keyOf(4242)));
   ASSERT_NE(Final, nullptr);
-  EXPECT_EQ(Final->Coef, Shared->Coef);
+  EXPECT_EQ(Final->Patterns, Shared->Patterns);
   for (int T = 0; T < 8; ++T)
     EXPECT_NE(Store.load(keyOf(5000 + static_cast<std::uint64_t>(T))),
               nullptr);
@@ -864,7 +833,7 @@ TEST(EngineStore, L2WarmRestartBitIdenticalAtAnyThreadCount) {
     EXPECT_GT(L2Warm.StoreHits, 0);
     EXPECT_EQ(L2Warm.CacheHits, L2Warm.StoreHits);
     EXPECT_EQ(L2Warm.CacheMisses, 0);
-    EXPECT_GT(L2Warm.Result.Stats.JacobianStoreHits, 0);
+    EXPECT_GT(L2Warm.Result.Stats.BasisStoreHits, 0);
     EXPECT_GT(Warm.storeStats().Hits, 0u);
 
     // And the promoted artifacts serve the next run from L1.
@@ -965,7 +934,7 @@ TEST(EngineStore, PolytopeTransformsWarmAcrossRestart) {
   expectBitIdentical(Report.Result, Serial);
   EXPECT_EQ(Report.Result.Stats.LinRegionsStoreHits, 1);
   EXPECT_EQ(Report.Result.Stats.PatternStoreHits, 1);
-  EXPECT_GT(Report.Result.Stats.JacobianStoreHits, 0);
+  EXPECT_GT(Report.Result.Stats.BasisStoreHits, 0);
 }
 
 TEST(EngineStore, EightConcurrentJobsShareOneL2Load) {
@@ -994,13 +963,13 @@ TEST(EngineStore, EightConcurrentJobsShareOneL2Load) {
     expectBitIdentical(Handle.report().Result, Serial);
     StoreHits += Handle.report().StoreHits;
   }
-  // Per distinct key (one Jacobian chunk + one simplex basis per LP
-  // solve), one job deserialized from disk inside the single-flight
-  // claim; the other seven shared the promoted L1 entry.
+  // Per distinct key (one simplex basis per LP solve), one job
+  // deserialized from disk inside the single-flight claim; the other
+  // seven shared the promoted L1 entry.
   const RepairStats &WarmStats = Handles[0].report().Result.Stats;
   int LpSolves = WarmStats.BasisHits + WarmStats.BasisMisses;
   EXPECT_GT(LpSolves, 0);
-  int Keys = 1 + LpSolves;
+  int Keys = LpSolves;
   EXPECT_EQ(StoreHits, Keys);
   EXPECT_EQ(Engine.storeStats().Hits, static_cast<std::uint64_t>(Keys));
   EXPECT_EQ(Engine.cacheStats().Hits, static_cast<std::uint64_t>(7 * Keys));

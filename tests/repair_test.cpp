@@ -10,8 +10,11 @@
 
 #include "core/PointRepair.h"
 #include "core/PolytopeRepair.h"
+#include "core/SpecRows.h"
 
+#include "api/RepairEngine.h"
 #include "nn/ActivationLayers.h"
+#include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
@@ -19,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace {
 
@@ -444,6 +449,316 @@ TEST(PointRepair, StatsTimingPopulatedOnAllPaths) {
   EXPECT_GE(Result.Stats.TotalSeconds,
             Result.Stats.JacobianSeconds + Result.Stats.LpSeconds +
                 Result.Stats.OtherSeconds - 1e-9);
+}
+
+TEST(PointRepair, PhaseSecondsPartitionTotalAndCoverTheSolves) {
+  // JacobianSeconds + LpSeconds + OtherSeconds == TotalSeconds, and the
+  // Lp phase's wall time covers every simplex kernel it ran - on a
+  // multi-round success, the full-LP round, and an infeasible exit.
+  Rng R(73);
+  Network Net = makeRandomReluClassifier(R, 5, 12, 4);
+  PointSpec Spec;
+  for (int I = 0; I < 30; ++I)
+    Spec.push_back({randomVector(R, 5, 1.5),
+                    classificationConstraint(4, I % 4, 1e-3), std::nullopt});
+  PointSpec Impossible;
+  Impossible.push_back({Vector{0.1, 0.2, 0.3, 0.4, 0.5},
+                        boxConstraint(Vector{1, -1e9, -1e9, -1e9},
+                                      Vector{2, 1e9, 1e9, 1e9}),
+                        std::nullopt});
+  Impossible.push_back({Vector{0.1, 0.2, 0.3, 0.4, 0.5},
+                        boxConstraint(Vector{-2, -1e9, -1e9, -1e9},
+                                      Vector{-1, 1e9, 1e9, 1e9}),
+                        std::nullopt});
+  int OutputLayer = Net.parameterizedLayerIndices().back();
+  RepairOptions FewRows;
+  FewRows.CgBatch = 2;
+  RepairOptions Full;
+  Full.MaxCgRounds = 0;
+
+  struct Case {
+    const char *Name;
+    const PointSpec *Spec;
+    RepairOptions Options;
+    RepairStatus Expect;
+  };
+  for (const Case &C : {Case{"cg", &Spec, FewRows, RepairStatus::Success},
+                        Case{"full", &Spec, Full, RepairStatus::Success},
+                        Case{"infeasible", &Impossible, RepairOptions(),
+                             RepairStatus::Infeasible}}) {
+    SCOPED_TRACE(C.Name);
+    RepairResult Result = repairPoints(Net, OutputLayer, *C.Spec, C.Options);
+    ASSERT_EQ(Result.Status, C.Expect);
+    const RepairStats &S = Result.Stats;
+    EXPECT_NEAR(S.JacobianSeconds + S.LpSeconds + S.OtherSeconds,
+                S.TotalSeconds, 1e-9);
+    const lp::SimplexStats &K = S.LpKernels;
+    EXPECT_GE(S.LpSeconds, K.PricingSeconds + K.FtranSeconds +
+                               K.BtranSeconds + K.RatioSeconds +
+                               K.UpdateSeconds + K.RefactorSeconds);
+    EXPECT_GT(S.LpSeconds, 0.0);
+  }
+}
+
+TEST(PointRepair, SuccessReportsMarginNextToItsTolerance) {
+  Rng R(74);
+  Network Net = makeRandomReluClassifier(R, 4, 10, 3);
+  PointSpec Spec;
+  for (int I = 0; I < 8; ++I)
+    Spec.push_back({randomVector(R, 4, 1.5),
+                    classificationConstraint(3, I % 3, 1e-3), std::nullopt});
+  RepairOptions Options;
+  Options.Lp.FeasTol = 1e-8;
+  RepairResult Result = repairPoints(Net, 2, Spec, Options);
+  ASSERT_EQ(Result.Status, RepairStatus::Success);
+  EXPECT_EQ(Result.Stats.VerifyTolerance, 100 * 1e-8 + 1e-9);
+  EXPECT_LE(Result.Stats.VerifiedViolation, Result.Stats.VerifyTolerance);
+  // The reported margin is the repaired DDNN's own worst violation.
+  double Worst = 0.0;
+  for (const SpecPoint &P : Spec)
+    Worst = std::max(Worst,
+                     P.Constraint.violation(Result.Repaired->evaluate(P.X)));
+  EXPECT_EQ(Result.Stats.VerifiedViolation, Worst);
+}
+
+TEST(PointRepair, MaxCgRoundsZeroMatchesMultiRoundOptimum) {
+  // The l1 optimum value is unique, so constraint generation over many
+  // rounds and the full LP in one round agree to rounding.
+  Rng R(75);
+  Network Net = makeRandomReluClassifier(R, 5, 12, 4);
+  PointSpec Spec;
+  for (int I = 0; I < 40; ++I)
+    Spec.push_back({randomVector(R, 5, 1.5),
+                    classificationConstraint(4, R.uniformInt(0, 3), 1e-3),
+                    std::nullopt});
+  int Solved = 0;
+  for (int Layer : Net.parameterizedLayerIndices()) {
+    RepairOptions Cg;
+    Cg.CgBatch = 3;
+    RepairOptions Full;
+    Full.MaxCgRounds = 0;
+    RepairResult A = repairPoints(Net, Layer, Spec, Cg);
+    RepairResult B = repairPoints(Net, Layer, Spec, Full);
+    ASSERT_EQ(A.Status, B.Status) << "layer " << Layer;
+    if (A.Status != RepairStatus::Success)
+      continue;
+    ++Solved;
+    EXPECT_GE(A.Stats.CgRounds, 3) << "layer " << Layer;
+    EXPECT_LT(A.Stats.LpRowsUsed, B.Stats.LpRowsUsed) << "layer " << Layer;
+    EXPECT_NEAR(A.DeltaL1, B.DeltaL1, 1e-9 * B.DeltaL1) << "layer " << Layer;
+  }
+  EXPECT_GT(Solved, 0);
+}
+
+TEST(PointRepair, MultiRoundRepairBitIdenticalAcrossThreadsAndCache) {
+  Rng R(76);
+  auto Net = std::make_shared<Network>(makeRandomReluClassifier(R, 5, 14, 4));
+  PointSpec Spec;
+  for (int I = 0; I < 60; ++I) {
+    Vector X = randomVector(R, 5, 1.5);
+    std::optional<NetworkPattern> Pinned;
+    if (I % 3 == 0)
+      Pinned = computePattern(*Net, X);
+    Spec.push_back({std::move(X), classificationConstraint(4, I % 4, 1e-3),
+                    std::move(Pinned)});
+  }
+  RepairOptions Options;
+  Options.CgBatch = 2;
+  RepairRequest Request = RepairRequest::points(Net, 2, Spec, Options);
+
+  EngineOptions NoCache;
+  NoCache.EnableCache = false;
+  setGlobalThreadCount(1);
+  RepairReport Reference = RepairEngine(NoCache).run(Request);
+  ASSERT_EQ(Reference.Status, RepairStatus::Success);
+  ASSERT_GE(Reference.Result.Stats.CgRounds, 3);
+
+  for (int Threads : {1, 4}) {
+    setGlobalThreadCount(Threads);
+    RepairEngine Cached;
+    for (const RepairReport &Report :
+         {RepairEngine(NoCache).run(Request), Cached.run(Request),
+          Cached.run(Request)}) {
+      SCOPED_TRACE(Threads);
+      ASSERT_EQ(Report.Status, Reference.Status);
+      const RepairResult &A = Report.Result, &B = Reference.Result;
+      ASSERT_EQ(A.Delta.size(), B.Delta.size());
+      for (size_t P = 0; P < A.Delta.size(); ++P)
+        EXPECT_EQ(A.Delta[P], B.Delta[P]) << "param " << P;
+      EXPECT_EQ(A.Stats.CgRounds, B.Stats.CgRounds);
+      EXPECT_EQ(A.Stats.LpRowsUsed, B.Stats.LpRowsUsed);
+      EXPECT_EQ(A.Stats.VerifiedViolation, B.Stats.VerifiedViolation);
+    }
+  }
+  setGlobalThreadCount(1);
+}
+
+// --- Lazy rows (core/SpecRows.h) ----------------------------------------------
+
+/// A spec over \p Net whose every third point is pinned to the pattern
+/// of a nearby input (so pinning matters), with classification rows.
+PointSpec makeMixedSpec(Rng &R, const Network &Net, int Points) {
+  PointSpec Spec;
+  int Classes = Net.outputSize();
+  for (int I = 0; I < Points; ++I) {
+    Vector X = randomVector(R, Net.inputSize(), 1.5);
+    std::optional<NetworkPattern> Pinned;
+    if (I % 3 == 0) {
+      Vector Near = X;
+      Near += randomVector(R, Net.inputSize(), 0.05);
+      Pinned = computePattern(Net, Near);
+    }
+    Spec.push_back({std::move(X),
+                    classificationConstraint(Classes, I % Classes, 1e-3),
+                    std::move(Pinned)});
+  }
+  return Spec;
+}
+
+/// The eager reference: every point's Jacobian from one full
+/// paramJacobianBatch, every row assembled as (A_k J) Delta <= b_k -
+/// A_k N(x) - Margin in the repair's accumulation order.
+void eagerRows(const Network &Net, int Layer, const PointSpec &Spec,
+               const std::vector<int> &Effective, double Margin,
+               std::vector<std::vector<double>> &Coef,
+               std::vector<double> &Hi) {
+  std::vector<Vector> Xs;
+  std::vector<const NetworkPattern *> Pinned;
+  for (const SpecPoint &P : Spec) {
+    Xs.push_back(P.X);
+    Pinned.push_back(P.Pattern ? &*P.Pattern : nullptr);
+  }
+  std::vector<JacobianResult> Jrs = paramJacobianBatch(Net, Layer, Xs, Pinned);
+  Coef.clear();
+  Hi.clear();
+  for (size_t P = 0; P < Spec.size(); ++P) {
+    const OutputConstraint &C = Spec[P].Constraint;
+    for (int K = 0; K < C.numRows(); ++K) {
+      std::vector<double> Row(Effective.size(), 0.0);
+      double Activity = 0.0;
+      for (int O = 0; O < C.A.cols(); ++O) {
+        double AKo = C.A(K, O);
+        if (AKo == 0.0)
+          continue;
+        Activity += AKo * Jrs[P].Output[O];
+        for (size_t E = 0; E < Effective.size(); ++E)
+          Row[E] += AKo * Jrs[P].J(O, Effective[E]);
+      }
+      Coef.push_back(std::move(Row));
+      Hi.push_back(C.B[K] - Activity - Margin);
+    }
+  }
+}
+
+/// SpecRows over \p Spec with its forward state computed chunk by chunk,
+/// as the repair's Jacobian phase does.
+detail::SpecRows computedRows(const Network &Net, int Layer,
+                              const PointSpec &Spec,
+                              const std::vector<int> &Effective,
+                              double Margin) {
+  detail::SpecRows Rows(Net, Layer, Spec, Effective, Margin);
+  for (int Base = 0; Base < Rows.numPoints(); Base += Rows.chunkPoints())
+    Rows.computeState(Base,
+                      std::min(Rows.numPoints(), Base + Rows.chunkPoints()));
+  return Rows;
+}
+
+TEST(SpecRows, LazyRowsMatchEagerJacobianRowsBitForBit) {
+  // 300 points: the lazy Jacobians of a full row set run in two
+  // batches. Whatever rows are asked for, in whatever order, each comes
+  // out with the bits of the eager row.
+  Rng R(77);
+  Network Net = makeRandomReluClassifier(R, 5, 12, 4);
+  PointSpec Spec = makeMixedSpec(R, Net, 300);
+  const double Margin = 1e-6;
+  for (int Layer : Net.parameterizedLayerIndices()) {
+    SCOPED_TRACE(Layer);
+    int NumParams = cast<LinearLayer>(Net.layer(Layer)).numParams();
+    std::vector<int> Effective;
+    for (int P = 0; P < NumParams; ++P)
+      if (Layer != 2 || P % 3 != 1) // one layer with frozen parameters
+        Effective.push_back(P);
+    std::vector<std::vector<double>> WantCoef;
+    std::vector<double> WantHi;
+    eagerRows(Net, Layer, Spec, Effective, Margin, WantCoef, WantHi);
+
+    for (int Threads : {1, 4}) {
+      setGlobalThreadCount(Threads);
+      detail::SpecRows Rows = computedRows(Net, Layer, Spec, Effective, Margin);
+      ASSERT_EQ(Rows.numRows(), static_cast<int>(WantHi.size()));
+      for (int Row = 0; Row < Rows.numRows(); ++Row)
+        EXPECT_EQ(Rows.hi(Row), WantHi[static_cast<size_t>(Row)])
+            << "row " << Row;
+
+      std::vector<int> All(static_cast<size_t>(Rows.numRows()));
+      std::iota(All.begin(), All.end(), 0);
+      R.shuffle(All);
+      std::vector<int> Few(All.begin(), All.begin() + 7);
+      for (const std::vector<int> &Ask : {All, Few}) {
+        std::vector<std::vector<double>> Got;
+        ASSERT_TRUE(Rows.coefs(Ask, Got));
+        ASSERT_EQ(Got.size(), Ask.size());
+        for (size_t J = 0; J < Ask.size(); ++J)
+          EXPECT_EQ(Got[J], WantCoef[static_cast<size_t>(Ask[J])])
+              << "row " << Ask[J];
+      }
+    }
+    setGlobalThreadCount(1);
+  }
+}
+
+TEST(SpecRows, ScanEqualsRowActivityAtRandomDelta) {
+  // Theorem 4.5: the DDNN's output is affine in Delta, so the forward
+  // scan's s_k is the LP row's Coef . Delta - Hi with the margin backed
+  // out, up to rounding - for unpinned and pinned points alike.
+  Rng R(78);
+  Network Net = makeRandomReluClassifier(R, 5, 12, 4);
+  PointSpec Spec = makeMixedSpec(R, Net, 60);
+  const double Margin = 1e-6;
+  for (int Layer : Net.parameterizedLayerIndices()) {
+    SCOPED_TRACE(Layer);
+    int NumParams = cast<LinearLayer>(Net.layer(Layer)).numParams();
+    std::vector<int> Effective(static_cast<size_t>(NumParams));
+    std::iota(Effective.begin(), Effective.end(), 0);
+    detail::SpecRows Rows = computedRows(Net, Layer, Spec, Effective, Margin);
+    std::vector<int> All(static_cast<size_t>(Rows.numRows()));
+    std::iota(All.begin(), All.end(), 0);
+    std::vector<std::vector<double>> Coef;
+    ASSERT_TRUE(Rows.coefs(All, Coef));
+    for (int Trial = 0; Trial < 3; ++Trial) {
+      std::vector<double> Delta(static_cast<size_t>(NumParams));
+      for (double &D : Delta)
+        D = 0.2 * R.normal();
+      std::vector<double> S = Rows.scan(Delta);
+      for (int Row = 0; Row < Rows.numRows(); ++Row) {
+        double Activity = 0.0;
+        for (int E = 0; E < NumParams; ++E)
+          Activity += Coef[static_cast<size_t>(Row)][static_cast<size_t>(E)] *
+                      Delta[static_cast<size_t>(E)];
+        double Want = Activity - Rows.hi(Row) - Margin;
+        double Scale = 1.0 + std::fabs(Activity) + std::fabs(Rows.hi(Row));
+        EXPECT_NEAR(S[static_cast<size_t>(Row)], Want, 1e-9 * Scale)
+            << "row " << Row;
+      }
+    }
+  }
+}
+
+TEST(SpecRows, CoefsStopAtCancelBetweenBatches) {
+  Rng R(79);
+  Network Net = makeRandomReluClassifier(R, 5, 12, 4);
+  PointSpec Spec = makeMixedSpec(R, Net, 300);
+  std::vector<int> Effective(
+      static_cast<size_t>(cast<LinearLayer>(Net.layer(4)).numParams()));
+  std::iota(Effective.begin(), Effective.end(), 0);
+  detail::SpecRows Rows = computedRows(Net, 4, Spec, Effective, 0.0);
+  ASSERT_LT(Rows.chunkPoints(), Rows.numPoints());
+  std::vector<int> All(static_cast<size_t>(Rows.numRows()));
+  std::iota(All.begin(), All.end(), 0);
+  int Polls = 0;
+  std::vector<std::vector<double>> Got;
+  EXPECT_FALSE(Rows.coefs(All, Got, [&] { return ++Polls == 1; }));
+  EXPECT_EQ(Polls, 1); // polled between batches, not before the first
 }
 
 } // namespace

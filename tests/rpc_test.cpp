@@ -294,6 +294,17 @@ TEST(RpcWire, RepairReportRoundTripsBitExact) {
   EXPECT_EQ(Back.Status, Report.Status);
   EXPECT_EQ(Back.RepairedLayer, Report.RepairedLayer);
   expectBitIdentical(Back.Result, Report.Result);
+  // The success margin travels next to the tolerance it was judged by.
+  const RepairStats &Sent = Report.Result.Stats;
+  const RepairStats &Received = Back.Result.Stats;
+  EXPECT_GT(Sent.VerifyTolerance, 0.0);
+  EXPECT_LE(Sent.VerifiedViolation, Sent.VerifyTolerance);
+  EXPECT_EQ(Received.VerifiedViolation, Sent.VerifiedViolation);
+  EXPECT_EQ(Received.VerifyTolerance, Sent.VerifyTolerance);
+  EXPECT_EQ(Received.LpSeconds, Sent.LpSeconds);
+  EXPECT_EQ(Received.JacobianCacheHits + Received.JacobianCacheMisses +
+                Received.JacobianStoreHits,
+            0);
   ASSERT_EQ(Back.Sweep.size(), Report.Sweep.size());
   for (size_t I = 0; I < Report.Sweep.size(); ++I) {
     EXPECT_EQ(Back.Sweep[I].LayerIndex, Report.Sweep[I].LayerIndex);

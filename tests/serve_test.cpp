@@ -368,13 +368,14 @@ TEST(ModelRegistry, ModelEntriesSurviveArtifactStoreGc) {
   // An artifact store on the same directory whose LRU GC must run:
   // `.art` entries get evicted, `models/` must not be touched -
   // registry entries are roots, not cache lines.
-  auto Artifact = std::make_shared<JacobianRowsArtifact>();
-  Artifact->Coef.assign(8, std::vector<double>(64, 1.25));
-  Artifact->Hi.assign(8, 2.5);
+  auto Artifact = std::make_shared<PatternBatchArtifact>();
+  NetworkPattern Pattern;
+  Pattern.Patterns.assign(1, std::vector<int>(128, 1));
+  Artifact->Patterns.assign(8, Pattern);
   auto KeyOf = [](std::uint64_t K) {
     Hasher H;
     H.u64(K);
-    return CacheKey{ArtifactKind::JacobianRows, H.digest()};
+    return CacheKey{ArtifactKind::PatternBatch, H.digest()};
   };
   std::uint64_t EntryBytes = 0;
   {

@@ -9,13 +9,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PointRepair.h"
+#include "core/SpecRows.h"
 
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <numeric>
 
 namespace {
 
@@ -152,6 +157,67 @@ TEST(SmoothRepair, EarlierLayerRepairIsDdnnOnly) {
   // DDNN: exact.
   EXPECT_LE(Spec[0].Constraint.violation(Result.Repaired->evaluate(X)),
             1e-6);
+}
+
+TEST(SmoothRepair, ScanEqualsRowActivityAtRandomDelta) {
+  // The constraint-generation scan evaluates the DDNN, whose smooth
+  // activations are linearized around the activation channel; with
+  // that channel fixed the output is affine in Delta (Theorem 4.5), so
+  // each row's s_k equals its LP row's Coef . Delta - Hi with the
+  // margin backed out, up to rounding, for every layer and thread count.
+  const double Margin = 1e-6;
+  for (SmoothKind Kind :
+       {SmoothKind::Tanh, SmoothKind::Sigmoid, SmoothKind::Mixed}) {
+    Rng R(90 + static_cast<int>(Kind));
+    Network Net = makeSmoothNetwork(R, Kind);
+    PointSpec Spec;
+    for (int I = 0; I < 12; ++I) {
+      Vector X = randomVector(R, 4);
+      Vector Y = Net.evaluate(X);
+      Vector Lo(3), Hi(3);
+      for (int O = 0; O < 3; ++O) {
+        Lo[O] = Y[O] - 0.1 + 0.2 * R.normal();
+        Hi[O] = Lo[O] + 0.1;
+      }
+      Spec.push_back({std::move(X), boxConstraint(Lo, Hi), std::nullopt});
+    }
+    for (int Layer : Net.parameterizedLayerIndices()) {
+      SCOPED_TRACE(Layer);
+      int NumParams = cast<LinearLayer>(Net.layer(Layer)).numParams();
+      std::vector<int> Effective(static_cast<size_t>(NumParams));
+      std::iota(Effective.begin(), Effective.end(), 0);
+      std::vector<double> Delta(static_cast<size_t>(NumParams));
+      for (double &D : Delta)
+        D = 0.3 * R.normal();
+      std::vector<double> Reference;
+      for (int Threads : {1, 4}) {
+        setGlobalThreadCount(Threads);
+        detail::SpecRows Rows(Net, Layer, Spec, Effective, Margin);
+        Rows.computeState(0, Rows.numPoints());
+        std::vector<int> All(static_cast<size_t>(Rows.numRows()));
+        std::iota(All.begin(), All.end(), 0);
+        std::vector<std::vector<double>> Coef;
+        ASSERT_TRUE(Rows.coefs(All, Coef));
+        std::vector<double> S = Rows.scan(Delta);
+        for (int Row = 0; Row < Rows.numRows(); ++Row) {
+          double Activity = 0.0;
+          for (int E = 0; E < NumParams; ++E)
+            Activity +=
+                Coef[static_cast<size_t>(Row)][static_cast<size_t>(E)] *
+                Delta[static_cast<size_t>(E)];
+          double Want = Activity - Rows.hi(Row) - Margin;
+          double Scale = 1.0 + std::fabs(Activity) + std::fabs(Rows.hi(Row));
+          EXPECT_NEAR(S[static_cast<size_t>(Row)], Want, 1e-9 * Scale)
+              << "row " << Row;
+        }
+        if (Reference.empty())
+          Reference = S;
+        else
+          EXPECT_EQ(S, Reference); // bit-identical across thread counts
+      }
+      setGlobalThreadCount(1);
+    }
+  }
 }
 
 } // namespace

@@ -7,7 +7,10 @@
 // as Prometheus text exposition - the same bytes a scrape endpoint
 // would serve. With --watch it polls on an interval, emitting a fresh
 // page each round, so `prdnn_stats --port N --watch 2` is a live
-// terminal dashboard over any fleet member.
+// terminal dashboard over any fleet member. Among the engine gauges,
+// prdnn_verify_violation and prdnn_verify_tolerance show the last
+// verified repair's success margin next to the tolerance it was judged
+// by.
 //
 //   prdnn_stats --port 7411                 one snapshot, print, exit
 //   prdnn_stats --port 7411 --watch 2       poll every 2s until killed
