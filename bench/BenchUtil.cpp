@@ -4,123 +4,12 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <thread>
-
-// Provenance macros, defined by CMakeLists.txt for the bench_util
-// target; fall back to "unknown" so BenchUtil.cpp still compiles when
-// pulled into an ad-hoc build.
-#ifndef PRDNN_GIT_SHA
-#define PRDNN_GIT_SHA "unknown"
-#endif
-#ifndef PRDNN_BUILD_TYPE
-#define PRDNN_BUILD_TYPE "unknown"
-#endif
+#include <utility>
 
 using namespace prdnn;
 using namespace prdnn::bench;
 using namespace prdnn::data;
-
-void BenchJson::beginRecord() { Records.emplace_back(); }
-
-void BenchJson::add(const std::string &Key, double Value) {
-  assert(!Records.empty() && "beginRecord before add");
-  Records.back().push_back({Key, Value});
-}
-
-void BenchJson::add(const std::string &Key, int Value) {
-  assert(!Records.empty() && "beginRecord before add");
-  Records.back().push_back({Key, Value});
-}
-
-void BenchJson::add(const std::string &Key, const std::string &Value) {
-  assert(!Records.empty() && "beginRecord before add");
-  Records.back().push_back({Key, Value});
-}
-
-std::string BenchJson::write() const {
-  std::string FileName = "BENCH_" + Name + ".json";
-  std::ofstream Os(FileName);
-  if (!Os)
-    return "";
-  Os << "{\"bench\": \"" << Name << "\", \"git_sha\": \"" PRDNN_GIT_SHA
-     << "\", \"build_type\": \"" PRDNN_BUILD_TYPE
-     << "\", \"hardware_concurrency\": "
-     << std::thread::hardware_concurrency() << ", \"records\": [";
-  for (size_t R = 0; R < Records.size(); ++R) {
-    Os << (R == 0 ? "\n" : ",\n") << "  {";
-    const auto &Record = Records[R];
-    for (size_t E = 0; E < Record.size(); ++E) {
-      if (E != 0)
-        Os << ", ";
-      Os << '"' << Record[E].first << "\": ";
-      if (const double *D = std::get_if<double>(&Record[E].second)) {
-        if (!std::isfinite(*D)) {
-          // NaN/Inf are not valid JSON literals.
-          Os << "null";
-        } else {
-          char Buffer[32];
-          std::snprintf(Buffer, sizeof(Buffer), "%.9g", *D);
-          Os << Buffer;
-        }
-      } else if (const int *I = std::get_if<int>(&Record[E].second)) {
-        Os << *I;
-      } else {
-        Os << '"';
-        for (char C : std::get<std::string>(Record[E].second)) {
-          if (C == '"' || C == '\\')
-            Os << '\\';
-          Os << C;
-        }
-        Os << '"';
-      }
-    }
-    Os << "}";
-  }
-  Os << "\n]}\n";
-  Os.close(); // surface close-time write errors in the stream state
-  return Os ? FileName : "";
-}
-
-double prdnn::bench::percentile(std::vector<double> Values, double P) {
-  if (Values.empty())
-    return 0.0;
-  std::sort(Values.begin(), Values.end());
-  size_t Index = static_cast<size_t>(
-      std::min<double>(static_cast<double>(Values.size()) - 1.0,
-                       P * static_cast<double>(Values.size())));
-  return Values[Index];
-}
-
-void prdnn::bench::addLatencyRecord(BenchJson &Json,
-                                    const obs::HistogramSnapshot &Latency) {
-  Json.add("p50_latency_seconds", Latency.quantile(0.50));
-  Json.add("p95_latency_seconds", Latency.quantile(0.95));
-  Json.add("p99_latency_seconds", Latency.quantile(0.99));
-}
-
-void prdnn::bench::writeLatencyHistogram(
-    std::ostream &Os, const obs::HistogramSnapshot &Latency) {
-  for (std::uint64_t Count : Latency.Counts)
-    Os << "lat_bucket " << Count << "\n";
-  Os << "lat_sum " << Latency.Sum << "\n";
-}
-
-obs::HistogramSnapshot prdnn::bench::latencySnapshotFromCounts(
-    const std::vector<std::uint64_t> &Counts, double Sum) {
-  obs::HistogramSnapshot Snapshot;
-  Snapshot.Edges = obs::defaultLatencyBuckets();
-  Snapshot.Counts.assign(Snapshot.Edges.size() + 1, 0);
-  if (Counts.size() == Snapshot.Counts.size()) {
-    Snapshot.Counts = Counts;
-    Snapshot.Sum = Sum;
-  }
-  return Snapshot;
-}
 
 Task1Workload prdnn::bench::makeTask1Workload(int AdversarialCount) {
   Task1Workload W;

@@ -15,13 +15,8 @@
 #include "data/Corruptions.h"
 #include "data/Digits.h"
 #include "data/ShapeWorld.h"
-#include "obs/Metrics.h"
 #include "train/FineTune.h"
 
-#include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <variant>
 #include <vector>
 
 namespace prdnn {
@@ -103,68 +98,6 @@ Task3Workload makeTask3Workload(int NumRepairSlices, int NumOtherSlices,
 /// message when the spec comes out empty.
 PointSpec task3Spec(const Task3Workload &W, double *LinRegionsSeconds,
                     int *NumRegions, Dataset *FtSamples = nullptr);
-
-/// Machine-readable benchmark output: accumulates named records of
-/// key/value metrics and writes them as BENCH_<name>.json next to the
-/// binary, so successive PRs can track the performance trajectory
-/// (points/sec, Jacobian/LP seconds, thread count, ...) without
-/// scraping the human-readable tables. Every file is stamped with the
-/// host's hardware_concurrency, the git commit the tree was configured
-/// at, and the CMake build type ("unknown" when not built through the
-/// repo's CMakeLists), so archived artifacts stay attributable. Schema:
-///
-///   { "bench": "<name>", "git_sha": "<sha|unknown>",
-///     "build_type": "<Release|...|unknown>", "hardware_concurrency": n,
-///     "records": [ {"k": v | "s", ...}, ... ] }
-class BenchJson {
-public:
-  explicit BenchJson(std::string BenchName) : Name(std::move(BenchName)) {}
-
-  /// Starts a new record (one measured configuration).
-  void beginRecord();
-
-  void add(const std::string &Key, double Value);
-  void add(const std::string &Key, int Value);
-  void add(const std::string &Key, const std::string &Value);
-
-  /// Writes BENCH_<name>.json into the working directory and returns
-  /// the file name (empty on I/O failure).
-  std::string write() const;
-
-private:
-  using Value = std::variant<double, int, std::string>;
-  std::string Name;
-  std::vector<std::vector<std::pair<std::string, Value>>> Records;
-};
-
-/// Nearest-rank percentile of \p Values at \p P in [0, 1] (sorts a
-/// copy; 0 on empty input): index = min(n - 1, floor(P * n)). For
-/// small exact sample sets (a dozen engine jobs); the fleet benches
-/// summarize through obs::Histogram instead, so their p50/p95/p99 are
-/// the same numbers a live scrape of the serving registry reports.
-double percentile(std::vector<double> Values, double P);
-
-/// Adds the p50/p95/p99 of \p Latency (an obs::Histogram snapshot over
-/// defaultLatencyBuckets()) to \p Json under "p50_latency_seconds" /
-/// "p95..." / "p99..." - the shared key schema of the latency benches.
-void addLatencyRecord(BenchJson &Json, const obs::HistogramSnapshot &Latency);
-
-/// Streams \p Latency into a multi-process stats file: one
-/// "lat_bucket <count>" line per bucket (in edge order, overflow
-/// last) plus "lat_sum <seconds>". The inverse of
-/// latencySnapshotFromCounts - the fleet benches' children report
-/// bucket counts, not raw samples, so a parent merge is exact and
-/// O(buckets) regardless of job count.
-void writeLatencyHistogram(std::ostream &Os,
-                           const obs::HistogramSnapshot &Latency);
-
-/// Rebuilds a snapshot over defaultLatencyBuckets() from parsed
-/// "lat_bucket"/"lat_sum" values. A count vector of the wrong length
-/// (torn stats file) yields an all-zero snapshot, which the benches'
-/// jobs-served cross-checks then flag.
-obs::HistogramSnapshot
-latencySnapshotFromCounts(const std::vector<std::uint64_t> &Counts,
-                          double Sum);
 
 /// Fraction of \p Points whose advisory under \p Classify is safe.
 template <typename ClassifyT>

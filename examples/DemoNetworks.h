@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The seeded network / spec builders shared by the example programs
-/// and the serving bench (examples/repair_server.cpp,
-/// examples/fleet_serve.cpp, bench/bench_serve_fleet.cpp): small ReLU
+/// and tests (examples/repair_server.cpp, examples/fleet_serve.cpp,
+/// tests/serve_test.cpp): small ReLU
 /// MLPs, flip-to-runner-up classification specs, segment polytope
 /// specs, and the bit-identity check every demo's determinism gate
 /// uses. Header-only so non-library binaries can share them without a

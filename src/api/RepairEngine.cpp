@@ -18,6 +18,9 @@
 
 using namespace prdnn;
 
+/// Shards of the engine cache's map (per-shard mutex + LRU slice).
+constexpr int kCacheShards = 16;
+
 /// Shared state of one submitted job: the request, its context, and
 /// the promise-like (mutex + condvar) result slot JobHandle waits on.
 struct prdnn::detail::EngineJob {
@@ -107,8 +110,6 @@ RepairEngine::RepairEngine(EngineOptions Options) : Opts(Options) {
     Opts.NumWorkers = 1;
   if (Opts.QueueCapacity < 1)
     Opts.QueueCapacity = 1;
-  if (Opts.CacheShards < 1)
-    Opts.CacheShards = 1;
   if (Opts.EnableCache && Opts.CacheBudgetBytes > 0) {
     if (!Opts.StoreDirectory.empty()) {
       persist::StoreOptions StoreOpts;
@@ -117,7 +118,7 @@ RepairEngine::RepairEngine(EngineOptions Options) : Opts(Options) {
       Store = std::make_shared<persist::ArtifactStore>(std::move(StoreOpts));
     }
     Cache = std::make_shared<ArtifactCache>(Opts.CacheBudgetBytes,
-                                            Opts.CacheShards, Store);
+                                            kCacheShards, Store);
   }
   T = Opts.Telemetry.get();
   if (T)

@@ -108,8 +108,6 @@ struct EngineOptions {
   /// Byte budget of the cache's LRU (0 behaves like EnableCache =
   /// false).
   std::size_t CacheBudgetBytes = std::size_t(256) << 20;
-  /// Shards of the cache's map (per-shard mutex + LRU slice).
-  int CacheShards = 16;
   /// Directory of a persistent artifact store (persist/ArtifactStore.h)
   /// backing the cache as an L2 tier: misses read through to disk,
   /// inserts write behind asynchronously, so a fresh engine pointed at

@@ -153,8 +153,8 @@ struct RepairStats {
   // without a cache). Hits are bit-identical to recomputation; the
   // counters only explain where the time went.
   /// Always zero: Jacobian rows are built lazily per repair and no
-  /// longer cached. Kept (with JacobianStoreHits) for readers of the
-  /// wire format.
+  /// longer cached. Not on the wire; kept only because perfbench's
+  /// probe (perfbench/src/Probe.cpp) still reads them.
   int JacobianCacheHits = 0;
   int JacobianCacheMisses = 0;
   /// SyReNN transform lookups (one per polytope spec).
@@ -174,7 +174,6 @@ struct RepairStats {
   // store (persist/ArtifactStore.h) rather than engine memory - the
   // warm-restart signal. Always <= the matching CacheHits counter;
   // zero when the engine runs without a store.
-  int JacobianStoreHits = 0;
   int LinRegionsStoreHits = 0;
   int PatternStoreHits = 0;
   int BasisStoreHits = 0;
@@ -188,8 +187,7 @@ struct RepairStats {
            BasisMisses;
   }
   int storeHits() const {
-    return JacobianStoreHits + LinRegionsStoreHits + PatternStoreHits +
-           BasisStoreHits;
+    return LinRegionsStoreHits + PatternStoreHits + BasisStoreHits;
   }
 };
 

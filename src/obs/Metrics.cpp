@@ -120,25 +120,6 @@ double HistogramSnapshot::quantile(double Q) const {
   return Edges.empty() ? 0.0 : Edges.back();
 }
 
-bool HistogramSnapshot::merge(const HistogramSnapshot &Other) {
-  // A default-constructed accumulator adopts the first operand's
-  // bucket layout (the fleet benches' parent-side merge loop).
-  if (Edges.empty() && Counts.empty() && Sum == 0.0)
-    Edges = Other.Edges;
-  if (Edges != Other.Edges)
-    return false;
-  if (Counts.size() != Other.Counts.size()) {
-    if (Counts.empty() && count() == 0)
-      Counts.assign(Other.Counts.size(), 0);
-    else
-      return false;
-  }
-  for (std::size_t I = 0; I < Counts.size(); ++I)
-    Counts[I] += Other.Counts[I];
-  Sum += Other.Sum;
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Histogram
 //===----------------------------------------------------------------------===//

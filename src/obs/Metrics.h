@@ -99,9 +99,7 @@ private:
 
 /// One decoded histogram observation set: fixed upper-bound edges plus
 /// an overflow bucket, with *non-cumulative* per-bucket counts (the
-/// Prometheus exposition cumulates at render time). The merge/quantile
-/// members are what the fleet benches use to combine per-process
-/// latency histograms without shipping raw samples.
+/// Prometheus exposition cumulates at render time).
 struct HistogramSnapshot {
   /// Finite bucket upper bounds, ascending. A value v lands in the
   /// first bucket with v <= edge (Prometheus `le` convention - a value
@@ -118,11 +116,6 @@ struct HistogramSnapshot {
   /// first bucket - observations are assumed non-negative). An
   /// overflow-bucket rank clamps to the last finite edge. 0 on empty.
   double quantile(double Q) const;
-
-  /// Bucket-wise accumulate of \p Other into this. False (and no
-  /// change) when the edge vectors differ - merging is only defined
-  /// over one bucket preset.
-  bool merge(const HistogramSnapshot &Other);
 };
 
 /// Fixed-bucket histogram, thread-sharded like Counter. Bucket edges
@@ -152,9 +145,8 @@ private:
 };
 
 /// Default latency buckets (seconds), log-spaced 100us..60s: shared by
-/// the engine's queue-wait/job-duration histograms and the fleet
-/// benches, so per-process histograms merge and p50/p95/p99 stay
-/// comparable across BENCH_*.json files.
+/// every latency histogram of obs::Telemetry (queue wait, job duration
+/// and the per-phase job seconds), so their p50/p95/p99 are comparable.
 std::vector<double> defaultLatencyBuckets();
 
 /// One named metric inside a MetricsSnapshot.

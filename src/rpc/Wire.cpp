@@ -294,15 +294,12 @@ void writeRepairStats(ByteWriter &W, const RepairStats &S) {
   W.f64(S.LinRegionsSeconds);
   W.i32(S.KeyPoints);
   W.i32(S.LinearRegions);
-  W.i32(S.JacobianCacheHits);
-  W.i32(S.JacobianCacheMisses);
   W.i32(S.LinRegionsCacheHits);
   W.i32(S.LinRegionsCacheMisses);
   W.i32(S.PatternCacheHits);
   W.i32(S.PatternCacheMisses);
   W.i32(S.BasisHits);
   W.i32(S.BasisMisses);
-  W.i32(S.JacobianStoreHits);
   W.i32(S.LinRegionsStoreHits);
   W.i32(S.PatternStoreHits);
   W.i32(S.BasisStoreHits);
@@ -319,12 +316,11 @@ bool readRepairStats(ByteReader &R, RepairStats &S) {
   return R.f64(S.VerifiedViolation) && R.f64(S.VerifyTolerance) &&
          R.f64(S.LinRegionsSeconds) &&
          R.i32(S.KeyPoints) && R.i32(S.LinearRegions) &&
-         R.i32(S.JacobianCacheHits) && R.i32(S.JacobianCacheMisses) &&
          R.i32(S.LinRegionsCacheHits) && R.i32(S.LinRegionsCacheMisses) &&
          R.i32(S.PatternCacheHits) && R.i32(S.PatternCacheMisses) &&
          R.i32(S.BasisHits) && R.i32(S.BasisMisses) &&
-         R.i32(S.JacobianStoreHits) && R.i32(S.LinRegionsStoreHits) &&
-         R.i32(S.PatternStoreHits) && R.i32(S.BasisStoreHits);
+         R.i32(S.LinRegionsStoreHits) && R.i32(S.PatternStoreHits) &&
+         R.i32(S.BasisStoreHits);
 }
 
 void writeRepairResult(ByteWriter &W, const RepairResult &Result) {

@@ -35,9 +35,9 @@
 /// doubles travel as IEEE-754 bit patterns via persist::ByteWriter, so
 /// a RepairReport decoded from the wire compares bit-for-bit equal
 /// (Delta bits, norms, repaired-network parameters) to the in-process
-/// report it was encoded from. Enforced by tests/rpc_test.cpp and
-/// bench/bench_rpc_fleet.cpp. See src/rpc/README.md for the exact byte
-/// layout of every message.
+/// report it was encoded from. Enforced by tests/rpc_test.cpp and by
+/// perfbench's served-repeats workload. See src/rpc/README.md for the
+/// exact byte layout of every message.
 ///
 //===----------------------------------------------------------------------===//
 

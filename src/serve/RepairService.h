@@ -25,8 +25,8 @@
 /// and re-verifies fingerprints on load, and the engine's cache/store
 /// tiers are bit-exact by construction - so *which* process serves a
 /// request (and how warm it is) never changes the answer. Enforced by
-/// tests/serve_test.cpp and bench/bench_serve_fleet.cpp (non-zero exit
-/// on any divergence).
+/// tests/serve_test.cpp, including two serving processes on one store
+/// directory (TwoProcessesShareOneDirectory).
 ///
 /// Admission never blocks and never queues beyond the engine: the
 /// service clamps the engine's queue capacity to at least MaxInFlight,

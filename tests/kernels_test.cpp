@@ -292,8 +292,9 @@ TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
   // and old peers degrade to recomputes instead of serving stale bits.
   // The version also moves for wire and store layout changes, which
   // leave the constant alone (version 5, lazy Jacobians, picked the same
-  // rows here, so the constant stayed).
-  static_assert(persist::kFormatVersion == 5,
+  // rows here, so the constant stayed; version 6 only dropped wire
+  // fields).
+  static_assert(persist::kFormatVersion == 6,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
   const Digest128 Golden = {0x13306408124117f1ull, 0x047153c3a5539863ull};

@@ -295,31 +295,6 @@ TEST(ObsMetrics, RegistryIsIdempotentByNameAndNullOnTypeMismatch) {
   EXPECT_EQ(Snapshot.find("prdnn_test_absent"), nullptr);
 }
 
-TEST(ObsMetrics, SnapshotMergeAdoptsLayoutOnceAndRejectsMismatches) {
-  obs::Histogram A({1.0, 2.0});
-  obs::Histogram B({1.0, 2.0});
-  A.observe(0.5);
-  A.observe(1.5);
-  B.observe(3.0);
-
-  // A default-constructed accumulator adopts the first operand's
-  // layout - the fleet benches' parent-side merge.
-  obs::HistogramSnapshot Total;
-  ASSERT_TRUE(Total.merge(A.snapshot()));
-  ASSERT_TRUE(Total.merge(B.snapshot()));
-  EXPECT_EQ(Total.count(), 3u);
-  EXPECT_EQ(Total.Counts[0], 1u);
-  EXPECT_EQ(Total.Counts[1], 1u);
-  EXPECT_EQ(Total.Counts[2], 1u);
-  EXPECT_DOUBLE_EQ(Total.Sum, 5.0);
-
-  // Merging across bucket presets is undefined and refused unchanged.
-  obs::Histogram Other({1.0, 2.0, 4.0});
-  Other.observe(0.5);
-  EXPECT_FALSE(Total.merge(Other.snapshot()));
-  EXPECT_EQ(Total.count(), 3u);
-}
-
 TEST(ObsMetrics, PrometheusExpositionIsWellFormed) {
   obs::MetricsRegistry Registry;
   Registry.counter("prdnn_test_jobs_total", "Jobs seen")->add(5);

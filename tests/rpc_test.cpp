@@ -282,6 +282,17 @@ TEST(RpcWire, RepairReportRoundTripsBitExact) {
   ASSERT_EQ(Report.Status, RepairStatus::Success);
   ASSERT_TRUE(Report.Result.Repaired.has_value());
   ASSERT_FALSE(Report.Sweep.empty());
+  // The engine ran cache-free, so give every cache counter a distinct
+  // value: the round trip then checks their order on the wire too.
+  RepairStats &Counts = Report.Result.Stats;
+  int *const SentCounters[] = {
+      &Counts.LinRegionsCacheHits, &Counts.LinRegionsCacheMisses,
+      &Counts.PatternCacheHits,    &Counts.PatternCacheMisses,
+      &Counts.BasisHits,           &Counts.BasisMisses,
+      &Counts.LinRegionsStoreHits, &Counts.PatternStoreHits,
+      &Counts.BasisStoreHits};
+  for (int I = 0; I < 9; ++I)
+    *SentCounters[I] = I + 1;
 
   ByteWriter W;
   writeRepairReport(W, Report);
@@ -302,9 +313,14 @@ TEST(RpcWire, RepairReportRoundTripsBitExact) {
   EXPECT_EQ(Received.VerifiedViolation, Sent.VerifiedViolation);
   EXPECT_EQ(Received.VerifyTolerance, Sent.VerifyTolerance);
   EXPECT_EQ(Received.LpSeconds, Sent.LpSeconds);
-  EXPECT_EQ(Received.JacobianCacheHits + Received.JacobianCacheMisses +
-                Received.JacobianStoreHits,
-            0);
+  const int ReceivedCounters[] = {
+      Received.LinRegionsCacheHits, Received.LinRegionsCacheMisses,
+      Received.PatternCacheHits,    Received.PatternCacheMisses,
+      Received.BasisHits,           Received.BasisMisses,
+      Received.LinRegionsStoreHits, Received.PatternStoreHits,
+      Received.BasisStoreHits};
+  for (int I = 0; I < 9; ++I)
+    EXPECT_EQ(ReceivedCounters[I], I + 1) << "counter " << I;
   ASSERT_EQ(Back.Sweep.size(), Report.Sweep.size());
   for (size_t I = 0; I < Report.Sweep.size(); ++I) {
     EXPECT_EQ(Back.Sweep[I].LayerIndex, Report.Sweep[I].LayerIndex);

@@ -15,6 +15,11 @@
 // process is saturated. Runs under the CI ThreadSanitizer job next to
 // parallel_test, engine_test, cache_test, and persist_test.
 //
+// One case crosses the process boundary: it spawns two copies of this
+// binary (each running the DISABLED_ child case) on one store
+// directory, so the store's and registry's pid-tagged temp files are
+// exercised by real concurrent processes, not threads.
+//
 //===----------------------------------------------------------------------===//
 
 #include "serve/AdmissionController.h"
@@ -24,6 +29,7 @@
 #include "api/RepairEngine.h"
 #include "cache/Fingerprint.h"
 #include "core/PolytopeRepair.h"
+#include "examples/DemoNetworks.h"
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "nn/PoolLayers.h"
@@ -32,13 +38,24 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+extern char **environ;
+#define PRDNN_TEST_HAVE_SPAWN 1
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -833,5 +850,199 @@ TEST(RepairService, TwoServicesShareOneDirectory) {
   expectBitIdentical(Report.Result, TwinReport.Result);
   EXPECT_EQ(B.registry().stats().DiskLoads, 1u);
 }
+
+// --- Two processes on one directory -----------------------------------------
+
+#ifdef PRDNN_TEST_HAVE_SPAWN
+
+/// Names the shared store directory for the DISABLED_ child case; set
+/// only by TwoProcessesShareOneDirectory when it spawns the children.
+constexpr const char *kChildDirVar = "PRDNN_SERVE_TEST_CHILD_DIR";
+
+/// The fixed model set and request mix both processes rebuild from
+/// fixed seeds: point repairs at every layer of two classifiers, a
+/// sweep, and segment repairs of a regressor. Each request keeps its
+/// serial, cache-free twin's result.
+struct ProcessWorkload {
+  std::vector<std::shared_ptr<Network>> Models;
+  std::vector<RepairRequest> Requests;
+  std::vector<RepairReport> Twins;
+};
+
+ProcessWorkload makeProcessWorkload() {
+  ProcessWorkload W;
+  Rng R(8120);
+  W.Models.push_back(std::make_shared<Network>(makeClassifier(R)));
+  W.Models.push_back(std::make_shared<Network>(makeClassifier(R)));
+  W.Models.push_back(std::make_shared<Network>(demo::makeRegressor(R)));
+  Rng SpecR(9500);
+  for (int Model : {0, 1})
+    for (int Layer : {0, 2, 4})
+      W.Requests.push_back(RepairRequest::points(
+          W.Models[Model], Layer, makeFlipSpec(*W.Models[Model], SpecR, 8)));
+  RepairRequest Sweep = RepairRequest::points(
+      W.Models[0], 0, makeFlipSpec(*W.Models[0], SpecR, 8));
+  Sweep.LayerIndex = kAutoLayer;
+  W.Requests.push_back(std::move(Sweep));
+  for (int I = 0; I < 2; ++I)
+    W.Requests.push_back(RepairRequest::polytopes(
+        W.Models[2], 2, demo::makeSegmentSpec(*W.Models[2], SpecR, 2)));
+
+  EngineOptions SerialOptions;
+  SerialOptions.EnableCache = false;
+  RepairEngine SerialEngine(SerialOptions);
+  for (const RepairRequest &Request : W.Requests)
+    W.Twins.push_back(SerialEngine.run(Request));
+  return W;
+}
+
+void expectSameReport(const RepairReport &Got, const RepairReport &Want) {
+  EXPECT_EQ(Got.Status, Want.Status);
+  EXPECT_EQ(Got.RepairedLayer, Want.RepairedLayer);
+  expectBitIdentical(Got.Result, Want.Result);
+}
+
+/// Holds a child until its sibling has started too, so that their
+/// publications and store writes overlap. Returns the child's rank (0
+/// for the lower pid), or -1 when the sibling never arrives.
+int meetSibling(const fs::path &Dir) {
+  fs::path Lobby = Dir / "lobby";
+  fs::create_directories(Lobby);
+  const long Self = static_cast<long>(::getpid());
+  std::ofstream(Lobby / std::to_string(Self)).put('\n');
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    std::vector<long> Pids;
+    for (const auto &Entry : fs::directory_iterator(Lobby))
+      Pids.push_back(std::stol(Entry.path().filename().string()));
+    if (Pids.size() >= 2)
+      return Self == *std::min_element(Pids.begin(), Pids.end()) ? 0 : 1;
+    if (std::chrono::steady_clock::now() > Deadline)
+      return -1;
+    std::this_thread::yield();
+  }
+}
+
+// One serving process: publishes every model (racing its sibling) and
+// serves the mix twice through a RepairService on the shared directory,
+// checking each report against its twin. Runs only when spawned by
+// TwoProcessesShareOneDirectory.
+TEST(RepairService, DISABLED_ServeMixAsChildProcess) {
+  const char *Dir = std::getenv(kChildDirVar);
+  if (!Dir)
+    GTEST_SKIP() << "spawned by TwoProcessesShareOneDirectory only";
+  ProcessWorkload W = makeProcessWorkload();
+
+  ServiceOptions Options;
+  Options.StoreDirectory = Dir;
+  Options.Engine.NumWorkers = 2;
+  Options.Admission.MaxInFlight = 4;
+  RepairService Service(Options);
+  const int Rank = meetSibling(Dir);
+  ASSERT_GE(Rank, 0) << "the sibling process never started";
+  // The siblings publish in opposite orders, so at any moment their
+  // writers hold different models.
+  std::vector<NetworkFingerprint> Fps(W.Models.size());
+  for (size_t I = 0; I < W.Models.size(); ++I) {
+    size_t M = Rank == 0 ? I : W.Models.size() - 1 - I;
+    RegistryError Error = RegistryError::None;
+    Fps[M] = Service.registry().publish(*W.Models[M], &Error);
+    ASSERT_EQ(Error, RegistryError::None) << toString(Error);
+  }
+  // The first resolve of each model is then a verified disk load.
+  Service.registry().dropCache();
+
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    std::vector<JobHandle> Handles;
+    for (const RepairRequest &Twin : W.Requests) {
+      ServeRequest Request;
+      for (size_t M = 0; M < W.Models.size(); ++M)
+        if (W.Models[M] == Twin.Net)
+          Request.Model = Fps[M];
+      Request.Spec = Twin.Spec;
+      Request.LayerIndex = Twin.LayerIndex;
+      ServeSubmission Submission;
+      while (!(Submission = Service.submit(Request)).accepted()) {
+        ASSERT_EQ(Submission.Reject, ServeReject::Saturated);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      Handles.push_back(Submission.Handle);
+    }
+    for (size_t I = 0; I < Handles.size(); ++I)
+      expectSameReport(Handles[I].report(), W.Twins[I]);
+  }
+  Service.flush();
+  ServiceStats Stats = Service.stats();
+  EXPECT_EQ(Stats.Registry.CorruptRejects, 0u);
+  EXPECT_EQ(Stats.Registry.MismatchRejects, 0u);
+  EXPECT_EQ(Stats.Cache.Store.CorruptSkips, 0u);
+}
+
+TEST(RepairService, TwoProcessesShareOneDirectory) {
+  if (!fs::exists("/proc/self/exe"))
+    GTEST_SKIP() << "needs /proc/self/exe";
+  TempDir Dir("service-processes");
+
+  std::vector<std::string> Env;
+  for (char **E = environ; *E; ++E)
+    Env.emplace_back(*E);
+  Env.push_back(std::string(kChildDirVar) + "=" + Dir.str());
+  std::vector<char *> Envp;
+  for (std::string &E : Env)
+    Envp.push_back(E.data());
+  Envp.push_back(nullptr);
+  std::string Exe = "/proc/self/exe";
+  std::string Filter =
+      "--gtest_filter=RepairService.DISABLED_ServeMixAsChildProcess";
+  std::string AlsoDisabled = "--gtest_also_run_disabled_tests";
+  char *Argv[] = {Exe.data(), Filter.data(), AlsoDisabled.data(), nullptr};
+
+  // Reap whatever did start before judging the spawns, so a failed
+  // second spawn leaves no child behind.
+  std::vector<pid_t> Children;
+  for (int C = 0; C < 2; ++C) {
+    pid_t Child = 0;
+    if (posix_spawn(&Child, Exe.c_str(), nullptr, nullptr, Argv,
+                    Envp.data()) == 0)
+      Children.push_back(Child);
+  }
+  for (pid_t Child : Children) {
+    int Status = 0;
+    ASSERT_EQ(waitpid(Child, &Status, 0), Child);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
+        << "child " << Child << " status " << Status;
+  }
+  ASSERT_EQ(Children.size(), 2u) << "posix_spawn failed";
+
+  // What the two processes left behind serves a fresh engine: every
+  // report matches its twin, some of it from disk, none of it corrupt.
+  ProcessWorkload W = makeProcessWorkload();
+  EngineOptions WithStore;
+  WithStore.StoreDirectory = Dir.str();
+  RepairEngine Fresh(WithStore);
+  std::int64_t StoreHits = 0;
+  for (size_t I = 0; I < W.Requests.size(); ++I) {
+    RepairReport Report = Fresh.run(W.Requests[I]);
+    expectSameReport(Report, W.Twins[I]);
+    StoreHits += Report.StoreHits;
+  }
+  EXPECT_GT(StoreHits, 0);
+  EXPECT_EQ(Fresh.storeStats().CorruptSkips, 0u);
+
+  ModelRegistry Registry(Dir.str());
+  for (const auto &Model : W.Models) {
+    RegistryError Error = RegistryError::None;
+    EXPECT_NE(Registry.resolve(fingerprintNetwork(*Model), &Error), nullptr);
+    EXPECT_EQ(Error, RegistryError::None) << toString(Error);
+  }
+}
+
+#else
+
+TEST(RepairService, TwoProcessesShareOneDirectory) {
+  GTEST_SKIP() << "needs posix_spawn";
+}
+
+#endif
 
 } // namespace
