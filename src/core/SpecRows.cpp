@@ -2,8 +2,8 @@
 
 #include "core/SpecRows.h"
 
+#include "nn/ActivationLayers.h"
 #include "nn/ActivationPattern.h"
-#include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <numeric>
 
 using namespace prdnn;
 using namespace prdnn::detail;
@@ -35,20 +36,13 @@ SpecRows::SpecRows(const Network &Net, int LayerIndex, const PointSpec &Spec,
               RowPoint.begin() + RowOffset[static_cast<size_t>(P) + 1], P);
   Hi.resize(RowPoint.size());
 
-  // Live batch storage of paramJacobianBatch per point: Jacobian +
-  // stacked backward matrix + layer intermediates.
-  std::int64_t MaxWidth = 0, SumWidths = Net.inputSize();
-  for (int I = 0; I < Net.numLayers(); ++I) {
-    MaxWidth = std::max<std::int64_t>(MaxWidth, Net.layer(I).outputSize());
-    SumWidths += Net.layer(I).outputSize();
-  }
-  int NumParams = cast<LinearLayer>(Net.layer(LayerIndex)).numParams();
-  std::int64_t BytesPerPoint =
-      static_cast<std::int64_t>(8) *
-      (static_cast<std::int64_t>(Net.outputSize()) * NumParams +
-       Net.outputSize() * MaxWidth + SumWidths);
-  ChunkPoints = static_cast<int>(std::clamp<std::int64_t>(
-      (64 << 20) / std::max<std::int64_t>(1, BytesPerPoint), 1, 256));
+  // Rows per coefs() chunk: the seed block and its successor, at the
+  // widest layer boundary of the suffix, stay within 16 MiB.
+  std::int64_t MaxWidth = Net.outputSize();
+  for (int I = LayerIndex + 1; I < Net.numLayers(); ++I)
+    MaxWidth = std::max<std::int64_t>(MaxWidth, Net.layer(I).inputSize());
+  ChunkRows = static_cast<int>(std::clamp<std::int64_t>(
+      (16 << 20) / (2 * 8 * MaxWidth), 1, 256));
 
   State.resize(static_cast<size_t>(Net.numLayers() - LayerIndex));
   for (int I = LayerIndex; I < Net.numLayers(); ++I)
@@ -126,60 +120,125 @@ std::vector<double> SpecRows::scan(const std::vector<double> &DeltaEff) const {
 bool SpecRows::coefs(const std::vector<int> &Rows,
                      std::vector<std::vector<double>> &Out,
                      const std::function<bool()> &Cancel) const {
-  size_t N = Rows.size();
-  Out.assign(N, {});
-  std::vector<int> Points;
-  Points.reserve(N);
-  for (int R : Rows)
-    Points.push_back(RowPoint[static_cast<size_t>(R)]);
-  std::sort(Points.begin(), Points.end());
-  Points.erase(std::unique(Points.begin(), Points.end()), Points.end());
-  // Slot[J]: the position of row J's point in Points.
-  std::vector<int> Slot(N);
-  for (size_t J = 0; J < N; ++J)
-    Slot[J] = static_cast<int>(
-        std::lower_bound(Points.begin(), Points.end(),
-                         RowPoint[static_cast<size_t>(Rows[J])]) -
-        Points.begin());
+  const auto &Target = cast<LinearLayer>(Net.layer(LayerIndex));
+  int NumAsked = static_cast<int>(Rows.size());
+  Out.assign(Rows.size(), {});
+  // Positions in Rows, ordered by point: a point's rows sit together in
+  // a chunk and share its activation scales, pattern and parameter
+  // Jacobian sweep. Sharing moves no bits; every row's arithmetic is the
+  // same as when it is asked for alone.
+  std::vector<int> Order(Rows.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  auto PointAt = [&](int Position) {
+    return RowPoint[static_cast<size_t>(Rows[static_cast<size_t>(Position)])];
+  };
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](int A, int B) { return PointAt(A) < PointAt(B); });
 
-  int NumEff = static_cast<int>(Effective.size());
-  int NumBatchPoints = static_cast<int>(Points.size());
-  for (int Base = 0; Base < NumBatchPoints; Base += ChunkPoints) {
+  for (int Base = 0; Base < NumAsked; Base += ChunkRows) {
     if (Base > 0 && Cancel && Cancel())
       return false;
-    int Count = std::min(ChunkPoints, NumBatchPoints - Base);
-    std::vector<Vector> Xs;
-    std::vector<const NetworkPattern *> Pinned;
-    bool AnyPinned = false;
-    for (int I = Base; I < Base + Count; ++I) {
-      const SpecPoint &P =
-          Spec[static_cast<size_t>(Points[static_cast<size_t>(I)])];
-      Xs.push_back(P.X);
-      Pinned.push_back(P.Pattern ? &*P.Pattern : nullptr);
-      AnyPinned = AnyPinned || P.Pattern.has_value();
-    }
-    if (!AnyPinned)
-      Pinned.clear(); // pure batched forward, no per-row dispatch
-    std::vector<JacobianResult> Jrs =
-        paramJacobianBatch(Net, LayerIndex, Xs, Pinned);
-    parallelFor(0, static_cast<std::int64_t>(N), [&](std::int64_t JIdx) {
-      size_t J = static_cast<size_t>(JIdx);
-      if (Slot[J] < Base || Slot[J] >= Base + Count)
-        return; // another batch's row
-      int Row = Rows[J];
+    int Count = std::min(ChunkRows, NumAsked - Base);
+    auto PositionOf = [&](int J) {
+      return Order[static_cast<size_t>(Base + J)];
+    };
+    // Block rows [Group[G], Group[G + 1]) belong to one point.
+    std::vector<int> Group;
+    for (int J = 0; J < Count; ++J)
+      if (J == 0 || PointAt(PositionOf(J)) != PointAt(PositionOf(J - 1)))
+        Group.push_back(J);
+    Group.push_back(Count);
+    // Runs Fn(P, Begin, End) for every group: on the pool when the
+    // chunk's rows touch at least 1e5 values each of Width, as the
+    // GEMMs decide (linalg/Matrix.cpp), else inline.
+    auto ForEachGroup = [&](std::int64_t Width, const auto &Fn) {
+      std::int64_t NumGroups = static_cast<std::int64_t>(Group.size()) - 1;
+      auto Range = [&](std::int64_t GBegin, std::int64_t GEnd) {
+        for (std::int64_t G = GBegin; G < GEnd; ++G) {
+          int Begin = Group[static_cast<size_t>(G)];
+          Fn(PointAt(PositionOf(Begin)), Begin,
+             Group[static_cast<size_t>(G) + 1]);
+        }
+      };
+      if (Count * Width >= 100000)
+        parallelForRanges(0, NumGroups, Range);
+      else
+        Range(0, NumGroups);
+    };
+
+    // Seed: row J of the block is A_k of the chunk's J-th row.
+    Matrix Block(Count, Net.outputSize());
+    for (int J = 0; J < Count; ++J) {
+      int Row = Rows[static_cast<size_t>(PositionOf(J))];
       int P = RowPoint[static_cast<size_t>(Row)];
-      int K = Row - RowOffset[static_cast<size_t>(P)];
-      const OutputConstraint &C = Spec[static_cast<size_t>(P)].Constraint;
-      const JacobianResult &Jr = Jrs[static_cast<size_t>(Slot[J] - Base)];
-      std::vector<double> &Coef = Out[J];
-      Coef.assign(static_cast<size_t>(NumEff), 0.0);
-      for (int O = 0; O < C.A.cols(); ++O) {
-        double AKo = C.A(K, O);
-        if (AKo == 0.0)
-          continue;
-        const double *JRow = Jr.J.rowData(O);
-        for (int E = 0; E < NumEff; ++E)
-          Coef[static_cast<size_t>(E)] += AKo * JRow[Effective[E]];
+      const Matrix &A = Spec[static_cast<size_t>(P)].Constraint.A;
+      const double *ARow = A.rowData(Row - RowOffset[static_cast<size_t>(P)]);
+      std::copy(ARow, ARow + A.cols(), Block.rowData(J));
+    }
+    // Back through the suffix L+1..n, linearized at each row's point:
+    // by its pinned pattern at a PWL layer, else at the stored center.
+    for (int I = Net.numLayers() - 1; I > LayerIndex; --I) {
+      const Layer &L = Net.layer(I);
+      if (const auto *Linear = dyn_cast<LinearLayer>(&L)) {
+        Block = Linear->vjpLinearBatch(Block);
+        continue;
+      }
+      const auto &Act = cast<ActivationLayer>(L);
+      const Matrix &Center = State[static_cast<size_t>(I - LayerIndex)];
+      auto PinnedPattern = [&](int P) -> const std::vector<int> * {
+        const std::optional<NetworkPattern> &Pinned =
+            Spec[static_cast<size_t>(P)].Pattern;
+        return Pinned && L.isPiecewiseLinear()
+                   ? &Pinned->Patterns[static_cast<size_t>(I)]
+                   : nullptr;
+      };
+      if (isa<ElementwiseActivation>(&L)) {
+        // Diagonal: the point's VJP of the all-ones vector is its scale
+        // vector, and scaling a row by it is that row's own VJP.
+        ForEachGroup(L.outputSize(), [&](int P, int Begin, int End) {
+          Vector Ones = Vector::constant(L.outputSize(), 1.0);
+          const std::vector<int> *Pattern = PinnedPattern(P);
+          Vector Scale = Pattern ? Act.vjpWithPattern(*Pattern, Ones)
+                                 : Act.vjpLinearized(Center.row(P), Ones);
+          for (int J = Begin; J < End; ++J) {
+            double *Row = Block.rowData(J);
+            for (int C = 0; C < L.outputSize(); ++C)
+              Row[C] *= Scale[C];
+          }
+        });
+        continue;
+      }
+      // MaxPool2D, the one other activation: its linearization at a
+      // center is the center's pattern (vjpLinearized is vjpWithPattern
+      // of pattern(Center)), found once per point.
+      Matrix Next(Count, L.inputSize());
+      ForEachGroup(L.inputSize(), [&](int P, int Begin, int End) {
+        const std::vector<int> *Pattern = PinnedPattern(P);
+        std::vector<int> AtCenter;
+        if (!Pattern) {
+          AtCenter = Act.pattern(Center.row(P));
+          Pattern = &AtCenter;
+        }
+        for (int J = Begin; J < End; ++J)
+          Next.setRow(J, Act.vjpWithPattern(*Pattern, Block.row(J)));
+      });
+      Block = std::move(Next);
+    }
+    // Each point's rows, times its layer-L parameter Jacobian, restricted
+    // to the effective parameters.
+    ForEachGroup(Target.numParams(), [&](int P, int Begin, int End) {
+      Matrix M(End - Begin, Block.cols());
+      std::copy(Block.rowData(Begin),
+                Block.rowData(Begin) + static_cast<size_t>(M.rows()) * M.cols(),
+                M.rowData(0));
+      Matrix Jac(M.rows(), Target.numParams());
+      Target.paramJacobian(M, State[0].row(P), Jac);
+      for (int J = Begin; J < End; ++J) {
+        const double *JRow = Jac.rowData(J - Begin);
+        std::vector<double> &Coef = Out[static_cast<size_t>(PositionOf(J))];
+        Coef.resize(Effective.size());
+        for (size_t E = 0; E < Effective.size(); ++E)
+          Coef[E] = JRow[Effective[E]];
       }
     });
   }

@@ -11,14 +11,22 @@
 /// is affine in Delta once the activation channel is fixed, so a row's
 /// violation at any Delta is the spec evaluated on the DDNN with Delta
 /// applied: a forward pass of the network's suffix from stored per-point
-/// state, with no Jacobian. SpecRows therefore keeps only that state
-/// and the right-hand sides (computeState), answers violation scans
-/// with a forward pass (scan), and computes Jacobian coefficients only
-/// for the rows its caller asks for (coefs) - constraint generation
-/// asks for the few rows it appends to the LP.
+/// state, with no Jacobian. And row k's coefficients A_k J_x are one
+/// vector-Jacobian product seeded with A_k, swept back through that
+/// suffix linearized at x (Algorithm 1, line 5): no forward pass and no
+/// full J_x. SpecRows therefore keeps only that state and the right-hand
+/// sides (computeState), answers violation scans with a forward pass
+/// (scan), and builds coefficients only for the rows its caller asks for
+/// (coefs) - constraint generation asks for the few rows it appends to
+/// the LP.
 ///
-/// Bits: hi() and coefs() equal the rows assembled from a per-point
-/// paramJacobian, bit for bit, whatever rows are asked for together;
+/// Bits: hi() equals b_k - A_k N(x) - RowMargin with N(x) the Output of
+/// a per-point paramJacobian, bit for bit. coefs() equals A_k J_x up to
+/// rounding: the product is associated as (A_k dy/dz) dz/dtheta, with z
+/// the repaired layer's output, rather than as A_k (dy/dz dz/dtheta).
+/// A row's coefficient bits depend on that row alone: not on which rows
+/// are asked with it, their order, the chunk it lands in or the thread
+/// count - the basis cache keys on them.
 /// scan() equals DecoupledNetwork::evaluate (evaluateWithPattern for a
 /// pinned point) on the repaired network. All three are deterministic
 /// for any thread count. The state lives as long as the object - one
@@ -49,9 +57,14 @@ public:
   int numPoints() const { return static_cast<int>(Spec.size()); }
   int numRows() const { return static_cast<int>(RowPoint.size()); }
 
-  /// Points per batch, for computeState and for the Jacobians of
-  /// coefs(): capped at 256 and at ~64 MiB of live Jacobian storage.
-  int chunkPoints() const { return ChunkPoints; }
+  /// Points per computeState call in the repair's Jacobian phase: its
+  /// cancellation and progress granularity. The state itself is
+  /// allocated for every point up front; coefs() chunks by rows.
+  int chunkPoints() const { return 256; }
+
+  /// Rows per chunk of coefs(): capped at 256 and at 16 MiB of seed
+  /// block.
+  int chunkRows() const { return ChunkRows; }
 
   /// Records the Delta = 0 forward state and the rows' right-hand sides
   /// for points [Begin, End). Every point must be covered once before
@@ -66,10 +79,11 @@ public:
   /// \p DeltaEff. The row's own LP violation is s_k + RowMargin.
   std::vector<double> scan(const std::vector<double> &DeltaEff) const;
 
-  /// The coefficients A_k J_x of \p Rows, in their order: Jacobians run
-  /// only for the distinct points of those rows, chunkPoints() at a
-  /// time. \p Cancel, when set, is polled between batches; once it
-  /// returns true, coefs() stops and returns false.
+  /// The coefficients A_k J_x of \p Rows, in their order, over the
+  /// effective parameters: chunkRows() rows at a time, each chunk one
+  /// seeded backward pass over the stored state. \p Cancel, when set,
+  /// is polled between chunks; once it returns true, coefs() stops and
+  /// returns false.
   bool coefs(const std::vector<int> &Rows,
              std::vector<std::vector<double>> &Out,
              const std::function<bool()> &Cancel = nullptr) const;
@@ -80,7 +94,7 @@ private:
   const PointSpec &Spec;
   std::vector<int> Effective;
   double RowMargin;
-  int ChunkPoints;
+  int ChunkRows;
   /// Point P's rows are [RowOffset[P], RowOffset[P + 1]); row R belongs
   /// to point RowPoint[R].
   std::vector<int> RowOffset;

@@ -3,9 +3,9 @@
 /// \file
 /// Dense row-major matrix of doubles. Used for layer weights, the
 /// backward accumulation matrices in nn/Jacobian.h, the simplex
-/// solver's basis inverse, and - one point per row - the batches flowing
-/// through the batched repair engine (Layer::applyBatch,
-/// paramJacobianBatch).
+/// solver's basis inverse, and - one point or LP row per row - the
+/// batches flowing through the repair engine (Layer::applyBatch, the
+/// seeded row blocks of core/SpecRows swept by vjpLinearBatch).
 ///
 /// The matrix products are cache-blocked and run on the global thread
 /// pool (support/Parallel.h) when the operand sizes warrant it. Each

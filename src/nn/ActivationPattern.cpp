@@ -53,46 +53,6 @@ prdnn::computePatternBatch(const Network &Net,
   return computePatternBatch(Net, Matrix::fromRowVectors(Xs));
 }
 
-std::vector<Matrix> prdnn::intermediatesBatchWithPatterns(
-    const Network &Net, const Matrix &Xs,
-    const std::vector<const NetworkPattern *> &Pinned) {
-  assert((Pinned.empty() ||
-          static_cast<int>(Pinned.size()) == Xs.rows()) &&
-         "one (nullable) pinned pattern per batch row");
-  int NumPoints = Xs.rows();
-  // An all-null pattern list is plain batched evaluation; take the
-  // fused applyBatch route for every layer.
-  bool AnyPinned = false;
-  for (const NetworkPattern *P : Pinned)
-    AnyPinned = AnyPinned || P != nullptr;
-  if (!AnyPinned)
-    return Net.intermediatesBatch(Xs);
-  std::vector<Matrix> Values;
-  Values.reserve(static_cast<size_t>(Net.numLayers()) + 1);
-  Values.push_back(Xs);
-  for (int I = 0; I < Net.numLayers(); ++I) {
-    const Layer &L = Net.layer(I);
-    const auto *Act = dyn_cast<ActivationLayer>(&L);
-    if (!Act) {
-      Values.push_back(L.applyBatch(Values.back()));
-      continue;
-    }
-    const Matrix &In = Values.back();
-    Matrix Out(NumPoints, L.outputSize());
-    parallelFor(0, NumPoints, [&](std::int64_t P) {
-      const NetworkPattern *Pattern = Pinned[static_cast<size_t>(P)];
-      Vector Row = In.row(static_cast<int>(P));
-      Out.setRow(static_cast<int>(P),
-                 Pattern ? Act->applyWithPattern(
-                               Row,
-                               Pattern->Patterns[static_cast<size_t>(I)])
-                         : Act->apply(Row));
-    });
-    Values.push_back(std::move(Out));
-  }
-  return Values;
-}
-
 std::vector<Vector>
 prdnn::intermediatesWithPattern(const Network &Net, const Vector &X,
                                 const NetworkPattern &Pattern) {

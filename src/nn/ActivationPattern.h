@@ -54,17 +54,6 @@ std::vector<Vector> intermediatesWithPattern(const Network &Net,
                                              const Vector &X,
                                              const NetworkPattern &Pattern);
 
-/// Mixed-batch intermediates: row p of each matrix follows
-/// intermediatesWithPattern(Net, Xs row p, *Pinned[p]) when Pinned[p]
-/// is non-null and plain intermediates otherwise, bit-for-bit. Linear
-/// layers run as one batched GEMM shared by pinned and unpinned rows;
-/// activation rows are dispatched per point in parallel. \p Pinned may
-/// be empty (no pinning) or have one (nullable) entry per row.
-std::vector<Matrix>
-intermediatesBatchWithPatterns(const Network &Net, const Matrix &Xs,
-                               const std::vector<const NetworkPattern *>
-                                   &Pinned);
-
 } // namespace prdnn
 
 #endif // PRDNN_NN_ACTIVATIONPATTERN_H

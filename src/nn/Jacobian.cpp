@@ -2,10 +2,8 @@
 
 #include "nn/Jacobian.h"
 
-#include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
-#include "support/Parallel.h"
 
 #include <cassert>
 
@@ -54,101 +52,4 @@ JacobianResult prdnn::paramJacobian(const Network &Net, int LayerIndex,
   Target->paramJacobian(M, Values[static_cast<size_t>(LayerIndex)], Result.J);
   Result.Output = Values.back();
   return Result;
-}
-
-std::vector<JacobianResult> prdnn::paramJacobianBatch(
-    const Network &Net, int LayerIndex, const std::vector<Vector> &Xs,
-    const std::vector<const NetworkPattern *> &Pinned) {
-  assert(LayerIndex >= 0 && LayerIndex < Net.numLayers() &&
-         "layer index out of range");
-  assert((Pinned.empty() || Pinned.size() == Xs.size()) &&
-         "one (nullable) pinned pattern per point");
-  const auto *Target = dyn_cast<LinearLayer>(&Net.layer(LayerIndex));
-  assert(Target && Target->numParams() > 0 &&
-         "Jacobian target must be a parameterized linear layer");
-
-  int NumPoints = static_cast<int>(Xs.size());
-  std::vector<JacobianResult> Results(static_cast<size_t>(NumPoints));
-  if (NumPoints == 0)
-    return Results;
-
-  auto PinnedAt = [&](int P) -> const NetworkPattern * {
-    return Pinned.empty() ? nullptr : Pinned[static_cast<size_t>(P)];
-  };
-
-  std::vector<Matrix> Values = intermediatesBatchWithPatterns(
-      Net, Matrix::fromRowVectors(Xs), Pinned);
-
-  int OutDim = Net.outputSize();
-  // Every point's backward accumulation matrix, stacked: rows
-  // [p*OutDim, (p+1)*OutDim) belong to point p. Initialized to one
-  // identity block per point, then swept backward layer by layer.
-  Matrix Stacked(NumPoints * OutDim, OutDim);
-  for (int P = 0; P < NumPoints; ++P)
-    for (int R = 0; R < OutDim; ++R)
-      Stacked(P * OutDim + R, R) = 1.0;
-
-  for (int I = Net.numLayers() - 1; I > LayerIndex; --I) {
-    const Layer &L = Net.layer(I);
-    if (const auto *Linear = dyn_cast<LinearLayer>(&L)) {
-      // One GEMM (or parallel row sweep) shared by the whole batch.
-      Stacked = Linear->vjpLinearBatch(Stacked);
-      continue;
-    }
-    const auto &Act = cast<ActivationLayer>(L);
-    bool Pwl = L.isPiecewiseLinear();
-    if (isa<ElementwiseActivation>(&L)) {
-      // Diagonal Jacobian: one scale vector per point (its VJP of the
-      // all-ones vector, so scales match the scalar path exactly),
-      // applied to the point's whole row block in place.
-      parallelFor(0, NumPoints, [&](std::int64_t PIdx) {
-        int P = static_cast<int>(PIdx);
-        const NetworkPattern *Pattern = PinnedAt(P);
-        Vector Ones = Vector::constant(L.outputSize(), 1.0);
-        Vector Scale =
-            Pattern && Pwl
-                ? Act.vjpWithPattern(
-                      Pattern->Patterns[static_cast<size_t>(I)], Ones)
-                : Act.vjpLinearized(
-                      Values[static_cast<size_t>(I)].row(P), Ones);
-        for (int R = 0; R < OutDim; ++R) {
-          double *Row = Stacked.rowData(P * OutDim + R);
-          for (int C = 0; C < L.outputSize(); ++C)
-            Row[C] *= Scale[C];
-        }
-      });
-      continue;
-    }
-    // Non-elementwise activation (MaxPool): fall back to per-row VJPs.
-    Matrix Next(NumPoints * OutDim, L.inputSize());
-    parallelFor(0, static_cast<std::int64_t>(NumPoints) * OutDim,
-                [&](std::int64_t RowIdx) {
-                  int P = static_cast<int>(RowIdx / OutDim);
-                  const NetworkPattern *Pattern = PinnedAt(P);
-                  Vector GradOut = Stacked.row(static_cast<int>(RowIdx));
-                  Vector GradIn =
-                      Pattern && Pwl
-                          ? Act.vjpWithPattern(
-                                Pattern->Patterns[static_cast<size_t>(I)],
-                                GradOut)
-                          : Act.vjpLinearized(
-                                Values[static_cast<size_t>(I)].row(P),
-                                GradOut);
-                  Next.setRow(static_cast<int>(RowIdx), GradIn);
-                });
-    Stacked = std::move(Next);
-  }
-
-  parallelFor(0, NumPoints, [&](std::int64_t PIdx) {
-    int P = static_cast<int>(PIdx);
-    Matrix M(OutDim, Stacked.cols());
-    for (int R = 0; R < OutDim; ++R)
-      M.setRow(R, Stacked.row(P * OutDim + R));
-    JacobianResult &Result = Results[static_cast<size_t>(P)];
-    Result.J = Matrix(OutDim, Target->numParams());
-    Target->paramJacobian(M, Values[static_cast<size_t>(LayerIndex)].row(P),
-                          Result.J);
-    Result.Output = Values.back().row(P);
-  });
-  return Results;
 }

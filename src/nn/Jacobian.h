@@ -39,21 +39,6 @@ JacobianResult paramJacobian(const Network &Net, int LayerIndex,
                              const Vector &X,
                              const NetworkPattern *Pinned = nullptr);
 
-/// Batched paramJacobian: result[p] is bit-for-bit the paramJacobian of
-/// point \p Xs[p] (pinned to *Pinned[p] when that entry is non-null).
-/// Instead of one backward sweep per point, the batch stacks every
-/// point's accumulation matrix into a single (batch * outputSize) x dim
-/// matrix, so each linear layer's VJP runs as one blocked GEMM shared
-/// across the batch and each elementwise activation as one fused
-/// diagonal scaling; the per-point work that remains (non-elementwise
-/// VJPs, the final parameter-Jacobian assembly) runs in parallel on the
-/// global thread pool. \p Pinned may be empty (no pinning) or have one
-/// nullable entry per point.
-std::vector<JacobianResult>
-paramJacobianBatch(const Network &Net, int LayerIndex,
-                   const std::vector<Vector> &Xs,
-                   const std::vector<const NetworkPattern *> &Pinned = {});
-
 } // namespace prdnn
 
 #endif // PRDNN_NN_JACOBIAN_H

@@ -103,10 +103,10 @@ public:
   virtual Vector vjpLinear(const Vector &GradOut) const = 0;
 
   /// Batched VJP: row r of the result is vjpLinear(row r of GradOut),
-  /// bit-for-bit. This is how paramJacobianBatch shares one backward
-  /// accumulation matrix across a whole batch of points: the default
-  /// runs vjpLinear row by row on the global thread pool, and
-  /// FullyConnectedLayer overrides with a single GEMM GradOut * W.
+  /// bit-for-bit. This is how core/SpecRows sweeps a block of seeded LP
+  /// rows back through the layer at once: the default runs vjpLinear
+  /// row by row on the global thread pool, and FullyConnectedLayer
+  /// overrides with a single GEMM GradOut * W.
   virtual Matrix vjpLinearBatch(const Matrix &GradOut) const;
 
   /// Number of repairable parameters (0 for parameter-free layers).

@@ -352,17 +352,42 @@ void Conv2DLayer::paramJacobian(const Matrix &M, const Vector &In,
   assert(M.cols() == outputSize() && "backward matrix shape mismatch");
   assert(J.rows() == M.rows() && J.cols() == numParams() &&
          "Jacobian shape mismatch");
-  int NumRows = M.rows();
-  forEachTap([&](int OutIndex, int InIndex, int ParamIndex) {
-    double Factor = InIndex < 0 ? 1.0 : In[InIndex];
-    if (Factor == 0.0)
-      return;
-    for (int R = 0; R < NumRows; ++R) {
-      double Scale = M(R, OutIndex);
-      if (Scale != 0.0)
-        J(R, ParamIndex) += Scale * Factor;
+  // Flat-tap sweep with the interior stencil fast path, as forwardRow.
+  // Each parameter accumulates its outputs in ascending order, with
+  // forEachTap's zero-skips: the bits of a tap-by-tap walk.
+  int PlaneSize = OutH * OutW;
+  int KernelSize = InC * KH * KW;
+  int BiasBase = OutC * KernelSize;
+  const int *Offsets = InteriorOffsets.data();
+  for (int R = 0; R < M.rows(); ++R) {
+    const double *MRow = M.rowData(R);
+    double *JRow = J.rowData(R);
+    for (int O = 0; O < outputSize(); ++O) {
+      double Scale = MRow[O];
+      if (Scale == 0.0)
+        continue;
+      int K = O / PlaneSize;
+      int Base = InteriorBase[static_cast<size_t>(O)];
+      if (Base >= 0) {
+        double *KParams = JRow + static_cast<size_t>(K) * KernelSize;
+        const double *Window = In.data() + Base;
+        for (int T = 0; T < KernelSize; ++T) {
+          double Factor = Window[Offsets[T]];
+          if (Factor != 0.0)
+            KParams[T] += Scale * Factor;
+        }
+      } else {
+        for (int T = TapOffsets[static_cast<size_t>(O)],
+                 TEnd = TapOffsets[static_cast<size_t>(O) + 1];
+             T < TEnd; ++T) {
+          double Factor = In[Taps[static_cast<size_t>(T)].In];
+          if (Factor != 0.0)
+            JRow[Taps[static_cast<size_t>(T)].Param] += Scale * Factor;
+        }
+      }
+      JRow[BiasBase + K] += Scale;
     }
-  });
+  }
 }
 
 // --- FlattenLayer ------------------------------------------------------------

@@ -159,6 +159,9 @@ public:
   }
   std::string describe() const override;
   Vector vjpLinear(const Vector &GradOut) const override { return GradOut; }
+  Matrix vjpLinearBatch(const Matrix &GradOut) const override {
+    return GradOut;
+  }
 
 private:
   int Size;

@@ -66,15 +66,6 @@ std::vector<Vector> Network::intermediates(const Vector &X) const {
   return Values;
 }
 
-std::vector<Matrix> Network::intermediatesBatch(const Matrix &Xs) const {
-  std::vector<Matrix> Values;
-  Values.reserve(Layers.size() + 1);
-  Values.push_back(Xs);
-  for (const auto &L : Layers)
-    Values.push_back(L->applyBatch(Values.back()));
-  return Values;
-}
-
 bool Network::isPiecewiseLinear() const {
   for (const auto &L : Layers)
     if (!L->isPiecewiseLinear())

@@ -55,12 +55,6 @@ public:
   /// input of layer i, result[numLayers()] is N(x).
   std::vector<Vector> intermediates(const Vector &X) const;
 
-  /// Batched intermediates: result[i] holds the inputs of layer i one
-  /// point per row, result[numLayers()] the outputs - the batch
-  /// analogue of intermediates(), and the unpinned fast path of
-  /// intermediatesBatchWithPatterns.
-  std::vector<Matrix> intermediatesBatch(const Matrix &Xs) const;
-
   /// True iff every layer is PWL (required for polytope repair, §6).
   bool isPiecewiseLinear() const;
 

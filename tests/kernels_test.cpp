@@ -30,6 +30,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -233,33 +234,43 @@ double intValue(int Seed, int I, int J) {
   return static_cast<double>((Seed * 5 + I * 7 + J * 13) % 19 - 9) / 16.0;
 }
 
-Matrix intMatrix(int Seed, int Rows, int Cols) {
+/// intValue entries divided by \p Divisor (IEEE division is correctly
+/// rounded, so host-stable too; 7 gives non-dyadic values).
+Matrix intMatrix(int Seed, int Rows, int Cols, double Divisor = 1.0) {
   Matrix M(Rows, Cols);
   for (int I = 0; I < Rows; ++I)
     for (int J = 0; J < Cols; ++J)
-      M(I, J) = intValue(Seed, I, J);
+      M(I, J) = intValue(Seed, I, J) / Divisor;
   return M;
 }
 
-Vector intVector(int Seed, int Size) {
+Vector intVector(int Seed, int Size, double Divisor = 1.0) {
   Vector V(Size);
   for (int I = 0; I < Size; ++I)
-    V[I] = intValue(Seed, I, 0) / 2.0;
+    V[I] = intValue(Seed, I, 0) / 2.0 / Divisor;
   return V;
 }
 
-/// One point repair and three GEMMs, hashed: the Delta bits, then the
-/// products' bits.
-Digest128 goldenDigest() {
+/// A 12-20-17-4 ReLU classifier with intMatrix / intVector parameters.
+Network digestNetwork(int Seed, double Divisor) {
   Network Net;
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(intMatrix(1, 20, 12),
-                                                     intVector(2, 20)));
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      intMatrix(Seed, 20, 12, Divisor), intVector(Seed + 1, 20, Divisor)));
   Net.addLayer(std::make_unique<ReLULayer>(20));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(intMatrix(3, 17, 20),
-                                                     intVector(4, 17)));
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      intMatrix(Seed + 2, 17, 20, Divisor), intVector(Seed + 3, 17, Divisor)));
   Net.addLayer(std::make_unique<ReLULayer>(17));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(intMatrix(5, 4, 17),
-                                                     intVector(6, 4)));
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      intMatrix(Seed + 4, 4, 17, Divisor), intVector(Seed + 5, 4, Divisor)));
+  return Net;
+}
+
+/// Two point repairs and three GEMMs, hashed: the Delta bits, then the
+/// products' bits. The first repair's data are multiples of 1/16, so
+/// its LP rows sum exactly and only the simplex arithmetic reaches its
+/// Delta; the second's weights are sevenths, so its rows round and the
+/// order of the row arithmetic shows in its Delta.
+Digest128 goldenDigest() {
   PointSpec Spec;
   for (int P = 0; P < 6; ++P) {
     Vector X(12);
@@ -268,12 +279,15 @@ Digest128 goldenDigest() {
     Spec.push_back({X, classificationConstraint(4, P % 4, 1.0 / 64.0),
                     std::nullopt});
   }
-  RepairResult Result = repairPoints(Net, 2, Spec);
-  EXPECT_EQ(Result.Status, RepairStatus::Success);
-  EXPECT_GT(Result.DeltaL1, 0.0);
-
   Hasher H;
-  H.doubles(Result.Delta.data(), Result.Delta.size());
+  for (auto [Seed, Divisor, Layer] :
+       {std::tuple{1, 1.0, 2}, std::tuple{11, 7.0, 0}}) {
+    RepairResult Result =
+        repairPoints(digestNetwork(Seed, Divisor), Layer, Spec);
+    EXPECT_EQ(Result.Status, RepairStatus::Success);
+    EXPECT_GT(Result.DeltaL1, 0.0);
+    H.doubles(Result.Delta.data(), Result.Delta.size());
+  }
   Matrix A = intMatrix(7, 13, 29);
   Matrix C = A.multiply(intMatrix(8, 29, 11));
   Matrix D = A.multiplyTransposed(intMatrix(9, 11, 29));
@@ -285,19 +299,19 @@ Digest128 goldenDigest() {
 }
 
 TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
-  // The checked-in bits of the kernel arithmetic and of one point
-  // repair. Changing these constants means every stored basis and
+  // The checked-in bits of the kernel arithmetic and of two point
+  // repairs. Changing these constants means every stored basis and
   // repaired network changes bits too: it requires a
   // persist::kFormatVersion bump (persist/Codec.h), so that old stores
   // and old peers degrade to recomputes instead of serving stale bits.
   // The version also moves for wire and store layout changes, which
-  // leave the constant alone (version 5, lazy Jacobians, picked the same
-  // rows here, so the constant stayed; version 6 only dropped wire
-  // fields).
-  static_assert(persist::kFormatVersion == 6,
+  // leave the constant alone. Version 7 moved it: LP rows became seeded
+  // vector-Jacobian products, which round differently, and the sevenths
+  // repair shows that where the 1/16 repair's exact sums cannot.
+  static_assert(persist::kFormatVersion == 7,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
-  const Digest128 Golden = {0x13306408124117f1ull, 0x047153c3a5539863ull};
+  const Digest128 Golden = {0x913a877d58b47946ull, 0x7b2deda303c00947ull};
 
   int Saved = globalThreadCount();
   for (int Threads : {1, 4}) {

@@ -502,6 +502,33 @@ TEST(Jacobian, ConvLayerExactUnderPinnedPattern) {
   }
 }
 
+TEST(Jacobian, ConvParamJacobianRowsEqualTapWalk) {
+  // paramJacobian's stencil sweep against accumulateParamGrad, which
+  // walks the taps one by one: each row equals the gradient of its
+  // backward row, bit for bit. Padding and stride give border outputs;
+  // zeros in the input and in M exercise the skips.
+  Rng R(213);
+  std::vector<double> Kernel(3 * 2 * 3 * 3);
+  for (double &V : Kernel)
+    V = R.normal();
+  Conv2DLayer Conv(2, 7, 6, 3, 3, 3, 2, 1, Kernel, {0.1, -0.2, 0.3});
+  Vector In = randomVector(R, Conv.inputSize());
+  for (int I = 0; I < In.size(); I += 4)
+    In[I] = 0.0;
+  Matrix M = randomMatrix(R, 3, Conv.outputSize());
+  for (int O = 0; O < Conv.outputSize(); O += 3)
+    M(1, O) = 0.0;
+  Matrix J(M.rows(), Conv.numParams());
+  Conv.paramJacobian(M, In, J);
+  for (int Row = 0; Row < M.rows(); ++Row) {
+    std::vector<double> Walk(static_cast<size_t>(Conv.numParams()), 0.0);
+    Conv.accumulateParamGrad(In, M.row(Row), Walk);
+    for (int P = 0; P < Conv.numParams(); ++P)
+      EXPECT_EQ(J(Row, P), Walk[static_cast<size_t>(P)])
+          << "row " << Row << " param " << P;
+  }
+}
+
 TEST(Jacobian, SmoothActivationsFirstOrder) {
   // For tanh networks the Jacobian is first-order accurate: error decays
   // quadratically in the perturbation size.
@@ -593,74 +620,6 @@ TEST(Batch, ComputePatternBatchMatchesScalar) {
   for (size_t I = 0; I < Points.size(); ++I)
     EXPECT_TRUE(Batch[I] == computePattern(Net, Points[I]))
         << "point " << I;
-}
-
-TEST(Batch, ParamJacobianBatchMatchesScalarBitForBit) {
-  Rng R(404);
-  Network Net = makeRandomPwlNetwork(R, 5, 3);
-  const int NumPoints = 17;
-  std::vector<Vector> Points;
-  std::vector<NetworkPattern> Patterns;
-  for (int I = 0; I < NumPoints; ++I) {
-    Points.push_back(randomVector(R, 5));
-    // Pin every third point to the region of a *different* input, so
-    // the batch must honor off-region pinned patterns (Appendix B).
-    Patterns.push_back(computePattern(
-        Net, I % 3 == 0 ? randomVector(R, 5) : Points.back()));
-  }
-  std::vector<const NetworkPattern *> Pinned;
-  for (int I = 0; I < NumPoints; ++I)
-    Pinned.push_back(I % 2 == 0 ? &Patterns[static_cast<size_t>(I)]
-                                : nullptr);
-
-  for (int LayerIdx : Net.parameterizedLayerIndices()) {
-    for (int Threads : {1, 4}) {
-      setGlobalThreadCount(Threads);
-      std::vector<JacobianResult> Batch =
-          paramJacobianBatch(Net, LayerIdx, Points, Pinned);
-      ASSERT_EQ(static_cast<int>(Batch.size()), NumPoints);
-      for (int I = 0; I < NumPoints; ++I) {
-        JacobianResult Scalar =
-            paramJacobian(Net, LayerIdx, Points[static_cast<size_t>(I)],
-                          Pinned[static_cast<size_t>(I)]);
-        EXPECT_EQ(Batch[static_cast<size_t>(I)].J.maxAbsDiff(Scalar.J), 0.0)
-            << "layer " << LayerIdx << " point " << I << " threads "
-            << Threads;
-        EXPECT_EQ(
-            Batch[static_cast<size_t>(I)].Output.maxAbsDiff(Scalar.Output),
-            0.0)
-            << "layer " << LayerIdx << " point " << I << " threads "
-            << Threads;
-      }
-    }
-  }
-  setGlobalThreadCount(1);
-}
-
-TEST(Batch, ParamJacobianBatchMaxPoolFallback) {
-  // MaxPool2D is PWL but not elementwise, exercising the per-row VJP
-  // fallback of the batched backward sweep.
-  Rng R(405);
-  Network Net;
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(
-      randomMatrix(R, 16, 3, 0.8), randomVector(R, 16, 0.3)));
-  Net.addLayer(std::make_unique<MaxPool2DLayer>(/*Channels=*/1, /*InH=*/4,
-                                                /*InW=*/4, /*WindowH=*/2,
-                                                /*WindowW=*/2, /*Stride=*/2));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(
-      randomMatrix(R, 2, 4, 0.8), randomVector(R, 2, 0.3)));
-  std::vector<Vector> Points;
-  for (int I = 0; I < 7; ++I)
-    Points.push_back(randomVector(R, 3));
-  std::vector<JacobianResult> Batch = paramJacobianBatch(Net, 0, Points);
-  for (int I = 0; I < 7; ++I) {
-    JacobianResult Scalar =
-        paramJacobian(Net, 0, Points[static_cast<size_t>(I)]);
-    EXPECT_EQ(Batch[static_cast<size_t>(I)].J.maxAbsDiff(Scalar.J), 0.0);
-    EXPECT_EQ(
-        Batch[static_cast<size_t>(I)].Output.maxAbsDiff(Scalar.Output),
-        0.0);
-  }
 }
 
 TEST(Serialization, RoundTripAllLayerKinds) {

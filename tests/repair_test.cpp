@@ -10,15 +10,16 @@
 
 #include "core/PointRepair.h"
 #include "core/PolytopeRepair.h"
-#include "core/SpecRows.h"
 
 #include "api/RepairEngine.h"
+#include "data/ShapeWorld.h"
 #include "nn/ActivationLayers.h"
 #include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
+#include "tests/SpecRowsChecks.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 namespace {
 
 using namespace prdnn;
+using namespace prdnn::test;
 
 Vector randomVector(Rng &R, int Size, double Scale = 1.0) {
   Vector V(Size);
@@ -615,95 +617,38 @@ PointSpec makeMixedSpec(Rng &R, const Network &Net, int Points) {
   return Spec;
 }
 
-/// The eager reference: every point's Jacobian from one full
-/// paramJacobianBatch, every row assembled as (A_k J) Delta <= b_k -
-/// A_k N(x) - Margin in the repair's accumulation order.
-void eagerRows(const Network &Net, int Layer, const PointSpec &Spec,
-               const std::vector<int> &Effective, double Margin,
-               std::vector<std::vector<double>> &Coef,
-               std::vector<double> &Hi) {
-  std::vector<Vector> Xs;
-  std::vector<const NetworkPattern *> Pinned;
-  for (const SpecPoint &P : Spec) {
-    Xs.push_back(P.X);
-    Pinned.push_back(P.Pattern ? &*P.Pattern : nullptr);
-  }
-  std::vector<JacobianResult> Jrs = paramJacobianBatch(Net, Layer, Xs, Pinned);
-  Coef.clear();
-  Hi.clear();
-  for (size_t P = 0; P < Spec.size(); ++P) {
-    const OutputConstraint &C = Spec[P].Constraint;
-    for (int K = 0; K < C.numRows(); ++K) {
-      std::vector<double> Row(Effective.size(), 0.0);
-      double Activity = 0.0;
-      for (int O = 0; O < C.A.cols(); ++O) {
-        double AKo = C.A(K, O);
-        if (AKo == 0.0)
-          continue;
-        Activity += AKo * Jrs[P].Output[O];
-        for (size_t E = 0; E < Effective.size(); ++E)
-          Row[E] += AKo * Jrs[P].J(O, Effective[E]);
-      }
-      Coef.push_back(std::move(Row));
-      Hi.push_back(C.B[K] - Activity - Margin);
-    }
-  }
-}
-
-/// SpecRows over \p Spec with its forward state computed chunk by chunk,
-/// as the repair's Jacobian phase does.
-detail::SpecRows computedRows(const Network &Net, int Layer,
-                              const PointSpec &Spec,
-                              const std::vector<int> &Effective,
-                              double Margin) {
-  detail::SpecRows Rows(Net, Layer, Spec, Effective, Margin);
-  for (int Base = 0; Base < Rows.numPoints(); Base += Rows.chunkPoints())
-    Rows.computeState(Base,
-                      std::min(Rows.numPoints(), Base + Rows.chunkPoints()));
-  return Rows;
-}
-
-TEST(SpecRows, LazyRowsMatchEagerJacobianRowsBitForBit) {
-  // 300 points: the lazy Jacobians of a full row set run in two
-  // batches. Whatever rows are asked for, in whatever order, each comes
-  // out with the bits of the eager row.
+TEST(SpecRows, ReluRowsAreSeededJacobianRows) {
+  // 300 points, every third pinned, 900 rows: a full ask spans several
+  // row chunks. Layer 2 has frozen parameters.
   Rng R(77);
   Network Net = makeRandomReluClassifier(R, 5, 12, 4);
   PointSpec Spec = makeMixedSpec(R, Net, 300);
-  const double Margin = 1e-6;
   for (int Layer : Net.parameterizedLayerIndices()) {
     SCOPED_TRACE(Layer);
     int NumParams = cast<LinearLayer>(Net.layer(Layer)).numParams();
     std::vector<int> Effective;
     for (int P = 0; P < NumParams; ++P)
-      if (Layer != 2 || P % 3 != 1) // one layer with frozen parameters
+      if (Layer != 2 || P % 3 != 1)
         Effective.push_back(P);
-    std::vector<std::vector<double>> WantCoef;
-    std::vector<double> WantHi;
-    eagerRows(Net, Layer, Spec, Effective, Margin, WantCoef, WantHi);
+    detail::SpecRows Shape(Net, Layer, Spec, Effective, 1e-6);
+    EXPECT_GT(Shape.numRows(), 2 * Shape.chunkRows());
+    expectRowsAreSeededJacobianRows(Net, Layer, Spec, Effective, 1e-6, R);
+  }
+}
 
-    for (int Threads : {1, 4}) {
-      setGlobalThreadCount(Threads);
-      detail::SpecRows Rows = computedRows(Net, Layer, Spec, Effective, Margin);
-      ASSERT_EQ(Rows.numRows(), static_cast<int>(WantHi.size()));
-      for (int Row = 0; Row < Rows.numRows(); ++Row)
-        EXPECT_EQ(Rows.hi(Row), WantHi[static_cast<size_t>(Row)])
-            << "row " << Row;
-
-      std::vector<int> All(static_cast<size_t>(Rows.numRows()));
-      std::iota(All.begin(), All.end(), 0);
-      R.shuffle(All);
-      std::vector<int> Few(All.begin(), All.begin() + 7);
-      for (const std::vector<int> &Ask : {All, Few}) {
-        std::vector<std::vector<double>> Got;
-        ASSERT_TRUE(Rows.coefs(Ask, Got));
-        ASSERT_EQ(Got.size(), Ask.size());
-        for (size_t J = 0; J < Ask.size(); ++J)
-          EXPECT_EQ(Got[J], WantCoef[static_cast<size_t>(Ask[J])])
-              << "row " << Ask[J];
-      }
-    }
-    setGlobalThreadCount(1);
+TEST(SpecRows, ConvMaxPoolRowsAreSeededJacobianRows) {
+  // Both conv layers of the Task 1 shapes classifier (barely trained):
+  // the suffix of layer 0 crosses MaxPool, a conv layer's default
+  // batched VJP and Flatten. 36 points of 8 rows, every third pinned.
+  Rng R(80);
+  Network Net = data::trainShapeClassifier(/*TrainCount=*/9, /*Epochs=*/1, R);
+  PointSpec Spec = makeMixedSpec(R, Net, 36);
+  for (int Layer : {0, 3}) {
+    SCOPED_TRACE(Layer);
+    std::vector<int> Effective(
+        static_cast<size_t>(cast<LinearLayer>(Net.layer(Layer)).numParams()));
+    std::iota(Effective.begin(), Effective.end(), 0);
+    expectRowsAreSeededJacobianRows(Net, Layer, Spec, Effective, 1e-6, R);
   }
 }
 
@@ -752,13 +697,19 @@ TEST(SpecRows, CoefsStopAtCancelBetweenBatches) {
       static_cast<size_t>(cast<LinearLayer>(Net.layer(4)).numParams()));
   std::iota(Effective.begin(), Effective.end(), 0);
   detail::SpecRows Rows = computedRows(Net, 4, Spec, Effective, 0.0);
-  ASSERT_LT(Rows.chunkPoints(), Rows.numPoints());
+  ASSERT_LT(Rows.chunkRows(), Rows.numRows());
   std::vector<int> All(static_cast<size_t>(Rows.numRows()));
   std::iota(All.begin(), All.end(), 0);
   int Polls = 0;
   std::vector<std::vector<double>> Got;
   EXPECT_FALSE(Rows.coefs(All, Got, [&] { return ++Polls == 1; }));
-  EXPECT_EQ(Polls, 1); // polled between batches, not before the first
+  EXPECT_EQ(Polls, 1); // polled between chunks, not before the first
+
+  // One chunk's worth of rows is never polled.
+  std::vector<int> OneChunk(All.begin(), All.begin() + Rows.chunkRows());
+  Polls = 0;
+  EXPECT_TRUE(Rows.coefs(OneChunk, Got, [&] { return ++Polls == 1; }));
+  EXPECT_EQ(Polls, 0);
 }
 
 } // namespace

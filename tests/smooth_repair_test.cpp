@@ -9,13 +9,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PointRepair.h"
-#include "core/SpecRows.h"
 
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
+#include "tests/SpecRowsChecks.h"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 namespace {
 
 using namespace prdnn;
+using namespace prdnn::test;
 
 Vector randomVector(Rng &R, int Size, double Scale = 1.0) {
   Vector V(Size);
@@ -216,6 +217,30 @@ TEST(SmoothRepair, ScanEqualsRowActivityAtRandomDelta) {
           EXPECT_EQ(S, Reference); // bit-identical across thread counts
       }
       setGlobalThreadCount(1);
+    }
+  }
+}
+
+TEST(SmoothRepair, RowsAreSeededJacobianRows) {
+  // The seeded backward pass linearizes Tanh and Sigmoid at the stored
+  // activation channel. 48 points of 6 box rows: a full ask spans two
+  // row chunks.
+  for (SmoothKind Kind : {SmoothKind::Tanh, SmoothKind::Sigmoid}) {
+    Rng R(95 + static_cast<int>(Kind));
+    Network Net = makeSmoothNetwork(R, Kind);
+    PointSpec Spec;
+    for (int I = 0; I < 48; ++I) {
+      Vector X = randomVector(R, 4);
+      Vector Y = Net.evaluate(X);
+      Vector Hi = Y + Vector::constant(3, 0.1);
+      Spec.push_back({std::move(X), boxConstraint(Y, Hi), std::nullopt});
+    }
+    for (int Layer : Net.parameterizedLayerIndices()) {
+      SCOPED_TRACE(Layer);
+      std::vector<int> Effective(
+          static_cast<size_t>(cast<LinearLayer>(Net.layer(Layer)).numParams()));
+      std::iota(Effective.begin(), Effective.end(), 0);
+      expectRowsAreSeededJacobianRows(Net, Layer, Spec, Effective, 1e-6, R);
     }
   }
 }
