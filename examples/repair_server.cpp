@@ -11,8 +11,8 @@
 // result is compared bit-for-bit against a serial repairPoints /
 // repairPolytopes call of the same request - the engine's determinism
 // contract. The same mix is then resubmitted *warm*: the engine's
-// artifact cache turns the LinRegions phase into lookups and every LP
-// solve replays its cached terminal simplex basis
+// artifact cache turns the LinRegions phase into lookups and every
+// repair takes its LP's solved Delta from the cache instead of solving
 // (BasisHits > 0) - and the warm results must still be bit-identical.
 // A final high-priority job demonstrates cooperative cancellation (and
 // the priority-classed queue).
@@ -21,8 +21,8 @@
 // backed by an on-disk artifact store drains the same mix, is torn
 // down (flushing its write-behind queue), and a *fresh* engine on the
 // same directory drains it again - the restarted engine's lookups come
-// back from disk (L2 hits), its LPs warm-start from the persisted
-// simplex bases, and its results are still bit-identical to the serial
+// back from disk (L2 hits), its repairs take the persisted LP
+// solutions, and its results are still bit-identical to the serial
 // runs.
 //
 // Exits non-zero if any job fails, diverges from its serial twin, the
@@ -153,23 +153,23 @@ int main() {
   for (const RepairRequest &Request : Requests)
     WarmHandles.push_back(Engine.submit(Request));
   bool WarmMatch = true;
-  std::int64_t WarmHits = 0, WarmMisses = 0, WarmBasisHits = 0;
+  std::int64_t WarmHits = 0, WarmMisses = 0, WarmLpHits = 0;
   for (size_t I = 0; I < WarmHandles.size(); ++I) {
     const RepairReport &Report = WarmHandles[I].report();
     WarmMatch = WarmMatch && bitIdentical(Report.Result, Serial[I].Result) &&
                 Report.Status == Serial[I].Status;
     WarmHits += Report.CacheHits;
     WarmMisses += Report.CacheMisses;
-    // Resubmitted LPs replay their cached terminal bases: zero pivots,
-    // same bits (the bitIdentical check above is what makes "warm" safe).
-    WarmBasisHits += Report.Result.Stats.BasisHits;
+    // Resubmitted repairs take their cached Delta: zero pivots, same
+    // bits (the bitIdentical check above is what makes "warm" safe).
+    WarmLpHits += Report.Result.Stats.BasisHits;
   }
   CacheStats Stats = Engine.cacheStats();
   std::printf("\nwarm pass: %lld cache hits / %lld misses across jobs "
-              "(%lld simplex-basis replays); results %s first pass\n",
+              "(%lld cached LP solutions); results %s first pass\n",
               static_cast<long long>(WarmHits),
               static_cast<long long>(WarmMisses),
-              static_cast<long long>(WarmBasisHits),
+              static_cast<long long>(WarmLpHits),
               WarmMatch ? "bit-identical to" : "DIVERGED from");
   std::printf("engine cache: %.1f%% hit rate, %llu entries, %.2f MiB held "
               "(budget %.0f MiB), %llu evictions\n",
@@ -194,7 +194,7 @@ int main() {
 
   // --- Warm restart: the persistent artifact store at work -------------------
   // A repair service that restarts should not re-derive every SyReNN
-  // transform and LP basis from scratch: an engine backed by an
+  // transform and LP solution from scratch: an engine backed by an
   // on-disk store leaves its artifacts behind, and its successor reads
   // them back (bit-identically) on first touch.
   namespace fs = std::filesystem;
@@ -229,23 +229,23 @@ int main() {
   for (const RepairRequest &Request : Requests)
     RestartHandles.push_back(SecondLife.submit(Request));
   bool RestartMatch = true;
-  std::int64_t RestartStoreHits = 0, RestartBasisHits = 0;
+  std::int64_t RestartStoreHits = 0, RestartLpHits = 0;
   for (size_t I = 0; I < RestartHandles.size(); ++I) {
     const RepairReport &Report = RestartHandles[I].report();
     RestartMatch = RestartMatch &&
                    bitIdentical(Report.Result, Serial[I].Result) &&
                    Report.Status == Serial[I].Status;
     RestartStoreHits += Report.StoreHits;
-    // Bases persist too: the fresh engine warm-starts its LPs from
-    // bases its predecessor left on disk - still bit-identically.
-    RestartBasisHits += Report.Result.Stats.BasisHits;
+    // LP solutions persist too: the fresh engine takes the Deltas its
+    // predecessor left on disk - still bit-identically.
+    RestartLpHits += Report.Result.Stats.BasisHits;
   }
   persist::StoreStats RestartStats = SecondLife.storeStats();
   std::printf("restarted engine: %lld L2 (disk) hits across jobs "
-              "(%lld simplex-basis replays), %.1f%% store hit rate, "
+              "(%lld cached LP solutions), %.1f%% store hit rate, "
               "%.2f MiB on disk; results %s serial runs\n",
               static_cast<long long>(RestartStoreHits),
-              static_cast<long long>(RestartBasisHits),
+              static_cast<long long>(RestartLpHits),
               100.0 * RestartStats.hitRate(),
               static_cast<double>(RestartStats.BytesHeld) /
                   (1024.0 * 1024.0),
@@ -255,10 +255,10 @@ int main() {
     fs::remove_all(StoreDir, Ec);
   }
 
-  bool Ok = AllMatch && WarmMatch && WarmHits > 0 && WarmBasisHits > 0 &&
+  bool Ok = AllMatch && WarmMatch && WarmHits > 0 && WarmLpHits > 0 &&
             Completed >= 8 &&
             DoomedReport.Status == RepairStatus::Cancelled &&
-            RestartMatch && RestartStoreHits > 0 && RestartBasisHits > 0;
+            RestartMatch && RestartStoreHits > 0 && RestartLpHits > 0;
   std::printf("\n%d/%zu jobs succeeded; results %s serial runs; "
               "cancellation %s\n",
               Completed, Handles.size(),

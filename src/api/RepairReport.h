@@ -45,10 +45,11 @@ struct SweepAttempt {
   /// Of CacheHits, those the persistent L2 store served (0 without a
   /// store).
   int StoreHits = 0;
-  /// Whether any LP solve of this attempt started from a cached
-  /// simplex basis (equals the attempt's RepairStats::BasisHits > 0).
-  /// Warm attempts are bit-identical to cold ones - this only explains
-  /// the pivot counts.
+  /// Whether this attempt took its LP's Delta from the cache instead
+  /// of solving (equals the attempt's RepairStats::BasisHits > 0; the
+  /// name predates the LpSolution kind and perfbench reads it). Warm
+  /// attempts are bit-identical to cold ones - this only explains the
+  /// pivot counts.
   bool WarmStarted = false;
   /// Which LpScheduler shard ran this attempt (0 for one-shard sweeps:
   /// fixed-layer requests, hooked jobs, a one-thread pool). Purely

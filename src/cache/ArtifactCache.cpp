@@ -16,8 +16,8 @@ const char *prdnn::toString(ArtifactKind Kind) {
     return "SyrennTransform";
   case ArtifactKind::PatternBatch:
     return "PatternBatch";
-  case ArtifactKind::SimplexBasis:
-    return "SimplexBasis";
+  case ArtifactKind::LpSolution:
+    return "LpSolution";
   }
   PRDNN_UNREACHABLE("bad ArtifactKind");
 }
@@ -60,9 +60,8 @@ std::size_t PatternBatchArtifact::bytes() const {
   return Total;
 }
 
-std::size_t SimplexBasisArtifact::bytes() const {
-  return sizeof(*this) + vectorBytes(Basic.size(), sizeof(int)) +
-         vectorBytes(NonbasicState.size(), sizeof(std::uint8_t));
+std::size_t LpSolutionArtifact::bytes() const {
+  return sizeof(*this) + vectorBytes(Delta.size(), sizeof(double));
 }
 
 ArtifactCache::ArtifactCache(std::size_t BudgetBytes, int NumShards,

@@ -8,9 +8,9 @@
 ///                     shapes (Algorithm 2, line 2);
 ///   PatternBatch    - activation patterns at a batch of points (the
 ///                     per-region pattern capture of Appendix B);
-///   SimplexBasis    - the optimal simplex basis of one repair LP,
-///                     used to warm-start structurally identical later
-///                     solves (lp/Simplex.h, SimplexOptions::WarmBasis).
+///   LpSolution      - the solved parameter change Delta of one repair
+///                     LP (Algorithm 1, lines 7-8), re-verified by the
+///                     consumer before use (core/PointRepair.cpp).
 ///
 /// Keys are 128-bit content digests (cache/Fingerprint.h) over the
 /// network fingerprint and a canonical serialization of every input the
@@ -81,7 +81,7 @@ class ArtifactStore;
 enum class ArtifactKind : std::uint8_t {
   SyrennTransform,
   PatternBatch,
-  SimplexBasis,
+  LpSolution,
 };
 
 const char *toString(ArtifactKind Kind);
@@ -120,26 +120,13 @@ struct PatternBatchArtifact final : CacheArtifact {
   std::size_t bytes() const override;
 };
 
-/// The optimal simplex basis of one repair LP, mirroring
-/// lp::SimplexBasis field-for-field (kept as plain fields here so the
-/// cache layer does not depend on lp headers; the LP phase converts).
-/// Keyed tolerant of RHS-only drift - the constraint *coefficients*
-/// hash into the key but the right-hand sides do not - so a
-/// resubmission whose spec moved only row bounds still warm-starts.
-struct SimplexBasisArtifact final : CacheArtifact {
-  int NumRows = 0;
-  int NumVars = 0;
-  /// Digest of the producing LP's bounds and costs - everything the
-  /// coefficient-only cache key deliberately leaves out. Consumers
-  /// replay the basis only when this matches their LP exactly: a
-  /// replayed terminal basis of the *identical* LP re-derives the
-  /// solution bit-for-bit, whereas warm-starting a merely
-  /// RHS-drifted LP can terminate at a different equally-optimal
-  /// basis and change low-order bits (see lp/README.md).
-  Digest128 RhsDigest;
-  std::vector<int> Basic;
-  std::vector<std::uint8_t> NonbasicState;
-  int Pivots = 0;
+/// The outcome of one repair LP: the optimal Delta over the effective
+/// (unfrozen) parameters, plus the constraint-generation counts that
+/// produced it, so a hit reports the stats of the solve it skips.
+struct LpSolutionArtifact final : CacheArtifact {
+  std::vector<double> Delta;
+  int LpRowsUsed = 0;
+  int CgRounds = 0;
 
   std::size_t bytes() const override;
 };

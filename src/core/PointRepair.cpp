@@ -43,6 +43,54 @@ bool prdnn::validRepairOptions(const RepairOptions &O) {
          O.Lp.RefactorInterval >= 1 && O.Lp.StallLimit >= 1;
 }
 
+namespace {
+
+/// The LpSolution cache key: a digest of every input that fixes the
+/// repair LP and its constraint generation (src/cache/README.md).
+CacheKey lpSolutionKey(const NetworkFingerprint &Fp, int LayerIndex,
+                       const std::vector<int> &Effective,
+                       const PointSpec &Spec, const RepairOptions &Options) {
+  Hasher H;
+  H.u64(Fp.Digest.Hi);
+  H.u64(Fp.Digest.Lo);
+  H.i32(LayerIndex);
+  H.i32(static_cast<int>(Effective.size()));
+  for (int E : Effective)
+    H.i32(E);
+  H.i32(static_cast<int>(Options.Objective));
+  H.f64(Options.DeltaBound);
+  H.f64(Options.RowMargin);
+  H.i32(Options.MaxCgRounds);
+  H.i32(Options.CgBatch);
+  H.f64(Options.Lp.FeasTol);
+  H.f64(Options.Lp.OptTol);
+  H.f64(Options.Lp.PivotTol);
+  H.i32(Options.Lp.MaxIterations);
+  H.i32(Options.Lp.ScaleRows ? 1 : 0);
+  H.i32(Options.Lp.StallLimit);
+  H.i32(Options.Lp.RefactorInterval);
+  H.i32(static_cast<int>(Spec.size()));
+  for (const SpecPoint &Point : Spec) {
+    hashVector(H, Point.X);
+    const Matrix &A = Point.Constraint.A;
+    H.i32(A.rows());
+    H.i32(A.cols());
+    for (int R = 0; R < A.rows(); ++R)
+      H.doubles(A.rowData(R), static_cast<size_t>(A.cols()));
+    hashVector(H, Point.Constraint.B);
+    H.i32(Point.Pattern ? static_cast<int>(Point.Pattern->Patterns.size())
+                        : -1);
+    if (Point.Pattern)
+      for (const std::vector<int> &Layer : Point.Pattern->Patterns) {
+        H.i32(static_cast<int>(Layer.size()));
+        H.bytes(Layer.data(), Layer.size() * sizeof(int));
+      }
+  }
+  return {ArtifactKind::LpSolution, H.digest()};
+}
+
+} // namespace
+
 RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
                                              int LayerIndex,
                                              const PointSpec &Spec,
@@ -54,12 +102,11 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
 
   // LP accounting, declared up front so every exit path - cancellation
   // included - stamps the timing stats consistently. LpTimer runs for
-  // the whole Lp phase (lazy rows, appends, basis-cache work, solves
+  // the whole Lp phase (lazy rows, appends, the cache lookup, solves
   // and scans), which is exactly the trace's Lp span.
   std::optional<WallTimer> LpTimer;
   int LpIterations = 0;
   int RowsUsed = 0;
-  bool Solved = false;
   auto StampLp = [&] {
     if (LpTimer)
       Result.Stats.LpSeconds = LpTimer->seconds();
@@ -149,239 +196,89 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   lp::SimplexOptions LpOptions = Options.Lp;
   if (Ctx && !LpOptions.CancelFlag)
     LpOptions.CancelFlag = Ctx->cancelFlag();
-  bool LpCancelled = false;
 
-  // One LP and one solver live across the constraint-generation rounds.
-  // Round 1 solves cold; each later round appends its new rows and the
-  // solver re-optimizes from the previous optimum with the dual simplex
-  // (lp/Simplex.h, SimplexSolver). Use lists the LP's rows in order,
-  // UseCoef their coefficients (no other row has any); InLp marks them.
-  lp::DeltaLp Lp(NumEff, Options.Objective, Options.DeltaBound);
-  std::vector<int> Use;
-  std::vector<std::vector<double>> UseCoef;
-  std::vector<char> InLp(static_cast<size_t>(NumRows), 0);
-  std::unique_ptr<lp::SimplexSolver> Solver;
-
-  // Warm-start basis cache. The key hashes everything that fixes the
-  // LP's *structure* - network fingerprint, layer, effective-parameter
-  // map, objective norm, and every used row's coefficient bits in row
-  // order - but deliberately not the right-hand sides (Rows.hi, which
-  // absorb RowMargin and the spec's output bounds) nor DeltaBound: those
-  // only move bounds, so a resubmission whose spec drifted in RHS only
-  // still finds the entry instead of piling up near-duplicates. Replay,
-  // however, is gated on an exact digest of the excluded parts
-  // (RhsDigest below): replaying the terminal basis of the *identical*
-  // LP re-derives the solution bit-for-bit, whereas warm-starting a
-  // drifted LP can terminate at a different equally-optimal basis and
-  // change low-order bits - which would break the
-  // cache-never-changes-results contract. A digest-mismatched hit
-  // therefore solves cold (bit-identical to cache-off by construction)
-  // and counts as a basis miss. Equal keys imply an identically-shaped
-  // LP, so an exported basis always has the right dimensions for a
-  // replayed hit.
-  ArtifactCache *BasisCache =
-      (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
-  auto BasisKey = [&] {
-    Hasher H;
-    const NetworkFingerprint &Fp = Ctx->networkFingerprint();
-    H.u64(Fp.Digest.Hi);
-    H.u64(Fp.Digest.Lo);
-    H.i32(LayerIndex);
-    H.i32(NumEff);
-    for (int E : Effective)
-      H.i32(E);
-    H.i32(static_cast<int>(Options.Objective));
-    H.i32(static_cast<int>(Use.size()));
-    for (const std::vector<double> &Coef : UseCoef)
-      H.doubles(Coef.data(), Coef.size());
-    return CacheKey{ArtifactKind::SimplexBasis, H.digest()};
+  // S holds the latest scan, s_k at the current Delta; its largest
+  // entry is the network-level re-verification (lines 9-10).
+  std::vector<double> S;
+  const double VerifyTolerance = 100 * Options.Lp.FeasTol + 1e-9;
+  auto MaxViolation = [&] {
+    double Verified = 0.0;
+    for (double V : S)
+      Verified = std::max(Verified, V);
+    return Verified;
   };
-  /// Digest of everything the basis key leaves out: the built LP's
-  /// variable bounds, costs, and row bounds. Key + RhsDigest together
-  /// pin the LinearProgram exactly (the key pins the coefficients).
-  auto LpRhsDigest = [](const lp::LinearProgram &P) {
-    Hasher H;
-    H.i32(P.numVariables());
-    for (int V = 0; V < P.numVariables(); ++V) {
-      H.f64(P.variableLo(V));
-      H.f64(P.variableHi(V));
-      H.f64(P.objectiveCoef(V));
-    }
-    H.i32(P.numRows());
-    for (int R = 0; R < P.numRows(); ++R) {
-      H.f64(P.row(R).Lo);
-      H.f64(P.row(R).Hi);
-    }
-    return H.digest();
-  };
-  /// Thrown out of the basis-cache compute closure when the solve did
-  /// not end Optimal: getOrCompute's exception path releases the
-  /// single-flight claim without publishing, so nothing is cached.
-  struct NoBasis {};
 
-  lp::SimplexOptions SolveOptions = LpOptions;
-  SolveOptions.ExportBasis = BasisCache != nullptr;
+  /// Constraint generation, from Delta = 0 to the LP's optimum. Success
+  /// means DeltaEff and S hold that optimum and its scan, still to be
+  /// judged by the verification below.
+  auto SolveLp = [&]() -> RepairStatus {
+    // One LP and one solver live across the constraint-generation
+    // rounds. Round 1 solves cold; each later round appends its new
+    // rows and the solver re-optimizes from the previous optimum with
+    // the dual simplex (lp/Simplex.h, SimplexSolver). InLp marks the
+    // rows the LP holds.
+    lp::DeltaLp Lp(NumEff, Options.Objective, Options.DeltaBound);
+    std::vector<char> InLp(static_cast<size_t>(NumRows), 0);
+    std::unique_ptr<lp::SimplexSolver> Solver;
 
-  /// Builds \p NewRows' Jacobian rows, appends them to the LP and
-  /// solves it: cold in round 1, warm from the previous round's optimum
-  /// after that.
-  auto SolveRound = [&](const std::vector<int> &NewRows,
-                        std::vector<double> &Out) -> lp::SolveStatus {
-    // Larger row sets (the Remaining() round) build in several batches,
-    // with a cancellation checkpoint between them.
-    std::vector<std::vector<double>> NewCoef;
-    if (!Rows.coefs(NewRows, NewCoef, [&] {
-          return Ctx && Ctx->checkpoint(RepairPhase::Lp);
-        })) {
-      LpCancelled = true;
-      return lp::SolveStatus::Cancelled;
-    }
-    for (size_t J = 0; J < NewRows.size(); ++J) {
-      int RI = NewRows[J];
-      Lp.addConstraint(NewCoef[J], -lp::kInfinity, Rows.hi(RI));
-      Use.push_back(RI);
-      UseCoef.push_back(std::move(NewCoef[J]));
-      InLp[static_cast<size_t>(RI)] = 1;
-    }
-    const lp::LinearProgram &Problem = Lp.problem();
-    lp::LpSolution Sol;
-    auto RunSolve = [&] {
+    /// Builds \p NewRows' Jacobian rows, appends them to the LP and
+    /// solves it: cold in round 1, warm from the previous round's
+    /// optimum after that. Success means DeltaEff holds the optimum.
+    auto SolveRound = [&](const std::vector<int> &NewRows) {
+      // Larger row sets (the final all-rows round) build in several
+      // batches, with a cancellation checkpoint between them.
+      std::vector<std::vector<double>> NewCoef;
+      if (!Rows.coefs(NewRows, NewCoef, [&] {
+            return Ctx && Ctx->checkpoint(RepairPhase::Lp);
+          }))
+        return RepairStatus::Cancelled;
+      for (size_t J = 0; J < NewRows.size(); ++J) {
+        Lp.addConstraint(NewCoef[J], -lp::kInfinity, Rows.hi(NewRows[J]));
+        InLp[static_cast<size_t>(NewRows[J])] = 1;
+      }
+      RowsUsed += static_cast<int>(NewRows.size());
       if (!Solver)
-        Solver = std::make_unique<lp::SimplexSolver>(Problem, SolveOptions);
-      Sol = Solver->solve();
+        Solver = std::make_unique<lp::SimplexSolver>(Lp.problem(), LpOptions);
+      lp::LpSolution Sol = Solver->solve();
+      LpIterations += Sol.Iterations;
+      Result.Stats.LpKernels.accumulate(Sol.Stats);
+      if (Ctx)
+        Ctx->advance(1);
+      switch (Sol.Status) {
+      case lp::SolveStatus::Optimal:
+        DeltaEff = Lp.extractDelta(Sol.X);
+        return RepairStatus::Success;
+      case lp::SolveStatus::Infeasible:
+        // A subset of the rows is infeasible, so the full system is too.
+        return RepairStatus::Infeasible;
+      case lp::SolveStatus::Cancelled:
+        return RepairStatus::Cancelled;
+      default:
+        return RepairStatus::SolverFailure;
+      }
     };
 
-    if (!BasisCache) {
-      RunSolve();
-    } else {
-      // Lookup and publish share one getOrCompute so the basis rides
-      // the cache's single-flight, read-through, and write-behind
-      // machinery: on a miss the compute closure IS this round's solve
-      // (exporting its terminal basis), so concurrent jobs racing on
-      // one key solve it once and the others replay the shared result.
-      Digest128 RhsDigest = LpRhsDigest(Problem);
-      bool Hit = false;
-      bool RanSolve = false;
-      bool Replayed = false;
-      CacheTier Tier = CacheTier::None;
-      std::shared_ptr<const CacheArtifact> Cached;
-      try {
-        Cached = BasisCache->getOrCompute(
-            BasisKey(),
-            [&]() -> std::shared_ptr<const CacheArtifact> {
-              RunSolve();
-              RanSolve = true;
-              if (Sol.Status != lp::SolveStatus::Optimal || !Sol.OptimalBasis)
-                throw NoBasis{};
-              auto A = std::make_shared<SimplexBasisArtifact>();
-              A->NumRows = Sol.OptimalBasis->NumRows;
-              A->NumVars = Sol.OptimalBasis->NumVars;
-              A->Basic = Sol.OptimalBasis->Basic;
-              A->NonbasicState = Sol.OptimalBasis->NonbasicState;
-              A->Pivots = Sol.OptimalBasis->Pivots;
-              A->RhsDigest = RhsDigest;
-              return A;
-            },
-            &Hit, &Tier);
-      } catch (const NoBasis &) {
-        // The solve ran but ended non-Optimal; Sol holds its status.
-      }
-      if (!RanSolve) {
-        // Served from cache (L1, L2, or a concurrent job's in-flight
-        // solve). Replay only when the RHS digest certifies the cached
-        // basis came from this exact LP: a fresh solver started from it
-        // re-derives that solve's optimum - and its end state, which
-        // the next round continues from - bit for bit. A drifted LP, or
-        // a cached basis the solver rejects, gets this round's solve
-        // exactly as with the cache off.
-        const auto &A = static_cast<const SimplexBasisArtifact &>(*Cached);
-        if (A.RhsDigest == RhsDigest) {
-          lp::SimplexBasis Warm;
-          Warm.NumRows = A.NumRows;
-          Warm.NumVars = A.NumVars;
-          Warm.Basic = A.Basic;
-          Warm.NonbasicState = A.NonbasicState;
-          Warm.Pivots = A.Pivots;
-          lp::SimplexOptions ReplayOptions = SolveOptions;
-          ReplayOptions.WarmBasis = &Warm;
-          auto Replay =
-              std::make_unique<lp::SimplexSolver>(Problem, ReplayOptions);
-          Sol = Replay->solve();
-          Replayed = Sol.WarmStarted;
-          // In round 1 a rejected basis already ran the cold solve.
-          if (Replayed || !Solver) {
-            Solver = std::move(Replay);
-            RanSolve = true;
-          }
-        }
-        if (!RanSolve)
-          RunSolve();
-      }
-      // A hit counts only when this round replayed the cached basis -
-      // never for a warm start from the previous round.
-      if (Hit && Replayed) {
-        ++Result.Stats.BasisHits;
-        Ctx->noteCacheHits(1);
-        if (Tier == CacheTier::L2) {
-          ++Result.Stats.BasisStoreHits;
-          Ctx->noteStoreHits(1);
-        }
-      } else {
-        ++Result.Stats.BasisMisses;
-        Ctx->noteCacheMisses(1);
-      }
-    }
-
-    LpIterations += Sol.Iterations;
-    RowsUsed = static_cast<int>(Use.size());
-    Result.Stats.LpKernels.accumulate(Sol.Stats);
-    if (Sol.Status == lp::SolveStatus::Optimal)
-      Out = Lp.extractDelta(Sol.X);
-    if (Sol.Status == lp::SolveStatus::Cancelled)
-      LpCancelled = true;
-    if (Ctx)
-      Ctx->advance(1);
-    return Sol.Status;
-  };
-
-  /// The rows not yet in the LP, in row order.
-  auto Remaining = [&] {
-    std::vector<int> Rest;
+    // Start from the rows violated by Delta = 0 and add the most
+    // violated rows of each relaxation optimum until it is feasible for
+    // every row (then it is optimal for the full LP).
+    std::vector<int> Add;
     for (int RI = 0; RI < NumRows; ++RI)
-      if (!InLp[static_cast<size_t>(RI)])
-        Rest.push_back(RI);
-    return Rest;
-  };
-
-  // Constraint generation: start from the rows violated by Delta = 0
-  // and add the most violated rows of each relaxation optimum until it
-  // is feasible for every row (then it is optimal for the full LP).
-  // S holds the latest scan, s_k at the current Delta.
-  std::vector<double> S;
-  std::vector<int> Add;
-  for (int RI = 0; RI < NumRows; ++RI)
-    if (Rows.hi(RI) < 0.0)
-      Add.push_back(RI);
-
-  if (Add.empty()) {
-    // Delta = 0 already satisfies the (margined) spec.
-    Solved = true;
-    S = Rows.scan(DeltaEff);
-  } else {
-    for (int Round = 0; Round < Options.MaxCgRounds && !Solved; ++Round) {
+      if (Rows.hi(RI) < 0.0)
+        Add.push_back(RI);
+    if (Add.empty()) {
+      // Delta = 0 already satisfies the (margined) spec.
+      S = Rows.scan(DeltaEff);
+      return RepairStatus::Success;
+    }
+    for (int Round = 0; Round < Options.MaxCgRounds; ++Round) {
       if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
-        return Cancelled();
+        return RepairStatus::Cancelled;
       ++Result.Stats.CgRounds;
-      lp::SolveStatus Status = SolveRound(Add, DeltaEff);
-      if (LpCancelled)
-        return Cancelled();
-      if (Status == lp::SolveStatus::Infeasible) {
-        // A subset is infeasible, so the full system is too.
-        Result.Status = RepairStatus::Infeasible;
-        FinalizeStats();
-        return Result;
-      }
-      if (Status != lp::SolveStatus::Optimal)
+      RepairStatus Status = SolveRound(Add);
+      if (Status == RepairStatus::Cancelled ||
+          Status == RepairStatus::Infeasible)
+        return Status;
+      if (Status != RepairStatus::Success)
         break; // fall through to the full solve below
 
       // The rows the relaxation optimum still violates, by a forward
@@ -393,10 +290,8 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
         if (!InLp[static_cast<size_t>(RI)] && V > 10 * Options.Lp.FeasTol)
           Violated.push_back({V, RI});
       }
-      if (Violated.empty()) {
-        Solved = true;
-        break;
-      }
+      if (Violated.empty())
+        return RepairStatus::Success;
       int Take = std::min<int>(Options.CgBatch,
                                static_cast<int>(Violated.size()));
       std::partial_sort(Violated.begin(), Violated.begin() + Take,
@@ -405,31 +300,101 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
       for (int K = 0; K < Take; ++K)
         Add.push_back(Violated[static_cast<size_t>(K)].second);
     }
-  }
 
-  if (!Solved) {
-    // Generation did not converge in budget (or a round failed):
-    // append every remaining row as one more round, which makes the
-    // LP the full one (still exact). After an Optimal round this is
-    // warm like any other; after a failed one - or with MaxCgRounds =
-    // 0, which skips generation - the solver runs cold on every row.
+    // Generation did not converge in budget (or a round failed): append
+    // every remaining row as one more round, which makes the LP the
+    // full one (still exact). After an Optimal round this is warm like
+    // any other; after a failed one - or with MaxCgRounds = 0, which
+    // skips generation - the solver runs cold on every row.
     if (Ctx && Ctx->checkpoint(RepairPhase::Lp))
-      return Cancelled();
-    lp::SolveStatus Status = SolveRound(Remaining(), DeltaEff);
-    if (LpCancelled)
-      return Cancelled();
-    if (Status == lp::SolveStatus::Infeasible) {
-      Result.Status = RepairStatus::Infeasible;
-      FinalizeStats();
-      return Result;
-    }
-    Solved = Status == lp::SolveStatus::Optimal;
-    if (Solved)
+      return RepairStatus::Cancelled;
+    std::vector<int> Rest;
+    for (int RI = 0; RI < NumRows; ++RI)
+      if (!InLp[static_cast<size_t>(RI)])
+        Rest.push_back(RI);
+    RepairStatus Status = SolveRound(Rest);
+    if (Status == RepairStatus::Success)
       S = Rows.scan(DeltaEff);
+    return Status;
+  };
+
+  // The LP is fixed by the network, the layer, the spec and the
+  // options, so one cache entry serves the whole repair: its solved
+  // Delta, keyed by every input of the LP and of constraint generation
+  // (see src/cache/README.md). A miss runs SolveLp inside the compute
+  // closure, so concurrent jobs on one key solve once; only a Delta
+  // that passed re-verification is published. A hit skips the LP and
+  // re-verifies the cached Delta with one scan.
+  RepairStatus Outcome = RepairStatus::SolverFailure;
+  ArtifactCache *Cache = (Ctx && Options.UseCache) ? Ctx->cache() : nullptr;
+  if (!Cache) {
+    Outcome = SolveLp();
+  } else {
+    /// Thrown out of the compute closure when SolveLp produced no
+    /// verified Delta: getOrCompute's exception path releases the
+    /// single-flight claim without publishing, so nothing is cached.
+    struct Unpublished {};
+    bool Hit = false;
+    bool Ran = false;
+    CacheTier Tier = CacheTier::None;
+    std::shared_ptr<const CacheArtifact> Cached;
+    try {
+      Cached = Cache->getOrCompute(
+          lpSolutionKey(Ctx->networkFingerprint(), LayerIndex, Effective,
+                        Spec, Options),
+          [&]() -> std::shared_ptr<const CacheArtifact> {
+            Ran = true;
+            Outcome = SolveLp();
+            if (Outcome != RepairStatus::Success ||
+                MaxViolation() > VerifyTolerance)
+              throw Unpublished{};
+            auto A = std::make_shared<LpSolutionArtifact>();
+            A->Delta = DeltaEff;
+            A->LpRowsUsed = RowsUsed;
+            A->CgRounds = Result.Stats.CgRounds;
+            return A;
+          },
+          &Hit, &Tier);
+    } catch (const Unpublished &) {
+    }
+    if (!Ran) {
+      // Served from cache (L1, L2, or a concurrent job's in-flight
+      // solve). Store data is untrusted: a Delta of the wrong length,
+      // or one that fails re-verification, is discarded and the LP
+      // solved exactly as with the cache off.
+      const auto &A = static_cast<const LpSolutionArtifact &>(*Cached);
+      bool Usable = static_cast<int>(A.Delta.size()) == NumEff &&
+                    std::all_of(A.Delta.begin(), A.Delta.end(),
+                                [](double D) { return std::isfinite(D); });
+      if (Usable) {
+        S = Rows.scan(A.Delta);
+        Usable = MaxViolation() <= VerifyTolerance;
+      }
+      if (Usable) {
+        DeltaEff = A.Delta;
+        RowsUsed = A.LpRowsUsed;
+        Result.Stats.CgRounds = A.CgRounds;
+        Outcome = RepairStatus::Success;
+      } else {
+        Hit = false;
+        Outcome = SolveLp();
+      }
+    }
+    if (Hit) {
+      ++Result.Stats.BasisHits;
+      Ctx->noteCacheHits(1);
+      if (Tier == CacheTier::L2) {
+        ++Result.Stats.BasisStoreHits;
+        Ctx->noteStoreHits(1);
+      }
+    } else {
+      ++Result.Stats.BasisMisses;
+      Ctx->noteCacheMisses(1);
+    }
   }
 
-  if (!Solved) {
-    Result.Status = RepairStatus::SolverFailure;
+  if (Outcome != RepairStatus::Success) {
+    Result.Status = Outcome;
     FinalizeStats();
     return Result;
   }
@@ -452,14 +417,11 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     Result.DeltaLInf = std::max(Result.DeltaLInf, std::fabs(D));
   }
 
-  double Verified = 0.0;
-  for (double V : S)
-    Verified = std::max(Verified, V);
   if (Ctx)
     Ctx->advance(NumPoints);
-  Result.Stats.VerifiedViolation = Verified;
-  Result.Stats.VerifyTolerance = 100 * Options.Lp.FeasTol + 1e-9;
-  if (Verified > Result.Stats.VerifyTolerance) {
+  Result.Stats.VerifiedViolation = MaxViolation();
+  Result.Stats.VerifyTolerance = VerifyTolerance;
+  if (Result.Stats.VerifiedViolation > VerifyTolerance) {
     // The LP said feasible but the network disagrees: numerical failure,
     // never silently accepted.
     Result.Status = RepairStatus::SolverFailure;

@@ -90,19 +90,12 @@ struct RepairOptions {
   std::optional<std::vector<bool>> ParamMask;
   /// Consult the engine's shared artifact cache (cache/ArtifactCache.h)
   /// for all three artifact kinds: SyReNN transforms, pattern batches,
-  /// and the optimal simplex basis of each LP solve (one per
-  /// constraint-generation round). Only effective when the job carries
-  /// a cache (RepairEngine with EngineOptions::EnableCache); hits are
-  /// bit-for-bit identical to recomputation, so the default on never
-  /// changes results.
-  ///
-  /// The basis key hashes the constraint *coefficients* but not the
-  /// right-hand sides, so a resubmission whose spec moved only row
-  /// bounds shares the entry slot; replay, though, is gated on an exact
-  /// digest of the remaining LP data, because only replaying the
-  /// terminal basis of the identical LP re-derives that solve's result
-  /// bit for bit (drift-hits, and bases the solver rejects, get the
-  /// round's own solve, exactly as with the cache off).
+  /// and the solved Delta of each repair LP (one lookup per repair,
+  /// keyed by the network, layer, spec and every option above and in
+  /// Lp). Only effective when the job carries a cache (RepairEngine
+  /// with EngineOptions::EnableCache); a hit is re-verified on the
+  /// network and is bit-for-bit identical to recomputation, so the
+  /// default on never changes results.
   bool UseCache = true;
   lp::SimplexOptions Lp;
 };
@@ -119,8 +112,8 @@ struct RepairStats {
   /// The three phases partition TotalSeconds and match the trace's
   /// spans: JacobianSeconds is the per-point forward-state pass (the
   /// Jacobian span), LpSeconds the whole Lp phase - lazy Jacobian rows,
-  /// appends, basis-cache work, solves and constraint-generation scans
-  /// (the Lp span) - and OtherSeconds the remainder.
+  /// appends, the LP-solution lookup, solves and constraint-generation
+  /// scans (the Lp span) - and OtherSeconds the remainder.
   double JacobianSeconds = 0.0;
   double LpSeconds = 0.0;
   double OtherSeconds = 0.0;
@@ -163,11 +156,11 @@ struct RepairStats {
   /// Activation-pattern batch lookups (one per polytope spec).
   int PatternCacheHits = 0;
   int PatternCacheMisses = 0;
-  /// Simplex warm-start basis lookups (one per LP solve attempted
-  /// against the cache; see RepairOptions::UseCache). A hit
-  /// means the LP actually replayed a cached basis; a cached basis
-  /// that failed solver validation counts as a miss, and so does a
-  /// round that re-optimized from the previous round's basis.
+  /// LP-solution lookups (ArtifactKind::LpSolution; one per repair
+  /// against the cache, see RepairOptions::UseCache). A hit means the
+  /// repair skipped the LP and re-verified the cached Delta; a cached
+  /// Delta that failed that check counts as a miss. The names predate
+  /// the kind: perfbench's probe (perfbench/src/Probe.cpp) reads them.
   int BasisHits = 0;
   int BasisMisses = 0;
   // Of the cache hits above, how many were served by the persistent L2

@@ -26,7 +26,7 @@
 /// the repaired layer's output, rather than as A_k (dy/dz dz/dtheta).
 /// A row's coefficient bits depend on that row alone: not on which rows
 /// are asked with it, their order, the chunk it lands in or the thread
-/// count - the basis cache keys on them.
+/// count - so a repair's LP, and its Delta, are too.
 /// scan() equals DecoupledNetwork::evaluate (evaluateWithPattern for a
 /// pinned point) on the repaired network. All three are deterministic
 /// for any thread count. The state lives as long as the object - one

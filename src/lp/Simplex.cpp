@@ -204,7 +204,6 @@ private:
   int Stall = 0;
   double PrevObj = 0.0;
   bool HavePrevObj = false;
-  bool WarmStartedV = false; // warm basis accepted for this solve
   /// Problem rows taken in so far (kept or dropped by presolve).
   int RowsSeen = 0;
   /// The last solve ended Optimal: its basis is dual-feasible for the
@@ -236,8 +235,6 @@ private:
   bool appendRows(LpSolution &Out);
   void sizeScratch();
   void initialBasis();
-  void setSlackBasis();
-  bool tryWarmStart(const SimplexBasis &Warm);
   bool refactor();
   void recomputeBasicValues();
   double infeasibility() const;
@@ -596,16 +593,9 @@ void SimplexSolver::Worker::initialBasis() {
   X.assign(static_cast<size_t>(NT), 0.0);
   CoreSlot.assign(static_cast<size_t>(M), -1);
   sizeScratch();
-  setSlackBasis();
-}
-
-void SimplexSolver::Worker::setSlackBasis() {
   // The cold starting point: every structural nonbasic at its
   // "cheaper" bound (or free at zero) and the always-nonsingular slack
-  // basis, whose core is empty. Also the bit-exact fallback target when
-  // a warm basis is rejected: it rebuilds Stat/X/Basis and the core
-  // wholesale, so a failed warm attempt leaves no trace in any computed
-  // value.
+  // basis, whose core is empty.
   for (int J = 0; J < NS; ++J) {
     bool LoFinite = std::isfinite(Lo[J]);
     bool HiFinite = std::isfinite(Hi[J]);
@@ -631,92 +621,6 @@ void SimplexSolver::Worker::setSlackBasis() {
   PivotsSinceRefactor = 0;
   Fresh = true;
   recomputeBasicValues();
-}
-
-bool SimplexSolver::Worker::tryWarmStart(const SimplexBasis &Warm) {
-  // Validation pass - no Worker state is touched until the snapshot is
-  // known to be structurally coherent for *this* LP: exact dimensions,
-  // status bytes in range, exactly M basic variables listed once each
-  // in Basic[] and marked basic, and bound states only where the bound
-  // exists. (The basis-cache key is tolerant of RHS-only drift, so a
-  // coherent basis may still be primal-infeasible here; phase 1 repairs
-  // that from the warm point, which is the cheap crash we want.)
-  if (Warm.NumRows != M || Warm.NumVars != NT)
-    return false;
-  if (static_cast<int>(Warm.Basic.size()) != M ||
-      static_cast<int>(Warm.NonbasicState.size()) != NT)
-    return false;
-  int BasicCount = 0;
-  for (int J = 0; J < NT; ++J) {
-    std::uint8_t S = Warm.NonbasicState[J];
-    if (S > static_cast<std::uint8_t>(VarStatus::FreeNb))
-      return false;
-    if (S == static_cast<std::uint8_t>(VarStatus::Basic))
-      ++BasicCount;
-    if (S == static_cast<std::uint8_t>(VarStatus::AtLower) &&
-        !std::isfinite(Lo[J]))
-      return false;
-    if (S == static_cast<std::uint8_t>(VarStatus::AtUpper) &&
-        !std::isfinite(Hi[J]))
-      return false;
-  }
-  if (BasicCount != M)
-    return false;
-  std::vector<char> InBasis(static_cast<size_t>(NT), 0);
-  for (int R = 0; R < M; ++R) {
-    int J = Warm.Basic[R];
-    if (J < 0 || J >= NT || InBasis[static_cast<size_t>(J)] ||
-        Warm.NonbasicState[static_cast<size_t>(J)] !=
-            static_cast<std::uint8_t>(VarStatus::Basic))
-      return false;
-    InBasis[static_cast<size_t>(J)] = 1;
-  }
-
-  // Apply, then refactorize once from scratch. A structurally coherent
-  // basis can still be numerically singular (e.g. duplicated structural
-  // columns); refactor() detects that and we fall back to the slack
-  // basis, which rebuilds every mutated buffer - the cold path then
-  // proceeds bit-identically to a solve that never saw the warm basis.
-  for (int J = 0; J < NT; ++J) {
-    switch (static_cast<VarStatus>(Warm.NonbasicState[J])) {
-    case VarStatus::Basic:
-      Stat[J] = VarStatus::Basic; // X filled by recomputeBasicValues
-      break;
-    case VarStatus::AtLower:
-      Stat[J] = VarStatus::AtLower;
-      X[J] = Lo[J];
-      break;
-    case VarStatus::AtUpper:
-      Stat[J] = VarStatus::AtUpper;
-      X[J] = Hi[J];
-      break;
-    case VarStatus::FreeNb:
-      Stat[J] = VarStatus::FreeNb;
-      X[J] = 0.0;
-      break;
-    }
-  }
-  // Positions: each basic slack in its own row, the structurals in the
-  // remaining rows in their listed order. A basis this solver exported
-  // already has that shape and maps to itself.
-  std::fill(Basis.begin(), Basis.end(), -1);
-  for (int J : Warm.Basic)
-    if (J >= NS)
-      Basis[J - NS] = J;
-  int Free = 0;
-  for (int J : Warm.Basic) {
-    if (J >= NS)
-      continue;
-    while (Basis[Free] >= 0)
-      ++Free;
-    Basis[Free] = J;
-  }
-  if (!refactor()) {
-    setSlackBasis();
-    return false;
-  }
-  recomputeBasicValues();
-  return true;
 }
 
 bool SimplexSolver::Worker::refactor() {
@@ -1443,24 +1347,10 @@ LpSolution SimplexSolver::Worker::finish(SolveStatus Status) {
   Out.Iterations = Iterations;
   Out.Phase1Iterations = Phase1Iterations;
   Stats.Iterations = Iterations;
-  Out.WarmStarted = WarmStartedV;
   HaveOptimum = Status == SolveStatus::Optimal;
   if (Status != SolveStatus::Optimal) {
     Out.Stats = Stats;
     return Out;
-  }
-
-  if (Opt.ExportBasis) {
-    auto B = std::make_shared<SimplexBasis>();
-    B->NumRows = M;
-    B->NumVars = NT;
-    B->Basic = Basis;
-    B->NonbasicState.resize(static_cast<size_t>(NT));
-    for (int J = 0; J < NT; ++J)
-      B->NonbasicState[static_cast<size_t>(J)] =
-          static_cast<std::uint8_t>(Stat[static_cast<size_t>(J)]);
-    B->Pivots = Stats.Pivots;
-    Out.OptimalBasis = std::move(B);
   }
 
   Out.X.assign(X.begin(), X.begin() + NS);
@@ -1482,7 +1372,6 @@ LpSolution SimplexSolver::Worker::solve() {
   Stats = SimplexStats();
   Iterations = 0;
   Phase1Iterations = 0;
-  WarmStartedV = false;
   if (!HaveOptimum)
     return coldSolve();
   HaveOptimum = false; // until this solve ends Optimal again
@@ -1511,11 +1400,6 @@ LpSolution SimplexSolver::Worker::solve() {
 }
 
 LpSolution SimplexSolver::Worker::coldSolve() {
-  // The warm basis serves the first solve only; the pointee need not
-  // outlive it.
-  const SimplexBasis *WarmBasis = Opt.WarmBasis;
-  Opt.WarmBasis = nullptr;
-
   LpSolution Early;
   if (!buildProblem(Early))
     return Early;
@@ -1558,13 +1442,6 @@ LpSolution SimplexSolver::Worker::coldSolve() {
   }
 
   initialBasis();
-
-  // Warm start (advisory): crash onto the cached basis if it validates
-  // and refactorizes; otherwise the slack basis from initialBasis() is
-  // already in place (tryWarmStart restores it on a post-apply
-  // failure), so the cold path below is untouched bit-for-bit.
-  if (WarmBasis)
-    WarmStartedV = tryWarmStart(*WarmBasis);
   return primalPhases();
 }
 

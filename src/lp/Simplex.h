@@ -54,29 +54,6 @@ enum class SolveStatus {
 
 const char *toString(SolveStatus Status);
 
-/// A snapshot of the solver's terminal basis, exported from an Optimal
-/// solve (SimplexOptions::ExportBasis) and re-injectable into a later
-/// solve of a structurally identical LP (SimplexOptions::WarmBasis).
-/// Dimensions are in the solver's internal shape: NumRows kept rows M
-/// (rows with at least one nonzero coefficient) and NumVars total
-/// variables NT = structurals + M slacks. Basic[r] is the variable
-/// basic in kept row r; NonbasicState[j] is the VarStatus byte of
-/// variable j (0 basic, 1 at lower, 2 at upper, 3 free-nonbasic).
-/// Pivots records how many pivots the exporting solve spent - metadata
-/// for cache diagnostics, never consulted by the solver.
-///
-/// A warm basis is advisory: the solver validates it structurally,
-/// refactorizes it once, and falls back bit-exactly to the cold slack
-/// basis if it is malformed, singular, or dimensioned for a different
-/// LP. See src/lp/README.md ("warm starts and determinism").
-struct SimplexBasis {
-  int NumRows = 0;
-  int NumVars = 0;
-  std::vector<int> Basic;
-  std::vector<std::uint8_t> NonbasicState;
-  int Pivots = 0;
-};
-
 struct SimplexOptions {
   /// Primal feasibility tolerance (applied to row-scaled data).
   double FeasTol = 1e-7;
@@ -98,23 +75,6 @@ struct SimplexOptions {
   /// it becomes true the solve returns SolveStatus::Cancelled. The
   /// pointee must outlive the solve; null disables polling.
   const std::atomic<bool> *CancelFlag = nullptr;
-  /// Optional warm-start basis (advisory; see SimplexBasis). When
-  /// non-null and structurally valid for this LP, the solve starts from
-  /// it after one fresh refactorization instead of the slack basis; on
-  /// any validation or factorization failure the solver silently runs
-  /// the cold path, bit-for-bit. The pointee must outlive the solve.
-  /// Replaying the terminal basis of the *identical* LP re-derives the
-  /// cold solution bit-for-bit at zero pivots; warm-starting a merely
-  /// similar LP (e.g. drifted bounds) yields an optimal solution that
-  /// may differ from that LP's cold solve in low-order bits when the
-  /// optimum is not unique at tolerance - callers needing strict
-  /// bit-identity must gate on exact LP equality, as the repair
-  /// engine's basis cache does (core/PointRepair.cpp).
-  const SimplexBasis *WarmBasis = nullptr;
-  /// Export the terminal basis of an Optimal solve into
-  /// LpSolution::OptimalBasis (off by default: the snapshot copies
-  /// O(M + NT) ints, which the common non-cached solve never needs).
-  bool ExportBasis = false;
 };
 
 /// Per-solve counters and kernel timings, returned in LpSolution::Stats
@@ -173,13 +133,6 @@ struct LpSolution {
   /// Pivot counts, refactorizations, pivot-sequence hash, and
   /// per-kernel seconds for this solve (stamped on every status).
   SimplexStats Stats;
-  /// The terminal basis (Optimal solves with ExportBasis only).
-  std::shared_ptr<const SimplexBasis> OptimalBasis;
-  /// Whether this solve actually started from SimplexOptions::WarmBasis
-  /// (i.e. the warm basis passed validation and refactorized); false
-  /// when no warm basis was supplied or the cold fallback ran, and for
-  /// a SimplexSolver solve that continued from the previous one.
-  bool WarmStarted = false;
 };
 
 /// A simplex solver kept alive across the solves of one LP that only
@@ -197,7 +150,6 @@ struct LpSolution {
 /// The solver keeps a reference to \p Problem, which must outlive it.
 /// Between solves the caller may only append rows (LinearProgram::
 /// addRow); variables, costs and existing rows must stay as they were.
-/// Options.WarmBasis is consulted by the first solve only.
 class SimplexSolver {
 public:
   explicit SimplexSolver(const LinearProgram &Problem,

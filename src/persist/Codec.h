@@ -61,11 +61,11 @@ enum class CodecError : std::uint8_t {
 const char *toString(CodecError Error);
 
 /// Current frame format version. Bump on any layout change, and on any
-/// change to the kernel arithmetic (linalg/Kernels.h) - stored bases
+/// change to the kernel arithmetic (linalg/Kernels.h) - stored LP solutions
 /// and repaired networks carry its bits. Readers reject other versions
 /// with BadVersion (no silent migrations), so old store entries and old
 /// peers degrade to recomputes.
-inline constexpr std::uint32_t kFormatVersion = 7;
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Fixed frame prologue: magic + version + endian tag + kind + payload
 /// size. A stream consumer (rpc/Wire.h) reads exactly this many bytes,

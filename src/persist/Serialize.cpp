@@ -156,58 +156,23 @@ std::shared_ptr<const CacheArtifact> readPatternBatch(ByteReader &R) {
   return A;
 }
 
-void writeSimplexBasis(ByteWriter &W, const SimplexBasisArtifact &A) {
-  W.i32(A.NumRows);
-  W.i32(A.NumVars);
-  W.i32(A.Pivots);
-  W.u64(A.RhsDigest.Hi);
-  W.u64(A.RhsDigest.Lo);
-  W.u64(A.Basic.size());
-  for (int V : A.Basic)
-    W.i32(V);
-  W.u64(A.NonbasicState.size());
-  W.bytes(A.NonbasicState.data(), A.NonbasicState.size());
+void writeLpSolution(ByteWriter &W, const LpSolutionArtifact &A) {
+  W.i32(A.LpRowsUsed);
+  W.i32(A.CgRounds);
+  writeDoubleSeq(W, A.Delta);
 }
 
-std::shared_ptr<const CacheArtifact> readSimplexBasis(ByteReader &R) {
-  auto A = std::make_shared<SimplexBasisArtifact>();
-  if (!R.i32(A->NumRows) || !R.i32(A->NumVars) || !R.i32(A->Pivots))
+std::shared_ptr<const CacheArtifact> readLpSolution(ByteReader &R) {
+  auto A = std::make_shared<LpSolutionArtifact>();
+  if (!R.i32(A->LpRowsUsed) || !R.i32(A->CgRounds) ||
+      !readDoubleSeq(R, A->Delta))
     return nullptr;
-  if (!R.u64(A->RhsDigest.Hi) || !R.u64(A->RhsDigest.Lo))
-    return nullptr;
-  std::uint64_t Rows = 0;
-  if (!R.u64(Rows) || !plausibleCount(R, Rows, 4))
-    return nullptr;
-  A->Basic.resize(static_cast<std::size_t>(Rows));
-  for (int &V : A->Basic)
-    if (!R.i32(V))
-      return nullptr;
-  std::uint64_t Vars = 0;
-  if (!R.u64(Vars) || !plausibleCount(R, Vars, 1))
-    return nullptr;
-  A->NonbasicState.resize(static_cast<std::size_t>(Vars));
-  if (!R.bytes(A->NonbasicState.data(), A->NonbasicState.size()))
-    return nullptr;
-  // Structural coherence: the counts must match the recorded shape and
-  // each basic index must be a valid, basic-marked variable. The solver
-  // re-validates on injection (tryWarmStart), but a corrupted store
-  // entry should be rejected - and deleted - at the codec boundary.
-  if (A->NumRows < 0 || A->NumVars < 0 ||
-      A->Basic.size() != static_cast<std::size_t>(A->NumRows) ||
-      A->NonbasicState.size() != static_cast<std::size_t>(A->NumVars)) {
+  // The consumer re-verifies Delta against the spec before use; the
+  // codec rejects what no solve could have produced.
+  if (A->LpRowsUsed < 0 || A->CgRounds < 0 || A->Delta.empty()) {
     R.fail(CodecError::Corrupt);
     return nullptr;
   }
-  for (int V : A->Basic)
-    if (V < 0 || V >= A->NumVars) {
-      R.fail(CodecError::Corrupt);
-      return nullptr;
-    }
-  for (std::uint8_t S : A->NonbasicState)
-    if (S > 3) {
-      R.fail(CodecError::Corrupt);
-      return nullptr;
-    }
   return A;
 }
 
@@ -288,8 +253,8 @@ void prdnn::persist::serializeArtifact(const CacheArtifact &Artifact,
   case ArtifactKind::PatternBatch:
     writePatternBatch(W, static_cast<const PatternBatchArtifact &>(Artifact));
     return;
-  case ArtifactKind::SimplexBasis:
-    writeSimplexBasis(W, static_cast<const SimplexBasisArtifact &>(Artifact));
+  case ArtifactKind::LpSolution:
+    writeLpSolution(W, static_cast<const LpSolutionArtifact &>(Artifact));
     return;
   }
   PRDNN_UNREACHABLE("bad ArtifactKind");
@@ -305,8 +270,8 @@ prdnn::persist::deserializeArtifact(ArtifactKind Kind, ByteReader &R) {
   case ArtifactKind::PatternBatch:
     Artifact = readPatternBatch(R);
     break;
-  case ArtifactKind::SimplexBasis:
-    Artifact = readSimplexBasis(R);
+  case ArtifactKind::LpSolution:
+    Artifact = readLpSolution(R);
     break;
   }
   if (!Artifact)

@@ -191,8 +191,8 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
       W.u8(Bit ? 1 : 0);
   }
   W.u8(O.UseCache ? 1 : 0);
-  // SimplexOptions, minus its two non-owning pointers (CancelFlag,
-  // WarmBasis): those are process-local wiring the server re-installs.
+  // SimplexOptions, minus its non-owning CancelFlag pointer: that is
+  // process-local wiring the server re-installs.
   W.f64(O.Lp.FeasTol);
   W.f64(O.Lp.OptTol);
   W.f64(O.Lp.PivotTol);
@@ -200,7 +200,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.u8(O.Lp.ScaleRows ? 1 : 0);
   W.i32(O.Lp.StallLimit);
   W.i32(O.Lp.RefactorInterval);
-  W.u8(O.Lp.ExportBasis ? 1 : 0);
 }
 
 bool readRepairOptions(ByteReader &R, RepairOptions &O) {
@@ -242,11 +241,7 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
   O.Lp.ScaleRows = Flag != 0;
   if (!R.i32(O.Lp.StallLimit) || !R.i32(O.Lp.RefactorInterval))
     return false;
-  if (!readEnum8(R, Flag, 1))
-    return false;
-  O.Lp.ExportBasis = Flag != 0;
   O.Lp.CancelFlag = nullptr;
-  O.Lp.WarmBasis = nullptr;
   // The request crossed a trust boundary: values the pipeline never
   // produces itself fail the decode rather than reach a job.
   if (!prdnn::validRepairOptions(O)) {

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -317,8 +318,8 @@ TEST(EngineCache, SingleFlightAcrossEightConcurrentJobs) {
   RepairEngine Engine(Options);
   ASSERT_TRUE(Engine.hasCache());
 
-  // Eight identical jobs racing on the same simplex-basis keys: each
-  // basis is solved exactly once (single-flight), every job matches the
+  // Eight identical jobs racing on the same LP-solution key: the LP is
+  // solved exactly once (single-flight), every job matches the
   // (cache-free) serial wrapper bit-for-bit.
   std::vector<JobHandle> Handles;
   for (int J = 0; J < 8; ++J)
@@ -326,24 +327,17 @@ TEST(EngineCache, SingleFlightAcrossEightConcurrentJobs) {
   for (JobHandle &Handle : Handles)
     expectBitIdentical(Handle.report().Result, Serial);
 
-  // Identical jobs perform identical lookup sequences: one
-  // simplex-basis lookup per LP solve (all jobs solve the same LPs, so
-  // LpSolves is the same for every report). Each distinct key is
-  // computed exactly once (single-flight) and hits for the other seven
-  // jobs.
-  const RepairStats &FirstStats = Handles[0].report().Result.Stats;
-  int LpSolves = FirstStats.BasisHits + FirstStats.BasisMisses;
-  EXPECT_GT(LpSolves, 0);
-  int KeysPerJob = LpSolves;
+  // Each job makes one lookup, of its LP solution. The key is computed
+  // exactly once (single-flight) and hits for the other seven jobs.
   CacheStats Stats = Engine.cacheStats();
-  EXPECT_EQ(Stats.Misses, static_cast<std::uint64_t>(KeysPerJob));
-  EXPECT_EQ(Stats.Hits, static_cast<std::uint64_t>(7 * KeysPerJob));
+  EXPECT_EQ(Stats.Misses, 1u);
+  EXPECT_EQ(Stats.Hits, 7u);
   EXPECT_GT(Stats.BytesHeld, 0u);
 
   std::int64_t TotalHits = 0;
   for (JobHandle &Handle : Handles) {
     const RepairReport &Report = Handle.report();
-    EXPECT_EQ(Report.CacheHits + Report.CacheMisses, KeysPerJob);
+    EXPECT_EQ(Report.CacheHits + Report.CacheMisses, 1);
     TotalHits += Report.CacheHits;
     // The per-phase breakdown lands in the attempt stats; Jacobian
     // rows are built lazily and never cached.
@@ -351,9 +345,9 @@ TEST(EngineCache, SingleFlightAcrossEightConcurrentJobs) {
                   Report.Result.Stats.JacobianCacheMisses,
               0);
     EXPECT_EQ(Report.Result.Stats.BasisHits + Report.Result.Stats.BasisMisses,
-              LpSolves);
+              1);
   }
-  EXPECT_EQ(TotalHits, 7 * KeysPerJob);
+  EXPECT_EQ(TotalHits, 7);
 }
 
 TEST(EngineCache, ColdWarmOffBitIdentityPointsAnyThreadCount) {
@@ -401,7 +395,7 @@ TEST(EngineCache, ColdWarmOffBitIdentityPointsAnyThreadCount) {
   expectBitIdentical(OptOutReport.Result, OffReport.Result);
 }
 
-TEST(EngineCache, WarmResubmissionReplaysSimplexBases) {
+TEST(EngineCache, WarmResubmissionTakesTheCachedDelta) {
   Rng R(4409);
   auto Net = std::make_shared<Network>(makeClassifier(R));
   PointSpec Spec = makeFlipSpec(*Net, R, 20);
@@ -411,24 +405,26 @@ TEST(EngineCache, WarmResubmissionReplaysSimplexBases) {
   RepairReport Cold = Engine.run(Request);
   ASSERT_EQ(Cold.Status, RepairStatus::Success);
   EXPECT_EQ(Cold.Result.Stats.BasisHits, 0);
-  EXPECT_GT(Cold.Result.Stats.BasisMisses, 0); // every LP solved cold
+  EXPECT_EQ(Cold.Result.Stats.BasisMisses, 1); // the LP solved cold
   EXPECT_GT(Cold.Result.Stats.LpIterations, 0);
   ASSERT_EQ(Cold.Sweep.size(), 1u);
   EXPECT_FALSE(Cold.Sweep[0].WarmStarted);
 
-  // Resubmission: every LP of the replayed repair finds its terminal
-  // basis in the cache (the digests match exactly), re-derives each
-  // optimum from the factorization without a single pivot, and the
-  // result stays bit-identical.
+  // Resubmission: the repair finds its Delta in the cache, skips the
+  // LP (not a single pivot), re-verifies it with one scan, and the
+  // result stays bit-identical - round and row counts included.
   RepairReport Warm = Engine.run(Request);
   expectBitIdentical(Warm.Result, Cold.Result);
   EXPECT_EQ(Warm.Result.Stats.BasisMisses, 0);
-  EXPECT_EQ(Warm.Result.Stats.BasisHits, Cold.Result.Stats.BasisMisses);
+  EXPECT_EQ(Warm.Result.Stats.BasisHits, 1);
   EXPECT_EQ(Warm.Result.Stats.LpIterations, 0);
+  EXPECT_EQ(Warm.Result.Stats.CgRounds, Cold.Result.Stats.CgRounds);
+  EXPECT_EQ(Warm.Result.Stats.VerifiedViolation,
+            Cold.Result.Stats.VerifiedViolation);
   ASSERT_EQ(Warm.Sweep.size(), 1u);
   EXPECT_TRUE(Warm.Sweep[0].WarmStarted);
 
-  // Per-request opt-out: no artifact is looked up, so every LP solves
+  // Per-request opt-out: no artifact is looked up, so the LP solves
   // cold - bit-identically, as always.
   RepairRequest NoWarm = Request;
   NoWarm.Options.UseCache = false;
@@ -437,6 +433,82 @@ TEST(EngineCache, WarmResubmissionReplaysSimplexBases) {
   EXPECT_GT(Off.Result.Stats.LpIterations, 0);
   EXPECT_FALSE(Off.Sweep[0].WarmStarted);
   expectBitIdentical(Off.Result, Cold.Result);
+}
+
+TEST(EngineCache, WarmRunHonoursLpIterationLimit) {
+  // The LP-solution key holds every Lp option: a request that only
+  // lowers MaxIterations must not be served the default run's Delta,
+  // and reports what it reports with the cache off.
+  Rng R(4410);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 20);
+  RepairRequest Request = RepairRequest::points(Net, 4, Spec);
+  RepairRequest Limited = Request;
+  Limited.Options.Lp.MaxIterations = 1;
+
+  EngineOptions Off;
+  Off.EnableCache = false;
+  RepairReport OffReport = RepairEngine(Off).run(Limited);
+  ASSERT_EQ(OffReport.Status, RepairStatus::SolverFailure);
+
+  RepairEngine Engine;
+  ASSERT_EQ(Engine.run(Request).Status, RepairStatus::Success);
+  ASSERT_GT(Engine.run(Request).Result.Stats.BasisHits, 0);
+  RepairReport Warm = Engine.run(Limited);
+  EXPECT_EQ(Warm.Status, RepairStatus::SolverFailure);
+  EXPECT_EQ(Warm.Result.Stats.BasisHits, 0);
+}
+
+TEST(EngineCache, EachKeyInputMissesAndMatchesCacheOff) {
+  // Every option that shapes the LP or its constraint generation is in
+  // the LP-solution key: flipping any one of them after a warm default
+  // run misses the cache, and the flipped run is bit-equal to its own
+  // cache-off run.
+  Rng R(4411);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 20);
+  const int Layer = 4;
+  RepairRequest Base = RepairRequest::points(Net, Layer, Spec);
+
+  int NumParams = cast<LinearLayer>(Net->layer(Layer)).numParams();
+  std::vector<bool> Mask(static_cast<size_t>(NumParams), true);
+  Mask[0] = false;
+
+  using Flip = std::function<void(RepairOptions &)>;
+  const std::vector<std::pair<const char *, Flip>> Flips = {
+      {"Objective", [](RepairOptions &O) { O.Objective = lp::Norm::LInf; }},
+      {"DeltaBound", [](RepairOptions &O) { O.DeltaBound = 100.0; }},
+      {"RowMargin", [](RepairOptions &O) { O.RowMargin = 2e-6; }},
+      {"MaxCgRounds", [](RepairOptions &O) { O.MaxCgRounds = 63; }},
+      {"CgBatch", [](RepairOptions &O) { O.CgBatch = 511; }},
+      {"ParamMask", [&](RepairOptions &O) { O.ParamMask = Mask; }},
+      {"Lp.FeasTol", [](RepairOptions &O) { O.Lp.FeasTol = 2e-7; }},
+      {"Lp.OptTol", [](RepairOptions &O) { O.Lp.OptTol = 2e-7; }},
+      {"Lp.PivotTol", [](RepairOptions &O) { O.Lp.PivotTol = 2e-9; }},
+      {"Lp.MaxIterations",
+       [](RepairOptions &O) { O.Lp.MaxIterations = 100000; }},
+      {"Lp.ScaleRows", [](RepairOptions &O) { O.Lp.ScaleRows = false; }},
+      {"Lp.StallLimit", [](RepairOptions &O) { O.Lp.StallLimit = 301; }},
+      {"Lp.RefactorInterval",
+       [](RepairOptions &O) { O.Lp.RefactorInterval = 1999; }},
+  };
+
+  EngineOptions Off;
+  Off.EnableCache = false;
+  RepairEngine NoCache(Off);
+  RepairEngine Engine;
+  ASSERT_EQ(Engine.run(Base).Status, RepairStatus::Success);
+  ASSERT_EQ(Engine.run(Base).Result.Stats.BasisHits, 1);
+  for (const auto &[Name, Apply] : Flips) {
+    SCOPED_TRACE(Name);
+    RepairRequest Flipped = Base;
+    Apply(Flipped.Options);
+    ASSERT_TRUE(validRepairOptions(Flipped.Options));
+    RepairReport Warm = Engine.run(Flipped);
+    EXPECT_EQ(Warm.Result.Stats.BasisHits, 0);
+    EXPECT_EQ(Warm.Result.Stats.BasisMisses, 1);
+    expectBitIdentical(Warm.Result, NoCache.run(Flipped).Result);
+  }
 }
 
 TEST(EngineCache, ColdWarmBitIdentityPolytopes) {
@@ -465,8 +537,8 @@ TEST(EngineCache, ColdWarmBitIdentityPolytopes) {
   EXPECT_EQ(Warm.Result.Stats.LinearRegions, Serial.Stats.LinearRegions);
 
   // A spec with the same shapes but different output constraints
-  // shares the transform artifact (shape-keyed); its LP rounds replay a
-  // cached basis only where the LP is identical.
+  // shares the transform artifact (shape-keyed) but not the LP
+  // solution, whose key holds every spec point's constraint.
   PolytopeSpec Tighter;
   Tighter.push_back(SpecPolytope{SegmentPolytope{Vector{0.5}, Vector{1.5}},
                                  boxConstraint(Vector{-0.8}, Vector{-0.5})});
@@ -474,8 +546,8 @@ TEST(EngineCache, ColdWarmBitIdentityPolytopes) {
       RepairRequest::borrow(Net), 0, Tighter, Options));
   EXPECT_EQ(Shared.Result.Stats.LinRegionsCacheHits, 1);
   EXPECT_EQ(Shared.Result.Stats.PatternCacheHits, 1);
-  EXPECT_GT(Shared.Result.Stats.BasisHits + Shared.Result.Stats.BasisMisses,
-            0);
+  EXPECT_EQ(Shared.Result.Stats.BasisHits, 0);
+  EXPECT_EQ(Shared.Result.Stats.BasisMisses, 1);
   expectBitIdentical(Shared.Result, repairPolytopes(Net, 0, Tighter, Options));
 }
 

@@ -634,9 +634,9 @@ TEST(RepairEngine, SweepAttemptsCarryPhaseTimingsOnAllExitPaths) {
   for (const SweepAttempt &Attempt : Success.Sweep) {
     EXPECT_GT(Attempt.JacobianSeconds, 0.0);
     EXPECT_GT(Attempt.LpSeconds, 0.0);
-    // A simplex-basis lookup per LP solve (Jacobian rows are never
+    // One LP-solution lookup per attempt (Jacobian rows are never
     // cached).
-    EXPECT_GE(Attempt.CacheHits + Attempt.CacheMisses, 1);
+    EXPECT_EQ(Attempt.CacheHits + Attempt.CacheMisses, 1);
   }
 }
 
@@ -860,8 +860,8 @@ TEST(RepairEngine, CgRoundBudgetFallbackReturnsFullLpOptimum) {
 TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
   // A many-round repair (tiny CG batch): same status and objective as
   // the full LP, and bit-identical across thread counts and with the
-  // cache and store on or off - a replayed round must hand the next
-  // round exactly the state the warm solve would have.
+  // cache and store on or off - a Delta served from cache must be the
+  // one the rounds would have solved.
   Rng R(91042);
   auto Net = std::make_shared<Network>(makeClassifier(R));
   PointSpec Spec = makeFlipSpec(*Net, R, 24);
@@ -890,15 +890,18 @@ TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
   }
   setGlobalThreadCount(SavedThreads);
 
-  // Cache on: the cold run publishes every round's basis, the warm run
-  // replays all of them (no pivots) and must still agree bit for bit.
+  // Cache on: the cold run publishes the repair's Delta once, the warm
+  // run takes it in one lookup (no pivots) and must still agree bit for
+  // bit, round count included.
   RepairEngine Cached;
   RepairReport Cold = Cached.run(Request);
   RepairReport Warm = Cached.run(Request);
   expectBitIdentical(Cold.Result, Baseline.Result);
   expectBitIdentical(Warm.Result, Baseline.Result);
   EXPECT_EQ(Cold.Result.Stats.BasisHits, 0);
-  EXPECT_EQ(Warm.Result.Stats.BasisHits, Baseline.Result.Stats.CgRounds);
+  EXPECT_EQ(Cold.Result.Stats.BasisMisses, 1);
+  EXPECT_EQ(Warm.Result.Stats.BasisHits, 1);
+  EXPECT_EQ(Warm.Result.Stats.CgRounds, Baseline.Result.Stats.CgRounds);
   EXPECT_EQ(Warm.Result.Stats.LpIterations, 0);
 
   // Store on: a fresh engine over the flushed store replays from disk.
@@ -919,8 +922,7 @@ TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
     RepairEngine Restarted(WithStore);
     RepairReport FromStore = Restarted.run(Request);
     expectBitIdentical(FromStore.Result, Baseline.Result);
-    EXPECT_EQ(FromStore.Result.Stats.BasisStoreHits,
-              Baseline.Result.Stats.CgRounds);
+    EXPECT_EQ(FromStore.Result.Stats.BasisStoreHits, 1);
   }
   std::error_code Ec;
   fs::remove_all(Dir, Ec);

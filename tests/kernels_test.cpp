@@ -300,15 +300,15 @@ Digest128 goldenDigest() {
 
 TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
   // The checked-in bits of the kernel arithmetic and of two point
-  // repairs. Changing these constants means every stored basis and
-  // repaired network changes bits too: it requires a
+  // repairs. Changing these constants means every stored LP solution
+  // and repaired network changes bits too: it requires a
   // persist::kFormatVersion bump (persist/Codec.h), so that old stores
   // and old peers degrade to recomputes instead of serving stale bits.
   // The version also moves for wire and store layout changes, which
   // leave the constant alone. Version 7 moved it: LP rows became seeded
   // vector-Jacobian products, which round differently, and the sevenths
   // repair shows that where the 1/16 repair's exact sums cannot.
-  static_assert(persist::kFormatVersion == 7,
+  static_assert(persist::kFormatVersion == 8,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
   const Digest128 Golden = {0x913a877d58b47946ull, 0x7b2deda303c00947ull};

@@ -708,176 +708,6 @@ TEST_F(LpKernelIdentityTest, CrossoverBoundaryBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- Warm-start bases --------------------------------------------------------
-//
-// SimplexOptions::WarmBasis / ExportBasis: a solve can export its
-// terminal basis and a later solve can start from it. The contract is
-// that warm solves are bit-identical to cold ones in every *solution*
-// bit (status, X, objective, duals) - pivot counts may (and should)
-// drop - and that any rejected basis falls back to the cold path
-// bit-exactly, pivot sequence included.
-
-/// Solution-payload bit equality: what warm starts promise. Iteration
-/// and pivot counters are intentionally not compared (a warm solve
-/// pivots less by design).
-void expectSameSolutionBits(const LpSolution &A, const LpSolution &B,
-                            const std::string &What) {
-  EXPECT_EQ(A.Status, B.Status) << What;
-  expectSameBits(A.X, B.X, What + ": X");
-  expectSameBits(A.RowDuals, B.RowDuals, What + ": RowDuals");
-  double AObj = A.Objective, BObj = B.Objective;
-  EXPECT_EQ(0, std::memcmp(&AObj, &BObj, sizeof(double)))
-      << What << ": Objective";
-}
-
-TEST(LpWarmStart, ExactReplayIsBitIdenticalWithZeroPivots) {
-  LinearProgram P = makeDenseFeasibleLp(48, 96, 2001);
-  SimplexOptions Cold;
-  Cold.ExportBasis = true;
-  LpSolution ColdSol = solveLp(P, Cold);
-  ASSERT_EQ(ColdSol.Status, SolveStatus::Optimal);
-  ASSERT_NE(ColdSol.OptimalBasis, nullptr);
-  EXPECT_FALSE(ColdSol.WarmStarted);
-  EXPECT_GT(ColdSol.Stats.Pivots, 0);
-
-  SimplexOptions Warm;
-  Warm.WarmBasis = ColdSol.OptimalBasis.get();
-  LpSolution WarmSol = solveLp(P, Warm);
-  EXPECT_TRUE(WarmSol.WarmStarted);
-  // Replaying the terminal basis of the very same LP re-derives the
-  // optimum from the factorization alone: no pivots in either phase.
-  EXPECT_EQ(WarmSol.Stats.Pivots, 0);
-  expectSameSolutionBits(ColdSol, WarmSol, "exact replay");
-}
-
-TEST(LpWarmStart, RhsDriftWarmStartIsOptimalWithFewerPivots) {
-  // Same constraint matrix, drifted row bounds. At the solver level a
-  // drifted warm start is a *performance* device, not a determinism
-  // one: it must reach an optimal solution in fewer pivots, but may
-  // terminate at a different equally-optimal basis than the cold
-  // solve, differing in low-order bits (which is exactly why the
-  // repair engine's basis cache replays only digest-exact matches -
-  // see PointRepair.cpp - and why this test compares objectives to
-  // tolerance rather than bits).
-  const int Vars = 48, NumRows = 96;
-  Rng R(2002);
-  LinearProgram Base, Drifted;
-  std::vector<double> Witness(static_cast<size_t>(Vars));
-  for (int J = 0; J < Vars; ++J) {
-    double Cost = R.normal();
-    Base.addVariable(-10.0, 10.0, Cost);
-    Drifted.addVariable(-10.0, 10.0, Cost);
-    Witness[static_cast<size_t>(J)] = R.uniform(-5.0, 5.0);
-  }
-  for (int I = 0; I < NumRows; ++I) {
-    std::vector<int> Index;
-    std::vector<double> Value;
-    double Activity = 0.0;
-    for (int J = 0; J < Vars; ++J) {
-      double C = R.normal();
-      Index.push_back(J);
-      Value.push_back(C);
-      Activity += C * Witness[static_cast<size_t>(J)];
-    }
-    double Slack = R.uniform(0.5, 2.0);
-    double Shift = R.uniform(-0.05, 0.05);
-    Base.addRow(Index, Value, Activity - Slack, Activity + Slack);
-    Drifted.addRow(std::move(Index), std::move(Value),
-                   Activity - Slack + Shift, Activity + Slack + Shift);
-  }
-
-  SimplexOptions Cold;
-  Cold.ExportBasis = true;
-  LpSolution BaseSol = solveLp(Base, Cold);
-  ASSERT_EQ(BaseSol.Status, SolveStatus::Optimal);
-  ASSERT_NE(BaseSol.OptimalBasis, nullptr);
-
-  LpSolution ColdDrifted = solveLp(Drifted, Cold);
-  ASSERT_EQ(ColdDrifted.Status, SolveStatus::Optimal);
-
-  SimplexOptions Warm;
-  Warm.WarmBasis = BaseSol.OptimalBasis.get();
-  LpSolution WarmDrifted = solveLp(Drifted, Warm);
-  EXPECT_TRUE(WarmDrifted.WarmStarted);
-  ASSERT_EQ(WarmDrifted.Status, SolveStatus::Optimal);
-  EXPECT_LT(WarmDrifted.Stats.Pivots, ColdDrifted.Stats.Pivots);
-  double Scale = 1.0 + std::fabs(ColdDrifted.Objective);
-  EXPECT_NEAR(ColdDrifted.Objective, WarmDrifted.Objective, 1e-7 * Scale);
-  EXPECT_LE(Drifted.maxViolation(WarmDrifted.X), 1e-6);
-}
-
-TEST(LpWarmStart, InvalidBasisFallsBackToColdBitExactly) {
-  LinearProgram P = makeDenseFeasibleLp(32, 64, 2004);
-  SimplexOptions Cold;
-  Cold.ExportBasis = true;
-  LpSolution ColdSol = solveLp(P, Cold);
-  ASSERT_EQ(ColdSol.Status, SolveStatus::Optimal);
-  ASSERT_NE(ColdSol.OptimalBasis, nullptr);
-
-  // Each corruption must be rejected by validation without perturbing
-  // the solve: the fallback is the cold path, so the *entire* solve -
-  // pivot sequence included - matches the cold run bit-for-bit.
-  std::vector<std::pair<std::string, SimplexBasis>> Corrupt;
-  {
-    SimplexBasis B = *ColdSol.OptimalBasis;
-    B.NumRows += 1; // dimension mismatch
-    Corrupt.emplace_back("wrong-rows", std::move(B));
-  }
-  {
-    SimplexBasis B = *ColdSol.OptimalBasis;
-    B.Basic[1] = B.Basic[0]; // duplicate basic variable
-    Corrupt.emplace_back("duplicate-basic", std::move(B));
-  }
-  {
-    SimplexBasis B = *ColdSol.OptimalBasis;
-    B.NonbasicState[0] = 7; // no such VarStatus
-    Corrupt.emplace_back("bad-status-byte", std::move(B));
-  }
-  for (auto &[Name, Basis] : Corrupt) {
-    SimplexOptions Warm;
-    Warm.WarmBasis = &Basis;
-    LpSolution Sol = solveLp(P, Warm);
-    EXPECT_FALSE(Sol.WarmStarted) << Name;
-    expectBitIdentical(ColdSol, Sol, "invalid basis: " + Name);
-  }
-}
-
-TEST(LpWarmStart, SingularBasisFallsBackToColdBitExactly) {
-  // x0 and x1 have identical constraint columns, so a basis holding
-  // both is structurally plausible (passes validation) but singular:
-  // refactorization fails and the solver must restart cold, bit-exact.
-  LinearProgram P;
-  P.addVariable(0.0, 10.0, -1.0); // x0
-  P.addVariable(0.0, 10.0, -1.0); // x1, same columns as x0
-  P.addVariable(0.0, 10.0, -2.0); // x2
-  P.addRow({0, 1, 2}, {1.0, 1.0, 1.0}, 0.0, 5.0);
-  P.addRow({0, 1, 2}, {2.0, 2.0, 1.0}, 0.0, 8.0);
-
-  LpSolution ColdSol = solveLp(P);
-  ASSERT_EQ(ColdSol.Status, SolveStatus::Optimal);
-
-  SimplexBasis Singular;
-  Singular.NumRows = 2;
-  Singular.NumVars = 5; // 3 structurals + 2 slacks
-  Singular.Basic = {0, 1};
-  Singular.NonbasicState = {0, 0, /*x2=*/1, /*slacks=*/1, 1};
-  SimplexOptions Warm;
-  Warm.WarmBasis = &Singular;
-  LpSolution Sol = solveLp(P, Warm);
-  EXPECT_FALSE(Sol.WarmStarted);
-  // The failed warm refactorization is honestly counted (one extra
-  // Refactors tick); everything else - pivot sequence included - must
-  // match the cold solve exactly.
-  EXPECT_EQ(Sol.Stats.Refactors, ColdSol.Stats.Refactors + 1);
-  EXPECT_EQ(ColdSol.Status, Sol.Status);
-  EXPECT_EQ(ColdSol.Iterations, Sol.Iterations);
-  EXPECT_EQ(ColdSol.Phase1Iterations, Sol.Phase1Iterations);
-  EXPECT_EQ(ColdSol.Stats.PivotHash, Sol.Stats.PivotHash);
-  EXPECT_EQ(ColdSol.Stats.Pivots, Sol.Stats.Pivots);
-  EXPECT_EQ(ColdSol.Stats.BoundFlips, Sol.Stats.BoundFlips);
-  expectSameSolutionBits(ColdSol, Sol, "singular basis");
-}
-
 TEST_F(LpKernelIdentityTest, StatsCountersAreCoherent) {
   LinearProgram P = makeDenseFeasibleLp(48, 96, 1200);
   LpSolution Sol = solveLp(P);
@@ -943,7 +773,6 @@ void expectMatchesCold(const LinearProgram &P, const LpSolution &Warm,
               1e-9 * std::max(1.0, std::fabs(Cold.Objective)))
       << What;
   EXPECT_LE(P.maxViolation(Warm.X), 1e-6) << What;
-  EXPECT_FALSE(Warm.WarmStarted) << What; // no WarmBasis involved
 }
 
 TEST(LpIncremental, AppendedRowsReoptimizeToTheColdOptimum) {
@@ -979,7 +808,11 @@ TEST(LpIncremental, NoNewRowsReturnsTheSameOptimumWithoutPivots) {
   LpSolution Again = Solver.solve();
   EXPECT_EQ(Again.Iterations, 0);
   EXPECT_EQ(Again.Stats.Refactors, 0); // the basis is still fresh
-  expectSameSolutionBits(First, Again, "no new rows");
+  EXPECT_EQ(Again.Status, First.Status);
+  expectSameBits(First.X, Again.X, "X");
+  expectSameBits(First.RowDuals, Again.RowDuals, "RowDuals");
+  EXPECT_EQ(0, std::memcmp(&First.Objective, &Again.Objective,
+                           sizeof(double)));
 }
 
 TEST(LpIncremental, DualUnboundedRoundIsConfirmedInfeasible) {
@@ -1109,31 +942,33 @@ TEST_F(LpKernelIdentityTest, WarmPathBitIdenticalAcrossThreadCounts) {
 // The solver factors only the basis's structural core A_TS (T: the rows
 // whose slack is nonbasic, S: the basic structurals, k = |S| = |T|).
 // These cases pin its extremes - k = 0 (every slack basic) and k = M (a
-// square equality system) - drive each of its four updates from a hand-
-// checked basis, and run a tall repair-shaped LP across rounds. Every
-// case is checked for KKT and for bit-identity at 1, 4 and 8 threads.
+// square equality system) - drive each of its four updates along a
+// hand-checked pivot path, and run a tall repair-shaped LP across
+// rounds. Every case is checked for KKT and for bit-identity at 1, 4
+// and 8 threads.
 
 class LpCoreTest : public LpKernelIdentityTest {};
 
-/// k of an exported basis: how many structurals it holds.
-int coreSize(const SimplexBasis &B, int NumStructurals) {
+/// k read off the solution: how many structurals lie strictly inside
+/// their bounds, each of them at or inside its bounds. At a
+/// nondegenerate optimum those are exactly the basic structurals.
+int coreSize(const LinearProgram &P, const std::vector<double> &X) {
   int K = 0;
-  for (int J : B.Basic)
-    K += J < NumStructurals;
+  for (int J = 0; J < P.numVariables(); ++J) {
+    EXPECT_GE(X[J], P.variableLo(J)) << J;
+    EXPECT_LE(X[J], P.variableHi(J)) << J;
+    K += X[J] > P.variableLo(J) && X[J] < P.variableHi(J);
+  }
   return K;
 }
 
 /// Solves \p P at 1, 4 and 8 threads (bit-identical), expects Optimal
-/// and the KKT conditions, and returns the solution with its basis.
-LpSolution solveCoreCase(const LinearProgram &P, SimplexOptions Options,
-                         const std::string &What) {
-  Options.ExportBasis = true;
-  LpSolution S = expectSameAtEveryThreadCount(P, Options, What);
+/// and the KKT conditions, and returns the solution.
+LpSolution solveCoreCase(const LinearProgram &P, const std::string &What) {
+  LpSolution S = expectSameAtEveryThreadCount(P, SimplexOptions(), What);
   EXPECT_EQ(S.Status, SolveStatus::Optimal) << What;
-  if (S.Status == SolveStatus::Optimal) {
+  if (S.Status == SolveStatus::Optimal)
     expectKktConditions(P, S, What);
-    EXPECT_NE(S.OptimalBasis, nullptr) << What;
-  }
   return S;
 }
 
@@ -1155,9 +990,9 @@ TEST_F(LpCoreTest, AllSlackOptimumHasAnEmptyCore) {
     }
     P.addRow(std::move(Index), std::move(Value), -100.0, 100.0);
   }
-  LpSolution S = solveCoreCase(P, SimplexOptions(), "k = 0");
-  ASSERT_NE(S.OptimalBasis, nullptr);
-  EXPECT_EQ(coreSize(*S.OptimalBasis, Vars), 0);
+  LpSolution S = solveCoreCase(P, "k = 0");
+  ASSERT_EQ(S.Status, SolveStatus::Optimal);
+  EXPECT_EQ(coreSize(P, S.X), 0);
   EXPECT_EQ(S.Stats.Pivots, 0);
   for (int J = 0; J < Vars; ++J)
     EXPECT_EQ(S.X[J], P.objectiveCoef(J) > 0.0 ? -3.0 : 2.0) << J;
@@ -1188,9 +1023,9 @@ TEST_F(LpCoreTest, SquareEqualitySystemFillsTheCore) {
       P.addRowEq(std::move(Index), std::move(Value), Activity);
     }
     std::string What = "k = M = " + std::to_string(M);
-    LpSolution S = solveCoreCase(P, SimplexOptions(), What);
-    ASSERT_NE(S.OptimalBasis, nullptr) << What;
-    EXPECT_EQ(coreSize(*S.OptimalBasis, M), M) << What;
+    LpSolution S = solveCoreCase(P, What);
+    ASSERT_EQ(S.Status, SolveStatus::Optimal) << What;
+    EXPECT_EQ(coreSize(P, S.X), M) << What;
     EXPECT_LE(P.maxViolation(S.X), 1e-7) << What;
     for (int J = 0; J < M; ++J)
       EXPECT_NEAR(S.X[J], Witness[static_cast<size_t>(J)], 1e-6) << What;
@@ -1198,73 +1033,72 @@ TEST_F(LpCoreTest, SquareEqualitySystemFillsTheCore) {
 }
 
 TEST_F(LpCoreTest, EachCoreUpdateKind) {
-  // Hand-checked pivot paths, each from a basis whose next pivots are
-  // forced. Variables and slacks live in [0, 10] and (-inf, Hi].
-  SimplexBasis Warm;
-  auto Expect = [&](const LinearProgram &P, const SimplexBasis *Start,
-                    const std::string &What, int Pivots, int CoreSize,
-                    double Objective) {
-    SimplexOptions Options;
-    Options.WarmBasis = Start;
-    LpSolution S = solveCoreCase(P, Options, What);
-    ASSERT_NE(S.OptimalBasis, nullptr) << What;
-    EXPECT_EQ(S.WarmStarted, Start != nullptr) << What;
+  // Hand-checked pivot paths whose pivots are forced: from the cold
+  // slack basis, and for the row swap from an appended-row round.
+  // Variables live in [0, 10], rows in (-inf, Hi].
+  auto Expect = [](const LinearProgram &P, const LpSolution &S,
+                   const std::string &What, int Pivots, int CoreSize,
+                   double Objective) {
+    ASSERT_EQ(S.Status, SolveStatus::Optimal) << What;
     EXPECT_EQ(S.Stats.Pivots, Pivots) << What;
-    EXPECT_EQ(coreSize(*S.OptimalBasis, P.numVariables()), CoreSize) << What;
+    EXPECT_EQ(coreSize(P, S.X), CoreSize) << What;
     EXPECT_NEAR(S.Objective, Objective, 1e-12) << What;
   };
-  constexpr std::uint8_t Basic = 0, AtLower = 1, AtUpper = 2;
 
-  // Grow: min -x s.t. x <= 1 from the slack basis. x enters and the
-  // slack leaves at its bound: k 0 -> 1.
+  // Grow: min -x s.t. x <= 1. x enters and the slack leaves at its
+  // bound: k 0 -> 1.
   {
     LinearProgram P;
     P.addVariable(0.0, 10.0, -1.0);
     P.addRowLe({0}, {1.0}, 1.0);
-    Expect(P, nullptr, "grow", 1, 1, -1.0);
+    Expect(P, solveCoreCase(P, "grow"), "grow", 1, 1, -1.0);
   }
-  // Column swap: min -x - 2y s.t. x + y <= 1 from x basic. y enters and
-  // x leaves: S changes, T does not.
+  // Column swap: min -2x - 1.5y s.t. x + 0.5y <= 1. Dantzig pricing
+  // takes x first (grow, x = 1); then y still prices at -0.5, enters,
+  // and x leaves at 0 (y = 2): S changes, T does not.
   {
     LinearProgram P;
-    P.addVariable(0.0, 10.0, -1.0);
     P.addVariable(0.0, 10.0, -2.0);
-    P.addRowLe({0, 1}, {1.0, 1.0}, 1.0);
-    Warm.NumRows = 1;
-    Warm.NumVars = 3;
-    Warm.Basic = {0};
-    Warm.NonbasicState = {Basic, AtLower, AtUpper};
-    Expect(P, &Warm, "column swap", 1, 1, -2.0);
+    P.addVariable(0.0, 10.0, -1.5);
+    P.addRowLe({0, 1}, {1.0, 0.5}, 1.0);
+    Expect(P, solveCoreCase(P, "column swap"), "column swap", 2, 1, -3.0);
   }
-  // Row swap: min -x s.t. x <= 1 (row 0), x <= 2 (row 1) from x basic
-  // in row 1 and slack 0 basic at 2, above its bound. Phase 1 brings
-  // slack 1 in and pushes slack 0 out: T changes, S does not.
+  // Row swap: min -x s.t. x <= 2 leaves x basic in row 0 (grow); the
+  // appended row x <= 1 then makes its basic slack infeasible, and the
+  // dual simplex swaps it out for row 0's slack: T changes, S does not.
+  {
+    LinearProgram Round1;
+    Round1.addVariable(0.0, 10.0, -1.0);
+    Round1.addRowLe({0}, {1.0}, 2.0);
+    LinearProgram P;
+    LpSolution Ref;
+    for (int Threads : {1, 4, 8}) {
+      setGlobalThreadCount(Threads);
+      P = Round1;
+      SimplexSolver Solver(P);
+      Expect(P, Solver.solve(), "row swap, round 1", 1, 1, -2.0);
+      P.addRowLe({0}, {1.0}, 1.0);
+      LpSolution S = Solver.solve();
+      if (Threads == 1)
+        Ref = S;
+      else
+        expectBitIdentical(Ref, S,
+                           "row swap @" + std::to_string(Threads) + " threads");
+    }
+    Expect(P, Ref, "row swap", 1, 1, -1.0);
+    expectKktConditions(P, Ref, "row swap");
+  }
+  // Shrink: min -x - y s.t. x <= 4, x - y <= 1. x enters and stops on
+  // row 1 at x = 1 (grow); y enters and drags x along row 1 to row 0
+  // at (4, 3) (grow, k = 2); then row 1's slack enters and y leaves at
+  // its bound 10: k 2 -> 1.
   {
     LinearProgram P;
     P.addVariable(0.0, 10.0, -1.0);
-    P.addRowLe({0}, {1.0}, 1.0);
-    P.addRowLe({0}, {1.0}, 2.0);
-    Warm.NumRows = 2;
-    Warm.NumVars = 3;
-    Warm.Basic = {1, 0};
-    Warm.NonbasicState = {Basic, Basic, AtUpper};
-    Expect(P, &Warm, "row swap", 1, 1, -1.0);
-  }
-  // Shrink, twice: min x + y s.t. x + y <= 2, 2x - y <= 1 from the
-  // vertex (1, 1) with both structurals basic. Slack 0 enters and y
-  // leaves from row 1, so x moves to row 1; then slack 1 enters and x
-  // leaves from its own row: k 2 -> 1 -> 0.
-  {
-    LinearProgram P;
-    P.addVariable(0.0, 10.0, 1.0);
-    P.addVariable(0.0, 10.0, 1.0);
-    P.addRowLe({0, 1}, {1.0, 1.0}, 2.0);
-    P.addRowLe({0, 1}, {2.0, -1.0}, 1.0);
-    Warm.NumRows = 2;
-    Warm.NumVars = 4;
-    Warm.Basic = {0, 1};
-    Warm.NonbasicState = {Basic, Basic, AtUpper, AtUpper};
-    Expect(P, &Warm, "shrink", 2, 0, 0.0);
+    P.addVariable(0.0, 10.0, -1.0);
+    P.addRowLe({0}, {1.0}, 4.0);
+    P.addRowLe({0, 1}, {1.0, -1.0}, 1.0);
+    Expect(P, solveCoreCase(P, "shrink"), "shrink", 3, 1, -14.0);
   }
 }
 

@@ -32,10 +32,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -351,50 +353,49 @@ TEST(Serialize, PatternBatchRoundTrip) {
   EXPECT_NE(Short.error(), CodecError::None);
 }
 
-TEST(Serialize, SimplexBasisRoundTripAndCorruptRejection) {
-  auto A = std::make_shared<SimplexBasisArtifact>();
-  A->NumRows = 3;
-  A->NumVars = 8;
-  A->Basic = {7, 0, 4};
-  A->NonbasicState = {0, 1, 2, 3, 0, 1, 2, 0};
-  A->Pivots = 217;
-  A->RhsDigest = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+TEST(Serialize, LpSolutionRoundTripAndCorruptRejection) {
+  auto A = std::make_shared<LpSolutionArtifact>();
+  A->Delta = {0.25, -1.0 / 3.0, 0.0, -0.0, 1e-300};
+  A->LpRowsUsed = 217;
+  A->CgRounds = 3;
 
   ByteWriter W;
-  persist::serializeArtifact(*A, ArtifactKind::SimplexBasis, W);
+  persist::serializeArtifact(*A, ArtifactKind::LpSolution, W);
   ByteReader R(W.buffer().data(), W.buffer().size());
-  auto Back = std::static_pointer_cast<const SimplexBasisArtifact>(
-      persist::deserializeArtifact(ArtifactKind::SimplexBasis, R));
+  auto Back = std::static_pointer_cast<const LpSolutionArtifact>(
+      persist::deserializeArtifact(ArtifactKind::LpSolution, R));
   ASSERT_NE(Back, nullptr);
-  EXPECT_EQ(Back->NumRows, A->NumRows);
-  EXPECT_EQ(Back->NumVars, A->NumVars);
-  EXPECT_EQ(Back->Basic, A->Basic);
-  EXPECT_EQ(Back->NonbasicState, A->NonbasicState);
-  EXPECT_EQ(Back->Pivots, A->Pivots);
-  EXPECT_TRUE(Back->RhsDigest == A->RhsDigest);
+  ASSERT_EQ(Back->Delta.size(), A->Delta.size());
+  EXPECT_EQ(std::memcmp(Back->Delta.data(), A->Delta.data(),
+                        A->Delta.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(Back->LpRowsUsed, A->LpRowsUsed);
+  EXPECT_EQ(Back->CgRounds, A->CgRounds);
 
-  // Structurally incoherent payloads are Corrupt, not accepted: a
-  // status byte outside the VarStatus range ...
-  {
-    auto Bad = std::make_shared<SimplexBasisArtifact>(*A);
-    Bad->NonbasicState[2] = 9;
+  // The Delta count sits after the two i32 counts. A count past the
+  // doubles that follow - bumped, cut short, or near 2^62 - is Corrupt
+  // before any allocation; so are counts no solve produces: an empty
+  // Delta, or a negative row count.
+  std::vector<std::vector<std::uint8_t>> Bad(3, W.buffer());
+  Bad[0][8] += 1;
+  Bad[1].resize(Bad[1].size() - 4);
+  Bad[2][15] = 0x40;
+  for (int Case = 0; Case < 2; ++Case) {
+    LpSolutionArtifact Odd = *A;
+    if (Case == 0)
+      Odd.Delta.clear();
+    else
+      Odd.LpRowsUsed = -1;
     ByteWriter BW;
-    persist::serializeArtifact(*Bad, ArtifactKind::SimplexBasis, BW);
-    ByteReader BR(BW.buffer().data(), BW.buffer().size());
-    EXPECT_EQ(persist::deserializeArtifact(ArtifactKind::SimplexBasis, BR),
-              nullptr);
-    EXPECT_EQ(BR.error(), CodecError::Corrupt);
+    persist::serializeArtifact(Odd, ArtifactKind::LpSolution, BW);
+    Bad.push_back(BW.buffer());
   }
-  // ... or a basic index outside [0, NumVars).
-  {
-    auto Bad = std::make_shared<SimplexBasisArtifact>(*A);
-    Bad->Basic[1] = Bad->NumVars;
-    ByteWriter BW;
-    persist::serializeArtifact(*Bad, ArtifactKind::SimplexBasis, BW);
-    ByteReader BR(BW.buffer().data(), BW.buffer().size());
-    EXPECT_EQ(persist::deserializeArtifact(ArtifactKind::SimplexBasis, BR),
-              nullptr);
-    EXPECT_EQ(BR.error(), CodecError::Corrupt);
+  for (size_t I = 0; I < Bad.size(); ++I) {
+    ByteReader BR(Bad[I].data(), Bad[I].size());
+    EXPECT_EQ(persist::deserializeArtifact(ArtifactKind::LpSolution, BR),
+              nullptr)
+        << I;
+    EXPECT_EQ(BR.error(), CodecError::Corrupt) << I;
   }
 }
 
@@ -677,27 +678,24 @@ TEST(ArtifactStore, GcEvictsOldestAtBudget) {
   EXPECT_NE(Store.load(keyOf(104)), nullptr);
 }
 
-TEST(ArtifactStore, SimplexBasisStoreRoundTrip) {
-  TempDir Dir("basis");
+TEST(ArtifactStore, LpSolutionStoreRoundTrip) {
+  TempDir Dir("lpsolution");
   StoreOptions Options;
   Options.Directory = Dir.str();
   ArtifactStore Store(Options);
 
-  auto A = std::make_shared<SimplexBasisArtifact>();
-  A->NumRows = 2;
-  A->NumVars = 6;
-  A->Basic = {5, 1};
-  A->NonbasicState = {0, 0, 1, 2, 3, 1};
-  A->Pivots = 42;
-  A->RhsDigest = {11u, 22u};
-  Store.storeSync(keyOf(9, ArtifactKind::SimplexBasis), *A);
+  auto A = std::make_shared<LpSolutionArtifact>();
+  A->Delta = {0.5, -0.125, 3.0};
+  A->LpRowsUsed = 42;
+  A->CgRounds = 2;
+  Store.storeSync(keyOf(9, ArtifactKind::LpSolution), *A);
 
-  auto Back = std::static_pointer_cast<const SimplexBasisArtifact>(
-      Store.load(keyOf(9, ArtifactKind::SimplexBasis)));
+  auto Back = std::static_pointer_cast<const LpSolutionArtifact>(
+      Store.load(keyOf(9, ArtifactKind::LpSolution)));
   ASSERT_NE(Back, nullptr);
-  EXPECT_EQ(Back->Basic, A->Basic);
-  EXPECT_EQ(Back->NonbasicState, A->NonbasicState);
-  EXPECT_TRUE(Back->RhsDigest == A->RhsDigest);
+  EXPECT_EQ(Back->Delta, A->Delta);
+  EXPECT_EQ(Back->LpRowsUsed, A->LpRowsUsed);
+  EXPECT_EQ(Back->CgRounds, A->CgRounds);
   // The same digest under another kind is a different entry.
   EXPECT_EQ(Store.load(keyOf(9)), nullptr);
 }
@@ -910,6 +908,64 @@ TEST(EngineStore, CorruptedEntryDegradesToRecompute) {
   }
 }
 
+TEST(EngineStore, UntrustedLpSolutionIsSolvedAgain) {
+  // Store bytes are untrusted past the frame check: a well-framed
+  // LpSolution entry whose Delta has the wrong length, or fails the
+  // re-verification scan, is discarded - the repair solves its LP as on
+  // a miss and counts a miss, and the result is the cache-off one.
+  Rng R(6604);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  PointSpec Spec = makeFlipSpec(*Net, R, 24);
+  const int Layer = 4;
+  RepairRequest Request = RepairRequest::points(Net, Layer, Spec);
+  RepairResult Serial = repairPoints(*Net, Layer, Spec);
+  ASSERT_EQ(Serial.Status, RepairStatus::Success);
+  size_t NumParams = Serial.Delta.size();
+
+  const std::pair<const char *, std::vector<double>> Planted[] = {
+      {"wrong-length", std::vector<double>(NumParams + 1, 0.0)},
+      // Delta = 0 leaves the flipped points unrepaired.
+      {"fails-verification", std::vector<double>(NumParams, 0.0)},
+  };
+  for (const auto &[Name, Delta] : Planted) {
+    SCOPED_TRACE(Name);
+    TempDir Dir(std::string("engine-untrusted-") + Name);
+    EngineOptions WithStore;
+    WithStore.StoreDirectory = Dir.str();
+    {
+      RepairEngine Cold(WithStore);
+      expectBitIdentical(Cold.run(Request).Result, Serial);
+      Cold.flushStore();
+    }
+
+    // Replace the one LpSolution entry (<Kind>-<hex digest>.art) with
+    // a well-formed bad one.
+    std::vector<Digest128> Digests;
+    for (const auto &Entry : fs::recursive_directory_iterator(Dir.Path)) {
+      std::string File = Entry.path().filename().string();
+      if (File.rfind("LpSolution-", 0) == 0) {
+        Digests.push_back(digestFromHex(File.substr(11, 32)).value());
+        fs::remove(Entry.path());
+      }
+    }
+    ASSERT_EQ(Digests.size(), 1u);
+    LpSolutionArtifact Bad;
+    Bad.Delta = Delta;
+    StoreOptions Options;
+    Options.Directory = Dir.str();
+    ArtifactStore(Options).storeSync({ArtifactKind::LpSolution, Digests[0]},
+                                     Bad);
+
+    RepairEngine Warm(WithStore);
+    RepairReport Report = Warm.run(Request);
+    expectBitIdentical(Report.Result, Serial);
+    EXPECT_EQ(Report.Result.Stats.CgRounds, Serial.Stats.CgRounds);
+    EXPECT_EQ(Report.Result.Stats.BasisHits, 0);
+    EXPECT_EQ(Report.Result.Stats.BasisMisses, 1);
+    EXPECT_EQ(Report.Result.Stats.BasisStoreHits, 0);
+  }
+}
+
 TEST(EngineStore, PolytopeTransformsWarmAcrossRestart) {
   TempDir Dir("engine-poly");
   Network Net = makeFigure3Network();
@@ -963,16 +1019,14 @@ TEST(EngineStore, EightConcurrentJobsShareOneL2Load) {
     expectBitIdentical(Handle.report().Result, Serial);
     StoreHits += Handle.report().StoreHits;
   }
-  // Per distinct key (one simplex basis per LP solve), one job
-  // deserialized from disk inside the single-flight claim; the other
-  // seven shared the promoted L1 entry.
+  // Per distinct key (one LP solution per repair), one job deserialized
+  // from disk inside the single-flight claim; the other seven shared
+  // the promoted L1 entry.
   const RepairStats &WarmStats = Handles[0].report().Result.Stats;
-  int LpSolves = WarmStats.BasisHits + WarmStats.BasisMisses;
-  EXPECT_GT(LpSolves, 0);
-  int Keys = LpSolves;
-  EXPECT_EQ(StoreHits, Keys);
-  EXPECT_EQ(Engine.storeStats().Hits, static_cast<std::uint64_t>(Keys));
-  EXPECT_EQ(Engine.cacheStats().Hits, static_cast<std::uint64_t>(7 * Keys));
+  EXPECT_EQ(WarmStats.BasisHits + WarmStats.BasisMisses, 1);
+  EXPECT_EQ(StoreHits, 1);
+  EXPECT_EQ(Engine.storeStats().Hits, 1u);
+  EXPECT_EQ(Engine.cacheStats().Hits, 7u);
 }
 
 } // namespace
