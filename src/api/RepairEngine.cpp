@@ -4,8 +4,9 @@
 
 #include "cache/Fingerprint.h"
 #include "core/PolytopeRepair.h"
-#include "lp/LpScheduler.h"
+#include "nn/LinearLayers.h"
 #include "persist/ArtifactStore.h"
+#include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Timer.h"
 
@@ -20,6 +21,80 @@ using namespace prdnn;
 
 /// Shards of the engine cache's map (per-shard mutex + LRU slice).
 constexpr int kCacheShards = 16;
+
+namespace {
+
+/// Whether the LP can edit layer \p Layer under \p Options: a
+/// parameterized linear layer whose size the parameter mask, if any,
+/// matches, with at least one parameter left unfrozen.
+bool repairableLayer(const Network &Net, int Layer,
+                     const RepairOptions &Options) {
+  if (Layer < 0 || Layer >= Net.numLayers())
+    return false;
+  const auto *Linear = dyn_cast<LinearLayer>(&Net.layer(Layer));
+  if (!Linear || Linear->numParams() == 0)
+    return false;
+  const std::optional<std::vector<bool>> &Mask = Options.ParamMask;
+  return !Mask || (static_cast<int>(Mask->size()) == Linear->numParams() &&
+                   std::find(Mask->begin(), Mask->end(), true) != Mask->end());
+}
+
+bool fitsOutput(const Network &Net, const OutputConstraint &C) {
+  return C.A.cols() == Net.outputSize() && C.B.size() == C.A.rows();
+}
+
+/// A pinned pattern needs a PWL network and one entry per layer, each
+/// activation's sized to its output.
+bool fitsPattern(const Network &Net, const NetworkPattern &Pattern) {
+  if (!Net.isPiecewiseLinear() ||
+      static_cast<int>(Pattern.Patterns.size()) != Net.numLayers())
+    return false;
+  for (int I = 0; I < Net.numLayers(); ++I)
+    if (!Net.layer(I).isLinear() &&
+        static_cast<int>(Pattern.Patterns[static_cast<size_t>(I)].size()) !=
+            Net.layer(I).outputSize())
+      return false;
+  return true;
+}
+
+/// Whether \p Request's candidate layers, mask and spec fit its network:
+/// the repair pipeline asserts these shapes rather than checking them.
+bool fitsNetwork(const RepairRequest &Request,
+                 const std::vector<int> &Candidates) {
+  const Network &Net = *Request.Net;
+  if (Candidates.empty())
+    return false;
+  for (int Layer : Candidates)
+    if (!repairableLayer(Net, Layer, Request.Options))
+      return false;
+  auto FitsInput = [&](const Vector &X) { return X.size() == Net.inputSize(); };
+  if (!Request.isPolytope()) {
+    for (const SpecPoint &Point : std::get<PointSpec>(Request.Spec))
+      if (!FitsInput(Point.X) || !fitsOutput(Net, Point.Constraint) ||
+          (Point.Pattern && !fitsPattern(Net, *Point.Pattern)))
+        return false;
+    return true;
+  }
+  if (!Net.isPiecewiseLinear())
+    return false;
+  for (const SpecPolytope &Poly : std::get<PolytopeSpec>(Request.Spec)) {
+    if (!fitsOutput(Net, Poly.Constraint))
+      return false;
+    if (const auto *Segment = std::get_if<SegmentPolytope>(&Poly.Shape)) {
+      if (!FitsInput(Segment->A) || !FitsInput(Segment->B))
+        return false;
+      continue;
+    }
+    const std::vector<Vector> &Vertices =
+        std::get<PlanePolytope>(Poly.Shape).Vertices;
+    if (Vertices.size() < 3 ||
+        !std::all_of(Vertices.begin(), Vertices.end(), FitsInput))
+      return false;
+  }
+  return true;
+}
+
+} // namespace
 
 /// Shared state of one submitted job: the request, its context, and
 /// the promise-like (mutex + condvar) result slot JobHandle waits on.
@@ -472,9 +547,16 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
 
   const Network &Net = *Request.Net;
   const RepairOptions &Options = Request.Options;
-  // Values the pipeline cannot run fail here, before any phase and
-  // with no LP work.
-  if (!validRepairOptions(Options)) {
+  std::vector<int> Candidates;
+  if (Request.isSweep())
+    Candidates = Request.SweepLayers.empty()
+                     ? Net.parameterizedLayerIndices()
+                     : Request.SweepLayers;
+  else
+    Candidates.push_back(Request.LayerIndex);
+  // Values the pipeline cannot run, and requests that do not fit the
+  // network, fail here, before any phase and with no LP work.
+  if (!validRepairOptions(Options) || !fitsNetwork(Request, Candidates)) {
     Report.Status = RepairStatus::SolverFailure;
     Report.Result.Status = RepairStatus::SolverFailure;
     Report.TotalSeconds = Total.seconds();
@@ -491,14 +573,6 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
   // here too (JobId 0), so inline runs trace alongside queued jobs.
   if (T)
     Ctx.setTrace(&T->Trace, JobId);
-  std::vector<int> Candidates;
-  if (Request.isSweep())
-    Candidates = Request.SweepLayers.empty()
-                     ? Net.parameterizedLayerIndices()
-                     : Request.SweepLayers;
-  else
-    Candidates.push_back(Request.LayerIndex);
-  assert(!Candidates.empty() && "no candidate layers to repair");
   Ctx.beginSweep(static_cast<int>(Candidates.size()));
 
   /// The sweep's comparison measure: the objective norm of Delta
@@ -559,7 +633,7 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     return Attempt;
   };
 
-  auto MakeEntry = [](int Layer, const RepairResult &Attempt, int Shard) {
+  auto MakeEntry = [](int Layer, const RepairResult &Attempt) {
     SweepAttempt Entry;
     Entry.LayerIndex = Layer;
     Entry.Status = Attempt.Status;
@@ -579,7 +653,6 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     Entry.CacheMisses = Attempt.Stats.cacheMisses();
     Entry.StoreHits = Attempt.Stats.storeHits();
     Entry.WarmStarted = Attempt.Stats.BasisHits > 0;
-    Entry.ShardId = Shard;
     return Entry;
   };
 
@@ -608,38 +681,35 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     return true;
   };
 
-  // Fan the independent attempts out across LpScheduler shard threads,
-  // one per pool thread up to the candidate count, then assemble the
-  // report serially in candidate order - bit-identical at any shard
-  // count because attempts share no mutable state (each repairPointsImpl
-  // run is a pure function of its inputs at any thread count, and the
-  // artifact cache is a content-addressed concurrent consumer). A job
-  // with a checkpoint hook gets one shard, which runTasks runs inline:
-  // the hook's contract is "invoked on the job thread", and the
-  // cancellation tests rely on it.
+  // Run the independent attempts as one pool loop, one candidate per
+  // chunk, then assemble the report serially in candidate order -
+  // bit-identical at any pool size because attempts share no mutable
+  // state (each repairPointsImpl run is a pure function of its inputs
+  // at any thread count, and the artifact cache is a content-addressed
+  // concurrent consumer). An attempt's own parallel loops run inline
+  // on the thread that claimed it, as nested loops do. A job with a
+  // checkpoint hook runs the same body in a plain loop: the hook's
+  // contract is "invoked on the job thread", and the cancellation
+  // tests rely on it.
   if (!SawCancel) {
-    const int Shards =
-        Ctx.hasCheckpointHook()
-            ? 1
-            : std::min(static_cast<int>(Candidates.size()),
-                       globalThreadCount());
-    // Tasks are claimed in ascending candidate order, so the completed
-    // attempts always form a prefix of the candidate list; an unclaimed
-    // suffix can only mean cancellation (exceptions rethrow out of
-    // runTasks).
+    // A candidate claimed after a cancel leaves its slot empty;
+    // exceptions rethrow out of the loop.
     std::vector<std::optional<RepairResult>> Results(Candidates.size());
-    std::vector<int> ShardOf(Candidates.size(), 0);
-    lp::LpScheduler Scheduler(Shards);
-    Scheduler.runTasks(
-        static_cast<int>(Candidates.size()),
-        /*ShouldStop=*/[&] { return Ctx.cancelRequested(); },
-        [&](int Task, int Shard) {
-          Ctx.beginSweepLayer(Candidates[static_cast<size_t>(Task)]);
-          Results[static_cast<size_t>(Task)].emplace(
-              RunAttempt(Candidates[static_cast<size_t>(Task)]));
-          ShardOf[static_cast<size_t>(Task)] = Shard;
-          Ctx.finishSweepLayer();
-        });
+    auto RunCandidates = [&](std::int64_t Begin, std::int64_t End) {
+      for (std::int64_t C = Begin; C < End; ++C) {
+        if (Ctx.cancelRequested())
+          return;
+        Ctx.beginSweepLayer(Candidates[static_cast<size_t>(C)]);
+        Results[static_cast<size_t>(C)].emplace(
+            RunAttempt(Candidates[static_cast<size_t>(C)]));
+        Ctx.finishSweepLayer();
+      }
+    };
+    const auto NumCandidates = static_cast<std::int64_t>(Candidates.size());
+    if (Ctx.hasCheckpointHook())
+      RunCandidates(0, NumCandidates);
+    else
+      parallelForRanges(0, NumCandidates, RunCandidates, /*Grain=*/1);
     if (SharedKeyPoints && Results[0]) {
       RepairStats &S = Results[0]->Stats;
       S.LinRegionsSeconds = SharedKeyPoints->Seconds;
@@ -653,7 +723,7 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     }
     for (size_t C = 0; C < Candidates.size(); ++C) {
       if (!Results[C]) {
-        // Unclaimed tail: the cancel landed between claims. The
+        // Empty slot: the cancel landed before this candidate ran. The
         // minimal-norm contract needs the full sweep, so a cut-short
         // sweep reports Cancelled rather than a possibly-non-minimal
         // best-so-far.
@@ -661,7 +731,7 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
         break;
       }
       RepairResult Attempt = std::move(*Results[C]);
-      Report.Sweep.push_back(MakeEntry(Candidates[C], Attempt, ShardOf[C]));
+      Report.Sweep.push_back(MakeEntry(Candidates[C], Attempt));
       if (!FoldAttempt(Candidates[C], std::move(Attempt)))
         break;
     }

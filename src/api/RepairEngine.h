@@ -29,18 +29,18 @@
 /// within a class; submit blocks while the queue is full) drained by
 /// NumWorkers job threads.
 /// Jobs run the normal repair pipeline, whose data-parallel loops all
-/// go through the one global thread pool (support/Parallel.h) - the
-/// pool serializes parallel sections across jobs, so N concurrent jobs
-/// share the machine instead of oversubscribing it, and every job's
-/// numeric results are bit-for-bit identical to a serial run() of the
-/// same request (the pool's determinism contract). Single-job phases
-/// (notably the simplex solve) overlap freely across workers. An
-/// auto-layer sweep runs its candidate attempts on
-/// min(candidates, pool size) LpScheduler shards (lp/LpScheduler.h),
-/// derived from the global pool rather than configured; with several
-/// shards, each runs its attempts' parallel loops inline, and a job
-/// with a checkpoint hook runs on one shard, inline on its job thread.
-/// Shard count never changes a result.
+/// go through the one global thread pool (support/Parallel.h). Loops
+/// of concurrent jobs share its workers - each job thread runs its own
+/// loop's chunks, idle workers serve the oldest loop first - so N
+/// concurrent jobs share the machine instead of oversubscribing it,
+/// and every job's numeric results are bit-for-bit identical to a
+/// serial run() of the same request (the pool's determinism contract).
+/// Serial phases (notably the simplex solve) overlap freely across
+/// workers. An auto-layer sweep runs its candidate attempts as one
+/// pool loop, one candidate per chunk, and each attempt runs its own
+/// parallel loops inline; a job with a checkpoint hook runs its
+/// attempts in a plain loop on its job thread. Neither the pool size
+/// nor which thread ran an attempt changes a result.
 ///
 /// Cancellation is cooperative: JobHandle::cancel() raises a flag the
 /// pipeline polls at phase/chunk boundaries and between simplex
@@ -51,7 +51,7 @@
 /// its jobs (EngineOptions::EnableCache / CacheBudgetBytes): repeated
 /// (network, layer, spec-prefix) keys - auto-layer sweeps, repeated-
 /// spec server workloads, iterative patch loops - reuse SyReNN
-/// transforms, pattern batches and simplex bases instead of
+/// transforms, pattern batches and solved repair LPs instead of
 /// recomputing them, with single-flight insertion so concurrent jobs
 /// on the same key compute once. Hits are bit-for-bit identical to
 /// recomputation, so warm runs equal cold runs exactly (see
@@ -100,7 +100,7 @@ struct EngineOptions {
   int QueueCapacity = 64;
   /// Own an ArtifactCache (cache/ArtifactCache.h) shared by every job
   /// of this engine: repeated (network, layer, spec-prefix) keys turn
-  /// the LinRegions phase into lookups and replay LP bases. Hits are
+  /// the LinRegions phase into lookups and reuse solved LPs. Hits are
   /// bit-for-bit identical to recomputation (test-enforced), so the
   /// default on never changes results - disable only to reclaim the
   /// memory. Per-request opt-out: RepairOptions::UseCache.

@@ -51,10 +51,6 @@ struct SweepAttempt {
   /// attempts are bit-identical to cold ones - this only explains the
   /// pivot counts.
   bool WarmStarted = false;
-  /// Which LpScheduler shard ran this attempt (0 for one-shard sweeps:
-  /// fixed-layer requests, hooked jobs, a one-thread pool). Purely
-  /// informational: results are independent of shard assignment.
-  int ShardId = 0;
 };
 
 struct RepairReport {

@@ -37,7 +37,7 @@ const char *prdnn::toString(RepairStatus Status) {
 bool prdnn::validRepairOptions(const RepairOptions &O) {
   auto PositiveFinite = [](double V) { return std::isfinite(V) && V > 0.0; };
   return O.CgBatch >= 1 && O.MaxCgRounds >= 0 &&
-         !std::isnan(O.DeltaBound) && std::isfinite(O.RowMargin) &&
+         O.DeltaBound > 0.0 && std::isfinite(O.RowMargin) &&
          PositiveFinite(O.Lp.FeasTol) && PositiveFinite(O.Lp.OptTol) &&
          PositiveFinite(O.Lp.PivotTol) && O.Lp.MaxIterations >= 1 &&
          O.Lp.RefactorInterval >= 1 && O.Lp.StallLimit >= 1;

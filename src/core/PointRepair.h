@@ -70,7 +70,8 @@ const char *toString(RepairStatus Status);
 struct RepairOptions {
   /// Which norm of Delta to minimize (Definition 5.3's measure).
   lp::Norm Objective = lp::Norm::L1;
-  /// Box constraint |Delta_j| <= DeltaBound (kInfinity allowed).
+  /// Box constraint |Delta_j| <= DeltaBound; positive, kInfinity
+  /// allowed.
   double DeltaBound = lp::kInfinity;
   /// Margin subtracted from spec rows inside the LP; a small positive
   /// value keeps satisfaction strict under floating-point noise.
@@ -102,9 +103,11 @@ struct RepairOptions {
 
 /// Whether \p O holds values the repair pipeline can run. A negative
 /// CgBatch would index before its row vector, a zero one spins every
-/// round without adding rows, and a NaN tolerance breaks every
-/// comparison; every default passes. RepairEngine rejects an invalid
-/// request as SolverFailure before any phase runs, and the RPC decoder
+/// round without adding rows, a NaN tolerance breaks every comparison,
+/// and a DeltaBound that is not positive leaves the LP no box; every
+/// default passes. RepairEngine rejects an invalid request as
+/// SolverFailure before any phase runs (as it does a request whose
+/// layers, mask or spec do not fit its network), and the RPC decoder
 /// (rpc/Wire.cpp) fails the decode.
 bool validRepairOptions(const RepairOptions &O);
 

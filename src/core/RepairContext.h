@@ -140,8 +140,8 @@ public:
   // --- Tracing (obs/Trace.h) ------------------------------------------------
 
   /// Installs the telemetry trace sink for this job. Same contract as
-  /// setCache: written before the job runs, read from job (and sweep
-  /// shard) threads. A null buffer (the default) makes every trace
+  /// setCache: written before the job runs, read from the job thread
+  /// and the pool threads running its sweep attempts. A null buffer (the default) makes every trace
   /// path a no-op - the telemetry-off configuration.
   void setTrace(obs::TraceBuffer *Buffer, std::uint64_t JobId) {
     TraceV = Buffer;
@@ -198,16 +198,17 @@ public:
   }
 
   /// Whether a checkpoint hook is installed. The engine runs hooked
-  /// jobs' sweeps on one inline shard (api/RepairEngine.h): the hook
+  /// jobs' sweeps in a plain loop on the job thread
+  /// (api/RepairEngine.h): the hook
   /// contract says "invoked on the job thread", and tests rely on
   /// deterministic single-threaded hook invocation to cancel at exact
   /// checkpoints.
   bool hasCheckpointHook() const { return static_cast<bool>(Hook); }
 
 private:
-  /// One per-thread open span, keyed by obs::threadOrdinal(): a
-  /// one-shard sweep only ever holds one entry, a sharded sweep one per
-  /// shard thread. Guarded by TraceMutex; all trace methods
+  /// One per-thread open span, keyed by obs::threadOrdinal(): a serial
+  /// sweep only ever holds one entry, a pooled sweep one per thread
+  /// that ran one of its attempts. Guarded by TraceMutex; all trace methods
   /// are no-ops when TraceV is null, so the lock is never taken (and
   /// telemetry-off runs take no new synchronization at all).
   struct OpenSpan {
@@ -225,8 +226,8 @@ private:
   /// Closes the calling thread's span (if open) and opens a new one
   /// named after \p Phase; Done instead closes every remaining span.
   void tracePhase(RepairPhase Phase);
-  /// Closes the calling thread's span (sharded sweeps: each shard
-  /// thread closes its own layer span).
+  /// Closes the calling thread's span (pooled sweeps: each thread
+  /// closes its own layer span).
   void traceEnd();
   /// Tags the calling thread's spans with \p Layer.
   void traceSetLayer(int Layer);

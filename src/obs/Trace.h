@@ -7,7 +7,7 @@
 /// (https://ui.perfetto.dev) or chrome://tracing.
 ///
 /// Spans are recorded by core::JobContext as phases begin and end
-/// (including per-shard sweep layers under the sharded scheduler) and
+/// (including sweep attempts on whichever pool thread ran them) and
 /// by the engine for queue waits; each span carries the job id, a
 /// static phase name, the recording thread's ordinal, monotonic
 /// start/duration in nanoseconds, and cache/store hit-counter deltas

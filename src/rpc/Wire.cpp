@@ -384,7 +384,6 @@ void writeSweepAttempt(ByteWriter &W, const SweepAttempt &A) {
   W.i32(A.CacheMisses);
   W.i32(A.StoreHits);
   W.u8(A.WarmStarted ? 1 : 0);
-  W.i32(A.ShardId);
 }
 
 bool readSweepAttempt(ByteReader &R, SweepAttempt &A) {
@@ -397,7 +396,7 @@ bool readSweepAttempt(ByteReader &R, SweepAttempt &A) {
       !R.f64(A.LinRegionsSeconds) || !R.i32(A.LpIterations) ||
       !R.i32(A.LpRefactors) || !R.i32(A.CacheHits) ||
       !R.i32(A.CacheMisses) || !R.i32(A.StoreHits) ||
-      !readEnum8(R, Warm, 1) || !R.i32(A.ShardId))
+      !readEnum8(R, Warm, 1))
     return false;
   A.WarmStarted = Warm != 0;
   return true;

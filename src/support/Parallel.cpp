@@ -16,9 +16,10 @@ thread_local bool InParallelRegion = false;
 
 } // namespace
 
-/// One in-flight parallel loop. Lives on the caller's stack; workers
-/// register/deregister under the pool mutex so the caller can wait for
-/// every participant to leave before returning.
+/// One in-flight parallel loop. Lives on the caller's stack and in the
+/// pool's Active list; workers register/deregister under the pool
+/// mutex so the caller can wait for every participant to leave before
+/// returning.
 struct ThreadPool::Loop {
   std::int64_t Begin = 0, End = 0, Chunk = 1;
   std::int64_t NumChunks = 0;
@@ -70,17 +71,20 @@ void ThreadPool::runChunks(Loop &L) {
   InParallelRegion = WasInParallel;
 }
 
+ThreadPool::Loop *ThreadPool::claimableLoop() const {
+  for (Loop *L : Active)
+    if (L->Next.load(std::memory_order_relaxed) < L->NumChunks)
+      return L;
+  return nullptr;
+}
+
 void ThreadPool::workerMain() {
-  std::uint64_t SeenGeneration = 0;
   std::unique_lock<std::mutex> Lock(Mutex);
   while (true) {
-    WorkCv.wait(Lock, [&] {
-      return Stopping || (Current && Generation != SeenGeneration);
-    });
+    Loop *L = nullptr;
+    WorkCv.wait(Lock, [&] { return Stopping || (L = claimableLoop()); });
     if (Stopping)
       return;
-    SeenGeneration = Generation;
-    Loop *L = Current;
     ++L->ActiveWorkers;
     Lock.unlock();
     runChunks(*L);
@@ -111,9 +115,6 @@ void ThreadPool::forRanges(
     return;
   }
 
-  // One loop at a time; concurrent callers queue up here.
-  std::lock_guard<std::mutex> RunLock(RunMutex);
-
   Loop L;
   L.Begin = Begin;
   L.End = End;
@@ -126,27 +127,22 @@ void ThreadPool::forRanges(
 
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    Current = &L;
-    ++Generation;
+    Active.push_back(&L);
   }
   WorkCv.notify_all();
 
   runChunks(L);
 
+  // Once the loop leaves Active no worker can join it; wait for the
+  // ones still running its chunks.
   std::unique_lock<std::mutex> Lock(Mutex);
-  Current = nullptr;
+  Active.erase(std::find(Active.begin(), Active.end(), &L));
   DoneCv.wait(Lock, [&] { return L.ActiveWorkers == 0; });
   std::exception_ptr Error = L.Error;
   Lock.unlock();
   if (Error)
     std::rethrow_exception(Error);
 }
-
-InlineLoopsScope::InlineLoopsScope() : Saved(InParallelRegion) {
-  InParallelRegion = true;
-}
-
-InlineLoopsScope::~InlineLoopsScope() { InParallelRegion = Saved; }
 
 int prdnn::defaultThreadCount() {
   if (const char *Env = std::getenv("PRDNN_NUM_THREADS")) {

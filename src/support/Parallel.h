@@ -11,6 +11,11 @@
 ///    are bit-for-bit identical for any thread count (1 included).
 ///  - The calling thread participates in the loop; a pool of size 1
 ///    (or a nested parallelFor) degrades to a plain sequential loop.
+///  - Concurrent callers share the workers: each caller runs chunks of
+///    its own loop and waits only for that loop's participants, while
+///    an idle worker claims chunks from the oldest loop that still has
+///    unclaimed ones. A loop started inside a loop body runs inline on
+///    the thread running that body.
 ///  - An exception thrown by a body cancels the remaining chunks and is
 ///    rethrown on the calling thread once the loop has drained; the
 ///    pool stays usable afterwards.
@@ -53,7 +58,8 @@ public:
   /// Runs \p Body(ChunkBegin, ChunkEnd) over a disjoint cover of
   /// [Begin, End) in chunks of about \p Grain indices (Grain <= 0
   /// picks one automatically). Blocks until every chunk finished;
-  /// rethrows the first body exception.
+  /// rethrows the first body exception. Safe to call from several
+  /// threads at once; see the file comment.
   void forRanges(std::int64_t Begin, std::int64_t End, std::int64_t Grain,
                  const std::function<void(std::int64_t, std::int64_t)> &Body);
 
@@ -62,30 +68,17 @@ private:
 
   void workerMain();
   static void runChunks(Loop &L);
+  /// The oldest active loop with unclaimed chunks, or null (caller
+  /// holds Mutex).
+  Loop *claimableLoop() const;
 
   int NumThreadsTotal;
   std::vector<std::thread> Workers;
   std::mutex Mutex;
   std::condition_variable WorkCv, DoneCv;
-  std::mutex RunMutex;
-  Loop *Current = nullptr;
-  std::uint64_t Generation = 0;
+  /// Loops in flight, oldest first (guarded by Mutex).
+  std::vector<Loop *> Active;
   bool Stopping = false;
-};
-
-/// While alive, parallel loops started on the constructing thread run
-/// inline, as nested loops do: for a thread that is itself one of
-/// several concurrent workers (the sweep shards of lp/LpScheduler.h),
-/// so those workers fill the cores instead of queueing on the pool.
-class InlineLoopsScope {
-public:
-  InlineLoopsScope();
-  ~InlineLoopsScope();
-  InlineLoopsScope(const InlineLoopsScope &) = delete;
-  InlineLoopsScope &operator=(const InlineLoopsScope &) = delete;
-
-private:
-  bool Saved;
 };
 
 /// Thread count the global pool is created with: PRDNN_NUM_THREADS when

@@ -18,6 +18,7 @@
 #include "nn/ActivationLayers.h"
 #include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
+#include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
 
@@ -209,45 +210,50 @@ TEST(RepairEngine, ConcurrentSubmitsBitIdenticalToSerialRuns) {
   auto Classifier = std::make_shared<Network>(makeClassifier(R));
   auto Figure3 = std::make_shared<Network>(makeFigure3Network());
 
-  // Eight jobs over two shared networks: three layers x two specs on
-  // the classifier, plus two polytope jobs on Figure 3.
-  struct Case {
-    RepairRequest Request;
-    RepairResult Serial;
-  };
-  std::vector<Case> Cases;
+  // Ten jobs over two shared networks: three layers x two specs on
+  // the classifier, two polytope jobs on Figure 3, and a kAutoLayer
+  // sweep on each network, so sweeps run their attempts on the pool
+  // next to other jobs' loops.
+  std::vector<RepairRequest> Requests;
   std::vector<PointSpec> Specs;
   Specs.push_back(makeFlipSpec(*Classifier, R, 24));
   Specs.push_back(makeFlipSpec(*Classifier, R, 36));
   for (int Layer : {0, 2, 4})
-    for (const PointSpec &Spec : Specs) {
-      Case C;
-      C.Request = RepairRequest::points(Classifier, Layer, Spec);
-      C.Serial = repairPoints(*Classifier, Layer, Spec);
-      Cases.push_back(std::move(C));
-    }
-  for (double Hi : {-0.4, -0.5}) {
-    RepairOptions Options;
-    Options.RowMargin = 0.0;
-    PolytopeSpec PolySpec = makeFigure3PolySpec(-0.8, Hi);
-    Case C;
-    C.Request = RepairRequest::polytopes(Figure3, 0, PolySpec, Options);
-    C.Serial = repairPolytopes(*Figure3, 0, PolySpec, Options);
-    Cases.push_back(std::move(C));
+    for (const PointSpec &Spec : Specs)
+      Requests.push_back(RepairRequest::points(Classifier, Layer, Spec));
+  RepairOptions PolyOptions;
+  PolyOptions.RowMargin = 0.0;
+  for (double Hi : {-0.4, -0.5})
+    Requests.push_back(RepairRequest::polytopes(
+        Figure3, 0, makeFigure3PolySpec(-0.8, Hi), PolyOptions));
+  Requests.push_back(RepairRequest::points(Classifier, kAutoLayer, Specs[1]));
+  Requests.push_back(RepairRequest::polytopes(
+      Figure3, kAutoLayer, makeFigure3PolySpec(-0.8, -0.4), PolyOptions));
+
+  EngineOptions SerialOptions;
+  SerialOptions.EnableCache = false;
+  RepairEngine SerialEngine(SerialOptions);
+  std::vector<RepairReport> Serial;
+  for (const RepairRequest &Request : Requests)
+    Serial.push_back(SerialEngine.run(Request));
+  for (size_t I = Requests.size() - 2; I < Requests.size(); ++I) {
+    ASSERT_EQ(Serial[I].Status, RepairStatus::Success);
+    ASSERT_GT(Serial[I].Sweep.size(), 1u);
   }
 
   EngineOptions Options;
   Options.NumWorkers = 4;
   RepairEngine Engine(Options);
   std::vector<JobHandle> Handles;
-  for (Case &C : Cases)
-    Handles.push_back(Engine.submit(C.Request));
-  ASSERT_EQ(Handles.size(), 8u);
+  for (const RepairRequest &Request : Requests)
+    Handles.push_back(Engine.submit(Request));
+  ASSERT_EQ(Handles.size(), 10u);
 
-  for (size_t I = 0; I < Cases.size(); ++I) {
+  for (size_t I = 0; I < Requests.size(); ++I) {
     const RepairReport &Report = Handles[I].report();
     EXPECT_GT(Report.JobId, 0u);
-    expectBitIdentical(Report.Result, Cases[I].Serial);
+    expectBitIdentical(Report.Result, Serial[I].Result);
+    EXPECT_EQ(Report.RepairedLayer, Serial[I].RepairedLayer);
     EXPECT_EQ(Handles[I].progress().Phase, RepairPhase::Done);
   }
   EXPECT_EQ(Engine.pendingJobs(), 0);
@@ -641,10 +647,9 @@ TEST(RepairEngine, SweepAttemptsCarryPhaseTimingsOnAllExitPaths) {
 }
 
 TEST(RepairEngine, SweepBitIdenticalAcrossPoolSizes) {
-  // A sweep fans its independent layer attempts across
-  // min(candidates, pool size) LpScheduler shards. The contract: any
-  // pool size produces the same sweep log and a bit-identical winner,
-  // and every attempt names a shard the pool size allows.
+  // A sweep runs its independent layer attempts as one pool loop. The
+  // contract: any pool size produces the same sweep log and a
+  // bit-identical winner.
   const int SavedThreads = globalThreadCount();
   Rng R(91020);
   auto Net = std::make_shared<Network>(makeClassifier(R));
@@ -658,35 +663,31 @@ TEST(RepairEngine, SweepBitIdenticalAcrossPoolSizes) {
   RepairReport Baseline = RepairEngine().run(Request);
   ASSERT_EQ(Baseline.Status, RepairStatus::Success);
   ASSERT_GT(Baseline.Sweep.size(), 1u);
-  for (const SweepAttempt &Attempt : Baseline.Sweep)
-    EXPECT_EQ(Attempt.ShardId, 0);
 
   for (int Pool : {2, 4, 8}) {
     setGlobalThreadCount(Pool);
-    RepairReport Sharded = RepairEngine().run(Request);
+    RepairReport Pooled = RepairEngine().run(Request);
     std::string What = "pool=" + std::to_string(Pool);
-    ASSERT_EQ(Sharded.Status, Baseline.Status) << What;
-    EXPECT_EQ(Sharded.RepairedLayer, Baseline.RepairedLayer) << What;
-    ASSERT_EQ(Sharded.Sweep.size(), Baseline.Sweep.size()) << What;
+    ASSERT_EQ(Pooled.Status, Baseline.Status) << What;
+    EXPECT_EQ(Pooled.RepairedLayer, Baseline.RepairedLayer) << What;
+    ASSERT_EQ(Pooled.Sweep.size(), Baseline.Sweep.size()) << What;
     for (size_t C = 0; C < Baseline.Sweep.size(); ++C) {
-      EXPECT_EQ(Sharded.Sweep[C].LayerIndex, Baseline.Sweep[C].LayerIndex)
+      EXPECT_EQ(Pooled.Sweep[C].LayerIndex, Baseline.Sweep[C].LayerIndex)
           << What;
-      EXPECT_EQ(Sharded.Sweep[C].Status, Baseline.Sweep[C].Status) << What;
-      EXPECT_EQ(Sharded.Sweep[C].DeltaL1, Baseline.Sweep[C].DeltaL1) << What;
-      EXPECT_EQ(Sharded.Sweep[C].DeltaLInf, Baseline.Sweep[C].DeltaLInf)
+      EXPECT_EQ(Pooled.Sweep[C].Status, Baseline.Sweep[C].Status) << What;
+      EXPECT_EQ(Pooled.Sweep[C].DeltaL1, Baseline.Sweep[C].DeltaL1) << What;
+      EXPECT_EQ(Pooled.Sweep[C].DeltaLInf, Baseline.Sweep[C].DeltaLInf)
           << What;
-      EXPECT_GE(Sharded.Sweep[C].ShardId, 0) << What;
-      EXPECT_LT(Sharded.Sweep[C].ShardId, Pool) << What;
     }
-    expectBitIdentical(Sharded.Result, Baseline.Result);
+    expectBitIdentical(Pooled.Result, Baseline.Result);
   }
   setGlobalThreadCount(SavedThreads);
 }
 
 TEST(RepairEngine, HookedSweepRunsOnTheJobThread) {
   // A checkpoint hook is invoked on the job thread, so a hooked sweep
-  // runs on one shard, inline, however large the pool: every hook call
-  // lands on one thread, and every attempt reports shard 0.
+  // runs its attempts in a plain loop there, however large the pool:
+  // every hook call lands on one thread.
   const int SavedThreads = globalThreadCount();
   setGlobalThreadCount(4);
   Rng R(91021);
@@ -710,8 +711,6 @@ TEST(RepairEngine, HookedSweepRunsOnTheJobThread) {
   const RepairReport &Report = Handle.report();
   ASSERT_EQ(Report.Status, RepairStatus::Success);
   ASSERT_EQ(Report.Sweep.size(), Net->parameterizedLayerIndices().size());
-  for (const SweepAttempt &Attempt : Report.Sweep)
-    EXPECT_EQ(Attempt.ShardId, 0);
   ASSERT_FALSE(HookThreads.empty());
   EXPECT_NE(JobThread, std::thread::id());
   for (std::thread::id Id : HookThreads)
@@ -929,24 +928,94 @@ TEST(RepairEngine, MultiRoundRepairIsDeterministic) {
 }
 
 TEST(RepairEngine, InvalidOptionsFailBeforeAnyPhase) {
-  // Options the pipeline cannot run fail as SolverFailure before any
-  // phase, through run() and submit() alike. A CgBatch of -1 used to
-  // reach the round's row selection and read out of bounds.
+  // Options the pipeline cannot run, and requests that do not fit their
+  // network, fail as SolverFailure before any phase, through run() and
+  // submit() alike. A CgBatch of -1 used to reach the round's row
+  // selection and read out of bounds; the request shapes below used to
+  // crash, abort on an assert, or report a result for a different LP.
   Rng R(91043);
   auto Net = std::make_shared<Network>(makeClassifier(R));
   PointSpec Spec = makeFlipSpec(*Net, R, 12);
-  std::vector<std::pair<std::string, RepairOptions>> Cases(3);
-  Cases[0].first = "CgBatch=-1";
-  Cases[0].second.CgBatch = -1;
-  Cases[1].first = "CgBatch=0";
-  Cases[1].second.CgBatch = 0;
-  Cases[2].first = "MaxCgRounds=-1";
-  Cases[2].second.MaxCgRounds = -1;
+  std::vector<std::pair<std::string, RepairRequest>> Cases;
+  auto WithOptions = [&](const std::string &Name, auto Break) {
+    RepairOptions Options;
+    Break(Options);
+    EXPECT_FALSE(validRepairOptions(Options)) << Name;
+    Cases.emplace_back(Name, RepairRequest::points(Net, 2, Spec, Options));
+  };
+  WithOptions("CgBatch=-1", [](RepairOptions &O) { O.CgBatch = -1; });
+  WithOptions("CgBatch=0", [](RepairOptions &O) { O.CgBatch = 0; });
+  WithOptions("MaxCgRounds=-1", [](RepairOptions &O) { O.MaxCgRounds = -1; });
+  WithOptions("DeltaBound=0", [](RepairOptions &O) { O.DeltaBound = 0.0; });
+  WithOptions("DeltaBound=-1", [](RepairOptions &O) { O.DeltaBound = -1.0; });
+
+  auto WithPoints = [&](const std::string &Name, int Layer, auto Break) {
+    RepairRequest Request = RepairRequest::points(Net, Layer, Spec);
+    Break(Request, std::get<PointSpec>(Request.Spec)[0]);
+    Cases.emplace_back(Name, std::move(Request));
+  };
+  WithPoints("LayerIndex=99", 99, [](RepairRequest &, SpecPoint &) {});
+  WithPoints("LayerIndex=ReLU", 1, [](RepairRequest &, SpecPoint &) {});
+  WithPoints("SweepLayers={1}", kAutoLayer,
+             [](RepairRequest &Q, SpecPoint &) { Q.SweepLayers = {1}; });
+  WithPoints("ParamMask size 3", 2, [](RepairRequest &Q, SpecPoint &) {
+    Q.Options.ParamMask = std::vector<bool>(3, true);
+  });
+  WithPoints("ParamMask all false", 2, [&](RepairRequest &Q, SpecPoint &) {
+    Q.Options.ParamMask = std::vector<bool>(
+        static_cast<size_t>(cast<LinearLayer>(Net->layer(2)).numParams()),
+        false);
+  });
+  WithPoints("X size 3", 2, [](RepairRequest &, SpecPoint &P) {
+    P.X = Vector(3);
+  });
+  WithPoints("A with 2 columns", 2, [](RepairRequest &, SpecPoint &P) {
+    P.Constraint = classificationConstraint(2, 0, 1e-3);
+  });
+  WithPoints("b shorter than A", 2, [](RepairRequest &, SpecPoint &P) {
+    P.Constraint.B = Vector(1);
+  });
+  WithPoints("pattern with no layers", 2, [](RepairRequest &, SpecPoint &P) {
+    P.Pattern = NetworkPattern();
+  });
+  WithPoints("pattern entry too short", 2, [&](RepairRequest &, SpecPoint &P) {
+    P.Pattern = computePattern(*Net, P.X);
+    P.Pattern->Patterns[3].pop_back();
+  });
+
+  auto Figure3 = std::make_shared<Network>(makeFigure3Network());
+  RepairRequest LongSegment = RepairRequest::polytopes(
+      Figure3, 0, makeFigure3PolySpec(-0.8, -0.4));
+  std::get<SegmentPolytope>(
+      std::get<PolytopeSpec>(LongSegment.Spec)[0].Shape)
+      .A = Vector(3);
+  Cases.emplace_back("segment of size 3", std::move(LongSegment));
+  PolytopeSpec TwoVertexPlane;
+  TwoVertexPlane.push_back(SpecPolytope{
+      PlanePolytope{{randomVector(R, 6), randomVector(R, 6)}},
+      classificationConstraint(4, 0)});
+  Cases.emplace_back("plane with 2 vertices",
+                     RepairRequest::polytopes(Net, 2, TwoVertexPlane));
+  Network Smooth;
+  Smooth.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 3, 1), randomVector(R, 3)));
+  Smooth.addLayer(std::make_unique<TanhLayer>(3));
+  Smooth.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 1, 3),
+                                                        randomVector(R, 1)));
+  Cases.emplace_back(
+      "polytopes on a tanh network",
+      RepairRequest::polytopes(std::make_shared<Network>(std::move(Smooth)), 0,
+                               makeFigure3PolySpec(-0.8, -0.4)));
+  Network ReluOnly;
+  ReluOnly.addLayer(std::make_unique<ReLULayer>(4));
+  PointSpec ReluSpec = {{Vector(4), classificationConstraint(4, 0), {}}};
+  Cases.emplace_back(
+      "sweep with no parameterized layer",
+      RepairRequest::points(std::make_shared<Network>(std::move(ReluOnly)),
+                            kAutoLayer, ReluSpec));
 
   RepairEngine Engine;
-  for (const auto &[Name, Options] : Cases) {
-    EXPECT_FALSE(validRepairOptions(Options)) << Name;
-    RepairRequest Request = RepairRequest::points(Net, 2, Spec, Options);
+  for (const auto &[Name, Request] : Cases) {
     RepairReport Ran = Engine.run(Request);
     RepairReport Submitted = Engine.submit(Request).report();
     for (const RepairReport *Report : {&Ran, &Submitted}) {

@@ -308,7 +308,7 @@ TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
   // leave the constant alone. Version 7 moved it: LP rows became seeded
   // vector-Jacobian products, which round differently, and the sevenths
   // repair shows that where the 1/16 repair's exact sums cannot.
-  static_assert(persist::kFormatVersion == 8,
+  static_assert(persist::kFormatVersion == 9,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
   const Digest128 Golden = {0x913a877d58b47946ull, 0x7b2deda303c00947ull};

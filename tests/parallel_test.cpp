@@ -3,8 +3,9 @@
 // Covers: full index coverage (each index exactly once) under various
 // thread counts and grains, chunk ordering/disjointness guarantees of
 // parallelForRanges, exception propagation with pool reuse afterwards,
-// nested parallelFor and InlineLoopsScope, the PRDNN_NUM_THREADS
-// override, and global pool resizing.
+// nested parallelFor, concurrent callers sharing one pool (neither
+// waits for the other's loop; coverage and exceptions stay per
+// caller), the PRDNN_NUM_THREADS override, and global pool resizing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -107,32 +107,72 @@ TEST(Parallel, NestedParallelForRunsInline) {
   EXPECT_EQ(Total.load(), 800);
 }
 
-TEST(Parallel, InlineLoopsScopeKeepsLoopsOnTheCallingThread) {
-  setGlobalThreadCount(4);
-  // 64 one-index chunks of 1 ms each: long enough that idle workers
-  // claim some whenever the loop reaches the pool.
-  auto ThreadsUsed = [] {
-    std::vector<std::thread::id> Ids(64);
-    parallelForRanges(
-        0, 64,
-        [&](std::int64_t Begin, std::int64_t) {
-          Ids[static_cast<size_t>(Begin)] = std::this_thread::get_id();
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        },
-        /*Grain=*/1);
-    std::sort(Ids.begin(), Ids.end());
-    return std::unique(Ids.begin(), Ids.end()) - Ids.begin();
-  };
-  {
-    InlineLoopsScope Inline;
-    EXPECT_EQ(ThreadsUsed(), 1);
-    {
-      InlineLoopsScope Nested;
-    }
-    EXPECT_EQ(ThreadsUsed(), 1); // an inner scope restores, not clears
+TEST(Parallel, ConcurrentCallersDoNotWaitOnEachOther) {
+  // Caller A's chunks hold every thread of the pool until caller B's
+  // loop has returned (for at most 5 s): B must run its own chunks
+  // instead of queueing behind A.
+  ThreadPool Pool(4);
+  std::atomic<bool> AEntered{false}, BDone{false}, ATimedOut{false};
+  std::thread A([&] {
+    Pool.forRanges(0, 4, /*Grain=*/1, [&](std::int64_t, std::int64_t) {
+      AEntered = true;
+      for (int Ms = 0; !BDone; ++Ms) {
+        if (Ms == 5000)
+          ATimedOut = true;
+        if (ATimedOut)
+          return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (!AEntered)
+    std::this_thread::yield();
+  std::atomic<std::int64_t> Count{0};
+  Pool.forRanges(0, 100, /*Grain=*/1,
+                 [&](std::int64_t Begin, std::int64_t End) {
+                   Count += End - Begin;
+                 });
+  BDone = true;
+  A.join();
+  EXPECT_EQ(Count.load(), 100);
+  EXPECT_FALSE(ATimedOut.load()) << "B's loop waited for A's";
+}
+
+TEST(Parallel, ConcurrentCallersCoverTheirOwnRangesAndOwnTheirExceptions) {
+  // Four callers at once on one pool, with mixed grains: each covers
+  // its own range exactly once, and only the caller whose body throws
+  // sees the exception.
+  ThreadPool Pool(4);
+  const std::int64_t N = 4099;
+  const std::int64_t Grains[] = {0, 1, 7, 64};
+  for (int Round = 0; Round < 8; ++Round) {
+    std::vector<std::atomic<int>> Hits(4 * N);
+    std::vector<int> Threw(4, 0);
+    std::atomic<int> Ready{0};
+    std::vector<std::thread> Callers;
+    for (int T = 0; T < 4; ++T)
+      Callers.emplace_back([&, T] {
+        ++Ready;
+        while (Ready < 4)
+          std::this_thread::yield();
+        try {
+          Pool.forRanges(0, N, Grains[T], [&](std::int64_t B, std::int64_t E) {
+            if (T == 3 && B <= N / 2 && N / 2 < E)
+              throw std::runtime_error("caller 3");
+            for (std::int64_t I = B; I < E; ++I)
+              Hits[static_cast<size_t>(T * N + I)].fetch_add(1);
+          });
+        } catch (const std::runtime_error &) {
+          Threw[static_cast<size_t>(T)] = 1;
+        }
+      });
+    for (std::thread &C : Callers)
+      C.join();
+    EXPECT_EQ(Threw, (std::vector<int>{0, 0, 0, 1})) << "round " << Round;
+    for (std::int64_t I = 0; I < 3 * N; ++I)
+      ASSERT_EQ(Hits[static_cast<size_t>(I)].load(), 1)
+          << "caller " << I / N << " index " << I % N << " round " << Round;
   }
-  EXPECT_GT(ThreadsUsed(), 1); // out of scope, loops reach the pool again
-  setGlobalThreadCount(defaultThreadCount());
 }
 
 TEST(Parallel, DefaultThreadCountHonorsEnv) {

@@ -901,6 +901,8 @@ const BadOptionsCase BadOptionsCases[] = {
      [](RepairOptions &O) { O.Lp.RefactorInterval = 0; }},
     {"StallLimitZero", [](RepairOptions &O) { O.Lp.StallLimit = 0; }},
     {"DeltaBoundNaN", [](RepairOptions &O) { O.DeltaBound = NaN; }},
+    {"DeltaBoundZero", [](RepairOptions &O) { O.DeltaBound = 0.0; }},
+    {"DeltaBoundNegative", [](RepairOptions &O) { O.DeltaBound = -1.0; }},
     {"RowMarginInfinite", [](RepairOptions &O) { O.RowMargin = Inf; }},
     {"RowMarginNaN", [](RepairOptions &O) { O.RowMargin = NaN; }},
     {"FeasTolZero", [](RepairOptions &O) { O.Lp.FeasTol = 0.0; }},
@@ -989,6 +991,40 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BadOptionsCase> &Info) {
       return std::string(Info.param.Name);
     });
+
+TEST(RpcEndToEnd, RequestThatDoesNotFitTheModelFailsAndServerServesOn) {
+  // Layer 99 does not exist in the served model. The request decodes
+  // (the wire cannot know the model) and the engine fails it as
+  // SolverFailure before any phase; the same server then serves a
+  // valid request.
+  ServiceFixture Fx("rpc-misfit");
+  RpcServer Server(Fx.Service, RpcServerOptions{});
+  ASSERT_TRUE(Server.start());
+  RpcClientOptions ClientOptions;
+  ClientOptions.Port = Server.port();
+  RpcClient Client(ClientOptions);
+  ASSERT_EQ(Client.connect(), RpcError::None);
+
+  Rng SpecR(9950);
+  serve::ServeRequest Request;
+  Request.Model = Fx.Fp;
+  Request.Spec = makeFlipSpec(Fx.Classifier, SpecR, 6);
+  Request.LayerIndex = 99;
+  RepairReport Report;
+  serve::ServeReject Reject = serve::ServeReject::Saturated;
+  ASSERT_EQ(Client.repair(Request, Report, Reject), RpcError::None);
+  ASSERT_EQ(Reject, serve::ServeReject::None);
+  EXPECT_EQ(Report.Status, RepairStatus::SolverFailure);
+  EXPECT_TRUE(Report.Sweep.empty());
+  EXPECT_EQ(Report.Result.Stats.LpIterations, 0);
+
+  Request.LayerIndex = 4;
+  ASSERT_EQ(Client.repair(Request, Report, Reject), RpcError::None);
+  ASSERT_EQ(Reject, serve::ServeReject::None);
+  EXPECT_EQ(Report.Status, RepairStatus::Success);
+  Client.close();
+  Server.stop();
+}
 
 TEST(RpcEndToEnd, ClientKilledMidRequestLeaksNoTicketAndServerSurvives) {
   ServiceFixture Fx("rpc-kill", /*Workers=*/1);
