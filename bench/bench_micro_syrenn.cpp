@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
 
 using namespace prdnn;
 
@@ -61,10 +62,27 @@ void BM_LineRegions(benchmark::State &State) {
                  std::to_string(Pieces) + " pieces");
 }
 
+/// The plane shape: regions live after each activation layer, from the
+/// transform of \p Net's prefixes that end in an activation.
+std::string liveAfterActivations(const Network &Net,
+                                 const std::vector<Vector> &Polygon) {
+  std::string Shape;
+  Network Prefix;
+  for (int L = 0; L < Net.numLayers(); ++L) {
+    Prefix.addLayer(Net.layer(L).clone());
+    if (Net.layer(L).isLinear())
+      continue;
+    Shape += (Shape.empty() ? "" : "/") +
+             std::to_string(planeRegions(Prefix, Polygon).size());
+  }
+  return Shape;
+}
+
 void BM_PlaneRegions(benchmark::State &State) {
   Rng R(22);
   int Hidden = static_cast<int>(State.range(0));
-  Network Net = makeFcNet(R, 5, Hidden, 3, 5);
+  int Depth = static_cast<int>(State.range(1));
+  Network Net = makeFcNet(R, 5, Hidden, Depth, 5);
   Vector O(5), E1(5), E2(5);
   for (int I = 0; I < 5; ++I) {
     O[I] = 0.3 * R.normal();
@@ -78,13 +96,21 @@ void BM_PlaneRegions(benchmark::State &State) {
     Regions = Result.size();
     benchmark::DoNotOptimize(Regions);
   }
-  State.SetLabel("hidden " + std::to_string(Hidden) + ", " +
-                 std::to_string(Regions) + " regions");
+  State.SetLabel("hidden " + std::to_string(Hidden) + " x" +
+                 std::to_string(Depth) + ", " + std::to_string(Regions) +
+                 " regions, live after each activation " +
+                 liveAfterActivations(Net, Polygon));
 }
 
 } // namespace
 
 BENCHMARK(BM_LineRegions)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PlaneRegions)->Arg(8)->Arg(16)->Arg(24)
+// Widths 8-24 at depth 3, and the ACAS shape: 5 inputs, 5 hidden
+// layers of 12.
+BENCHMARK(BM_PlaneRegions)
+    ->Args({8, 3})
+    ->Args({16, 3})
+    ->Args({24, 3})
+    ->Args({12, 5})
     ->Unit(benchmark::kMillisecond);

@@ -4,11 +4,13 @@
 
 #include "cache/Fingerprint.h"
 #include "core/PolytopeRepair.h"
+#include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "persist/ArtifactStore.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Timer.h"
+#include "syrenn/PlaneTransform.h"
 
 #include <algorithm>
 #include <cassert>
@@ -57,6 +59,16 @@ bool fitsPattern(const Network &Net, const NetworkPattern &Pattern) {
   return true;
 }
 
+/// Whether planeRegions can take \p Net: it splits polygons only at
+/// elementwise activations' thresholds, so a max-pool layer rules it out.
+bool fitsPlaneTransform(const Network &Net) {
+  for (int I = 0; I < Net.numLayers(); ++I)
+    if (!Net.layer(I).isLinear() &&
+        !isa<ElementwiseActivation>(&Net.layer(I)))
+      return false;
+  return true;
+}
+
 /// Whether \p Request's candidate layers, mask and spec fit its network:
 /// the repair pipeline asserts these shapes rather than checking them.
 bool fitsNetwork(const RepairRequest &Request,
@@ -87,8 +99,9 @@ bool fitsNetwork(const RepairRequest &Request,
     }
     const std::vector<Vector> &Vertices =
         std::get<PlanePolytope>(Poly.Shape).Vertices;
-    if (Vertices.size() < 3 ||
-        !std::all_of(Vertices.begin(), Vertices.end(), FitsInput))
+    if (!fitsPlaneTransform(Net) ||
+        !std::all_of(Vertices.begin(), Vertices.end(), FitsInput) ||
+        !isProperPlane(Vertices))
       return false;
   }
   return true;

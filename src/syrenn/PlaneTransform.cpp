@@ -4,10 +4,10 @@
 
 #include "nn/ActivationLayers.h"
 #include "support/Casting.h"
-#include "support/Parallel.h"
 
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 using namespace prdnn;
 
@@ -63,110 +63,50 @@ double planeArea(const std::vector<std::pair<double, double>> &Pts) {
   return 0.5 * Twice;
 }
 
-/// Removes consecutive (plane-coordinate) duplicates.
+/// Removes consecutive (plane-coordinate) duplicates, in place.
 void dedupe(WorkPolygon &Poly) {
-  WorkPolygon Out;
   int N = Poly.size();
+  int Kept = 0;
   for (int I = 0; I < N; ++I) {
+    // Slot Prev is still unwritten: a kept vertex moves to a slot at or
+    // below its own index.
     int Prev = (I + N - 1) % N;
     double Dx = Poly.Plane[I].first - Poly.Plane[Prev].first;
     double Dy = Poly.Plane[I].second - Poly.Plane[Prev].second;
     if (N > 1 && Dx * Dx + Dy * Dy < 1e-22)
       continue;
-    Out.Input.push_back(Poly.Input[I]);
-    Out.Plane.push_back(Poly.Plane[I]);
-    Out.Vals.push_back(Poly.Vals[I]);
+    if (Kept != I) {
+      Poly.Input[Kept] = std::move(Poly.Input[I]);
+      Poly.Plane[Kept] = Poly.Plane[I];
+      Poly.Vals[Kept] = std::move(Poly.Vals[I]);
+    }
+    ++Kept;
   }
-  Poly = std::move(Out);
+  Poly.Input.erase(Poly.Input.begin() + Kept, Poly.Input.end());
+  Poly.Plane.erase(Poly.Plane.begin() + Kept, Poly.Plane.end());
+  Poly.Vals.erase(Poly.Vals.begin() + Kept, Poly.Vals.end());
 }
 
 bool isDegenerate(const WorkPolygon &Poly) {
   return Poly.size() < 3 || std::fabs(planeArea(Poly.Plane)) < 1e-14;
 }
 
-/// Splits \p Poly by the level set {value[Unit] == Threshold}. Appends
-/// the (up to two) non-degenerate sides to \p Out.
-void splitPolygon(const WorkPolygon &Poly, int Unit, double Threshold,
-                  std::vector<WorkPolygon> &Out) {
-  int N = Poly.size();
-  std::vector<double> D(static_cast<size_t>(N));
-  double Scale = 0.0;
-  for (int I = 0; I < N; ++I) {
-    D[I] = Poly.Vals[I][Unit] - Threshold;
-    Scale = std::max(Scale, std::fabs(D[I]));
-  }
-  double Eps = 1e-10 * std::max(1.0, Scale);
-
-  bool AnyPos = false, AnyNeg = false;
-  for (double V : D) {
-    AnyPos |= V > Eps;
-    AnyNeg |= V < -Eps;
-  }
-  if (!AnyPos || !AnyNeg) {
-    Out.push_back(Poly);
-    return;
-  }
-
-  WorkPolygon Pos, Neg;
-  for (int I = 0; I < N; ++I) {
-    int Next = (I + 1) % N;
-    if (D[I] >= -Eps) {
-      Pos.Input.push_back(Poly.Input[I]);
-      Pos.Plane.push_back(Poly.Plane[I]);
-      Pos.Vals.push_back(Poly.Vals[I]);
-    }
-    if (D[I] <= Eps) {
-      Neg.Input.push_back(Poly.Input[I]);
-      Neg.Plane.push_back(Poly.Plane[I]);
-      Neg.Vals.push_back(Poly.Vals[I]);
-    }
-    bool Crosses = (D[I] > Eps && D[Next] < -Eps) ||
-                   (D[I] < -Eps && D[Next] > Eps);
-    if (!Crosses)
-      continue;
-    double S = D[I] / (D[I] - D[Next]);
-    Vector In = Poly.Input[Next];
-    In -= Poly.Input[I];
-    In *= S;
-    In += Poly.Input[I];
-    Vector Val = Poly.Vals[Next];
-    Val -= Poly.Vals[I];
-    Val *= S;
-    Val += Poly.Vals[I];
-    std::pair<double, double> Pl{
-        Poly.Plane[I].first + S * (Poly.Plane[Next].first -
-                                   Poly.Plane[I].first),
-        Poly.Plane[I].second + S * (Poly.Plane[Next].second -
-                                    Poly.Plane[I].second)};
-    Pos.Input.push_back(In);
-    Pos.Plane.push_back(Pl);
-    Pos.Vals.push_back(Val);
-    Neg.Input.push_back(std::move(In));
-    Neg.Plane.push_back(Pl);
-    Neg.Vals.push_back(std::move(Val));
-  }
-  dedupe(Pos);
-  dedupe(Neg);
-  if (!isDegenerate(Pos))
-    Out.push_back(std::move(Pos));
-  if (!isDegenerate(Neg))
-    Out.push_back(std::move(Neg));
-}
-
-} // namespace
-
-std::vector<PlaneRegion>
-prdnn::planeRegions(const Network &Net, const std::vector<Vector> &Polygon) {
-  assert(Net.isPiecewiseLinear() &&
-         "LinRegions requires a piecewise-linear network");
-  assert(Polygon.size() >= 3 && "plane transform needs a polygon");
-
-  // Build an orthonormal frame (U1, U2) of the polygon's plane.
+/// \p Polygon in an orthonormal frame (U1, U2) of its plane, with
+/// consecutive repeats removed; nullopt when the first edge has zero
+/// length, every vertex lies on the first edge's line, or what is left
+/// has no area.
+std::optional<WorkPolygon> framePolygon(const std::vector<Vector> &Polygon) {
+  if (Polygon.size() < 3)
+    return std::nullopt;
   const Vector &Origin = Polygon.front();
+  for (const Vector &V : Polygon)
+    if (V.size() != Origin.size())
+      return std::nullopt;
   Vector U1 = Polygon[1];
   U1 -= Origin;
   double N1 = U1.norm2();
-  assert(N1 > 1e-12 && "degenerate polygon edge");
+  if (!(N1 > 1e-12))
+    return std::nullopt;
   U1 *= 1.0 / N1;
   Vector U2;
   bool HaveU2 = false;
@@ -182,51 +122,191 @@ prdnn::planeRegions(const Network &Net, const std::vector<Vector> &Polygon) {
       HaveU2 = true;
     }
   }
-  assert(HaveU2 && "polygon vertices are collinear");
+  if (!HaveU2)
+    return std::nullopt;
 
-  WorkPolygon Initial;
+  WorkPolygon Framed;
   for (const Vector &V : Polygon) {
     Vector Rel = V;
     Rel -= Origin;
-    Initial.Input.push_back(V);
-    Initial.Plane.push_back({Rel.dot(U1), Rel.dot(U2)});
-    Initial.Vals.push_back(V);
+    Framed.Input.push_back(V);
+    Framed.Plane.push_back({Rel.dot(U1), Rel.dot(U2)});
+    Framed.Vals.push_back(V);
   }
-  dedupe(Initial);
-  assert(!isDegenerate(Initial) && "input polygon is degenerate");
+  dedupe(Framed);
+  if (isDegenerate(Framed))
+    return std::nullopt;
+  return Framed;
+}
 
-  std::vector<WorkPolygon> Polys = {std::move(Initial)};
+/// Fills \p D with the signed distances value[Unit] - Threshold of
+/// \p Poly's vertices and returns whether the level set
+/// {value[Unit] == Threshold} crosses the polygon: some vertex lies
+/// beyond \p Eps on each side.
+bool crossedBy(const WorkPolygon &Poly, int Unit, double Threshold,
+               std::vector<double> &D, double &Eps) {
+  int N = Poly.size();
+  D.resize(static_cast<size_t>(N));
+  double Scale = 0.0;
+  for (int I = 0; I < N; ++I) {
+    D[I] = Poly.Vals[I][Unit] - Threshold;
+    Scale = std::max(Scale, std::fabs(D[I]));
+  }
+  Eps = 1e-10 * std::max(1.0, Scale);
+
+  bool AnyPos = false, AnyNeg = false;
+  for (double V : D) {
+    AnyPos |= V > Eps;
+    AnyNeg |= V < -Eps;
+  }
+  return AnyPos && AnyNeg;
+}
+
+/// Appends vertex \p I of \p Poly to \p Side, moving its vectors when
+/// \p Move is set.
+void appendVertex(WorkPolygon &Side, WorkPolygon &Poly, int I, bool Move) {
+  if (Move) {
+    Side.Input.push_back(std::move(Poly.Input[I]));
+    Side.Vals.push_back(std::move(Poly.Vals[I]));
+  } else {
+    Side.Input.push_back(Poly.Input[I]);
+    Side.Vals.push_back(Poly.Vals[I]);
+  }
+  Side.Plane.push_back(Poly.Plane[I]);
+}
+
+/// Splits \p Poly, which the level set with signed distances \p D
+/// crosses (crossedBy), and appends the non-degenerate sides to
+/// \p Out: the `>=` side first, then the `<=` side. Consumes \p Poly.
+void splitPolygon(WorkPolygon &Poly, const std::vector<double> &D,
+                  double Eps, std::vector<WorkPolygon> &Out) {
+  int N = Poly.size();
+  WorkPolygon Pos, Neg;
+  for (WorkPolygon *Side : {&Pos, &Neg}) {
+    // A line cuts a convex polygon into sides of at most N + 1 vertices.
+    Side->Input.reserve(static_cast<size_t>(N) + 1);
+    Side->Plane.reserve(static_cast<size_t>(N) + 1);
+    Side->Vals.reserve(static_cast<size_t>(N) + 1);
+  }
+  for (int I = 0; I < N; ++I) {
+    int Next = (I + 1) % N;
+    // The crossing point of edge (I, Next), taken before vertex I moves.
+    bool Crosses = (D[I] > Eps && D[Next] < -Eps) ||
+                   (D[I] < -Eps && D[Next] > Eps);
+    Vector In, Val;
+    std::pair<double, double> Pl;
+    if (Crosses) {
+      double S = D[I] / (D[I] - D[Next]);
+      In = Poly.Input[Next];
+      In -= Poly.Input[I];
+      In *= S;
+      In += Poly.Input[I];
+      Val = Poly.Vals[Next];
+      Val -= Poly.Vals[I];
+      Val *= S;
+      Val += Poly.Vals[I];
+      Pl = {Poly.Plane[I].first +
+                S * (Poly.Plane[Next].first - Poly.Plane[I].first),
+            Poly.Plane[I].second +
+                S * (Poly.Plane[Next].second - Poly.Plane[I].second)};
+    }
+    bool ToPos = D[I] >= -Eps, ToNeg = D[I] <= Eps;
+    // Vertex 0 is read again as the last edge's end, and a vertex on the
+    // line goes to both sides: those are copied.
+    bool Move = I > 0 && !(ToPos && ToNeg);
+    if (ToPos)
+      appendVertex(Pos, Poly, I, Move);
+    if (ToNeg)
+      appendVertex(Neg, Poly, I, Move);
+    if (!Crosses)
+      continue;
+    Pos.Input.push_back(In);
+    Pos.Plane.push_back(Pl);
+    Pos.Vals.push_back(Val);
+    Neg.Input.push_back(std::move(In));
+    Neg.Plane.push_back(Pl);
+    Neg.Vals.push_back(std::move(Val));
+  }
+  dedupe(Pos);
+  dedupe(Neg);
+  if (!isDegenerate(Pos))
+    Out.push_back(std::move(Pos));
+  if (!isDegenerate(Neg))
+    Out.push_back(std::move(Neg));
+}
+
+/// Buffers one activation pass reuses from polygon to polygon.
+struct SplitBuffers {
+  std::vector<WorkPolygon> Cur, Next;
+  std::vector<double> D;
+};
+
+/// Takes \p Poly through activation \p Act: splits it by every unit
+/// (ascending) and threshold (ascending) of \p Act, keeping a polygon
+/// no level set crosses as it is, then maps the children's values
+/// through \p Act and appends them to \p Out in order.
+void activatePolygon(WorkPolygon &&Poly, const ElementwiseActivation &Act,
+                     const std::vector<double> &Thresholds,
+                     SplitBuffers &Buffers, std::vector<WorkPolygon> &Out) {
+  Buffers.Cur.clear();
+  Buffers.Cur.push_back(std::move(Poly));
+  for (int Unit = 0; Unit < Act.inputSize(); ++Unit) {
+    for (double Th : Thresholds) {
+      Buffers.Next.clear();
+      for (WorkPolygon &Child : Buffers.Cur) {
+        double Eps = 0.0;
+        if (crossedBy(Child, Unit, Th, Buffers.D, Eps))
+          splitPolygon(Child, Buffers.D, Eps, Buffers.Next);
+        else
+          Buffers.Next.push_back(std::move(Child));
+      }
+      std::swap(Buffers.Cur, Buffers.Next);
+    }
+  }
+  for (WorkPolygon &Child : Buffers.Cur) {
+    for (Vector &V : Child.Vals)
+      V = Act.apply(V);
+    Out.push_back(std::move(Child));
+  }
+}
+
+} // namespace
+
+bool prdnn::isProperPlane(const std::vector<Vector> &Polygon) {
+  return framePolygon(Polygon).has_value();
+}
+
+std::vector<PlaneRegion>
+prdnn::planeRegions(const Network &Net, const std::vector<Vector> &Polygon) {
+  assert(Net.isPiecewiseLinear() &&
+         "LinRegions requires a piecewise-linear network");
+  std::optional<WorkPolygon> Initial = framePolygon(Polygon);
+  assert(Initial && "plane transform needs a proper polygon");
+  if (!Initial)
+    return {};
+
+  std::vector<WorkPolygon> Polys;
+  Polys.push_back(std::move(*Initial));
   std::vector<WorkPolygon> Next;
+  SplitBuffers Buffers;
 
   for (int LayerIdx = 0; LayerIdx < Net.numLayers(); ++LayerIdx) {
     const Layer &L = Net.layer(LayerIdx);
-    if (const auto *Linear = dyn_cast<LinearLayer>(&L)) {
-      // Polygons are independent; each one maps its vertex set through
-      // the layer in a single batched call.
-      parallelFor(0, static_cast<std::int64_t>(Polys.size()),
-                  [&](std::int64_t P) {
-                    applyBatchToRows(*Linear,
-                                     Polys[static_cast<size_t>(P)].Vals);
-                  });
+    if (L.isLinear()) {
+      // Per vertex: Layer::apply is bit-for-bit one row of applyBatch.
+      for (WorkPolygon &Poly : Polys)
+        for (Vector &V : Poly.Vals)
+          V = L.apply(V);
       continue;
     }
     const auto *Act = dyn_cast<ElementwiseActivation>(&L);
     assert(Act && "plane transform supports elementwise PWL activations "
                   "(no max-pool)");
     std::vector<double> Thresholds = Act->thresholds();
-    for (int Unit = 0; Unit < Act->inputSize(); ++Unit) {
-      for (double Th : Thresholds) {
-        Next.clear();
-        for (const WorkPolygon &Poly : Polys)
-          splitPolygon(Poly, Unit, Th, Next);
-        std::swap(Polys, Next);
-      }
-    }
-    parallelFor(0, static_cast<std::int64_t>(Polys.size()),
-                [&](std::int64_t P) {
-                  for (Vector &V : Polys[static_cast<size_t>(P)].Vals)
-                    V = Act->apply(V);
-                });
+    Next.clear();
+    for (WorkPolygon &Poly : Polys)
+      activatePolygon(std::move(Poly), *Act, Thresholds, Buffers, Next);
+    std::swap(Polys, Next);
   }
 
   std::vector<PlaneRegion> Result;

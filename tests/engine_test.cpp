@@ -18,6 +18,7 @@
 #include "nn/ActivationLayers.h"
 #include "nn/Jacobian.h"
 #include "nn/LinearLayers.h"
+#include "nn/PoolLayers.h"
 #include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
@@ -996,6 +997,33 @@ TEST(RepairEngine, InvalidOptionsFailBeforeAnyPhase) {
       classificationConstraint(4, 0)});
   Cases.emplace_back("plane with 2 vertices",
                      RepairRequest::polytopes(Net, 2, TwoVertexPlane));
+  // Both used to crash the transform: a zero first edge divides by a
+  // zero norm, and collinear vertices leave the plane frame unset.
+  Vector P0 = randomVector(R, 6), Step = randomVector(R, 6);
+  for (const auto &[Name, Vertices] :
+       {std::pair<std::string, std::vector<Vector>>{
+            "collinear plane", {P0, P0 + Step, P0 + Step * 2.0}},
+        {"plane with a repeated first vertex", {P0, P0, P0 + Step}}}) {
+    PolytopeSpec Degenerate;
+    Degenerate.push_back(SpecPolytope{PlanePolytope{Vertices},
+                                      classificationConstraint(4, 0)});
+    Cases.emplace_back(Name, RepairRequest::polytopes(Net, 2, Degenerate));
+  }
+  // The plane transform has no max-pool split; this one crashed too.
+  Network Pooled;
+  Pooled.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 4, 2),
+                                                        randomVector(R, 4)));
+  Pooled.addLayer(std::make_unique<MaxPool2DLayer>(1, 2, 2, 2, 2, 2));
+  Pooled.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 2, 1),
+                                                        randomVector(R, 2)));
+  PolytopeSpec Triangle;
+  Triangle.push_back(SpecPolytope{
+      PlanePolytope{{Vector{-1.0, -1.0}, Vector{1.0, -1.0}, Vector{0.0, 1.0}}},
+      classificationConstraint(2, 0)});
+  Cases.emplace_back(
+      "plane on a max-pool network",
+      RepairRequest::polytopes(std::make_shared<Network>(std::move(Pooled)), 0,
+                               Triangle));
   Network Smooth;
   Smooth.addLayer(std::make_unique<FullyConnectedLayer>(
       randomMatrix(R, 3, 1), randomVector(R, 3)));

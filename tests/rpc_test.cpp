@@ -1026,6 +1026,45 @@ TEST(RpcEndToEnd, RequestThatDoesNotFitTheModelFailsAndServerServesOn) {
   Server.stop();
 }
 
+TEST(RpcEndToEnd, CollinearPlaneFailsAndServerServesOn) {
+  // A plane whose vertices lie on one line has no plane frame; it used
+  // to crash the server's transform. The engine fails it as
+  // SolverFailure before any phase, and the same server then serves a
+  // valid request.
+  ServiceFixture Fx("rpc-collinear");
+  RpcServer Server(Fx.Service, RpcServerOptions{});
+  ASSERT_TRUE(Server.start());
+  RpcClientOptions ClientOptions;
+  ClientOptions.Port = Server.port();
+  RpcClient Client(ClientOptions);
+  ASSERT_EQ(Client.connect(), RpcError::None);
+
+  Rng SpecR(9951);
+  Vector P0 = randomVector(SpecR, 6), Step = randomVector(SpecR, 6);
+  PolytopeSpec Collinear;
+  Collinear.push_back(SpecPolytope{
+      PlanePolytope{{P0, P0 + Step, P0 + Step * 2.0}},
+      classificationConstraint(4, 0)});
+  serve::ServeRequest Request;
+  Request.Model = Fx.Fp;
+  Request.Spec = Collinear;
+  Request.LayerIndex = 4;
+  RepairReport Report;
+  serve::ServeReject Reject = serve::ServeReject::Saturated;
+  ASSERT_EQ(Client.repair(Request, Report, Reject), RpcError::None);
+  ASSERT_EQ(Reject, serve::ServeReject::None);
+  EXPECT_EQ(Report.Status, RepairStatus::SolverFailure);
+  EXPECT_TRUE(Report.Sweep.empty());
+  EXPECT_EQ(Report.Result.Stats.LpIterations, 0);
+
+  Request.Spec = makeFlipSpec(Fx.Classifier, SpecR, 6);
+  ASSERT_EQ(Client.repair(Request, Report, Reject), RpcError::None);
+  ASSERT_EQ(Reject, serve::ServeReject::None);
+  EXPECT_EQ(Report.Status, RepairStatus::Success);
+  Client.close();
+  Server.stop();
+}
+
 TEST(RpcEndToEnd, ClientKilledMidRequestLeaksNoTicketAndServerSurvives) {
   ServiceFixture Fx("rpc-kill", /*Workers=*/1);
   RpcServer Server(Fx.Service, RpcServerOptions{});

@@ -4,20 +4,28 @@
 // (Equation 1) and by the defining property of a linear-region
 // partition: the network is affine on each piece (midpoint test) and
 // the pieces cover [0, 1]. The 2-D transform is validated by area
-// conservation, per-region affineness, and pattern constancy.
+// conservation, per-region affineness, and pattern constancy, and its
+// region lists are checked bit for bit against a frozen copy of the
+// unit-major transform it replaced.
 //
 //===----------------------------------------------------------------------===//
 
 #include "syrenn/LineTransform.h"
 #include "syrenn/PlaneTransform.h"
 
+#include "core/PolytopeRepair.h"
 #include "nn/ActivationLayers.h"
 #include "nn/ActivationPattern.h"
 #include "nn/LinearLayers.h"
 #include "nn/PoolLayers.h"
+#include "support/Casting.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
 
 namespace {
 
@@ -62,6 +70,269 @@ Network makeRandomReluNetwork(Rng &R, int InputSize, int Hidden, int Depth,
       randomMatrix(R, OutputSize, Size, 1.2),
       randomVector(R, OutputSize, 0.4)));
   return Net;
+}
+
+// --- Frozen reference: the unit-major plane transform --------------------
+//
+// The transform as it was before the per-polygon layer pass: each unit
+// and threshold sweeps every live polygon, copying the ones it does not
+// cross. planeRegions must reproduce its region lists bit for bit.
+
+namespace reference {
+
+struct WorkPolygon {
+  std::vector<Vector> Input;
+  std::vector<std::pair<double, double>> Plane;
+  std::vector<Vector> Vals;
+
+  int size() const { return static_cast<int>(Input.size()); }
+};
+
+double planeArea(const std::vector<std::pair<double, double>> &Pts) {
+  double Twice = 0.0;
+  int N = static_cast<int>(Pts.size());
+  for (int I = 0; I < N; ++I) {
+    const auto &[X1, Y1] = Pts[static_cast<size_t>(I)];
+    const auto &[X2, Y2] = Pts[static_cast<size_t>((I + 1) % N)];
+    Twice += X1 * Y2 - X2 * Y1;
+  }
+  return 0.5 * Twice;
+}
+
+void dedupe(WorkPolygon &Poly) {
+  WorkPolygon Out;
+  int N = Poly.size();
+  for (int I = 0; I < N; ++I) {
+    int Prev = (I + N - 1) % N;
+    double Dx = Poly.Plane[I].first - Poly.Plane[Prev].first;
+    double Dy = Poly.Plane[I].second - Poly.Plane[Prev].second;
+    if (N > 1 && Dx * Dx + Dy * Dy < 1e-22)
+      continue;
+    Out.Input.push_back(Poly.Input[I]);
+    Out.Plane.push_back(Poly.Plane[I]);
+    Out.Vals.push_back(Poly.Vals[I]);
+  }
+  Poly = std::move(Out);
+}
+
+bool isDegenerate(const WorkPolygon &Poly) {
+  return Poly.size() < 3 || std::fabs(planeArea(Poly.Plane)) < 1e-14;
+}
+
+void splitPolygon(const WorkPolygon &Poly, int Unit, double Threshold,
+                  std::vector<WorkPolygon> &Out) {
+  int N = Poly.size();
+  std::vector<double> D(static_cast<size_t>(N));
+  double Scale = 0.0;
+  for (int I = 0; I < N; ++I) {
+    D[I] = Poly.Vals[I][Unit] - Threshold;
+    Scale = std::max(Scale, std::fabs(D[I]));
+  }
+  double Eps = 1e-10 * std::max(1.0, Scale);
+
+  bool AnyPos = false, AnyNeg = false;
+  for (double V : D) {
+    AnyPos |= V > Eps;
+    AnyNeg |= V < -Eps;
+  }
+  if (!AnyPos || !AnyNeg) {
+    Out.push_back(Poly);
+    return;
+  }
+
+  WorkPolygon Pos, Neg;
+  for (int I = 0; I < N; ++I) {
+    int Next = (I + 1) % N;
+    if (D[I] >= -Eps) {
+      Pos.Input.push_back(Poly.Input[I]);
+      Pos.Plane.push_back(Poly.Plane[I]);
+      Pos.Vals.push_back(Poly.Vals[I]);
+    }
+    if (D[I] <= Eps) {
+      Neg.Input.push_back(Poly.Input[I]);
+      Neg.Plane.push_back(Poly.Plane[I]);
+      Neg.Vals.push_back(Poly.Vals[I]);
+    }
+    bool Crosses = (D[I] > Eps && D[Next] < -Eps) ||
+                   (D[I] < -Eps && D[Next] > Eps);
+    if (!Crosses)
+      continue;
+    double S = D[I] / (D[I] - D[Next]);
+    Vector In = Poly.Input[Next];
+    In -= Poly.Input[I];
+    In *= S;
+    In += Poly.Input[I];
+    Vector Val = Poly.Vals[Next];
+    Val -= Poly.Vals[I];
+    Val *= S;
+    Val += Poly.Vals[I];
+    std::pair<double, double> Pl{
+        Poly.Plane[I].first + S * (Poly.Plane[Next].first -
+                                   Poly.Plane[I].first),
+        Poly.Plane[I].second + S * (Poly.Plane[Next].second -
+                                    Poly.Plane[I].second)};
+    Pos.Input.push_back(In);
+    Pos.Plane.push_back(Pl);
+    Pos.Vals.push_back(Val);
+    Neg.Input.push_back(std::move(In));
+    Neg.Plane.push_back(Pl);
+    Neg.Vals.push_back(std::move(Val));
+  }
+  dedupe(Pos);
+  dedupe(Neg);
+  if (!isDegenerate(Pos))
+    Out.push_back(std::move(Pos));
+  if (!isDegenerate(Neg))
+    Out.push_back(std::move(Neg));
+}
+
+std::vector<PlaneRegion> planeRegions(const Network &Net,
+                                      const std::vector<Vector> &Polygon) {
+  const Vector &Origin = Polygon.front();
+  Vector U1 = Polygon[1];
+  U1 -= Origin;
+  U1 *= 1.0 / U1.norm2();
+  Vector U2;
+  for (size_t I = 2; I < Polygon.size(); ++I) {
+    Vector W = Polygon[I];
+    W -= Origin;
+    Vector Proj = U1 * W.dot(U1);
+    W -= Proj;
+    double N2 = W.norm2();
+    if (N2 > 1e-9) {
+      W *= 1.0 / N2;
+      U2 = std::move(W);
+      break;
+    }
+  }
+
+  WorkPolygon Initial;
+  for (const Vector &V : Polygon) {
+    Vector Rel = V;
+    Rel -= Origin;
+    Initial.Input.push_back(V);
+    Initial.Plane.push_back({Rel.dot(U1), Rel.dot(U2)});
+    Initial.Vals.push_back(V);
+  }
+  dedupe(Initial);
+
+  std::vector<WorkPolygon> Polys = {std::move(Initial)};
+  std::vector<WorkPolygon> Next;
+  for (int LayerIdx = 0; LayerIdx < Net.numLayers(); ++LayerIdx) {
+    const Layer &L = Net.layer(LayerIdx);
+    if (const auto *Linear = dyn_cast<LinearLayer>(&L)) {
+      parallelFor(0, static_cast<std::int64_t>(Polys.size()),
+                  [&](std::int64_t P) {
+                    applyBatchToRows(*Linear,
+                                     Polys[static_cast<size_t>(P)].Vals);
+                  });
+      continue;
+    }
+    const auto &Act = cast<ElementwiseActivation>(L);
+    std::vector<double> Thresholds = Act.thresholds();
+    for (int Unit = 0; Unit < Act.inputSize(); ++Unit) {
+      for (double Th : Thresholds) {
+        Next.clear();
+        for (const WorkPolygon &Poly : Polys)
+          splitPolygon(Poly, Unit, Th, Next);
+        std::swap(Polys, Next);
+      }
+    }
+    parallelFor(0, static_cast<std::int64_t>(Polys.size()),
+                [&](std::int64_t P) {
+                  for (Vector &V : Polys[static_cast<size_t>(P)].Vals)
+                    V = Act.apply(V);
+                });
+  }
+
+  std::vector<PlaneRegion> Result;
+  for (WorkPolygon &Poly : Polys) {
+    PlaneRegion Region;
+    Region.InputVertices = std::move(Poly.Input);
+    Region.PlaneVertices = std::move(Poly.Plane);
+    Result.push_back(std::move(Region));
+  }
+  return Result;
+}
+
+} // namespace reference
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+bool sameBits(const Vector &A, const Vector &B) {
+  if (A.size() != B.size())
+    return false;
+  for (int I = 0; I < A.size(); ++I)
+    if (!sameBits(A[I], B[I]))
+      return false;
+  return true;
+}
+
+/// Region count, order and every vertex coordinate, bit for bit.
+void expectSameRegions(const std::vector<PlaneRegion> &Want,
+                       const std::vector<PlaneRegion> &Got,
+                       const std::string &What) {
+  ASSERT_EQ(Want.size(), Got.size()) << What;
+  for (size_t R = 0; R < Want.size(); ++R) {
+    const PlaneRegion &A = Want[R], &B = Got[R];
+    ASSERT_EQ(A.InputVertices.size(), B.InputVertices.size())
+        << What << " region " << R;
+    ASSERT_EQ(A.PlaneVertices.size(), B.PlaneVertices.size())
+        << What << " region " << R;
+    for (size_t V = 0; V < A.InputVertices.size(); ++V) {
+      EXPECT_TRUE(sameBits(A.InputVertices[V], B.InputVertices[V]))
+          << What << " region " << R << " vertex " << V;
+      EXPECT_TRUE(sameBits(A.PlaneVertices[V].first,
+                           B.PlaneVertices[V].first) &&
+                  sameBits(A.PlaneVertices[V].second,
+                           B.PlaneVertices[V].second))
+          << What << " region " << R << " plane vertex " << V;
+    }
+  }
+}
+
+/// planeRegions against the frozen reference at pool sizes 1 and 4.
+void expectMatchesReference(const Network &Net,
+                            const std::vector<Vector> &Polygon,
+                            const std::string &What) {
+  for (int Threads : {1, 4}) {
+    setGlobalThreadCount(Threads);
+    std::vector<PlaneRegion> Want = reference::planeRegions(Net, Polygon);
+    std::vector<PlaneRegion> Got = planeRegions(Net, Polygon);
+    expectSameRegions(Want, Got,
+                      What + " at " + std::to_string(Threads) + " threads");
+  }
+  setGlobalThreadCount(defaultThreadCount());
+}
+
+/// An ACAS-shaped network: linear layers of width \p Hidden interleaved
+/// with \p Depth activation layers made by \p MakeAct.
+template <typename MakeActT>
+Network makeActivationNetwork(Rng &R, int InputSize, int Hidden, int Depth,
+                              int OutputSize, MakeActT MakeAct) {
+  Network Net;
+  int Size = InputSize;
+  for (int D = 0; D < Depth; ++D) {
+    Net.addLayer(std::make_unique<FullyConnectedLayer>(
+        randomMatrix(R, Hidden, Size, 1.2 / std::sqrt(Size)),
+        randomVector(R, Hidden, 0.4)));
+    Net.addLayer(MakeAct(Hidden));
+    Size = Hidden;
+  }
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, OutputSize, Size, 1.2 / std::sqrt(Size)),
+      randomVector(R, OutputSize, 0.4)));
+  return Net;
+}
+
+/// A random quadrilateral in a random 2-D affine subspace of R^Size.
+std::vector<Vector> randomSquare(Rng &R, int Size, double Scale) {
+  Vector Origin = randomVector(R, Size, 0.3);
+  Vector E1 = randomVector(R, Size, Scale);
+  Vector E2 = randomVector(R, Size, Scale);
+  return {Origin, Origin + E1, Origin + E1 + E2, Origin + E2};
 }
 
 // --- 1-D -----------------------------------------------------------------
@@ -234,8 +505,103 @@ TEST_P(PlaneSweep, RegionsTileThePolygonAndAreAffine) {
   }
 }
 
+TEST_P(PlaneSweep, RegionsMatchFrozenReference) {
+  // The polygon of RegionsTileThePolygonAndAreAffine, drawn the same way.
+  Rng R(GetParam());
+  Network Net = makeRandomReluNetwork(R, 4, 6, 2, 2);
+  Vector Origin = randomVector(R, 4);
+  Vector E1 = randomVector(R, 4);
+  Vector E2 = randomVector(R, 4);
+  std::vector<Vector> Polygon = {Origin, Origin + E1, Origin + E1 + E2,
+                                 Origin + E2};
+  expectMatchesReference(Net, Polygon,
+                         "seed " + std::to_string(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, PlaneSweep,
                          ::testing::Values(21, 22, 23, 24, 25, 26));
+
+TEST(PlaneTransform, RegionsMatchFrozenReferenceForEveryActivation) {
+  // ReLU and LeakyReLU split at 0; HardTanh at -1 and then 1, so one
+  // unit can split a polygon twice.
+  auto Relu = [](int Size) { return std::make_unique<ReLULayer>(Size); };
+  auto Leaky = [](int Size) {
+    return std::make_unique<LeakyReLULayer>(Size, 0.1);
+  };
+  auto HardTanh = [](int Size) {
+    return std::make_unique<HardTanhLayer>(Size);
+  };
+  for (std::uint64_t Seed : {41, 42, 43}) {
+    Rng R(Seed);
+    Network ReluNet = makeActivationNetwork(R, 3, 8, 3, 2, Relu);
+    Network LeakyNet = makeActivationNetwork(R, 3, 8, 3, 2, Leaky);
+    Network TanhNet = makeActivationNetwork(R, 3, 8, 3, 2, HardTanh);
+    std::vector<Vector> Polygon = randomSquare(R, 3, 2.0);
+    std::string Tag = " seed " + std::to_string(Seed);
+    EXPECT_GT(planeRegions(TanhNet, Polygon).size(), 1u) << Tag;
+    expectMatchesReference(ReluNet, Polygon, "relu" + Tag);
+    expectMatchesReference(LeakyNet, Polygon, "leaky relu" + Tag);
+    expectMatchesReference(TanhNet, Polygon, "hardtanh" + Tag);
+  }
+}
+
+TEST(PlaneTransform, RegionsMatchFrozenReferenceOnAcasShapedNetwork) {
+  // 5 inputs and 5 hidden ReLU layers of 12: the shape of the ACAS
+  // networks Task 3 slices.
+  Rng R(45);
+  Network Net = makeActivationNetwork(
+      R, 5, 12, 5, 5, [](int Size) { return std::make_unique<ReLULayer>(Size); });
+  for (int Slice = 0; Slice < 4; ++Slice) {
+    std::vector<Vector> Polygon = randomSquare(R, 5, 1.0);
+    EXPECT_GT(planeRegions(Net, Polygon).size(), 10u) << "slice " << Slice;
+    expectMatchesReference(Net, Polygon, "slice " + std::to_string(Slice));
+  }
+}
+
+TEST(PlaneTransform, KeyPointSpecMatchesFrozenReferenceAtEveryPoolSize) {
+  // keyPoints runs one transform per polytope on the pool; every key
+  // point is a region vertex, in polytope then region order.
+  Rng R(47);
+  Network Net = makeActivationNetwork(
+      R, 5, 12, 5, 5, [](int Size) { return std::make_unique<ReLULayer>(Size); });
+  PolytopeSpec Spec;
+  std::vector<Vector> Want;
+  for (int P = 0; P < 3; ++P) {
+    std::vector<Vector> Polygon = randomSquare(R, 5, 1.0);
+    for (const PlaneRegion &Region : reference::planeRegions(Net, Polygon))
+      Want.insert(Want.end(), Region.InputVertices.begin(),
+                  Region.InputVertices.end());
+    Spec.push_back(SpecPolytope{PlanePolytope{std::move(Polygon)},
+                                classificationConstraint(5, P)});
+  }
+  std::vector<PointSpec> Runs;
+  for (int Threads : {1, 4}) {
+    setGlobalThreadCount(Threads);
+    Runs.push_back(keyPointSpec(Net, Spec));
+  }
+  setGlobalThreadCount(defaultThreadCount());
+  for (const PointSpec &Points : Runs) {
+    ASSERT_EQ(Points.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      EXPECT_TRUE(sameBits(Points[I].X, Want[I])) << "key point " << I;
+  }
+  for (size_t I = 0; I < Want.size(); ++I) {
+    ASSERT_TRUE(Runs[0][I].Pattern && Runs[1][I].Pattern);
+    EXPECT_TRUE(*Runs[0][I].Pattern == *Runs[1][I].Pattern)
+        << "key point " << I;
+  }
+}
+
+TEST(PlaneTransform, ImproperPlanesAreRecognized) {
+  Vector O{0.0, 0.0}, A{1.0, 0.0}, B{1.0, 1.0}, C{2.0, 2.0};
+  EXPECT_TRUE(isProperPlane({O, A, B}));
+  EXPECT_FALSE(isProperPlane({O, A}));                    // 2 vertices
+  EXPECT_FALSE(isProperPlane({O, O, A}));                 // first edge 0
+  EXPECT_FALSE(isProperPlane({O, B, C}));                 // collinear
+  EXPECT_FALSE(isProperPlane({O, A, Vector{1.0, 0.0, 0.0}})); // sizes
+  // A proper frame, but the deduplicated polygon has no area.
+  EXPECT_FALSE(isProperPlane({O, A, Vector{2.0, 1e-8}, A}));
+}
 
 TEST(PlaneTransform, SingleRegionForAffineNetwork) {
   Rng R(31);
