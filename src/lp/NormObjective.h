@@ -41,7 +41,7 @@ public:
   /// \param NumDelta dimension of Delta.
   /// \param Objective which norm to minimize.
   /// \param Bound box constraint |Delta_j| <= Bound (kInfinity for
-  ///        unbounded); a finite bound keeps phase-1 starts graceful.
+  ///        unbounded).
   /// \param LInfWeight weight of the l-infinity term for L1PlusLInf.
   DeltaLp(int NumDelta, Norm Objective, double Bound = kInfinity,
           double LInfWeight = 1.0);

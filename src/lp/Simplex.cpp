@@ -9,13 +9,16 @@
 //   [A | -I] z = 0,    z = (x, s),   s_i in [RowLo_i, RowHi_i].
 //
 // The initial basis is the slack set (basis matrix -I), which is always
-// nonsingular; phase 1 then minimizes the total bound violation of the
-// basic variables (composite phase-1 for bounded variables, cf. Chvatal
-// ch. 8), after which phase 2 minimizes the true objective. The basis
-// factor is updated in place at every pivot; it is recomputed from
-// scratch periodically and before any terminal status is reported, so
-// returned solutions are always re-verified against a fresh
-// factorization.
+// nonsingular, with every structural at the bound nearer zero. When each
+// of them sits at the bound its cost prefers, that basis is dual
+// feasible - true of every repair LP, whose norm costs are nonnegative -
+// and the dual simplex below solves from it. Otherwise phase 1 minimizes
+// the total bound violation of the basic variables (composite phase-1
+// for bounded variables, cf. Chvatal ch. 8), after which phase 2
+// minimizes the true objective. The basis factor is updated in place at
+// every pivot; it is recomputed from scratch periodically and before any
+// terminal status is reported, so returned solutions are always
+// re-verified against a fresh factorization.
 //
 // Basis representation. A basis of this system is almost all slack
 // columns: the repair LPs keep hundreds to thousands of rows, but only a
@@ -50,26 +53,27 @@
 // the row passes of pricing stream and appended rows extend; the k basic
 // columns are copied column-major by slot (AS) for FTRAN and the core.
 //
-// Phase-1 pricing. The basic slacks' phase-1 costs make y_R = -c_R
-// dense, so phase 1 keeps the R rows' part of A~^T y as a running cost
-// row, updated by the few rows whose cost changed since the last pass
-// and rebuilt at each phase-1 start and refactorization.
+// Phase-1 pricing. The basic slacks' primal phase-1 costs make
+// y_R = -c_R dense, so phase 1 keeps the R rows' part of A~^T y as a
+// running cost row, updated by the few rows whose cost changed since the
+// last pass and rebuilt at each phase-1 start and refactorization.
 //
 // Every kernel runs scalar: they are small enough that the shared pool
 // measured slower (src/lp/README.md), so a solve is bit-for-bit
 // identical at any thread count (enforced by tests/lp_test.cpp).
 //
-// Incremental solves (SimplexSolver). The first solve is the cold
-// primal solve above. A later solve appends the rows added to the
-// problem since, with their slacks basic: they join R, so the core and
-// its inverse do not change. The previous optimum stays dual-feasible,
-// so a bounded dual simplex re-optimizes from it: the leaving row is
-// the most infeasible basic variable, its row of B^-1 is the pivot row
-// rho, alpha_j = rho . A~_j comes from one row pass like pricing, a
-// Harris ratio test on |d_j / alpha_j| picks the entering column, and
-// the reduced costs are updated from the pivot row instead of a BTRAN.
+// The dual simplex (SimplexSolver). The first solve is the cold solve
+// above. A later solve appends the rows added to the problem since,
+// with their slacks basic: they join R, so the core and its inverse do
+// not change. The previous optimum stays dual-feasible, so the bounded
+// dual simplex re-optimizes from it, as it solves a cold dual-feasible
+// slack basis: the leaving row is the most infeasible basic variable,
+// its row of B^-1 is the pivot row rho, alpha_j = rho . A~_j comes from
+// one row pass like pricing, a Harris ratio test on |d_j / alpha_j|
+// picks the entering column, and the reduced costs are updated from the
+// pivot row instead of a BTRAN.
 // The primal phases then verify the result exactly as they verify a
-// cold solve; a dual phase that finds no entering column (primal
+// primal solve; a dual phase that finds no entering column (primal
 // infeasible) or gives up hands its basis to primal phase 1.
 //
 //===----------------------------------------------------------------------===//
@@ -400,7 +404,16 @@ private:
   /// Harris ratio test on |Rc[j] / Alpha[j]|; -1 when no column enters.
   int dualRatioTest(bool ToUpper, int &SigmaOut);
 
+  /// The cold start: the slack basis, then the dual phase when that
+  /// basis is dual feasible, the primal phases otherwise.
   LpSolution coldSolve();
+  /// Whether every nonbasic structural of the slack basis sits at the
+  /// bound its cost prefers (fixed ones always do).
+  bool slackBasisDualFeasible() const;
+  /// The dual phase from the current, dual-feasible basis, then the
+  /// primal phases: they verify an Optimal verdict, and confirm or
+  /// repair an Infeasible or given-up one.
+  LpSolution dualThenVerify();
   /// Primal phases 1 and 2 from the current basis, each verdict checked
   /// against a fresh factorization.
   LpSolution primalPhases();
@@ -593,9 +606,9 @@ void SimplexSolver::Worker::initialBasis() {
   X.assign(static_cast<size_t>(NT), 0.0);
   CoreSlot.assign(static_cast<size_t>(M), -1);
   sizeScratch();
-  // The cold starting point: every structural nonbasic at its
-  // "cheaper" bound (or free at zero) and the always-nonsingular slack
-  // basis, whose core is empty.
+  // The cold starting point: every structural nonbasic at its bound
+  // nearer zero (the lower one on a tie, or free at zero) and the
+  // always-nonsingular slack basis, whose core is empty.
   for (int J = 0; J < NS; ++J) {
     bool LoFinite = std::isfinite(Lo[J]);
     bool HiFinite = std::isfinite(Hi[J]);
@@ -1262,8 +1275,10 @@ SolveStatus SimplexSolver::Worker::dualPhase() {
     // Dual degeneracy can cycle; a long run of zero steps hands the
     // basis to the primal phases and their Bland's-rule guard.
     ZeroSteps = Theta == 0.0 ? ZeroSteps + 1 : 0;
-    if (ZeroSteps >= Opt.StallLimit)
+    if (ZeroSteps >= Opt.StallLimit) {
+      ++Stats.DualStalls;
       return SolveStatus::NumericalError;
+    }
   }
 }
 
@@ -1382,13 +1397,17 @@ LpSolution SimplexSolver::Worker::solve() {
     return Early;
   }
   recomputeBasicValues();
+  return dualThenVerify();
+}
+
+LpSolution SimplexSolver::Worker::dualThenVerify() {
   SolveStatus Dual = dualPhase();
   if (Dual == SolveStatus::Cancelled || Dual == SolveStatus::IterationLimit)
     return finish(Dual);
   if (Dual != SolveStatus::Optimal) {
     // No entering column (the LP is infeasible, which primal phase 1
-    // confirms the way a cold solve does) or the dual phase gave up:
-    // the primal phases continue from a clean factorization.
+    // confirms) or the dual phase gave up: the primal phases continue
+    // from a clean factorization.
     if (!Fresh && !refactor())
       return finish(SolveStatus::NumericalError);
     recomputeBasicValues();
@@ -1397,6 +1416,33 @@ LpSolution SimplexSolver::Worker::solve() {
   // feasible basis, refactorizes it and re-checks; phase 2 confirms
   // dual feasibility.
   return primalPhases();
+}
+
+bool SimplexSolver::Worker::slackBasisDualFeasible() const {
+  // The slacks cost nothing, so at the slack basis y = 0 and every
+  // reduced cost is the structural's own cost.
+  for (int J = 0; J < NS; ++J) {
+    if (isFixed(J))
+      continue;
+    double C = Cost[static_cast<size_t>(J)];
+    switch (Stat[static_cast<size_t>(J)]) {
+    case VarStatus::AtLower:
+      if (C < 0.0)
+        return false;
+      break;
+    case VarStatus::AtUpper:
+      if (C > 0.0)
+        return false;
+      break;
+    case VarStatus::FreeNb:
+      if (C != 0.0)
+        return false;
+      break;
+    case VarStatus::Basic:
+      break;
+    }
+  }
+  return true;
 }
 
 LpSolution SimplexSolver::Worker::coldSolve() {
@@ -1442,6 +1488,12 @@ LpSolution SimplexSolver::Worker::coldSolve() {
   }
 
   initialBasis();
+  // A norm objective from Delta = 0 starts dual feasible: every
+  // structural sits at the bound its cost prefers. The dual simplex then
+  // repairs the violated rows one pivot each, where primal phase 1 would
+  // price against every infeasible row.
+  if (slackBasisDualFeasible())
+    return dualThenVerify();
   return primalPhases();
 }
 

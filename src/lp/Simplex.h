@@ -2,10 +2,12 @@
 ///
 /// \file
 /// Revised simplex for bounded-variable LPs, replacing the Gurobi
-/// solver used in the paper's evaluation: a primal simplex for a cold
-/// solve and a dual simplex that re-optimizes after rows are appended
-/// (SimplexSolver). Internally the general form of
-/// lp/LinearProgram.h is rewritten as
+/// solver used in the paper's evaluation. A bounded dual simplex solves
+/// every LP whose slack basis is dual feasible - every repair LP, whose
+/// norm objective has nonnegative costs from Delta = 0 - cold and again
+/// after rows are appended (SimplexSolver); a primal simplex solves the
+/// rest, and verifies, confirms or repairs every dual verdict.
+/// Internally the general form of lp/LinearProgram.h is rewritten as
 ///
 ///   A x - s = 0,   VarLo <= x <= VarHi,   RowLo <= s <= RowHi,
 ///
@@ -15,11 +17,11 @@
 /// on the repair LPs against hundreds or thousands of rows) the solver
 /// keeps only A_TS^-1: FTRAN and BTRAN cost O(k^2 + k M), each pivot
 /// updates the core in O(k^2), and a refactorization costs O(k^3).
-/// Features: composite phase-1 (infeasibility minimization), Dantzig
-/// pricing with Bland's rule anti-cycling fallback, row equilibration,
-/// periodic refactorization with a final clean-solve verification
-/// before an Optimal status is reported, and dual values for optimality
-/// certificates.
+/// Features: composite primal phase-1 (infeasibility minimization),
+/// Dantzig pricing with Bland's rule anti-cycling fallback, row
+/// equilibration, periodic refactorization with a final clean-solve
+/// verification before an Optimal status is reported, and dual values
+/// for optimality certificates.
 ///
 /// Every kernel runs scalar on the calling thread - they measured faster
 /// than blocked versions on the shared pool (src/lp/README.md) - so
@@ -65,8 +67,10 @@ struct SimplexOptions {
   int MaxIterations = 200000;
   /// Equilibrate rows by their largest coefficient magnitude.
   bool ScaleRows = true;
-  /// Iterations without objective progress before switching to Bland's
-  /// rule (guards against cycling under degeneracy).
+  /// Iterations without objective progress before the primal phases
+  /// switch to Bland's rule, and zero dual steps in a row before the
+  /// dual phase hands its basis to the primal phases (both guard
+  /// against cycling under degeneracy).
   int StallLimit = 300;
   /// Refactorize the basis core from scratch every this many pivots.
   int RefactorInterval = 2000;
@@ -88,6 +92,9 @@ struct SimplexStats {
   int Pivots = 0;
   int BoundFlips = 0;
   int Refactors = 0;
+  /// Dual phases that ran StallLimit zero steps in a row and handed the
+  /// basis to the primal phases.
+  int DualStalls = 0;
   std::uint64_t PivotHash = 0xcbf29ce484222325ULL; // FNV-1a offset basis
   double PricingSeconds = 0.0;
   double FtranSeconds = 0.0;
@@ -109,6 +116,7 @@ struct SimplexStats {
     Pivots += Other.Pivots;
     BoundFlips += Other.BoundFlips;
     Refactors += Other.Refactors;
+    DualStalls += Other.DualStalls;
     PivotHash = (PivotHash ^ Other.PivotHash) * 0x100000001b3ULL;
     PricingSeconds += Other.PricingSeconds;
     FtranSeconds += Other.FtranSeconds;
@@ -137,15 +145,16 @@ struct LpSolution {
 
 /// A simplex solver kept alive across the solves of one LP that only
 /// grows by appended rows - the constraint-generation rounds of a
-/// repair (core/PointRepair.cpp). The first solve() is the cold primal
-/// solve of solveLp. Each later solve() takes in the rows appended to
-/// the problem since the previous one, with their slacks basic, and
-/// re-optimizes from the previous optimum with a bounded dual simplex:
-/// that optimum stays dual-feasible when rows are added, so a round
-/// costs a few pivots instead of a full re-solve. A solve that did not
-/// end Optimal leaves no basis to continue from; the next solve() then
-/// runs cold over the whole problem. See src/lp/README.md ("Incremental
-/// solves").
+/// repair (core/PointRepair.cpp). The first solve() is the cold solve
+/// of solveLp: from the slack basis, by the dual simplex when that basis
+/// is dual feasible and by the primal phases otherwise. Each later
+/// solve() takes in the rows appended to the problem since the previous
+/// one, with their slacks basic, and re-optimizes from the previous
+/// optimum with the same dual simplex: that optimum stays dual-feasible
+/// when rows are added, so a round costs a few pivots instead of a full
+/// re-solve. A solve that did not end Optimal leaves no basis to
+/// continue from; the next solve() then runs cold over the whole
+/// problem. See src/lp/README.md ("Incremental solves").
 ///
 /// The solver keeps a reference to \p Problem, which must outlive it.
 /// Between solves the caller may only append rows (LinearProgram::

@@ -256,6 +256,7 @@ void writeSimplexStats(ByteWriter &W, const lp::SimplexStats &S) {
   W.i32(S.Pivots);
   W.i32(S.BoundFlips);
   W.i32(S.Refactors);
+  W.i32(S.DualStalls);
   W.u64(S.PivotHash);
   W.f64(S.PricingSeconds);
   W.f64(S.FtranSeconds);
@@ -267,7 +268,7 @@ void writeSimplexStats(ByteWriter &W, const lp::SimplexStats &S) {
 
 bool readSimplexStats(ByteReader &R, lp::SimplexStats &S) {
   return R.i32(S.Iterations) && R.i32(S.Pivots) && R.i32(S.BoundFlips) &&
-         R.i32(S.Refactors) && R.u64(S.PivotHash) &&
+         R.i32(S.Refactors) && R.i32(S.DualStalls) && R.u64(S.PivotHash) &&
          R.f64(S.PricingSeconds) && R.f64(S.FtranSeconds) &&
          R.f64(S.BtranSeconds) && R.f64(S.RatioSeconds) &&
          R.f64(S.UpdateSeconds) && R.f64(S.RefactorSeconds);

@@ -413,6 +413,24 @@ TEST(DeltaLp, InfeasibleWithinBox) {
   D.addConstraint({1.0}, 5.0, kInfinity); // needs Delta_0 = 5 > box
   LpSolution S = solveLp(D.problem());
   EXPECT_EQ(S.Status, SolveStatus::Infeasible);
+  // The slack basis is dual feasible, so the dual simplex ran first and
+  // found no entering column; primal phase 1 confirmed the verdict.
+  EXPECT_GT(S.Iterations, S.Phase1Iterations);
+}
+
+TEST(Lp, ColdStartThatIsNotDualFeasibleRunsThePrimalPhases) {
+  // x sits at its lower bound with cost -1, so the slack basis is not
+  // dual feasible; the row x + y >= 3 is violated at 0, so phase 1 runs.
+  LinearProgram P;
+  P.addVariable(0.0, 10.0, -1.0);
+  P.addVariable(0.0, 10.0, 1.0);
+  P.addRowGe({0, 1}, {1.0, 1.0}, 3.0);
+  LpSolution S = solveLp(P);
+  ASSERT_EQ(S.Status, SolveStatus::Optimal);
+  EXPECT_GT(S.Phase1Iterations, 0);
+  EXPECT_NEAR(S.X[0], 10.0, 1e-9);
+  EXPECT_NEAR(S.X[1], 0.0, 1e-9);
+  EXPECT_NEAR(S.Objective, -10.0, 1e-9);
 }
 
 TEST(DeltaLp, L1PlusLInfCombines) {
@@ -535,6 +553,39 @@ LinearProgram makeDenseFeasibleLp(int Vars, int Rows, uint64_t Seed) {
   return P;
 }
 
+/// Appends \p Count rows of the repair LP's shape (bench_micro_lp's
+/// BM_DeltaLpRepairShape): one row in twelve is tight near \p Witness,
+/// the rest hold with room to spare at Delta = 0 and at the witness.
+void addRepairShapedRows(DeltaLp &D, const std::vector<double> &Witness,
+                         int Count, Rng &R) {
+  int Dim = static_cast<int>(Witness.size());
+  for (int I = 0; I < Count; ++I) {
+    std::vector<double> Coef(static_cast<size_t>(Dim));
+    double Activity = 0.0;
+    for (int J = 0; J < Dim; ++J) {
+      Coef[static_cast<size_t>(J)] = R.normal();
+      Activity += Coef[static_cast<size_t>(J)] * Witness[static_cast<size_t>(J)];
+    }
+    double Hi = R.bernoulli(1.0 / 12)
+                    ? Activity + R.uniform(0.0, 0.05)
+                    : std::max(Activity, 0.0) + R.uniform(0.5, 2.0);
+    D.addConstraint(Coef, -kInfinity, Hi);
+  }
+}
+
+/// \p Rows repair-shaped rows over a \p Dim-dimensional Delta with a
+/// DeltaBound of 10 and a witness in [-0.1, 0.1]^Dim.
+DeltaLp makeRepairShapedDeltaLp(int Dim, int Rows, Norm Objective,
+                                uint64_t Seed) {
+  Rng R(Seed);
+  DeltaLp D(Dim, Objective, 10.0);
+  std::vector<double> Witness(static_cast<size_t>(Dim));
+  for (double &Wj : Witness)
+    Wj = R.uniform(-0.1, 0.1);
+  addRepairShapedRows(D, Witness, Rows, R);
+  return D;
+}
+
 struct KernelCase {
   std::string Name;
   LinearProgram P;
@@ -638,6 +689,37 @@ std::vector<KernelCase> kernelCases() {
         C.P.addRowLe({I, J}, {1.0, 1.0}, 2.0);
     for (int J = 0; J < N; ++J)
       C.P.addRowLe({J}, {1.0}, 1.0);
+    C.Base.StallLimit = 1;
+    C.Expected = SolveStatus::Optimal;
+    Cases.push_back(std::move(C));
+  }
+  // The same statuses from the cold dual path (a dual-feasible slack
+  // basis): Infeasible through the hand-over to phase 1, an iteration
+  // limit inside the dual phase, and an l-inf LP whose degenerate dual
+  // phase stalls at once and hands over to Bland's-rule pricing.
+  {
+    KernelCase C;
+    C.Name = "infeasible-dual";
+    DeltaLp D = makeRepairShapedDeltaLp(24, 80, Norm::L1, 1007);
+    std::vector<double> Coef(24, 0.0);
+    Coef[0] = 1.0;
+    D.addConstraint(Coef, 11.0, kInfinity); // Delta_0 > DeltaBound
+    C.P = D.problem();
+    C.Expected = SolveStatus::Infeasible;
+    Cases.push_back(std::move(C));
+  }
+  {
+    KernelCase C;
+    C.Name = "iteration-limit-dual";
+    C.P = makeRepairShapedDeltaLp(24, 80, Norm::L1, 1008).problem();
+    C.Base.MaxIterations = 2;
+    C.Expected = SolveStatus::IterationLimit;
+    Cases.push_back(std::move(C));
+  }
+  {
+    KernelCase C;
+    C.Name = "dual-stall-bland";
+    C.P = makeRepairShapedDeltaLp(16, 60, Norm::LInf, 1009).problem();
     C.Base.StallLimit = 1;
     C.Expected = SolveStatus::Optimal;
     Cases.push_back(std::move(C));
@@ -1114,29 +1196,12 @@ TEST_F(LpCoreTest, TallRepairShapedDeltaLpAcrossRounds) {
     std::vector<double> Witness(static_cast<size_t>(Dim));
     for (double &Wj : Witness)
       Wj = R.uniform(-0.5, 0.5);
-    auto AddRows = [&](int Count) {
-      for (int I = 0; I < Count; ++I) {
-        std::vector<double> Coef(static_cast<size_t>(Dim));
-        double Activity = 0.0;
-        for (int J = 0; J < Dim; ++J) {
-          Coef[static_cast<size_t>(J)] = R.normal();
-          Activity +=
-              Coef[static_cast<size_t>(J)] * Witness[static_cast<size_t>(J)];
-        }
-        // One row in twelve is tight near the witness; the rest hold
-        // with room to spare at Delta = 0 and at the witness.
-        double Hi = R.bernoulli(1.0 / 12)
-                        ? Activity + R.uniform(0.0, 0.05)
-                        : std::max(Activity, 0.0) + R.uniform(0.5, 2.0);
-        D.addConstraint(Coef, -kInfinity, Hi);
-      }
-    };
     std::vector<LpSolution> Rounds;
     std::vector<LinearProgram> Problems;
-    AddRows(400);
+    addRepairShapedRows(D, Witness, 400, R);
     SimplexSolver Solver(D.problem());
     for (int Count : {0, 300, 300}) {
-      AddRows(Count);
+      addRepairShapedRows(D, Witness, Count, R);
       Rounds.push_back(Solver.solve());
       Problems.push_back(D.problem());
     }
@@ -1149,10 +1214,9 @@ TEST_F(LpCoreTest, TallRepairShapedDeltaLpAcrossRounds) {
     ASSERT_EQ(Reference[I].Status, SolveStatus::Optimal) << What;
     expectMatchesCold(Problems[I], Reference[I], What);
     expectKktConditions(Problems[I], Reference[I], What);
-    if (I > 0) { // re-optimized by the dual simplex
-      EXPECT_GT(Reference[I].Iterations, 0) << What;
-      EXPECT_EQ(Reference[I].Phase1Iterations, 0) << What;
-    }
+    // Every round runs the dual simplex, round 1 from the slack basis.
+    EXPECT_GT(Reference[I].Iterations, 0) << What;
+    EXPECT_EQ(Reference[I].Phase1Iterations, 0) << What;
   }
   EXPECT_EQ(Problems.back().numRows(), 1000);
   for (int Threads : {4, 8}) {
@@ -1163,6 +1227,31 @@ TEST_F(LpCoreTest, TallRepairShapedDeltaLpAcrossRounds) {
                          "round " + std::to_string(I + 1) + " @" +
                              std::to_string(Threads) + " threads");
   }
+}
+
+TEST_F(LpCoreTest, RepairShapedColdSolvesRunNoPhase1) {
+  // One cold solve each of the l1 and l1+l-inf repair shapes: the slack
+  // basis is dual feasible, so the dual simplex reaches the optimum and
+  // the primal phases only verify it.
+  for (Norm N : {Norm::L1, Norm::L1PlusLInf}) {
+    DeltaLp D = makeRepairShapedDeltaLp(48, 300, N, 4020);
+    std::string What = toString(N);
+    LpSolution S = solveCoreCase(D.problem(), What);
+    EXPECT_GT(S.Iterations, 0) << What;
+    EXPECT_EQ(S.Phase1Iterations, 0) << What;
+    EXPECT_EQ(S.Stats.DualStalls, 0) << What;
+  }
+}
+
+TEST_F(LpCoreTest, LInfColdSolveHandsTheStalledDualPhaseToThePrimalPhases) {
+  // Under l-inf every Delta costs 0, so the dual steps come in long
+  // degenerate runs: the dual phase makes StallLimit zero steps in a
+  // row, counts one stall, and the primal phases finish the solve.
+  DeltaLp D = makeRepairShapedDeltaLp(32, 150, Norm::LInf, 4021);
+  LpSolution S = solveCoreCase(D.problem(), "l-inf");
+  EXPECT_EQ(S.Stats.DualStalls, 1);
+  EXPECT_GE(S.Iterations - S.Phase1Iterations, SimplexOptions().StallLimit);
+  EXPECT_LE(D.problem().maxViolation(S.X), 1e-6);
 }
 
 } // namespace
