@@ -4,7 +4,8 @@
 // two norm encodings (l1 via split variables adds columns; l-infinity
 // adds coupling rows), and the tall, few-tight-rows shape of the repair
 // LPs, whose cost the structural-core basis factor keeps near
-// O(k * rows) per iteration.
+// O(k * rows) per iteration, and the constraint-generation rounds of a
+// repair, rows and solves together.
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,9 +119,99 @@ void BM_DeltaLpRepairShape(benchmark::State &State) {
                  " deltas (l1)");
 }
 
+/// Constraint generation at fog-lines' layer-2 shape: an l1 DeltaLp over
+/// the 1,056 parameters of a 32 x 32 layer (weights and biases), through
+/// one SimplexSolver. Round 1 takes 200 rows that Delta = 0 violates and
+/// solves cold; rounds 2 and 3 each append 300 more rows and re-optimize
+/// warm. A timed iteration covers every round's addConstraint and
+/// solve(), so the row path (building, storing and taking in rows) shows
+/// here, not only the simplex. Each row is shaped like a Jacobian row of
+/// a linear layer, g (x, 1) for a point's layer input x (about half
+/// zeros, as behind a ReLU) and an output gradient g near one of ten
+/// per-class directions; all rows hold at a small witness Delta.
+void BM_DeltaLpRepairRounds(benchmark::State &State) {
+  const int In = 32, Out = 32, N = Out * (In + 1), Classes = 10;
+  const int RoundPoints[] = {20, 30, 30};
+  Rng R(13);
+  // A sparse witness, as repairs touch few parameters.
+  std::vector<double> Witness(N, 0.0);
+  for (int K = 0; K < 16; ++K)
+    Witness[static_cast<size_t>(R.uniformInt(0, N - 1))] = R.uniform(-0.5, 0.5);
+  std::vector<std::vector<double>> ClassGrad(Classes, std::vector<double>(Out));
+  for (std::vector<double> &G : ClassGrad)
+    for (double &V : G)
+      V = R.normal();
+  struct Constraint {
+    std::vector<double> Coef;
+    double Hi;
+  };
+  std::vector<std::vector<Constraint>> Rounds;
+  for (int Round = 0; Round < 3; ++Round) {
+    std::vector<Constraint> Rows;
+    // The round's points lie on a segment, as the key points of a line
+    // do.
+    std::vector<double> Start(In), End(In);
+    for (int I = 0; I < In; ++I) {
+      Start[I] = R.normal();
+      End[I] = R.normal();
+    }
+    for (int Point = 0; Point < RoundPoints[Round]; ++Point) {
+      double T = static_cast<double>(Point) / RoundPoints[Round];
+      std::vector<double> X(In);
+      for (int I = 0; I < In; ++I)
+        X[I] = std::max(0.0, Start[I] + T * (End[I] - Start[I]));
+      for (int K = 0; K < Classes; ++K) {
+        Constraint C{std::vector<double>(N), 0.0};
+        double Activity = 0.0;
+        for (int O = 0; O < Out; ++O) {
+          double G = ClassGrad[K][O] + 0.05 * R.normal();
+          for (int I = 0; I <= In; ++I) {
+            int J = O * (In + 1) + I;
+            C.Coef[J] = I < In ? G * X[I] : G;
+            Activity += C.Coef[J] * Witness[J];
+          }
+        }
+        if (Round == 0) {
+          // Violated at Delta = 0 (Hi < 0), held at the witness.
+          if (Activity > 0.0) {
+            for (double &V : C.Coef)
+              V = 0.0 - V;
+            Activity = -Activity;
+          }
+          C.Hi = Activity * R.uniform(0.1, 0.9);
+        } else {
+          C.Hi = Activity + R.uniform(0.0, 0.05);
+        }
+        Rows.push_back(std::move(C));
+      }
+    }
+    Rounds.push_back(std::move(Rows));
+  }
+  int Iterations = 0;
+  for (auto _ : State) {
+    DeltaLp D(N, Norm::L1, 10.0);
+    SimplexSolver Solver(D.problem());
+    Iterations = 0;
+    for (const std::vector<Constraint> &Rows : Rounds) {
+      for (const Constraint &C : Rows)
+        D.addConstraint(C.Coef, -kInfinity, C.Hi);
+      LpSolution S = Solver.solve();
+      Iterations += S.Iterations;
+      if (S.Status != SolveStatus::Optimal) {
+        State.SkipWithError("solve failed");
+        break;
+      }
+    }
+    benchmark::DoNotOptimize(Iterations);
+  }
+  State.counters["lp_iterations"] = Iterations;
+  State.SetLabel("200 + 300 + 300 rows x 1056 deltas (l1)");
+}
+
 } // namespace
 
 BENCHMARK(BM_SimplexDense)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeltaLpNorm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeltaLpRepairShape)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeltaLpRepairRounds)->Unit(benchmark::kMillisecond);

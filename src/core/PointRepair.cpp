@@ -66,7 +66,6 @@ CacheKey lpSolutionKey(const NetworkFingerprint &Fp, int LayerIndex,
   H.f64(Options.Lp.OptTol);
   H.f64(Options.Lp.PivotTol);
   H.i32(Options.Lp.MaxIterations);
-  H.i32(Options.Lp.ScaleRows ? 1 : 0);
   H.i32(Options.Lp.StallLimit);
   H.i32(Options.Lp.RefactorInterval);
   H.i32(static_cast<int>(Spec.size()));
@@ -225,17 +224,21 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     /// solves it: cold in round 1, warm from the previous round's
     /// optimum after that. Success means DeltaEff holds the optimum.
     auto SolveRound = [&](const std::vector<int> &NewRows) {
-      // Larger row sets (the final all-rows round) build in several
-      // batches, with a cancellation checkpoint between them.
-      std::vector<std::vector<double>> NewCoef;
-      if (!Rows.coefs(NewRows, NewCoef, [&] {
+      // Each row's coefficients go straight into its LP row, the rows in
+      // NewRows' order. Larger row sets (the final all-rows round) build
+      // in several batches, with a cancellation checkpoint between them;
+      // a cancelled round leaves rows unset, and the LP is dropped.
+      int First = Lp.appendConstraints(static_cast<int>(NewRows.size()));
+      auto Put = [&](int Position, const double *Coef) {
+        int RI = NewRows[static_cast<size_t>(Position)];
+        Lp.setConstraint(First + Position, Coef, -lp::kInfinity, Rows.hi(RI));
+      };
+      if (!Rows.coefs(NewRows, Put, [&] {
             return Ctx && Ctx->checkpoint(RepairPhase::Lp);
           }))
         return RepairStatus::Cancelled;
-      for (size_t J = 0; J < NewRows.size(); ++J) {
-        Lp.addConstraint(NewCoef[J], -lp::kInfinity, Rows.hi(NewRows[J]));
-        InLp[static_cast<size_t>(NewRows[J])] = 1;
-      }
+      for (int RI : NewRows)
+        InLp[static_cast<size_t>(RI)] = 1;
       RowsUsed += static_cast<int>(NewRows.size());
       if (!Solver)
         Solver = std::make_unique<lp::SimplexSolver>(Lp.problem(), LpOptions);

@@ -117,12 +117,10 @@ std::vector<double> SpecRows::scan(const std::vector<double> &DeltaEff) const {
   return S;
 }
 
-bool SpecRows::coefs(const std::vector<int> &Rows,
-                     std::vector<std::vector<double>> &Out,
+bool SpecRows::coefs(const std::vector<int> &Rows, const CoefSink &Put,
                      const std::function<bool()> &Cancel) const {
   const auto &Target = cast<LinearLayer>(Net.layer(LayerIndex));
   int NumAsked = static_cast<int>(Rows.size());
-  Out.assign(Rows.size(), {});
   // Positions in Rows, ordered by point: a point's rows sit together in
   // a chunk and share its activation scales, pattern and parameter
   // Jacobian sweep. Sharing moves no bits; every row's arithmetic is the
@@ -233,12 +231,12 @@ bool SpecRows::coefs(const std::vector<int> &Rows,
                 M.rowData(0));
       Matrix Jac(M.rows(), Target.numParams());
       Target.paramJacobian(M, State[0].row(P), Jac);
+      std::vector<double> Coef(Effective.size());
       for (int J = Begin; J < End; ++J) {
         const double *JRow = Jac.rowData(J - Begin);
-        std::vector<double> &Coef = Out[static_cast<size_t>(PositionOf(J))];
-        Coef.resize(Effective.size());
         for (size_t E = 0; E < Effective.size(); ++E)
           Coef[E] = JRow[Effective[E]];
+        Put(PositionOf(J), Coef.data());
       }
     });
   }

@@ -56,6 +56,8 @@ public:
 
   int numPoints() const { return static_cast<int>(Spec.size()); }
   int numRows() const { return static_cast<int>(RowPoint.size()); }
+  /// Coefficients per row: the effective parameters.
+  int numEffective() const { return static_cast<int>(Effective.size()); }
 
   /// Points per computeState call in the repair's Jacobian phase: its
   /// cancellation and progress granularity. The state itself is
@@ -79,13 +81,19 @@ public:
   /// \p DeltaEff. The row's own LP violation is s_k + RowMargin.
   std::vector<double> scan(const std::vector<double> &DeltaEff) const;
 
-  /// The coefficients A_k J_x of \p Rows, in their order, over the
-  /// effective parameters: chunkRows() rows at a time, each chunk one
-  /// seeded backward pass over the stored state. \p Cancel, when set,
-  /// is polled between chunks; once it returns true, coefs() stops and
-  /// returns false.
-  bool coefs(const std::vector<int> &Rows,
-             std::vector<std::vector<double>> &Out,
+  /// Receives asked row number \p Position's coefficients: one per
+  /// effective parameter, valid for the call only.
+  using CoefSink = std::function<void(int Position, const double *Coef)>;
+
+  /// The coefficients A_k J_x of \p Rows over the effective parameters,
+  /// handed to \p Put once per asked row, Position its index in \p Rows:
+  /// chunkRows() rows at a time, each chunk one seeded backward pass
+  /// over the stored state. Put may run concurrently on pool threads,
+  /// for distinct positions in no set order; the repair writes each row
+  /// straight into its LP row (lp::DeltaLp::setConstraint). \p Cancel,
+  /// when set, is polled between chunks; once it returns true, coefs()
+  /// stops and returns false, with some rows never handed over.
+  bool coefs(const std::vector<int> &Rows, const CoefSink &Put,
              const std::function<bool()> &Cancel = nullptr) const;
 
 private:

@@ -4,6 +4,7 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -66,26 +67,49 @@ DeltaLp::DeltaLp(int NumDelta, Norm Objective, double Bound,
 }
 
 void DeltaLp::addConstraint(const std::vector<double> &Coef, double Lo,
-                            double Hi, double DropTol) {
+                            double Hi) {
   assert(static_cast<int>(Coef.size()) == NumDelta &&
          "constraint dimension mismatch");
-  std::vector<int> Index;
-  std::vector<double> Value;
+  setConstraint(appendConstraints(1), Coef.data(), Lo, Hi);
+}
+
+int DeltaLp::appendConstraints(int Count) {
+  return Problem.appendRows(Count);
+}
+
+void DeltaLp::setConstraint(int Row, const double *Coef, double Lo,
+                            double Hi) {
+  // The row's largest magnitude, which it is equilibrated by (a row of
+  // zeros keeps scale 1 and is dropped by the solver's presolve).
+  double MaxAbs = 0.0;
+  bool Empty = true;
   for (int J = 0; J < NumDelta; ++J) {
-    double C = Coef[static_cast<size_t>(J)];
-    if (std::fabs(C) <= DropTol)
-      continue;
-    if (DeltaBase >= 0) {
-      Index.push_back(DeltaBase + J);
-      Value.push_back(C);
-    } else {
-      Index.push_back(PosBase + J);
-      Value.push_back(C);
-      Index.push_back(NegBase + J);
-      Value.push_back(-C);
+    double C = Coef[J];
+    MaxAbs = std::max(MaxAbs, std::fabs(C));
+    if (C != 0.0)
+      Empty = false;
+  }
+  double Scale = MaxAbs > 0.0 ? MaxAbs : 1.0;
+  double *Dst = Problem.setRow(Row, Scale, Empty, Lo, Hi);
+  // A nonzero C is stored as 0.0 + C / Scale, one division, and a zero
+  // of either sign as +0.0, so a quotient that underflows is +0.0 too;
+  // the Q column's 0.0 - P is exactly 0.0 + (-C) / Scale.
+  auto Scaled = [&](int J) {
+    double C = Coef[J];
+    return C != 0.0 ? 0.0 + C / Scale : 0.0;
+  };
+  if (DeltaBase >= 0) {
+    for (int J = 0; J < NumDelta; ++J)
+      Dst[DeltaBase + J] = Scaled(J);
+  } else {
+    for (int J = 0; J < NumDelta; ++J) {
+      double P = Scaled(J);
+      Dst[PosBase + J] = P;
+      Dst[NegBase + J] = 0.0 - P;
     }
   }
-  Problem.addRow(std::move(Index), std::move(Value), Lo, Hi);
+  if (TVar >= 0)
+    Dst[TVar] = 0.0;
 }
 
 std::vector<double> DeltaLp::extractDelta(const std::vector<double> &X) const {

@@ -8,6 +8,13 @@
 /// Delta_j = P_j - Q_j with P, Q >= 0 and unit costs; the l-infinity
 /// norm adds a bound variable T with coupling rows |Delta_j| <= T.
 ///
+/// A constraint over Delta is written straight into the problem's row
+/// store (lp/LinearProgram.h) in one pass: entry 0.0 + C_j / S for each
+/// coefficient, S the largest |C_j|, one division per nonzero C_j and
+/// +0.0 for every zero. Under the l1 split the Q column holds the exact
+/// negation of the P column's entry (+0.0 stays +0.0), so each row is
+/// stored 2 numDelta() wide, equilibrated, and never copied again.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRDNN_LP_NORMOBJECTIVE_H
@@ -49,10 +56,19 @@ public:
   int numDelta() const { return NumDelta; }
 
   /// Adds the constraint Lo <= Coef . Delta <= Hi. \p Coef is dense of
-  /// dimension numDelta(); entries with magnitude <= \p DropTol are
-  /// dropped from the row.
-  void addConstraint(const std::vector<double> &Coef, double Lo, double Hi,
-                     double DropTol = 0.0);
+  /// dimension numDelta().
+  void addConstraint(const std::vector<double> &Coef, double Lo, double Hi);
+
+  /// Appends \p Count constraints whose coefficients and bounds
+  /// setConstraint fills in later; returns the first one's row index in
+  /// problem(). Every one must be set before the problem is solved or
+  /// copied.
+  int appendConstraints(int Count);
+
+  /// Sets the constraint at row \p Row (from appendConstraints) to
+  /// Lo <= Coef . Delta <= Hi, \p Coef pointing at numDelta()
+  /// coefficients. Distinct rows may be set concurrently.
+  void setConstraint(int Row, const double *Coef, double Lo, double Hi);
 
   const LinearProgram &problem() const { return Problem; }
 

@@ -33,8 +33,8 @@
 //  - FTRAN:   w_S = G a_T, w_R = A_RS w_S - a_R, in O(k^2 + k M);
 //  - BTRAN:   y_R = -c_R, y_T = G^T (c_S + A_RS^T c_R); in phase 2 and
 //             the dual phase c_R = 0, so y lives on T alone;
-//  - pricing: rc = c - A~^T y as one row axpy over RowA per nonzero of
-//             y_T (phase 1 adds the running cost row below), and the
+//  - pricing: rc = c - A~^T y as one row axpy per nonzero of y_T
+//             (phase 1 adds the running cost row below), and the
 //             dual phase's pivot row likewise over its at most k + 1
 //             nonzeros;
 //  - updates: one O(k^2) kind per pivot: grow (a structural replaces a
@@ -49,9 +49,12 @@
 // row b of G belongs to that structural, column b to that row.
 // refactor() lists T in ascending row order from Basis alone, so it is
 // a pure function of the basis; between refactorizations the slot order
-// follows the pivot history. A is stored once, row-major (RowA), which
-// the row passes of pricing stream and appended rows extend; the k basic
-// columns are copied column-major by slot (AS) for FTRAN and the core.
+// follows the pivot history. The scaled A is stored once, row by row, by
+// the problem itself (lp/LinearProgram.h): the solver reads each row in
+// place through its address (RowData), the row passes of pricing stream
+// those rows, and an append only takes in the new rows' addresses. The k
+// basic columns are copied column-major by slot (AS) for FTRAN and the
+// core.
 //
 // Phase-1 pricing. The basic slacks' primal phase-1 costs make
 // y_R = -c_R dense, so phase 1 keeps the R rows' part of A~^T y as a
@@ -157,9 +160,10 @@ private:
   // Shapes: M kept rows, NS structural variables, NT = NS + M total.
   int M = 0, NS = 0, NT = 0;
   std::vector<int> KeptRows;     // worker row -> original row index
-  std::vector<double> RowA;      // row-major scaled A, entry (i,j) at
-                                 // i*NS + j
-  std::vector<double> RowScale;  // per kept row
+  /// Kept row i's equilibrated coefficients, NS of them, read in place
+  /// from the problem's row store: entry (i, j) of the scaled A is
+  /// RowData[i][j].
+  std::vector<const double *> RowData;
   std::vector<double> Lo, Hi, Cost; // per total variable
   /// Variable basic in each position; the basic slack of row i always
   /// sits at position i.
@@ -229,9 +233,9 @@ private:
 
   enum class RowKind { Kept, Vacuous, Infeasible };
   RowKind presolveRow(int I) const;
-  /// Scales kept row \p R (problem row KeptRows[R]) into RowScale, RowA
-  /// and its slack's bounds.
-  void loadRow(int R);
+  /// Takes in kept row \p R (problem row KeptRows[R]): its address and
+  /// its slack's bounds, scaled as the row is.
+  void takeRow(int R);
   bool buildProblem(LpSolution &Out); // false => Out holds final status
   /// Takes in the rows appended to the problem since the last solve,
   /// their slacks basic, and re-sizes scratch (the caller recomputes
@@ -250,7 +254,8 @@ private:
   const double *coreColumn(int Slot) const {
     return AS.data() + static_cast<size_t>(Slot) * static_cast<size_t>(M);
   }
-  /// Copies the column of slot \p Slot's structural from RowA into AS.
+  /// Copies the column of slot \p Slot's structural from the rows into
+  /// AS.
   void loadCoreColumn(int Slot);
   double *coreRow(int Slot) {
     return G.data() + static_cast<size_t>(Slot) * static_cast<size_t>(CoreCap);
@@ -260,7 +265,7 @@ private:
   /// CoreV = A(R, S) G, row \p R (in R) of A_RS times the core inverse.
   void rowTimesCore(int R);
   /// Out[j] = sum over i in Nz of V[i] * A~(i, j) for every column j:
-  /// the structural columns as one RowA axpy per listed row (in list
+  /// the structural columns as one row axpy per listed row (in list
   /// order), the slack columns (-e_i) as -V[i].
   void rowPass(const std::vector<double> &V, const std::vector<int> &Nz,
                std::vector<double> &Out) const;
@@ -456,32 +461,21 @@ SimplexSolver::Worker::presolveRow(int I) const {
   // Light presolve: drop rows with no nonzero coefficients. Such a row
   // is vacuous when 0 lies within its bounds and makes the whole LP
   // infeasible otherwise.
-  const LpRow &Row = Prob.row(I);
-  for (double V : Row.Value)
-    if (V != 0.0)
-      return RowKind::Kept;
-  return Row.Lo > Opt.FeasTol || Row.Hi < -Opt.FeasTol ? RowKind::Infeasible
-                                                       : RowKind::Vacuous;
+  if (!Prob.rowEmpty(I))
+    return RowKind::Kept;
+  return Prob.rowLo(I) > Opt.FeasTol || Prob.rowHi(I) < -Opt.FeasTol
+             ? RowKind::Infeasible
+             : RowKind::Vacuous;
 }
 
-void SimplexSolver::Worker::loadRow(int R) {
-  // Row equilibration: divide each row (and its bounds) by its largest
-  // coefficient magnitude so feasibility tolerances are meaningful.
-  const LpRow &Row = Prob.row(KeptRows[R]);
-  double Scale = 1.0;
-  if (Opt.ScaleRows) {
-    double MaxAbs = 0.0;
-    for (double V : Row.Value)
-      MaxAbs = std::max(MaxAbs, std::fabs(V));
-    if (MaxAbs > 0.0)
-      Scale = MaxAbs;
-  }
-  RowScale[R] = Scale;
-  double *Dst = RowA.data() + static_cast<size_t>(R) * NS;
-  for (size_t K = 0; K < Row.Index.size(); ++K)
-    Dst[Row.Index[K]] += Row.Value[K] / Scale;
-  Lo[NS + R] = Row.Lo / Scale;
-  Hi[NS + R] = Row.Hi / Scale;
+void SimplexSolver::Worker::takeRow(int R) {
+  // The problem stores each row divided by its largest coefficient
+  // magnitude (row equilibration); its slack's bounds are divided here.
+  int I = KeptRows[R];
+  double Scale = Prob.rowScale(I);
+  RowData[R] = Prob.rowData(I);
+  Lo[NS + R] = Prob.rowLo(I) / Scale;
+  Hi[NS + R] = Prob.rowHi(I) / Scale;
 }
 
 bool SimplexSolver::Worker::buildProblem(LpSolution &Out) {
@@ -501,8 +495,7 @@ bool SimplexSolver::Worker::buildProblem(LpSolution &Out) {
   M = static_cast<int>(KeptRows.size());
   NT = NS + M;
 
-  RowScale.assign(static_cast<size_t>(M), 1.0);
-  RowA.assign(static_cast<size_t>(M) * static_cast<size_t>(NS), 0.0);
+  RowData.resize(static_cast<size_t>(M));
   Lo.resize(NT);
   Hi.resize(NT);
   Cost.assign(static_cast<size_t>(NT), 0.0);
@@ -512,11 +505,12 @@ bool SimplexSolver::Worker::buildProblem(LpSolution &Out) {
     Cost[J] = Prob.objectiveCoef(J);
   }
   for (int R = 0; R < M; ++R)
-    loadRow(R);
+    takeRow(R);
   return true;
 }
 
 bool SimplexSolver::Worker::appendRows(LpSolution &Out) {
+  assert(Prob.numVariables() == NS && "variables added between solves");
   int OldM = M;
   for (int I = RowsSeen; I < Prob.numRows(); ++I) {
     RowKind Kind = presolveRow(I);
@@ -534,12 +528,12 @@ bool SimplexSolver::Worker::appendRows(LpSolution &Out) {
     return true;
   NT = NS + M;
 
-  // RowA grows at its end and AS (stride M) is reloaded from it. The new
-  // rows enter with their slacks basic, so they join R: T, S and the
+  // The new rows are read where the problem stores them; only their
+  // addresses and scaled bounds come in, and AS (stride M) is reloaded.
+  // They enter with their slacks basic, so they join R: T, S and the
   // core inverse are unchanged, and a Fresh core stays fresh.
   size_t Ms = static_cast<size_t>(M);
-  RowScale.resize(Ms);
-  RowA.resize(Ms * static_cast<size_t>(NS), 0.0);
+  RowData.resize(Ms);
   Lo.resize(static_cast<size_t>(NT));
   Hi.resize(static_cast<size_t>(NT));
   Cost.resize(static_cast<size_t>(NT), 0.0);
@@ -548,7 +542,7 @@ bool SimplexSolver::Worker::appendRows(LpSolution &Out) {
   Basis.resize(Ms);
   CoreSlot.resize(Ms, -1);
   for (int R = OldM; R < M; ++R) {
-    loadRow(R);
+    takeRow(R);
     Basis[R] = NS + R;
   }
   sizeScratch();
@@ -708,9 +702,9 @@ bool SimplexSolver::Worker::refactor() {
 
 void SimplexSolver::Worker::loadCoreColumn(int Slot) {
   double *Dst = AS.data() + static_cast<size_t>(Slot) * M;
-  const double *Src = RowA.data() + Basis[CoreRow[Slot]];
+  int J = Basis[CoreRow[Slot]];
   for (int I = 0; I < M; ++I)
-    Dst[I] = Src[static_cast<size_t>(I) * NS];
+    Dst[I] = RowData[I][J];
 }
 
 void SimplexSolver::Worker::solveBasis(const double *V,
@@ -750,7 +744,7 @@ void SimplexSolver::Worker::recomputeBasicValues() {
       continue;
     double Scale = -X[J];
     for (int I = 0; I < M; ++I)
-      Rhs[I] += Scale * RowA[static_cast<size_t>(I) * NS + J];
+      Rhs[I] += Scale * RowData[I][J];
   }
   for (int B = 0; B < CoreSize; ++B)
     Rhs[CoreRow[B]] += X[NS + CoreRow[B]];
@@ -789,7 +783,7 @@ void SimplexSolver::Worker::computeColumn(int J) {
   KernelTimer Timer(Stats.FtranSeconds);
   if (J < NS) {
     for (int I = 0; I < M; ++I)
-      Col[I] = RowA[static_cast<size_t>(I) * NS + J];
+      Col[I] = RowData[I][J];
   } else {
     std::fill(Col.begin(), Col.end(), 0.0);
     Col[J - NS] = -1.0;
@@ -838,9 +832,7 @@ void SimplexSolver::Worker::updateCostRow() {
     double C = CoreSlot[I] < 0 ? Cb[I] : 0.0;
     if (C == CostWeight[I])
       continue;
-    linalg::kernelAxpy(CostRow.data(),
-                       RowA.data() + static_cast<size_t>(I) * NS,
-                       C - CostWeight[I], NS);
+    linalg::kernelAxpy(CostRow.data(), RowData[I], C - CostWeight[I], NS);
     CostWeight[I] = C;
   }
 }
@@ -850,8 +842,7 @@ void SimplexSolver::Worker::rowPass(const std::vector<double> &V,
                                     std::vector<double> &Out) const {
   std::fill(Out.begin(), Out.begin() + NS, 0.0);
   for (int I : Nz)
-    linalg::kernelAxpy(Out.data(), RowA.data() + static_cast<size_t>(I) * NS,
-                       V[I], NS);
+    linalg::kernelAxpy(Out.data(), RowData[I], V[I], NS);
   for (int J = NS; J < NT; ++J)
     Out[J] = -V[J - NS];
 }
@@ -1378,7 +1369,7 @@ LpSolution SimplexSolver::Worker::finish(SolveStatus Status) {
   computeDuals(/*Phase1=*/false);
   Out.RowDuals.assign(static_cast<size_t>(Prob.numRows()), 0.0);
   for (int R = 0; R < M; ++R)
-    Out.RowDuals[KeptRows[R]] = Y[R] / RowScale[R];
+    Out.RowDuals[KeptRows[R]] = Y[R] / Prob.rowScale(KeptRows[R]);
   Out.Stats = Stats;
   return Out;
 }

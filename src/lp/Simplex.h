@@ -18,10 +18,13 @@
 /// keeps only A_TS^-1: FTRAN and BTRAN cost O(k^2 + k M), each pivot
 /// updates the core in O(k^2), and a refactorization costs O(k^3).
 /// Features: composite primal phase-1 (infeasibility minimization),
-/// Dantzig pricing with Bland's rule anti-cycling fallback, row
-/// equilibration, periodic refactorization with a final clean-solve
-/// verification before an Optimal status is reported, and dual values
-/// for optimality certificates.
+/// Dantzig pricing with Bland's rule anti-cycling fallback, periodic
+/// refactorization with a final clean-solve verification before an
+/// Optimal status is reported, and dual values for optimality
+/// certificates. Rows come equilibrated from the problem's row store
+/// (each divided by its largest coefficient magnitude, so the
+/// tolerances mean the same on every row), and the solver reads them
+/// where they are stored.
 ///
 /// Every kernel runs scalar on the calling thread - they measured faster
 /// than blocked versions on the shared pool (src/lp/README.md) - so
@@ -65,8 +68,6 @@ struct SimplexOptions {
   double PivotTol = 1e-9;
   /// Hard cap on total simplex iterations across both phases.
   int MaxIterations = 200000;
-  /// Equilibrate rows by their largest coefficient magnitude.
-  bool ScaleRows = true;
   /// Iterations without objective progress before the primal phases
   /// switch to Bland's rule, and zero dual steps in a row before the
   /// dual phase hands its basis to the primal phases (both guard
@@ -156,9 +157,11 @@ struct LpSolution {
 /// continue from; the next solve() then runs cold over the whole
 /// problem. See src/lp/README.md ("Incremental solves").
 ///
-/// The solver keeps a reference to \p Problem, which must outlive it.
-/// Between solves the caller may only append rows (LinearProgram::
-/// addRow); variables, costs and existing rows must stay as they were.
+/// The solver keeps a reference to \p Problem, which must outlive it,
+/// and reads its rows where the problem stores them. Between solves the
+/// caller may only append rows (LinearProgram::addRow, DeltaLp::
+/// addConstraint); variables, costs and existing rows must stay as they
+/// were (an added variable would move the stored rows).
 class SimplexSolver {
 public:
   explicit SimplexSolver(const LinearProgram &Problem,

@@ -65,7 +65,7 @@ const char *toString(CodecError Error);
 /// and repaired networks carry its bits. Readers reject other versions
 /// with BadVersion (no silent migrations), so old store entries and old
 /// peers degrade to recomputes.
-inline constexpr std::uint32_t kFormatVersion = 10;
+inline constexpr std::uint32_t kFormatVersion = 11;
 
 /// Fixed frame prologue: magic + version + endian tag + kind + payload
 /// size. A stream consumer (rpc/Wire.h) reads exactly this many bytes,

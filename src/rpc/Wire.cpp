@@ -197,7 +197,6 @@ void writeRepairOptions(ByteWriter &W, const RepairOptions &O) {
   W.f64(O.Lp.OptTol);
   W.f64(O.Lp.PivotTol);
   W.i32(O.Lp.MaxIterations);
-  W.u8(O.Lp.ScaleRows ? 1 : 0);
   W.i32(O.Lp.StallLimit);
   W.i32(O.Lp.RefactorInterval);
 }
@@ -236,9 +235,6 @@ bool readRepairOptions(ByteReader &R, RepairOptions &O) {
     return false;
   if (!R.i32(O.Lp.MaxIterations))
     return false;
-  if (!readEnum8(R, Flag, 1))
-    return false;
-  O.Lp.ScaleRows = Flag != 0;
   if (!R.i32(O.Lp.StallLimit) || !R.i32(O.Lp.RefactorInterval))
     return false;
   O.Lp.CancelFlag = nullptr;

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 namespace prdnn::test {
@@ -40,6 +41,22 @@ inline detail::SpecRows computedRows(const Network &Net, int Layer,
     Rows.computeState(Base,
                       std::min(Rows.numPoints(), Base + Rows.chunkPoints()));
   return Rows;
+}
+
+/// \p Rows.coefs(Ask) collected into one vector per asked row, in
+/// \p Ask's order.
+inline bool collectCoefs(const detail::SpecRows &Rows,
+                         const std::vector<int> &Ask,
+                         std::vector<std::vector<double>> &Out,
+                         const std::function<bool()> &Cancel = nullptr) {
+  Out.assign(Ask.size(), {});
+  return Rows.coefs(
+      Ask,
+      [&](int Position, const double *Coef) {
+        Out[static_cast<size_t>(Position)].assign(
+            Coef, Coef + Rows.numEffective());
+      },
+      Cancel);
 }
 
 /// Checks the file comment's properties for every row of \p Spec at
@@ -84,7 +101,7 @@ inline void expectRowsAreSeededJacobianRows(const Network &Net, int Layer,
     if (Alone.empty()) {
       for (int Row = 0; Row < Rows.numRows(); ++Row) {
         std::vector<std::vector<double>> One;
-        ASSERT_TRUE(Rows.coefs({Row}, One));
+        ASSERT_TRUE(collectCoefs(Rows, {Row}, One));
         ASSERT_EQ(One.size(), 1u);
         const std::vector<double> &Want = WantCoef[static_cast<size_t>(Row)];
         ASSERT_EQ(One[0].size(), Want.size());
@@ -105,7 +122,7 @@ inline void expectRowsAreSeededJacobianRows(const Network &Net, int Layer,
                          All.begin() + std::min<size_t>(7, All.size()));
     for (const std::vector<int> &Ask : {All, Few}) {
       std::vector<std::vector<double>> Got;
-      ASSERT_TRUE(Rows.coefs(Ask, Got));
+      ASSERT_TRUE(collectCoefs(Rows, Ask, Got));
       ASSERT_EQ(Got.size(), Ask.size());
       for (size_t J = 0; J < Ask.size(); ++J)
         EXPECT_EQ(Got[J], Alone[static_cast<size_t>(Ask[J])])

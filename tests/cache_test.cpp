@@ -487,7 +487,6 @@ TEST(EngineCache, EachKeyInputMissesAndMatchesCacheOff) {
       {"Lp.PivotTol", [](RepairOptions &O) { O.Lp.PivotTol = 2e-9; }},
       {"Lp.MaxIterations",
        [](RepairOptions &O) { O.Lp.MaxIterations = 100000; }},
-      {"Lp.ScaleRows", [](RepairOptions &O) { O.Lp.ScaleRows = false; }},
       {"Lp.StallLimit", [](RepairOptions &O) { O.Lp.StallLimit = 301; }},
       {"Lp.RefactorInterval",
        [](RepairOptions &O) { O.Lp.RefactorInterval = 1999; }},

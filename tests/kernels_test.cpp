@@ -310,7 +310,8 @@ TEST(KernelDot, GoldenDigestIsStableAcrossHostsAndThreadCounts) {
   // repair shows that where the 1/16 repair's exact sums cannot.
   // Version 10 moved it: round 1 of a repair LP became a dual simplex
   // from the slack basis, which reaches a different optimal vertex.
-  static_assert(persist::kFormatVersion == 10,
+  // Version 11 (the wire lost SimplexOptions::ScaleRows) kept it.
+  static_assert(persist::kFormatVersion == 11,
                 "a kernel-bits change must bump kFormatVersion and the "
                 "golden digest together");
   const Digest128 Golden = {0x642f02841a9fab11ull, 0x9d145fc1ac58bfb0ull};

@@ -198,9 +198,9 @@ void expectKktConditions(const LinearProgram &P, const LpSolution &S,
   for (int J = 0; J < P.numVariables(); ++J)
     Rc[J] = P.objectiveCoef(J);
   for (int I = 0; I < P.numRows(); ++I) {
-    const LpRow &Row = P.row(I);
-    for (size_t K = 0; K < Row.Index.size(); ++K)
-      Rc[Row.Index[K]] -= S.RowDuals[I] * Row.Value[K];
+    const double *Row = P.rowData(I);
+    for (int J = 0; J < P.numVariables(); ++J)
+      Rc[J] -= S.RowDuals[I] * (P.rowScale(I) * Row[J]);
   }
   const double Tol = 1e-5;
   for (int J = 0; J < P.numVariables(); ++J) {
@@ -216,9 +216,9 @@ void expectKktConditions(const LinearProgram &P, const LpSolution &S,
   }
   for (int I = 0; I < P.numRows(); ++I) {
     double Activity = P.rowActivity(I, S.X);
-    const LpRow &Row = P.row(I);
-    bool AtLo = std::isfinite(Row.Lo) && Activity <= Row.Lo + 1e-6;
-    bool AtHi = std::isfinite(Row.Hi) && Activity >= Row.Hi - 1e-6;
+    double Lo = P.rowLo(I), Hi = P.rowHi(I);
+    bool AtLo = std::isfinite(Lo) && Activity <= Lo + 1e-6;
+    bool AtHi = std::isfinite(Hi) && Activity >= Hi - 1e-6;
     if (!AtLo && !AtHi) {
       EXPECT_NEAR(S.RowDuals[I], 0.0, Tol) << What << ": row " << I;
     } else if (AtLo && !AtHi) {
@@ -941,8 +941,14 @@ TEST(LpIncremental, DegenerateAppendedRows) {
     P.addRowLe(std::move(Index), std::move(Value), Activity);
   }
   for (int I = 0; I < 5; ++I) {
-    LpRow Copy = P.row(I);
-    P.addRow(Copy.Index, Copy.Value, Copy.Lo, Copy.Hi);
+    // An exact duplicate of a stored row: its equilibrated entries (scale
+    // 1) with its bounds scaled alike.
+    std::vector<int> Index(20);
+    for (int J = 0; J < 20; ++J)
+      Index[static_cast<size_t>(J)] = J;
+    std::vector<double> Value(P.rowData(I), P.rowData(I) + 20);
+    P.addRow(Index, Value, P.rowLo(I) / P.rowScale(I),
+             P.rowHi(I) / P.rowScale(I));
   }
   P.addRow({0, 1}, {0.0, 0.0}, -1.0, 1.0);
   expectMatchesCold(P, Solver.solve(), "degenerate rows");
@@ -1252,6 +1258,139 @@ TEST_F(LpCoreTest, LInfColdSolveHandsTheStalledDualPhaseToThePrimalPhases) {
   EXPECT_EQ(S.Stats.DualStalls, 1);
   EXPECT_GE(S.Iterations - S.Phase1Iterations, SimplexOptions().StallLimit);
   EXPECT_LE(D.problem().maxViolation(S.X), 1e-6);
+}
+
+// --- The row store ---------------------------------------------------------
+
+/// The entries the solver read before rows were stored equilibrated: it
+/// started from a +0.0 row and added C / S for every coefficient the
+/// problem kept (DeltaLp dropped exact zeros of either sign; the l1 split
+/// kept -C in the Q column), S the largest |C| or 1 for a row of zeros.
+std::vector<double> equilibratedRow(const std::vector<double> &Coef,
+                                    Norm Objective) {
+  double MaxAbs = 0.0;
+  for (double C : Coef)
+    MaxAbs = std::max(MaxAbs, std::fabs(C));
+  double S = MaxAbs > 0.0 ? MaxAbs : 1.0;
+  size_t N = Coef.size();
+  bool Split = Objective != Norm::LInf;
+  std::vector<double> Row((Split ? 2 * N : N) +
+                              (Objective == Norm::L1 ? 0 : 1),
+                          0.0);
+  for (size_t J = 0; J < N; ++J) {
+    double C = Coef[J];
+    if (std::fabs(C) <= 0.0)
+      continue;
+    Row[J] += C / S;
+    if (Split)
+      Row[N + J] += -C / S;
+  }
+  return Row;
+}
+
+TEST(LpRowStore, DeltaLpRowsMatchTheSolversFormerRowsBitForBit) {
+  // 0.0 and -0.0 are stored as +0.0 in both columns of the split;
+  // -1e-323 / 7 underflows to -0.0, which is stored as +0.0 too; the
+  // subnormal 1e-320 / 7 stays nonzero, its negation in the Q column.
+  const std::vector<double> Coef = {2.0,     0.0,  -0.0,   -7.0,
+                                    -1e-323, 1e-320, 0.1,  3.0 / 7.0};
+  ASSERT_EQ(-1e-323 / 7.0, 0.0);
+  ASSERT_TRUE(std::signbit(-1e-323 / 7.0));
+  for (Norm N : {Norm::L1, Norm::LInf, Norm::L1PlusLInf}) {
+    std::string What = toString(N);
+    DeltaLp D(static_cast<int>(Coef.size()), N, 10.0);
+    int Row = D.problem().numRows();
+    D.addConstraint(Coef, -1.5, 4.0);
+    D.addConstraint({0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, -1.0, 1.0);
+    const LinearProgram &P = D.problem();
+    ASSERT_EQ(P.numRows(), Row + 2) << What;
+    std::vector<double> Want = equilibratedRow(Coef, N);
+    ASSERT_EQ(Want.size(), static_cast<size_t>(P.numVariables())) << What;
+    std::vector<double> Got(P.rowData(Row), P.rowData(Row) + Want.size());
+    expectSameBits(Want, Got, What);
+    EXPECT_EQ(P.rowScale(Row), 7.0) << What;
+    EXPECT_EQ(P.rowLo(Row), -1.5) << What;
+    EXPECT_EQ(P.rowHi(Row), 4.0) << What;
+    EXPECT_FALSE(P.rowEmpty(Row)) << What;
+
+    // A row of zeros: scale 1, every entry +0.0, dropped by presolve.
+    std::vector<double> Zeros(Want.size(), 0.0);
+    std::vector<double> GotZeros(P.rowData(Row + 1),
+                                 P.rowData(Row + 1) + Want.size());
+    expectSameBits(Zeros, GotZeros, What + " zeros");
+    EXPECT_EQ(P.rowScale(Row + 1), 1.0) << What;
+    EXPECT_TRUE(P.rowEmpty(Row + 1)) << What;
+  }
+}
+
+TEST(LpRowStore, GeneralRowsAreStoredEquilibrated) {
+  LinearProgram P;
+  for (int J = 0; J < 4; ++J)
+    P.addVariable(-1.0, 1.0, 1.0);
+  P.addRow({3, 0}, {-0.5, 4.0}, -2.0, 8.0);
+  const std::vector<double> Want = {1.0, 0.0, 0.0, -0.125};
+  std::vector<double> Got(P.rowData(0), P.rowData(0) + 4);
+  expectSameBits(Want, Got, "row");
+  EXPECT_EQ(P.rowScale(0), 4.0);
+  EXPECT_EQ(P.rowLo(0), -2.0);
+  EXPECT_EQ(P.rowHi(0), 8.0);
+  // The activity is taken on the unscaled form.
+  EXPECT_EQ(P.rowActivity(0, {0.25, 0.0, 0.0, 1.0}), 0.5);
+}
+
+TEST(LpRowStore, RowsStoredBeforeAVariableReadZeroInItsColumn) {
+  // Wide rows, ten to a 256 KiB block, so re-laying them out spans
+  // several blocks.
+  const int Vars = 3000, Rows = 25, Late = 30;
+  Rng R(5150);
+  std::vector<std::vector<int>> Index(Rows);
+  std::vector<std::vector<double>> Value(Rows);
+  for (int I = 0; I < Rows; ++I)
+    for (int J = 0; J < Vars; ++J)
+      if (R.bernoulli(0.1)) {
+        Index[I].push_back(J);
+        Value[I].push_back(R.normal());
+      }
+  std::vector<double> Lo(Vars + Late), Hi(Vars + Late), Cost(Vars + Late);
+  // Nonnegative costs from 0: the dual simplex solves it from the slack
+  // basis, every row violated there.
+  for (int J = 0; J < Vars + Late; ++J) {
+    Lo[J] = 0.0;
+    Hi[J] = R.uniform(0.5, 2.0);
+    Cost[J] = R.uniform(0.1, 1.0);
+  }
+
+  // The same LP twice: every variable before the rows, and the last 30
+  // variables added after them.
+  LinearProgram Early, LateVars;
+  for (int J = 0; J < Vars + Late; ++J)
+    Early.addVariable(Lo[J], Hi[J], Cost[J]);
+  for (int J = 0; J < Vars; ++J)
+    LateVars.addVariable(Lo[J], Hi[J], Cost[J]);
+  for (int I = 0; I < Rows; ++I) {
+    Early.addRow(Index[I], Value[I], 0.5, 1.0);
+    LateVars.addRow(Index[I], Value[I], 0.5, 1.0);
+  }
+  for (int J = Vars; J < Vars + Late; ++J)
+    LateVars.addVariable(Lo[J], Hi[J], Cost[J]);
+
+  ASSERT_EQ(LateVars.numVariables(), Vars + Late);
+  for (int I = 0; I < Rows; ++I) {
+    std::vector<double> Want(Early.rowData(I), Early.rowData(I) + Vars + Late);
+    std::vector<double> Got(LateVars.rowData(I),
+                            LateVars.rowData(I) + Vars + Late);
+    expectSameBits(Want, Got, "row " + std::to_string(I));
+  }
+  // A row added after the late variables, and a copy of the problem,
+  // read the same; the solves agree bit for bit.
+  Early.addRowGe({0, Vars + Late - 1}, {1.0, 1.0}, 0.5);
+  LateVars.addRowGe({0, Vars + Late - 1}, {1.0, 1.0}, 0.5);
+  LinearProgram Copy = LateVars;
+  LpSolution Ref = solveLp(Early);
+  ASSERT_EQ(Ref.Status, SolveStatus::Optimal);
+  EXPECT_GT(Ref.Iterations, 0);
+  expectBitIdentical(Ref, solveLp(LateVars), "late variables");
+  expectBitIdentical(Ref, solveLp(Copy), "copy");
 }
 
 } // namespace

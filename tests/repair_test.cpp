@@ -669,7 +669,7 @@ TEST(SpecRows, ScanEqualsRowActivityAtRandomDelta) {
     std::vector<int> All(static_cast<size_t>(Rows.numRows()));
     std::iota(All.begin(), All.end(), 0);
     std::vector<std::vector<double>> Coef;
-    ASSERT_TRUE(Rows.coefs(All, Coef));
+    ASSERT_TRUE(collectCoefs(Rows, All, Coef));
     for (int Trial = 0; Trial < 3; ++Trial) {
       std::vector<double> Delta(static_cast<size_t>(NumParams));
       for (double &D : Delta)
@@ -702,13 +702,14 @@ TEST(SpecRows, CoefsStopAtCancelBetweenBatches) {
   std::iota(All.begin(), All.end(), 0);
   int Polls = 0;
   std::vector<std::vector<double>> Got;
-  EXPECT_FALSE(Rows.coefs(All, Got, [&] { return ++Polls == 1; }));
+  EXPECT_FALSE(collectCoefs(Rows, All, Got, [&] { return ++Polls == 1; }));
   EXPECT_EQ(Polls, 1); // polled between chunks, not before the first
 
   // One chunk's worth of rows is never polled.
   std::vector<int> OneChunk(All.begin(), All.begin() + Rows.chunkRows());
   Polls = 0;
-  EXPECT_TRUE(Rows.coefs(OneChunk, Got, [&] { return ++Polls == 1; }));
+  EXPECT_TRUE(
+      collectCoefs(Rows, OneChunk, Got, [&] { return ++Polls == 1; }));
   EXPECT_EQ(Polls, 0);
 }
 

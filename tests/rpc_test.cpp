@@ -207,7 +207,6 @@ serve::ServeRequest makeRichRequest(const NetworkFingerprint &Fp,
   Request.Options.CgBatch = 7;
   Request.Options.ParamMask = std::vector<bool>{true, false, true};
   Request.Options.Lp.MaxIterations = 1234;
-  Request.Options.Lp.ScaleRows = false;
   return Request;
 }
 
@@ -240,7 +239,6 @@ TEST(RpcWire, ServeRequestRoundTripsByteExact) {
   ASSERT_TRUE(Back.Options.ParamMask.has_value());
   EXPECT_EQ(*Back.Options.ParamMask, *Request.Options.ParamMask);
   EXPECT_EQ(Back.Options.Lp.MaxIterations, 1234);
-  EXPECT_FALSE(Back.Options.Lp.ScaleRows);
 
   // Re-encoding the decoded request reproduces the bytes exactly: the
   // encoding is canonical, so fingerprints of requests are stable.

@@ -198,7 +198,7 @@ TEST(SmoothRepair, ScanEqualsRowActivityAtRandomDelta) {
         std::vector<int> All(static_cast<size_t>(Rows.numRows()));
         std::iota(All.begin(), All.end(), 0);
         std::vector<std::vector<double>> Coef;
-        ASSERT_TRUE(Rows.coefs(All, Coef));
+        ASSERT_TRUE(collectCoefs(Rows, All, Coef));
         std::vector<double> S = Rows.scan(Delta);
         for (int Row = 0; Row < Rows.numRows(); ++Row) {
           double Activity = 0.0;
