@@ -4,6 +4,7 @@
 
 #include "cache/Fingerprint.h"
 #include "core/PolytopeRepair.h"
+#include "core/SpecRows.h"
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "persist/ArtifactStore.h"
@@ -631,18 +632,57 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     }
   }
 
+  // Algorithm 1's Jacobian phase is layer-independent too: the spec's
+  // Delta = 0 forward state (core/SpecRows.h, SpecState) is one batched
+  // pass, on the job thread before any attempt runs, from the first
+  // candidate layer on. Every attempt reads its own slice of it; a
+  // fixed-layer request is a one-candidate sweep. The pass is polled for
+  // cancellation between chunks, traced as a Jacobian span and credited
+  // to the first candidate below, like the transform. The state lives
+  // for this job only.
+  std::optional<detail::SpecState> State;
+  double StateSeconds = 0.0;
+  bool StateCut = false;
+  // Null only for a polytope job cancelled in its LinRegions phase.
+  const PointSpec *Points = SharedKeyPoints
+                                ? &SharedKeyPoints->Points
+                                : std::get_if<PointSpec>(&Request.Spec);
+  const auto NumPoints = static_cast<int>(Points ? Points->size() : 0);
+  if (!SawCancel && Ctx.cancelRequested()) {
+    SawCancel = true; // cancelled before the job's first phase
+  } else if (!SawCancel) {
+    WallTimer Timer;
+    Ctx.beginPhase(RepairPhase::Jacobian, NumPoints);
+    StateCut = Ctx.checkpoint(RepairPhase::Jacobian);
+    if (!StateCut) {
+      State.emplace(Net, *Points, Candidates);
+      for (int Base = 0; Base < NumPoints;
+           Base += detail::SpecState::chunkPoints()) {
+        StateCut = Ctx.checkpoint(RepairPhase::Jacobian);
+        if (StateCut)
+          break;
+        int Count = std::min(detail::SpecState::chunkPoints(),
+                             NumPoints - Base);
+        State->compute(Base, Base + Count);
+        Ctx.advance(Count);
+      }
+      if (!StateCut && Ctx.cache())
+        State->hashSpec();
+    }
+    Ctx.endPhaseSpan();
+    StateSeconds = Timer.seconds();
+  }
+
   auto RunAttempt = [&](int Layer) -> RepairResult {
-    if (!Request.isPolytope())
-      return detail::repairPointsImpl(Net, Layer,
-                                      std::get<PointSpec>(Request.Spec),
-                                      Options, &Ctx);
-    RepairResult Attempt = detail::repairPointsImpl(
-        Net, Layer, SharedKeyPoints->Points, Options, &Ctx);
-    // Stamp the Algorithm 2 stats; the transform itself is credited to
-    // the first candidate below.
-    Attempt.Stats.KeyPoints =
-        static_cast<int>(SharedKeyPoints->Points.size());
-    Attempt.Stats.LinearRegions = SharedKeyPoints->LinearRegions;
+    RepairResult Attempt =
+        detail::repairPointsImpl(*State, Layer, Options, &Ctx);
+    if (SharedKeyPoints) {
+      // Stamp the Algorithm 2 stats; the transform itself is credited to
+      // the first candidate below.
+      Attempt.Stats.KeyPoints =
+          static_cast<int>(SharedKeyPoints->Points.size());
+      Attempt.Stats.LinearRegions = SharedKeyPoints->LinearRegions;
+    }
     return Attempt;
   };
 
@@ -719,10 +759,23 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
       }
     };
     const auto NumCandidates = static_cast<std::int64_t>(Candidates.size());
-    if (Ctx.hasCheckpointHook())
+    if (StateCut) {
+      // The cancel landed in the shared pass: the first candidate's
+      // attempt stopped in its Jacobian phase, with nothing else run.
+      RepairResult &Cut = Results[0].emplace();
+      Cut.Status = RepairStatus::Cancelled;
+      Cut.Stats.SpecPoints = NumPoints;
+      Cut.Stats.SpecRows = State ? State->numRows() : 0;
+    } else if (Ctx.hasCheckpointHook()) {
       RunCandidates(0, NumCandidates);
-    else
+    } else {
       parallelForRanges(0, NumCandidates, RunCandidates, /*Grain=*/1);
+    }
+    if (Results[0]) {
+      RepairStats &S = Results[0]->Stats;
+      S.JacobianSeconds += StateSeconds;
+      S.TotalSeconds += StateSeconds;
+    }
     if (SharedKeyPoints && Results[0]) {
       RepairStats &S = Results[0]->Stats;
       S.LinRegionsSeconds = SharedKeyPoints->Seconds;

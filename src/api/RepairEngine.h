@@ -9,12 +9,14 @@
 /// Mapping to the paper:
 ///
 ///   RepairRequest{PointSpec}    -> Algorithm 1 (repairPoints, §5):
-///     Jacobian phase = lines 4-6 (each point's forward state and its
-///     rows' right-hand sides; core/SpecRows.h), Lp phase = lines 7-8
-///     (norm-minimal Delta by LP, with constraint generation: forward
-///     scans of the DDNN pick the rows, and Jacobian rows are built
-///     only for those), Verify phase = lines 9-10 (apply Delta; the
-///     last scan re-verified the spec on the DDNN itself).
+///     Jacobian phase = lines 4-6 (the spec's Delta = 0 forward state,
+///     one batched pass per job that every sweep attempt reads, and
+///     each attempt's rows' right-hand sides; core/SpecRows.h), Lp
+///     phase = lines 7-8 (norm-minimal Delta by LP, with constraint
+///     generation: forward scans of the DDNN pick the rows, and
+///     Jacobian rows are built only for those), Verify phase = lines
+///     9-10 (apply Delta; the last scan re-verified the spec on the
+///     DDNN itself).
 ///   RepairRequest{PolytopeSpec} -> Algorithm 2 (repairPolytopes, §6):
 ///     a LinRegions phase (SyReNN transform, line 2) reduces each
 ///     polytope to key points with pinned activation patterns

@@ -30,6 +30,8 @@ struct SweepAttempt {
   // Per-attempt phase breakdown, stamped on *every* exit path (early
   // Infeasible/SolverFailure returns and cancellations included, like
   // TotalSeconds) so cache-hit and cache-miss attempts are comparable.
+  // The job's shared forward pass and transform are credited to the
+  // first candidate (RepairStats::JacobianSeconds, LinRegionsSeconds).
   double JacobianSeconds = 0.0;
   double LpSeconds = 0.0;
   double LinRegionsSeconds = 0.0;

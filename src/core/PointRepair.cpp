@@ -46,10 +46,12 @@ bool prdnn::validRepairOptions(const RepairOptions &O) {
 namespace {
 
 /// The LpSolution cache key: a digest of every input that fixes the
-/// repair LP and its constraint generation (src/cache/README.md).
+/// repair LP and its constraint generation (src/cache/README.md). The
+/// spec enters as the digest SpecState::hashSpec() took once per job.
 CacheKey lpSolutionKey(const NetworkFingerprint &Fp, int LayerIndex,
                        const std::vector<int> &Effective,
-                       const PointSpec &Spec, const RepairOptions &Options) {
+                       const Digest128 &SpecDigest,
+                       const RepairOptions &Options) {
   Hasher H;
   H.u64(Fp.Digest.Hi);
   H.u64(Fp.Digest.Lo);
@@ -68,36 +70,21 @@ CacheKey lpSolutionKey(const NetworkFingerprint &Fp, int LayerIndex,
   H.i32(Options.Lp.MaxIterations);
   H.i32(Options.Lp.StallLimit);
   H.i32(Options.Lp.RefactorInterval);
-  H.i32(static_cast<int>(Spec.size()));
-  for (const SpecPoint &Point : Spec) {
-    hashVector(H, Point.X);
-    const Matrix &A = Point.Constraint.A;
-    H.i32(A.rows());
-    H.i32(A.cols());
-    for (int R = 0; R < A.rows(); ++R)
-      H.doubles(A.rowData(R), static_cast<size_t>(A.cols()));
-    hashVector(H, Point.Constraint.B);
-    H.i32(Point.Pattern ? static_cast<int>(Point.Pattern->Patterns.size())
-                        : -1);
-    if (Point.Pattern)
-      for (const std::vector<int> &Layer : Point.Pattern->Patterns) {
-        H.i32(static_cast<int>(Layer.size()));
-        H.bytes(Layer.data(), Layer.size() * sizeof(int));
-      }
-  }
+  H.u64(SpecDigest.Hi);
+  H.u64(SpecDigest.Lo);
   return {ArtifactKind::LpSolution, H.digest()};
 }
 
 } // namespace
 
-RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
+RepairResult prdnn::detail::repairPointsImpl(const SpecState &State,
                                              int LayerIndex,
-                                             const PointSpec &Spec,
                                              const RepairOptions &Options,
                                              JobContext *Ctx) {
   WallTimer Total;
   RepairResult Result;
-  Result.Stats.SpecPoints = static_cast<int>(Spec.size());
+  const Network &Net = State.network();
+  Result.Stats.SpecPoints = State.numPoints();
 
   // LP accounting, declared up front so every exit path - cancellation
   // included - stamps the timing stats consistently. LpTimer runs for
@@ -149,32 +136,23 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
   int NumEff = static_cast<int>(Effective.size());
   assert(NumEff > 0 && "all parameters frozen");
 
-  // --- Jacobian phase (Algorithm 1, lines 4-6): forward state ---------------
-  // The rows of the LP are built lazily (core/SpecRows.h): this phase
-  // records only each point's forward state and every row's right-hand
-  // side. Jacobian rows are computed in the LP phase, for the rows
-  // constraint generation appends. Cancellation is polled between
-  // chunks, never inside them.
-  int NumPoints = static_cast<int>(Spec.size());
+  // --- Jacobian phase (Algorithm 1, lines 4-6): right-hand sides ----------
+  // The job computed the spec's forward state once, for every attempt
+  // (core/SpecRows.h, SpecState); this attempt binds its layer's slice
+  // and computes every row's right-hand side. Jacobian rows are built
+  // lazily in the LP phase, for the rows constraint generation appends.
+  int NumPoints = State.numPoints();
   if (Ctx) {
     Ctx->beginPhase(RepairPhase::Jacobian, NumPoints);
     if (Ctx->checkpoint(RepairPhase::Jacobian))
       return Cancelled();
   }
   WallTimer JacobianTimer;
-  detail::SpecRows Rows(Net, LayerIndex, Spec, Effective, Options.RowMargin);
+  detail::SpecRows Rows(State, LayerIndex, Effective, Options.RowMargin);
   int NumRows = Rows.numRows();
   Result.Stats.SpecRows = NumRows;
-  for (int Base = 0; Base < NumPoints; Base += Rows.chunkPoints()) {
-    if (Ctx && Ctx->checkpoint(RepairPhase::Jacobian)) {
-      Result.Stats.JacobianSeconds = JacobianTimer.seconds();
-      return Cancelled();
-    }
-    int Count = std::min(Rows.chunkPoints(), NumPoints - Base);
-    Rows.computeState(Base, Base + Count);
-    if (Ctx)
-      Ctx->advance(Count);
-  }
+  if (Ctx)
+    Ctx->advance(NumPoints);
   Result.Stats.JacobianSeconds = JacobianTimer.seconds();
 
   // --- LP phase (Algorithm 1, lines 7-8) ------------------------------------
@@ -344,7 +322,7 @@ RepairResult prdnn::detail::repairPointsImpl(const Network &Net,
     try {
       Cached = Cache->getOrCompute(
           lpSolutionKey(Ctx->networkFingerprint(), LayerIndex, Effective,
-                        Spec, Options),
+                        State.specDigest(), Options),
           [&]() -> std::shared_ptr<const CacheArtifact> {
             Ran = true;
             Outcome = SolveLp();

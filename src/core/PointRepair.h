@@ -113,10 +113,14 @@ bool validRepairOptions(const RepairOptions &O);
 
 struct RepairStats {
   /// The three phases partition TotalSeconds and match the trace's
-  /// spans: JacobianSeconds is the per-point forward-state pass (the
-  /// Jacobian span), LpSeconds the whole Lp phase - lazy Jacobian rows,
-  /// appends, the LP-solution lookup, solves and constraint-generation
-  /// scans (the Lp span) - and OtherSeconds the remainder.
+  /// spans: JacobianSeconds is the attempt's Jacobian span - binding its
+  /// layer's slice of the job's forward state and computing the rows'
+  /// right-hand sides - and, for the first candidate of a job, also the
+  /// job's one batched Delta = 0 forward pass (its own Jacobian span,
+  /// credited there as LinRegionsSeconds is); LpSeconds the whole Lp
+  /// phase - lazy Jacobian rows, appends, the LP-solution lookup, solves
+  /// and constraint-generation scans (the Lp span) - and OtherSeconds
+  /// the remainder.
   double JacobianSeconds = 0.0;
   double LpSeconds = 0.0;
   double OtherSeconds = 0.0;
@@ -208,11 +212,15 @@ RepairResult repairPoints(const Network &Net, int LayerIndex,
 
 namespace detail {
 
-/// Algorithm 1 proper. \p Ctx, when non-null, receives phase/progress
-/// updates and is polled for cancellation at chunk boundaries; a null
-/// \p Ctx behaves exactly like the seed implementation.
-RepairResult repairPointsImpl(const Network &Net, int LayerIndex,
-                              const PointSpec &Spec,
+class SpecState;
+
+/// Algorithm 1 proper, at layer \p LayerIndex (one of \p State's
+/// candidates) of the network and spec of \p State, whose Delta = 0
+/// forward state the job has computed. \p Ctx, when non-null, receives
+/// phase/progress updates and is polled for cancellation at chunk
+/// boundaries; with a cache in \p Ctx, \p State must hold its spec
+/// digest (SpecState::hashSpec).
+RepairResult repairPointsImpl(const SpecState &State, int LayerIndex,
                               const RepairOptions &Options, JobContext *Ctx);
 
 } // namespace detail

@@ -137,6 +137,15 @@ public:
 
   void markDone() { beginPhase(RepairPhase::Done, 0); }
 
+  /// Closes the calling thread's open trace span. For a phase the job
+  /// thread runs once for all its sweep attempts (the shared Jacobian
+  /// pass), so that the span ends with the phase, whichever threads
+  /// then run the attempts.
+  void endPhaseSpan() {
+    if (TraceV)
+      traceEnd();
+  }
+
   // --- Tracing (obs/Trace.h) ------------------------------------------------
 
   /// Installs the telemetry trace sink for this job. Same contract as

@@ -15,10 +15,6 @@ namespace {
 /// the left row stay hot while the matching right-rows block streams.
 constexpr int kGemmKBlock = 256;
 
-/// Flop threshold below which a product runs inline; smaller products
-/// lose more to task handoff than they gain from the pool.
-constexpr double kParallelFlopThreshold = 1e5;
-
 } // namespace
 
 Matrix Matrix::identity(int Size) {

@@ -27,6 +27,12 @@
 
 namespace prdnn {
 
+/// Work threshold below which a batched loop runs inline rather than on
+/// the global pool: the flops of a matrix product here, and the entries
+/// touched by core/SpecRows' row sweeps and the activations' batched row
+/// loops. Smaller loops lose more to task handoff than they gain.
+constexpr double kParallelFlopThreshold = 1e5;
+
 /// Dense row-major matrix.
 class Matrix {
 public:

@@ -20,16 +20,44 @@ Vector ElementwiseActivation::apply(const Vector &In) const {
 }
 
 Matrix ElementwiseActivation::applyBatch(const Matrix &In) const {
+  return applyRows(In, nullptr, {});
+}
+
+Matrix ElementwiseActivation::applyRows(
+    const Matrix &In, const double *Centers,
+    std::span<const std::vector<int> *const> Pinned) const {
   assert(In.cols() == Size && "activation input size mismatch");
+  assert((Pinned.empty() || static_cast<int>(Pinned.size()) == In.rows()) &&
+         "one pinned pattern slot per row");
   Matrix Out(In.rows(), Size);
-  parallelForRanges(0, In.rows(), [&](std::int64_t Begin, std::int64_t End) {
+  // Each row's arithmetic is apply's, applyLinearized's or
+  // applyWithPattern's, element for element.
+  auto Rows = [&](std::int64_t Begin, std::int64_t End) {
     for (int R = static_cast<int>(Begin); R < End; ++R) {
-      const double *InRow = In.rowData(R);
-      double *OutRow = Out.rowData(R);
-      for (int I = 0; I < Size; ++I)
-        OutRow[I] = value(InRow[I]);
+      const double *X = In.rowData(R);
+      double *Y = Out.rowData(R);
+      const std::vector<int> *Pattern =
+          Pinned.empty() ? nullptr : Pinned[static_cast<size_t>(R)];
+      if (Pattern) {
+        assert(isPiecewiseLinear() && static_cast<int>(Pattern->size()) == Size &&
+               "pinned patterns require a PWL activation of the row's size");
+        const int *P = Pattern->data();
+        for (int I = 0; I < Size; ++I)
+          Y[I] = regionValue(P[I], X[I]);
+      } else if (Centers) {
+        const double *C = Centers + static_cast<size_t>(R) * Size;
+        for (int I = 0; I < Size; ++I)
+          Y[I] = value(C[I]) + derivative(C[I]) * (X[I] - C[I]);
+      } else {
+        for (int I = 0; I < Size; ++I)
+          Y[I] = value(X[I]);
+      }
     }
-  });
+  };
+  if (static_cast<double>(In.rows()) * Size >= kParallelFlopThreshold)
+    parallelForRanges(0, In.rows(), Rows);
+  else
+    Rows(0, In.rows());
   return Out;
 }
 

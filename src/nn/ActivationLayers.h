@@ -30,8 +30,12 @@ public:
   int outputSize() const override { return Size; }
 
   Vector apply(const Vector &In) const override;
-  /// Fused elementwise sweep over the whole batch buffer.
+  /// applyRows with no centers and no pinned row.
   Matrix applyBatch(const Matrix &In) const override;
+  /// One fused loop over the rows, each by its own rule.
+  Matrix
+  applyRows(const Matrix &In, const double *Centers,
+            std::span<const std::vector<int> *const> Pinned) const override;
   Vector applyLinearized(const Vector &Center, const Vector &In) const override;
   Vector vjpLinearized(const Vector &Center,
                        const Vector &GradOut) const override;

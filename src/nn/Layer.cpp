@@ -92,6 +92,36 @@ void LinearLayer::paramJacobian(const Matrix &M, const Vector &In,
   PRDNN_UNREACHABLE("paramJacobian requested on a parameter-free layer");
 }
 
+Matrix ActivationLayer::applyRows(
+    const Matrix &In, const double *Centers,
+    std::span<const std::vector<int> *const> Pinned) const {
+  assert(In.cols() == inputSize() && "batched input size mismatch");
+  assert((Pinned.empty() || static_cast<int>(Pinned.size()) == In.rows()) &&
+         "one pinned pattern slot per row");
+  Matrix Out(In.rows(), outputSize());
+  auto Rows = [&](std::int64_t Begin, std::int64_t End) {
+    for (int R = static_cast<int>(Begin); R < End; ++R) {
+      const std::vector<int> *Pattern =
+          Pinned.empty() ? nullptr : Pinned[static_cast<size_t>(R)];
+      if (Pattern) {
+        Out.setRow(R, applyWithPattern(In.row(R), *Pattern));
+      } else if (Centers) {
+        const double *C = Centers + static_cast<size_t>(R) * inputSize();
+        Out.setRow(R, applyLinearized(Vector(std::vector<double>(
+                                          C, C + inputSize())),
+                                      In.row(R)));
+      } else {
+        Out.setRow(R, apply(In.row(R)));
+      }
+    }
+  };
+  if (static_cast<double>(In.rows()) * inputSize() >= kParallelFlopThreshold)
+    parallelForRanges(0, In.rows(), Rows);
+  else
+    Rows(0, In.rows());
+  return Out;
+}
+
 std::vector<int> ActivationLayer::pattern(const Vector &In) const {
   (void)In;
   PRDNN_UNREACHABLE("activation patterns require a piecewise-linear layer");

@@ -28,6 +28,7 @@
 #include "linalg/Vector.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,21 @@ public:
   /// Vector-Jacobian product through Dsigma(Center).
   virtual Vector vjpLinearized(const Vector &Center,
                                const Vector &GradOut) const = 0;
+
+  /// Batched evaluation with a rule per row, bit-for-bit: row r of the
+  /// result is applyWithPattern(row r of \p In, *Pinned[r]) when
+  /// Pinned[r] is set, else applyLinearized(center r, row r of \p In)
+  /// when \p Centers is set - center r being the inputSize() values at
+  /// Centers + r * inputSize() - else apply(row r of \p In). \p Pinned
+  /// is empty (no row pinned) or holds one entry per row. core/SpecRows
+  /// runs blocks of spec points through the layer with it: the job's
+  /// Delta = 0 forward state without centers, the repaired DDNN's value
+  /// channel with them. The default maps the rows one by one;
+  /// ElementwiseActivation overrides with a fused row loop. Either goes
+  /// to the pool only from kParallelFlopThreshold entries on.
+  virtual Matrix
+  applyRows(const Matrix &In, const double *Centers,
+            std::span<const std::vector<int> *const> Pinned) const;
 
   /// Vector-Jacobian product through the pinned pattern (PWL only).
   virtual Vector vjpWithPattern(const std::vector<int> &Pat,

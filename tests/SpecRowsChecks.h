@@ -8,16 +8,20 @@
 /// the row's max-abs, with N and J_x from a per-point paramJacobian. A
 /// row's coefficient bits depend on the row alone: asked by itself, in a
 /// shuffled full set (spanning chunks once numRows() > chunkRows()), at
-/// 1 and at 4 threads.
+/// 1 and at 4 threads. And scan(Delta) is the repaired DDNN, bit for
+/// bit.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRDNN_TESTS_SPECROWSCHECKS_H
 #define PRDNN_TESTS_SPECROWSCHECKS_H
 
+#include "core/DecoupledNetwork.h"
 #include "core/SpecRows.h"
 
 #include "nn/Jacobian.h"
+#include "nn/LinearLayers.h"
+#include "support/Casting.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
 
@@ -30,17 +34,17 @@
 
 namespace prdnn::test {
 
-/// SpecRows over \p Spec with its forward state computed chunk by chunk,
-/// as the repair's Jacobian phase does.
-inline detail::SpecRows computedRows(const Network &Net, int Layer,
-                                     const PointSpec &Spec,
-                                     const std::vector<int> &Effective,
-                                     double Margin) {
-  detail::SpecRows Rows(Net, Layer, Spec, Effective, Margin);
-  for (int Base = 0; Base < Rows.numPoints(); Base += Rows.chunkPoints())
-    Rows.computeState(Base,
-                      std::min(Rows.numPoints(), Base + Rows.chunkPoints()));
-  return Rows;
+/// The Delta = 0 forward state of \p Spec for repairs of \p Candidates,
+/// computed chunk by chunk, as the engine's Jacobian phase does.
+inline detail::SpecState computedState(const Network &Net,
+                                       const PointSpec &Spec,
+                                       const std::vector<int> &Candidates) {
+  detail::SpecState State(Net, Spec, Candidates);
+  for (int Base = 0; Base < State.numPoints();
+       Base += detail::SpecState::chunkPoints())
+    State.compute(Base, std::min(State.numPoints(),
+                                 Base + detail::SpecState::chunkPoints()));
+  return State;
 }
 
 /// \p Rows.coefs(Ask) collected into one vector per asked row, in
@@ -92,7 +96,8 @@ inline void expectRowsAreSeededJacobianRows(const Network &Net, int Layer,
   std::vector<std::vector<double>> Alone;
   for (int Threads : {1, 4}) {
     setGlobalThreadCount(Threads);
-    detail::SpecRows Rows = computedRows(Net, Layer, Spec, Effective, Margin);
+    detail::SpecState State = computedState(Net, Spec, {Layer});
+    detail::SpecRows Rows(State, Layer, Effective, Margin);
     ASSERT_EQ(Rows.numRows(), static_cast<int>(WantHi.size()));
     for (int Row = 0; Row < Rows.numRows(); ++Row)
       EXPECT_EQ(Rows.hi(Row), WantHi[static_cast<size_t>(Row)])
@@ -128,6 +133,53 @@ inline void expectRowsAreSeededJacobianRows(const Network &Net, int Layer,
         EXPECT_EQ(Got[J], Alone[static_cast<size_t>(Ask[J])])
             << "row " << Ask[J] << " at position " << J << ", threads "
             << Threads;
+    }
+  }
+  setGlobalThreadCount(1);
+}
+
+/// Each row of scan(Delta) is the spec row on the repaired DDNN - its
+/// value channel moved by Delta at the layer - evaluated point by point
+/// with DecoupledNetwork::evaluate (evaluateWithPattern for a pinned
+/// point), bit for bit, at 1 and at 4 threads. The state is shared by
+/// every parameterized layer, as in an auto-layer sweep; Delta is random
+/// over all of a layer's parameters.
+inline void expectScanIsTheRepairedDdnn(const Network &Net,
+                                        const PointSpec &Spec, Rng &R) {
+  std::vector<int> Layers = Net.parameterizedLayerIndices();
+  for (int Threads : {1, 4}) {
+    setGlobalThreadCount(Threads);
+    detail::SpecState State = computedState(Net, Spec, Layers);
+    for (int Layer : Layers) {
+      SCOPED_TRACE(Layer);
+      int NumParams = cast<LinearLayer>(Net.layer(Layer)).numParams();
+      std::vector<int> Effective(static_cast<size_t>(NumParams));
+      std::iota(Effective.begin(), Effective.end(), 0);
+      std::vector<double> Delta(static_cast<size_t>(NumParams));
+      for (double &D : Delta)
+        D = 0.2 * R.normal();
+      detail::SpecRows Rows(State, Layer, Effective, 1e-6);
+      std::vector<double> S = Rows.scan(Delta);
+      ASSERT_EQ(static_cast<int>(S.size()), Rows.numRows());
+
+      DecoupledNetwork Repaired = DecoupledNetwork::fromNetwork(Net);
+      cast<LinearLayer>(Repaired.valueChannel().layer(Layer))
+          .addToParams(Delta);
+      size_t Row = 0;
+      for (const SpecPoint &Point : Spec) {
+        Vector Y = Point.Pattern
+                       ? Repaired.evaluateWithPattern(Point.X, *Point.Pattern)
+                       : Repaired.evaluate(Point.X);
+        const OutputConstraint &C = Point.Constraint;
+        for (int K = 0; K < C.numRows(); ++K, ++Row) {
+          double Activity = 0.0;
+          for (int O = 0; O < C.A.cols(); ++O)
+            Activity += C.A(K, O) * Y[O];
+          EXPECT_EQ(S[Row], Activity - C.B[K])
+              << "row " << Row << (Point.Pattern ? " (pinned)" : "")
+              << ", threads " << Threads;
+        }
+      }
     }
   }
   setGlobalThreadCount(1);

@@ -329,6 +329,43 @@ TEST(RepairEngine, CancelMidJacobianPhase) {
     EXPECT_EQ(P, RepairPhase::Jacobian);
 }
 
+TEST(RepairEngine, CancelInTheSweepsSharedJacobianPass) {
+  // An auto-layer sweep computes the spec's forward state once, before
+  // any attempt runs. 600 points: the 2nd Jacobian checkpoint falls
+  // between that pass's chunks, and the sweep reports the first
+  // candidate as cancelled with the pass's seconds and nothing after.
+  Rng R(91012);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  RepairRequest Request;
+  Request.Net = Net;
+  Request.Spec = makeFlipSpec(*Net, R, 600);
+  Request.LayerIndex = kAutoLayer;
+
+  RepairEngine Engine;
+  auto State = std::make_shared<CancelAt>();
+  State->Phase = RepairPhase::Jacobian;
+  State->N = 2;
+  JobHandle Handle = Engine.submit(Request, State->hook(State));
+  State->Handle = Handle;
+  State->HandleReady.set_value();
+
+  const RepairReport &Report = Handle.report();
+  EXPECT_EQ(Report.Status, RepairStatus::Cancelled);
+  EXPECT_EQ(Report.Result.Status, RepairStatus::Cancelled);
+  EXPECT_EQ(Report.Result.Stats.LpRowsUsed, 0);
+  EXPECT_GT(Report.Result.Stats.JacobianSeconds, 0.0);
+  EXPECT_EQ(Report.Result.Stats.TotalSeconds,
+            Report.Result.Stats.JacobianSeconds);
+  ASSERT_EQ(Report.Sweep.size(), 1u);
+  EXPECT_EQ(Report.Sweep[0].LayerIndex, Net->parameterizedLayerIndices()[0]);
+  EXPECT_EQ(Report.Sweep[0].Status, RepairStatus::Cancelled);
+  EXPECT_EQ(Report.Sweep[0].JacobianSeconds,
+            Report.Result.Stats.JacobianSeconds);
+  EXPECT_EQ(State->Seen.load(), 2);
+  for (RepairPhase P : State->Trace)
+    EXPECT_EQ(P, RepairPhase::Jacobian);
+}
+
 TEST(RepairEngine, CancelInLpPhase) {
   Rng R(91005);
   auto Net = std::make_shared<Network>(makeClassifier(R));

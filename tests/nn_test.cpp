@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/SpecRows.h"
 #include "nn/ActivationLayers.h"
 #include "nn/ActivationPattern.h"
 #include "nn/Jacobian.h"
@@ -620,6 +621,76 @@ TEST(Batch, ComputePatternBatchMatchesScalar) {
   for (size_t I = 0; I < Points.size(); ++I)
     EXPECT_TRUE(Batch[I] == computePattern(Net, Points[I]))
         << "point " << I;
+}
+
+TEST(Batch, SpecStateRowsAreIntermediatesBitForBit) {
+  // The shared Delta = 0 forward state of core/SpecRows, computed in
+  // uneven chunks at 1 and 4 threads: each stored row is the point's
+  // Network::intermediates entry (intermediatesWithPattern for a pinned
+  // point, every third), and the outputs are the last one. A PWL net
+  // and a conv + MaxPool2D net (MaxPool2D's per-row applyRows), whose
+  // 1,536-wide ReLU and max-pool go to the pool at 4 threads in a chunk
+  // of 70 points.
+  Rng R(404);
+  Network Pwl = makeRandomPwlNetwork(R, 5, 4);
+  Network Conv;
+  std::vector<double> Kernel(6 * 1 * 3 * 3);
+  for (double &V : Kernel)
+    V = 0.5 * R.normal();
+  Conv.addLayer(std::make_unique<Conv2DLayer>(
+      1, 16, 16, 6, 3, 3, 1, 1, Kernel, std::vector<double>(6, 0.1)));
+  Conv.addLayer(std::make_unique<ReLULayer>(6 * 16 * 16));
+  Conv.addLayer(std::make_unique<MaxPool2DLayer>(6, 16, 16, 2, 2, 2));
+  Conv.addLayer(std::make_unique<FlattenLayer>(6 * 8 * 8));
+  Conv.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 64, 6 * 8 * 8, 0.1), randomVector(R, 64, 0.3)));
+  Conv.addLayer(std::make_unique<LeakyReLULayer>(64, 0.1));
+  Conv.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 3, 64, 0.5), randomVector(R, 3, 0.3)));
+
+  for (auto [Net, NumPoints] : {std::pair<const Network *, int>{&Pwl, 300},
+                                {&Conv, 80}}) {
+    PointSpec Spec;
+    for (int I = 0; I < NumPoints; ++I) {
+      Vector X = randomVector(R, Net->inputSize());
+      std::optional<NetworkPattern> Pinned;
+      if (I % 3 == 0) {
+        Vector Near = X;
+        Near += randomVector(R, Net->inputSize(), 0.05);
+        Pinned = computePattern(*Net, Near);
+      }
+      Spec.push_back({std::move(X),
+                      classificationConstraint(Net->outputSize(), 0, 0.0),
+                      std::move(Pinned)});
+    }
+    std::vector<int> Candidates = Net->parameterizedLayerIndices();
+    for (int Threads : {1, 4}) {
+      setGlobalThreadCount(Threads);
+      detail::SpecState State(*Net, Spec, {Candidates.back(), Candidates[0]});
+      for (int Base = 0; Base < NumPoints; Base += 70)
+        State.compute(Base, std::min(NumPoints, Base + 70));
+      for (int P = 0; P < NumPoints; ++P) {
+        const SpecPoint &Point = Spec[static_cast<size_t>(P)];
+        std::vector<Vector> Want =
+            Point.Pattern ? intermediatesWithPattern(*Net, Point.X,
+                                                     *Point.Pattern)
+                          : Net->intermediates(Point.X);
+        for (int I = 0; I < Net->numLayers(); ++I) {
+          bool Stored = I == Candidates[0] || I == Candidates.back() ||
+                        (I > Candidates[0] && !Net->layer(I).isLinear());
+          ASSERT_EQ(State.input(I).cols() > 0, Stored) << "layer " << I;
+          if (Stored)
+            EXPECT_EQ(State.input(I).row(P).maxAbsDiff(
+                          Want[static_cast<size_t>(I)]),
+                      0.0)
+                << "point " << P << " layer " << I << " threads " << Threads;
+        }
+        EXPECT_EQ(State.output().row(P).maxAbsDiff(Want.back()), 0.0)
+            << "point " << P << " threads " << Threads;
+      }
+    }
+  }
+  setGlobalThreadCount(1);
 }
 
 TEST(Serialization, RoundTripAllLayerKinds) {

@@ -630,7 +630,8 @@ TEST(SpecRows, ReluRowsAreSeededJacobianRows) {
     for (int P = 0; P < NumParams; ++P)
       if (Layer != 2 || P % 3 != 1)
         Effective.push_back(P);
-    detail::SpecRows Shape(Net, Layer, Spec, Effective, 1e-6);
+    detail::SpecState State(Net, Spec, {Layer});
+    detail::SpecRows Shape(State, Layer, Effective, 1e-6);
     EXPECT_GT(Shape.numRows(), 2 * Shape.chunkRows());
     expectRowsAreSeededJacobianRows(Net, Layer, Spec, Effective, 1e-6, R);
   }
@@ -665,7 +666,8 @@ TEST(SpecRows, ScanEqualsRowActivityAtRandomDelta) {
     int NumParams = cast<LinearLayer>(Net.layer(Layer)).numParams();
     std::vector<int> Effective(static_cast<size_t>(NumParams));
     std::iota(Effective.begin(), Effective.end(), 0);
-    detail::SpecRows Rows = computedRows(Net, Layer, Spec, Effective, Margin);
+    detail::SpecState State = computedState(Net, Spec, {Layer});
+    detail::SpecRows Rows(State, Layer, Effective, Margin);
     std::vector<int> All(static_cast<size_t>(Rows.numRows()));
     std::iota(All.begin(), All.end(), 0);
     std::vector<std::vector<double>> Coef;
@@ -689,6 +691,30 @@ TEST(SpecRows, ScanEqualsRowActivityAtRandomDelta) {
   }
 }
 
+TEST(SpecRows, ScanIsTheRepairedDdnnBitForBit) {
+  // Every third point pinned, on a ReLU net, a LeakyReLU + HardTanh net
+  // and the conv + MaxPool2D shapes classifier; 1,600 points of width 64
+  // and 80 of width 1,536 are large enough for the batched activation
+  // loops to go to the pool at 4 threads.
+  Rng R(81);
+  Network Relu = makeRandomReluClassifier(R, 5, 64, 4);
+  expectScanIsTheRepairedDdnn(Relu, makeMixedSpec(R, Relu, 1600), R);
+
+  Network Mixed;
+  Mixed.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 64, 5, 0.9), randomVector(R, 64, 0.3)));
+  Mixed.addLayer(std::make_unique<LeakyReLULayer>(64, 0.1));
+  Mixed.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 64, 64, 0.2), randomVector(R, 64, 0.3)));
+  Mixed.addLayer(std::make_unique<HardTanhLayer>(64));
+  Mixed.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 4, 64, 0.9), randomVector(R, 4, 0.3)));
+  expectScanIsTheRepairedDdnn(Mixed, makeMixedSpec(R, Mixed, 1600), R);
+
+  Network Conv = data::trainShapeClassifier(/*TrainCount=*/9, /*Epochs=*/1, R);
+  expectScanIsTheRepairedDdnn(Conv, makeMixedSpec(R, Conv, 80), R);
+}
+
 TEST(SpecRows, CoefsStopAtCancelBetweenBatches) {
   Rng R(79);
   Network Net = makeRandomReluClassifier(R, 5, 12, 4);
@@ -696,7 +722,8 @@ TEST(SpecRows, CoefsStopAtCancelBetweenBatches) {
   std::vector<int> Effective(
       static_cast<size_t>(cast<LinearLayer>(Net.layer(4)).numParams()));
   std::iota(Effective.begin(), Effective.end(), 0);
-  detail::SpecRows Rows = computedRows(Net, 4, Spec, Effective, 0.0);
+  detail::SpecState State = computedState(Net, Spec, {4});
+  detail::SpecRows Rows(State, 4, Effective, 0.0);
   ASSERT_LT(Rows.chunkRows(), Rows.numRows());
   std::vector<int> All(static_cast<size_t>(Rows.numRows()));
   std::iota(All.begin(), All.end(), 0);

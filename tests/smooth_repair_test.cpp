@@ -193,8 +193,8 @@ TEST(SmoothRepair, ScanEqualsRowActivityAtRandomDelta) {
       std::vector<double> Reference;
       for (int Threads : {1, 4}) {
         setGlobalThreadCount(Threads);
-        detail::SpecRows Rows(Net, Layer, Spec, Effective, Margin);
-        Rows.computeState(0, Rows.numPoints());
+        detail::SpecState State = computedState(Net, Spec, {Layer});
+        detail::SpecRows Rows(State, Layer, Effective, Margin);
         std::vector<int> All(static_cast<size_t>(Rows.numRows()));
         std::iota(All.begin(), All.end(), 0);
         std::vector<std::vector<double>> Coef;
@@ -218,6 +218,27 @@ TEST(SmoothRepair, ScanEqualsRowActivityAtRandomDelta) {
       }
       setGlobalThreadCount(1);
     }
+  }
+}
+
+TEST(SmoothRepair, ScanIsTheRepairedDdnnBitForBit) {
+  // The value channel linearizes Tanh and Sigmoid at the stored
+  // activation channel. 12,800 points: the 8-wide activation loops go
+  // to the pool at 4 threads.
+  for (SmoothKind Kind :
+       {SmoothKind::Tanh, SmoothKind::Sigmoid, SmoothKind::Mixed}) {
+    SCOPED_TRACE(static_cast<int>(Kind));
+    Rng R(97 + static_cast<int>(Kind));
+    Network Net = makeSmoothNetwork(R, Kind);
+    PointSpec Spec;
+    for (int I = 0; I < 12800; ++I) {
+      Vector X = randomVector(R, 4);
+      Vector Y = Net.evaluate(X);
+      Spec.push_back({std::move(X),
+                      boxConstraint(Y, Y + Vector::constant(3, 0.1)),
+                      std::nullopt});
+    }
+    expectScanIsTheRepairedDdnn(Net, Spec, R);
   }
 }
 
