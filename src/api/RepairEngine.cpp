@@ -769,7 +769,9 @@ RepairReport RepairEngine::execute(const RepairRequest &Request,
     } else if (Ctx.hasCheckpointHook()) {
       RunCandidates(0, NumCandidates);
     } else {
-      parallelForRanges(0, NumCandidates, RunCandidates, /*Grain=*/1);
+      // Each candidate is a whole repair attempt: always the pool.
+      parallelForRanges(0, NumCandidates,
+                        std::numeric_limits<double>::infinity(), RunCandidates);
     }
     if (Results[0]) {
       RepairStats &S = Results[0]->Stats;

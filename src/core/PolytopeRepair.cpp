@@ -10,6 +10,7 @@
 #include "syrenn/PlaneTransform.h"
 
 #include <cassert>
+#include <limits>
 
 using namespace prdnn;
 
@@ -35,7 +36,7 @@ KeyPointsResult prdnn::keyPoints(const Network &Net, const PolytopeSpec &Spec,
   auto ComputePartitions = [&]() -> std::shared_ptr<const CacheArtifact> {
     auto Artifact = std::make_shared<SyrennTransformArtifact>();
     Artifact->Partitions.resize(static_cast<size_t>(NumPolytopes));
-    parallelFor(0, NumPolytopes, [&](std::int64_t PIdx) {
+    auto Transform = [&](std::int64_t PIdx) {
       const SpecPolytope &P = Spec[static_cast<size_t>(PIdx)];
       if (const auto *Segment = std::get_if<SegmentPolytope>(&P.Shape))
         Artifact->Partitions[static_cast<size_t>(PIdx)] =
@@ -43,7 +44,9 @@ KeyPointsResult prdnn::keyPoints(const Network &Net, const PolytopeSpec &Spec,
       else
         Artifact->Partitions[static_cast<size_t>(PIdx)] =
             planeRegions(Net, std::get<PlanePolytope>(P.Shape).Vertices);
-    });
+    };
+    parallelFor(0, NumPolytopes, std::numeric_limits<double>::infinity(),
+                Transform);
     return Artifact;
   };
   std::shared_ptr<const SyrennTransformArtifact> Transform;

@@ -19,12 +19,12 @@ using namespace prdnn::detail;
 namespace {
 
 /// Runs \p Fn(Begin, End) over blocks of rows [0, NumRows), each block
-/// to be taken through layers [First, n) of \p Net as one batch: on the
-/// pool when that work - a linear layer's inputs times its outputs per
-/// row, an activation's inputs - reaches kParallelFlopThreshold, else
-/// as one block inline. The layers' own loops run inline in a block, so
-/// a pass makes one fan-out at most, and every part of it, copies and
-/// activations included, runs on the pool.
+/// to be taken through layers [First, n) of \p Net as one batch. The
+/// pool's rule (support/Parallel.h) gets the pass's work: a linear
+/// layer's inputs times its outputs per row, an activation's inputs. The
+/// layers' own loops run inline in a block, so a pass makes one fan-out
+/// at most, and every part of it, copies and activations included, runs
+/// on the pool.
 void forRowBlocks(const Network &Net, int First, int NumRows,
                   const std::function<void(std::int64_t, std::int64_t)> &Fn) {
   double PerRow = 0.0;
@@ -34,10 +34,7 @@ void forRowBlocks(const Network &Net, int First, int NumRows,
                                  L.outputSize()
                            : L.inputSize();
   }
-  if (PerRow * NumRows >= kParallelFlopThreshold)
-    parallelForRanges(0, NumRows, Fn);
-  else if (NumRows > 0)
-    Fn(0, NumRows);
+  parallelForRanges(0, NumRows, PerRow * NumRows, Fn);
 }
 
 /// Rows [Begin, Begin + Count) of \p M as a matrix of their own.
@@ -263,9 +260,8 @@ bool SpecRows::coefs(const std::vector<int> &Rows, const CoefSink &Put,
       if (J == 0 || PointAt(PositionOf(J)) != PointAt(PositionOf(J - 1)))
         Group.push_back(J);
     Group.push_back(Count);
-    // Runs Fn(P, Begin, End) for every group: on the pool when the
-    // chunk's rows touch at least kParallelFlopThreshold values of
-    // Width, as the GEMMs decide (linalg/Matrix.h), else inline.
+    // Runs Fn(P, Begin, End) for every group, passing the pool's rule
+    // (support/Parallel.h) the values of Width the chunk's rows touch.
     auto ForEachGroup = [&](std::int64_t Width, const auto &Fn) {
       std::int64_t NumGroups = static_cast<std::int64_t>(Group.size()) - 1;
       auto Range = [&](std::int64_t GBegin, std::int64_t GEnd) {
@@ -275,10 +271,8 @@ bool SpecRows::coefs(const std::vector<int> &Rows, const CoefSink &Put,
              Group[static_cast<size_t>(G) + 1]);
         }
       };
-      if (static_cast<double>(Count) * Width >= kParallelFlopThreshold)
-        parallelForRanges(0, NumGroups, Range);
-      else
-        Range(0, NumGroups);
+      parallelForRanges(0, NumGroups, static_cast<double>(Count) * Width,
+                        Range);
     };
 
     // Seed: row J of the block is A_k of the chunk's J-th row.

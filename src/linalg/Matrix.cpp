@@ -109,10 +109,7 @@ Matrix Matrix::multiply(const Matrix &Other) const {
     }
   };
   double Flops = static_cast<double>(NumRows) * NumCols * Other.NumCols;
-  if (Flops >= kParallelFlopThreshold)
-    parallelForRanges(0, NumRows, RowRange);
-  else
-    RowRange(0, NumRows);
+  parallelForRanges(0, NumRows, Flops, RowRange);
   return Result;
 }
 
@@ -128,10 +125,7 @@ Matrix Matrix::multiplyTransposed(const Matrix &Other) const {
     }
   };
   double Flops = static_cast<double>(NumRows) * NumCols * Other.NumRows;
-  if (Flops >= kParallelFlopThreshold)
-    parallelForRanges(0, NumRows, RowRange);
-  else
-    RowRange(0, NumRows);
+  parallelForRanges(0, NumRows, Flops, RowRange);
   return Result;
 }
 

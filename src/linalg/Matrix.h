@@ -7,12 +7,12 @@
 /// batches flowing through the repair engine (Layer::applyBatch, the
 /// seeded row blocks of core/SpecRows swept by vjpLinearBatch).
 ///
-/// The matrix products are cache-blocked and run on the global thread
-/// pool (support/Parallel.h) when the operand sizes warrant it. Each
-/// output row is produced by exactly one task, and every element is one
-/// linalg::kernelDot or a fixed ascending sequence of linalg::kernelAxpy
-/// updates, so results are bit-for-bit independent of the thread count
-/// and of the host (linalg/Kernels.h).
+/// The matrix products are cache-blocked and pass their flops to the
+/// global thread pool's rule for when a loop goes to the pool
+/// (support/Parallel.h). Each output row is produced by exactly one
+/// task, and every element is one linalg::kernelDot or a fixed ascending
+/// sequence of linalg::kernelAxpy updates, so results are bit-for-bit
+/// independent of the thread count and of the host (linalg/Kernels.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +26,6 @@
 #include <vector>
 
 namespace prdnn {
-
-/// Work threshold below which a batched loop runs inline rather than on
-/// the global pool: the flops of a matrix product here, and the entries
-/// touched by core/SpecRows' row sweeps and the activations' batched row
-/// loops. Smaller loops lose more to task handoff than they gain.
-constexpr double kParallelFlopThreshold = 1e5;
 
 /// Dense row-major matrix.
 class Matrix {

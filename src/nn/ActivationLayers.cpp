@@ -54,10 +54,8 @@ Matrix ElementwiseActivation::applyRows(
       }
     }
   };
-  if (static_cast<double>(In.rows()) * Size >= kParallelFlopThreshold)
-    parallelForRanges(0, In.rows(), Rows);
-  else
-    Rows(0, In.rows());
+  parallelForRanges(0, In.rows(), static_cast<double>(In.rows()) * Size,
+                    Rows);
   return Out;
 }
 

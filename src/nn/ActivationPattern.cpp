@@ -35,8 +35,9 @@ std::vector<NetworkPattern> prdnn::computePatternBatch(const Network &Net,
   Matrix Current = Xs;
   for (int I = 0; I < Net.numLayers(); ++I) {
     const Layer &L = Net.layer(I);
+    double Values = static_cast<double>(NumPoints) * L.inputSize();
     if (const auto *Act = dyn_cast<ActivationLayer>(&L))
-      parallelFor(0, NumPoints, [&](std::int64_t P) {
+      parallelFor(0, NumPoints, Values, [&](std::int64_t P) {
         Result[static_cast<size_t>(P)].Patterns[static_cast<size_t>(I)] =
             Act->pattern(Current.row(static_cast<int>(P)));
       });

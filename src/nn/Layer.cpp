@@ -38,7 +38,9 @@ Layer::~Layer() = default;
 Matrix Layer::applyBatch(const Matrix &In) const {
   assert(In.cols() == inputSize() && "batched input size mismatch");
   Matrix Out(In.rows(), outputSize());
-  parallelFor(0, In.rows(), [&](std::int64_t R) {
+  // A dense product's flops bound any layer's row.
+  double Flops = static_cast<double>(In.rows()) * inputSize() * outputSize();
+  parallelFor(0, In.rows(), Flops, [&](std::int64_t R) {
     Out.setRow(static_cast<int>(R), apply(In.row(static_cast<int>(R))));
   });
   return Out;
@@ -53,7 +55,9 @@ void prdnn::applyBatchToRows(const Layer &L, std::vector<Vector> &Rows) {
 Matrix LinearLayer::vjpLinearBatch(const Matrix &GradOut) const {
   assert(GradOut.cols() == outputSize() && "batched gradient size mismatch");
   Matrix Out(GradOut.rows(), inputSize());
-  parallelFor(0, GradOut.rows(), [&](std::int64_t R) {
+  double Flops =
+      static_cast<double>(GradOut.rows()) * inputSize() * outputSize();
+  parallelFor(0, GradOut.rows(), Flops, [&](std::int64_t R) {
     Out.setRow(static_cast<int>(R),
                vjpLinear(GradOut.row(static_cast<int>(R))));
   });
@@ -115,10 +119,8 @@ Matrix ActivationLayer::applyRows(
       }
     }
   };
-  if (static_cast<double>(In.rows()) * inputSize() >= kParallelFlopThreshold)
-    parallelForRanges(0, In.rows(), Rows);
-  else
-    Rows(0, In.rows());
+  parallelForRanges(0, In.rows(),
+                    static_cast<double>(In.rows()) * inputSize(), Rows);
   return Out;
 }
 

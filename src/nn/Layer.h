@@ -182,8 +182,8 @@ public:
   /// runs blocks of spec points through the layer with it: the job's
   /// Delta = 0 forward state without centers, the repaired DDNN's value
   /// channel with them. The default maps the rows one by one;
-  /// ElementwiseActivation overrides with a fused row loop. Either goes
-  /// to the pool only from kParallelFlopThreshold entries on.
+  /// ElementwiseActivation overrides with a fused row loop. Either passes
+  /// its rows times inputSize() to the pool's rule (support/Parallel.h).
   virtual Matrix
   applyRows(const Matrix &In, const double *Centers,
             std::span<const std::vector<int> *const> Pinned) const;

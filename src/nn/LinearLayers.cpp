@@ -259,10 +259,12 @@ Vector Conv2DLayer::apply(const Vector &In) const {
 Matrix Conv2DLayer::applyBatch(const Matrix &In) const {
   assert(In.cols() == inputSize() && "batched input size mismatch");
   Matrix Out(In.rows(), outputSize());
-  parallelForRanges(0, In.rows(), [&](std::int64_t Begin, std::int64_t End) {
-    for (int R = static_cast<int>(Begin); R < End; ++R)
-      forwardRow(In.rowData(R), Out.rowData(R));
-  });
+  double Flops = static_cast<double>(In.rows()) * outputSize() * InC * KH * KW;
+  parallelForRanges(
+      0, In.rows(), Flops, [&](std::int64_t Begin, std::int64_t End) {
+        for (int R = static_cast<int>(Begin); R < End; ++R)
+          forwardRow(In.rowData(R), Out.rowData(R));
+      });
   return Out;
 }
 

@@ -73,7 +73,7 @@ public:
   int outputSize() const override { return OutC * OutH * OutW; }
 
   Vector apply(const Vector &In) const override;
-  /// Flat-tap kernel over every row in parallel (see buildTapTable).
+  /// Flat-tap kernel over every row (see buildTapTable).
   Matrix applyBatch(const Matrix &In) const override;
   std::unique_ptr<Layer> clone() const override;
   std::string describe() const override;

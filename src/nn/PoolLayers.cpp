@@ -44,7 +44,7 @@ Vector MaxPool2DLayer::apply(const Vector &In) const {
 Matrix MaxPool2DLayer::applyBatch(const Matrix &In) const {
   assert(In.cols() == inputSize() && "batched input size mismatch");
   Matrix Out(In.rows(), outputSize());
-  parallelForRanges(0, In.rows(), [&](std::int64_t Begin, std::int64_t End) {
+  auto Rows = [&](std::int64_t Begin, std::int64_t End) {
     for (int R = static_cast<int>(Begin); R < End; ++R) {
       const double *InRow = In.rowData(R);
       double *OutRow = Out.rowData(R);
@@ -56,7 +56,9 @@ Matrix MaxPool2DLayer::applyBatch(const Matrix &In) const {
           OutRow[OutIndex] = InRow[InIndex];
       });
     }
-  });
+  };
+  parallelForRanges(0, In.rows(),
+                    static_cast<double>(In.rows()) * inputSize(), Rows);
   return Out;
 }
 

@@ -3,7 +3,9 @@
 #include "support/Parallel.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 using namespace prdnn;
@@ -100,6 +102,9 @@ void ThreadPool::forRanges(
   std::int64_t Count = End - Begin;
   if (Count <= 0)
     return;
+  std::int64_t Chunk =
+      Grain > 0 ? Grain
+                : std::max<std::int64_t>(1, Count / (NumThreadsTotal * 8));
   if (NumThreadsTotal == 1 || Count == 1 || InParallelRegion) {
     // Sequential / nested fallback; still honors chunk granularity so a
     // chunk-order-sensitive caller sees the same chunks as the pool.
@@ -107,9 +112,6 @@ void ThreadPool::forRanges(
     // with a single item must not disable parallelism in nested calls
     // (e.g. keyPointSpec over one polytope still wants parallel
     // transforms inside).
-    std::int64_t Chunk =
-        Grain > 0 ? Grain
-                  : std::max<std::int64_t>(1, Count / (NumThreadsTotal * 8));
     for (std::int64_t B = Begin; B < End; B += Chunk)
       Body(B, std::min(B + Chunk, End));
     return;
@@ -118,9 +120,7 @@ void ThreadPool::forRanges(
   Loop L;
   L.Begin = Begin;
   L.End = End;
-  L.Chunk = Grain > 0
-                ? Grain
-                : std::max<std::int64_t>(1, Count / (NumThreadsTotal * 8));
+  L.Chunk = Chunk;
   L.NumChunks = (Count + L.Chunk - 1) / L.Chunk;
   L.Body = &Body;
   L.PoolMutex = &Mutex;
@@ -146,8 +146,11 @@ void ThreadPool::forRanges(
 
 int prdnn::defaultThreadCount() {
   if (const char *Env = std::getenv("PRDNN_NUM_THREADS")) {
-    int Parsed = std::atoi(Env);
-    if (Parsed > 0)
+    const char *End = Env + std::strlen(Env);
+    int Parsed = 0;
+    auto [Ptr, Ec] = std::from_chars(Env, End, Parsed);
+    if (Ec == std::errc() && Ptr == End && Parsed > 0 &&
+        Parsed <= kMaxThreadCount)
       return Parsed;
   }
   unsigned Hardware = std::thread::hardware_concurrency();
@@ -189,10 +192,14 @@ void prdnn::setGlobalThreadCount(int NumThreads) {
 }
 
 void prdnn::parallelForRanges(
-    std::int64_t Begin, std::int64_t End,
-    const std::function<void(std::int64_t, std::int64_t)> &Body,
-    std::int64_t Grain) {
+    std::int64_t Begin, std::int64_t End, double Work,
+    const std::function<void(std::int64_t, std::int64_t)> &Body) {
+  if (Work < kParallelWorkThreshold) {
+    if (Begin < End)
+      Body(Begin, End);
+    return;
+  }
   // The shared_ptr keeps the pool alive across the whole loop even if
   // the global pool is swapped mid-flight.
-  acquireGlobalPool()->forRanges(Begin, End, Grain, Body);
+  acquireGlobalPool()->forRanges(Begin, End, /*Grain=*/0, Body);
 }

@@ -3,7 +3,13 @@
 /// \file
 /// A small persistent thread pool behind the parallelFor primitives:
 /// the execution substrate of the batched repair engine (blocked GEMM,
-/// batch Jacobians, parallel constraint assembly and violation scans).
+/// batched layer passes, row sweeps, SyReNN transforms, layer sweeps).
+///
+/// When a loop goes to the pool: each parallelFor call passes the loop's
+/// work (flops for a matrix product, values touched for a row sweep),
+/// and below kParallelWorkThreshold the loop runs inline on the caller
+/// as one range. A loop of whole tasks (repair attempts, plane
+/// transforms) passes an infinite work.
 ///
 /// Design rules, relied on throughout the library:
 ///  - Bodies write only to disjoint output slots, and every slot's
@@ -21,10 +27,11 @@
 ///    pool stays usable afterwards.
 ///
 /// The global pool is sized from the PRDNN_NUM_THREADS environment
-/// variable when set to a positive integer, otherwise from
-/// std::thread::hardware_concurrency(), and can be resized at runtime
-/// with setGlobalThreadCount (e.g. to compare 1-thread vs N-thread
-/// runs, or from an application's --threads option).
+/// variable when it is a whole number in [1, kMaxThreadCount],
+/// otherwise from std::thread::hardware_concurrency(), and can be
+/// resized at runtime with setGlobalThreadCount (e.g. to compare
+/// 1-thread vs N-thread runs, or from an application's --threads
+/// option).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +48,13 @@
 #include <vector>
 
 namespace prdnn {
+
+/// Work below which a loop runs inline (see the file comment): smaller
+/// loops were measured to lose more to task handoff than they gain.
+constexpr double kParallelWorkThreshold = 1e5;
+
+/// Largest PRDNN_NUM_THREADS value defaultThreadCount honours.
+constexpr int kMaxThreadCount = 1024;
 
 /// Persistent worker pool; see the file comment for the contract.
 class ThreadPool {
@@ -82,8 +96,8 @@ private:
 };
 
 /// Thread count the global pool is created with: PRDNN_NUM_THREADS when
-/// set to a positive integer, else std::thread::hardware_concurrency()
-/// (at least 1).
+/// it is a whole number in [1, kMaxThreadCount], else
+/// std::thread::hardware_concurrency() (at least 1).
 int defaultThreadCount();
 
 /// Current size of the global pool (creating it on first use).
@@ -97,18 +111,18 @@ int globalThreadCount();
 /// handover both pools may briefly run loops concurrently.
 void setGlobalThreadCount(int NumThreads);
 
-/// Chunked parallel loop over [Begin, End) on the global pool; chunks
+/// Chunked parallel loop over [Begin, End) on the global pool: chunks
 /// are contiguous, disjoint, and in ascending order within each call of
-/// \p Body. \p Grain <= 0 picks a chunk size automatically.
-void parallelForRanges(std::int64_t Begin, std::int64_t End,
+/// \p Body; one inline chunk when \p Work is below kParallelWorkThreshold.
+void parallelForRanges(std::int64_t Begin, std::int64_t End, double Work,
                        const std::function<void(std::int64_t, std::int64_t)>
-                           &Body,
-                       std::int64_t Grain = 0);
+                           &Body);
 
-/// Per-index parallel loop over [Begin, End) on the global pool.
+/// Per-index form of parallelForRanges.
 template <typename FnT>
-void parallelFor(std::int64_t Begin, std::int64_t End, FnT &&Body) {
-  parallelForRanges(Begin, End,
+void parallelFor(std::int64_t Begin, std::int64_t End, double Work,
+                 FnT &&Body) {
+  parallelForRanges(Begin, End, Work,
                     [&Body](std::int64_t ChunkBegin, std::int64_t ChunkEnd) {
                       for (std::int64_t I = ChunkBegin; I < ChunkEnd; ++I)
                         Body(I);

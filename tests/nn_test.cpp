@@ -85,6 +85,23 @@ Network makeRandomPwlNetwork(Rng &R, int InputSize, int Depth) {
   return Net;
 }
 
+/// A PWL conv + ReLU + AvgPool2D + FC network (144 inputs) wide enough
+/// that 200 points take every layer's batched loop to the pool: the
+/// other side of kParallelWorkThreshold from the small networks.
+Network makeWidePwlNetwork(Rng &R) {
+  Network Net;
+  std::vector<double> Kernel(4 * 1 * 3 * 3);
+  for (double &V : Kernel)
+    V = 0.5 * R.normal();
+  Net.addLayer(std::make_unique<Conv2DLayer>(
+      1, 12, 12, 4, 3, 3, 1, 1, Kernel, std::vector<double>(4, 0.1)));
+  Net.addLayer(std::make_unique<ReLULayer>(4 * 12 * 12));
+  Net.addLayer(std::make_unique<AvgPool2DLayer>(4, 12, 12, 2, 2, 2));
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 8, 4 * 6 * 6, 0.3), randomVector(R, 8, 0.3)));
+  return Net;
+}
+
 // --- Layer forward semantics -------------------------------------------------
 
 TEST(Layers, FullyConnectedForward) {
@@ -572,55 +589,89 @@ TEST(Jacobian, SmoothActivationsFirstOrder) {
 // a max-abs-diff of exactly 0.0.
 
 TEST(Batch, NetworkApplyBatchMatchesEvaluateBitForBit) {
+  // 23 points through a small net run inline; 200 through the wide one
+  // go to the pool at 4 threads.
   Rng R(401);
-  Network Net = makeRandomPwlNetwork(R, 5, 3);
-  const int NumPoints = 23;
-  std::vector<Vector> Points;
-  for (int I = 0; I < NumPoints; ++I)
-    Points.push_back(randomVector(R, 5));
-  for (int Threads : {1, 4}) {
-    setGlobalThreadCount(Threads);
-    Matrix Out = Net.applyBatch(Matrix::fromRowVectors(Points));
-    ASSERT_EQ(Out.rows(), NumPoints);
+  Network Small = makeRandomPwlNetwork(R, 5, 3);
+  Network Wide = makeWidePwlNetwork(R);
+  for (auto [Net, NumPoints] : {std::pair<const Network *, int>{&Small, 23},
+                                {&Wide, 200}}) {
+    std::vector<Vector> Points;
     for (int I = 0; I < NumPoints; ++I)
-      EXPECT_EQ(Out.row(I).maxAbsDiff(
-                    Net.evaluate(Points[static_cast<size_t>(I)])),
-                0.0)
-          << "point " << I << " with " << Threads << " threads";
+      Points.push_back(randomVector(R, Net->inputSize()));
+    for (int Threads : {1, 4}) {
+      setGlobalThreadCount(Threads);
+      Matrix Out = Net->applyBatch(Matrix::fromRowVectors(Points));
+      ASSERT_EQ(Out.rows(), NumPoints);
+      for (int I = 0; I < NumPoints; ++I)
+        EXPECT_EQ(Out.row(I).maxAbsDiff(
+                      Net->evaluate(Points[static_cast<size_t>(I)])),
+                  0.0)
+            << "point " << I << " with " << Threads << " threads";
+    }
   }
   setGlobalThreadCount(1);
 }
 
 TEST(Batch, ConvApplyBatchMatchesApply) {
-  // Conv2D's flat-tap batched kernel must agree with apply exactly.
+  // Conv2D's flat-tap batched kernel, and the default applyBatch and
+  // vjpLinearBatch (AvgPool2D's; Conv2D's vjp), must agree with the
+  // per-row calls exactly: small layers and 9 rows run inline, the
+  // 16x16 ones and 20 rows go to the pool at 4 threads.
   Rng R(402);
-  Conv2DLayer Conv(/*InChannels=*/1, /*InHeight=*/4, /*InWidth=*/4,
-                   /*OutChannels=*/2, /*KernelH=*/2, /*KernelW=*/2,
-                   /*Stride=*/1, /*Pad=*/0,
-                   {0.5, -0.25, 1.0, 0.75, -0.5, 0.25, -1.0, 0.125},
-                   {0.1, -0.2});
-  std::vector<Vector> Points;
-  for (int I = 0; I < 9; ++I)
-    Points.push_back(randomVector(R, Conv.inputSize()));
-  Matrix Out = Conv.applyBatch(Matrix::fromRowVectors(Points));
-  for (int I = 0; I < 9; ++I)
-    EXPECT_EQ(Out.row(I).maxAbsDiff(
-                  Conv.apply(Points[static_cast<size_t>(I)])),
-              0.0);
+  std::vector<double> Kernel(4 * 1 * 3 * 3);
+  for (double &V : Kernel)
+    V = 0.5 * R.normal();
+  Conv2DLayer SmallConv(/*InChannels=*/1, /*InHeight=*/4, /*InWidth=*/4,
+                        /*OutChannels=*/2, /*KernelH=*/2, /*KernelW=*/2,
+                        /*Stride=*/1, /*Pad=*/0,
+                        {0.5, -0.25, 1.0, 0.75, -0.5, 0.25, -1.0, 0.125},
+                        {0.1, -0.2});
+  Conv2DLayer WideConv(1, 16, 16, 4, 3, 3, 1, 1, Kernel, {0.1, -0.2, 0.0, 1.0});
+  AvgPool2DLayer SmallPool(1, 2, 2, 2, 2, 2), WidePool(4, 16, 16, 2, 2, 2);
+  for (auto [L, NumRows] : {std::pair<const LinearLayer *, int>{&SmallConv, 9},
+                            {&WideConv, 20},
+                            {&SmallPool, 9},
+                            {&WidePool, 20}}) {
+    Matrix In = randomMatrix(R, NumRows, L->inputSize());
+    Matrix GradOut = randomMatrix(R, NumRows, L->outputSize());
+    for (int Threads : {1, 4}) {
+      setGlobalThreadCount(Threads);
+      Matrix Out = L->applyBatch(In), GradIn = L->vjpLinearBatch(GradOut);
+      for (int I = 0; I < NumRows; ++I) {
+        EXPECT_EQ(Out.row(I).maxAbsDiff(L->apply(In.row(I))), 0.0)
+            << L->describe() << " row " << I << " threads " << Threads;
+        EXPECT_EQ(GradIn.row(I).maxAbsDiff(L->vjpLinear(GradOut.row(I))),
+                  0.0)
+            << L->describe() << " row " << I << " threads " << Threads;
+      }
+    }
+  }
+  setGlobalThreadCount(1);
 }
 
 TEST(Batch, ComputePatternBatchMatchesScalar) {
+  // 11 points through a small net run inline; 200 through the wide one
+  // go to the pool at 4 threads.
   Rng R(403);
-  Network Net = makeRandomPwlNetwork(R, 4, 3);
-  std::vector<Vector> Points;
-  for (int I = 0; I < 11; ++I)
-    Points.push_back(randomVector(R, 4));
-  std::vector<NetworkPattern> Batch =
-      computePatternBatch(Net, Matrix::fromRowVectors(Points));
-  ASSERT_EQ(Batch.size(), Points.size());
-  for (size_t I = 0; I < Points.size(); ++I)
-    EXPECT_TRUE(Batch[I] == computePattern(Net, Points[I]))
-        << "point " << I;
+  Network Small = makeRandomPwlNetwork(R, 4, 3);
+  Network Wide = makeWidePwlNetwork(R);
+  for (auto [Net, NumPoints] : {std::pair<const Network *, int>{&Small, 11},
+                                {&Wide, 200}}) {
+    std::vector<Vector> Points;
+    for (int I = 0; I < NumPoints; ++I)
+      Points.push_back(randomVector(R, Net->inputSize()));
+    for (int Threads : {1, 4}) {
+      setGlobalThreadCount(Threads);
+      std::vector<NetworkPattern> Batch =
+          computePatternBatch(*Net, Matrix::fromRowVectors(Points));
+      ASSERT_EQ(Batch.size(), Points.size());
+      for (size_t I = 0; I < Points.size(); ++I)
+        EXPECT_TRUE(Batch[I] == computePattern(*Net, Points[I]))
+            << "point " << I << " threads " << Threads;
+    }
+  }
+  setGlobalThreadCount(1);
 }
 
 TEST(Batch, SpecStateRowsAreIntermediatesBitForBit) {

@@ -2,9 +2,10 @@
 //
 // Covers: full index coverage (each index exactly once) under various
 // thread counts and grains, chunk ordering/disjointness guarantees of
-// parallelForRanges, exception propagation with pool reuse afterwards,
-// nested parallelFor, concurrent callers sharing one pool (neither
-// waits for the other's loop; coverage and exceptions stay per
+// parallelForRanges, the work rule (below kParallelWorkThreshold a loop
+// runs inline on the caller), exception propagation with pool reuse
+// afterwards, nested parallelFor, concurrent callers sharing one pool
+// (neither waits for the other's loop; coverage and exceptions stay per
 // caller), the PRDNN_NUM_THREADS override, and global pool resizing.
 //
 //===----------------------------------------------------------------------===//
@@ -62,12 +63,40 @@ TEST(Parallel, ChunksAreGrainAlignedAndDisjoint) {
 }
 
 TEST(Parallel, EmptyAndSingletonRanges) {
-  int Calls = 0;
-  parallelForRanges(5, 5, [&](std::int64_t, std::int64_t) { ++Calls; });
-  EXPECT_EQ(Calls, 0);
-  std::atomic<int> Sum{0};
-  parallelFor(3, 4, [&](std::int64_t I) { Sum += static_cast<int>(I); });
-  EXPECT_EQ(Sum.load(), 3);
+  for (double Work : {0.0, kParallelWorkThreshold}) {
+    int Calls = 0;
+    parallelForRanges(5, 5, Work, [&](std::int64_t, std::int64_t) { ++Calls; });
+    EXPECT_EQ(Calls, 0);
+    std::atomic<int> Sum{0};
+    parallelFor(3, 4, Work,
+                [&](std::int64_t I) { Sum += static_cast<int>(I); });
+    EXPECT_EQ(Sum.load(), 3);
+  }
+}
+
+TEST(Parallel, WorkDecidesInlineOrPool) {
+  // Below the threshold a loop is one range on the caller; from it on, a
+  // 4-thread pool splits it into chunks that cover each index once.
+  setGlobalThreadCount(4);
+  const std::int64_t N = 10007;
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> Hits(N);
+  for (double Work : {kParallelWorkThreshold / 2, kParallelWorkThreshold}) {
+    std::atomic<int> Chunks{0}, OffCaller{0};
+    parallelForRanges(0, N, Work, [&](std::int64_t Begin, std::int64_t End) {
+      ++Chunks;
+      OffCaller += std::this_thread::get_id() != Caller;
+      for (std::int64_t I = Begin; I < End; ++I)
+        Hits[static_cast<size_t>(I)].fetch_add(1);
+    });
+    if (Work < kParallelWorkThreshold)
+      EXPECT_TRUE(Chunks == 1 && OffCaller == 0);
+    else
+      EXPECT_GT(Chunks.load(), 1);
+  }
+  for (std::int64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Hits[static_cast<size_t>(I)].load(), 2) << "index " << I;
+  setGlobalThreadCount(defaultThreadCount());
 }
 
 TEST(Parallel, ExceptionPropagatesAndPoolSurvives) {
@@ -102,7 +131,8 @@ TEST(Parallel, NestedParallelForRunsInline) {
   std::atomic<std::int64_t> Total{0};
   Pool.forRanges(0, 8, 1, [&](std::int64_t, std::int64_t) {
     // Nested loops must not deadlock; they run inline on this thread.
-    parallelFor(0, 100, [&](std::int64_t) { Total.fetch_add(1); });
+    parallelFor(0, 100, kParallelWorkThreshold,
+                [&](std::int64_t) { Total.fetch_add(1); });
   });
   EXPECT_EQ(Total.load(), 800);
 }
@@ -176,14 +206,24 @@ TEST(Parallel, ConcurrentCallersCoverTheirOwnRangesAndOwnTheirExceptions) {
 }
 
 TEST(Parallel, DefaultThreadCountHonorsEnv) {
+  // Only reads the count: no pool is built from these values.
   const char *Saved = getenv("PRDNN_NUM_THREADS");
   std::string SavedValue = Saved ? Saved : "";
+  ASSERT_EQ(unsetenv("PRDNN_NUM_THREADS"), 0);
+  int Fallback = defaultThreadCount();
+  EXPECT_GE(Fallback, 1);
   ASSERT_EQ(setenv("PRDNN_NUM_THREADS", "3", 1), 0);
   EXPECT_EQ(defaultThreadCount(), 3);
-  ASSERT_EQ(setenv("PRDNN_NUM_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(defaultThreadCount(), 1);
+  ASSERT_EQ(setenv("PRDNN_NUM_THREADS", "1024", 1), 0);
+  EXPECT_EQ(defaultThreadCount(), kMaxThreadCount);
+  // Junk, a trailing suffix, values <= 0, a value out of int's range and
+  // one above the ceiling all fall back to the hardware count.
+  for (const char *Bad : {"not-a-number", "3abc", "", "0", "-2",
+                          "99999999999", "100000", "1025"}) {
+    ASSERT_EQ(setenv("PRDNN_NUM_THREADS", Bad, 1), 0);
+    EXPECT_EQ(defaultThreadCount(), Fallback) << '"' << Bad << '"';
+  }
   ASSERT_EQ(unsetenv("PRDNN_NUM_THREADS"), 0);
-  EXPECT_GE(defaultThreadCount(), 1);
   if (Saved)
     ASSERT_EQ(setenv("PRDNN_NUM_THREADS", SavedValue.c_str(), 1), 0);
 }
@@ -201,7 +241,7 @@ TEST(Parallel, ResizeRacingParallelForIsSafe) {
     Hammers.emplace_back([&, T] {
       for (int L = 0; L < LoopsPerThread; ++L) {
         std::atomic<std::int64_t> Count{0};
-        parallelFor(0, N, [&](std::int64_t) {
+        parallelFor(0, N, kParallelWorkThreshold, [&](std::int64_t) {
           Count.fetch_add(1, std::memory_order_relaxed);
         });
         Sums[static_cast<size_t>(T)] += Count.load();
@@ -220,12 +260,14 @@ TEST(Parallel, GlobalPoolResize) {
   setGlobalThreadCount(4);
   EXPECT_EQ(globalThreadCount(), 4);
   std::atomic<std::int64_t> Count{0};
-  parallelFor(0, 1000, [&](std::int64_t) { Count.fetch_add(1); });
+  parallelFor(0, 1000, kParallelWorkThreshold,
+              [&](std::int64_t) { Count.fetch_add(1); });
   EXPECT_EQ(Count.load(), 1000);
   setGlobalThreadCount(1);
   EXPECT_EQ(globalThreadCount(), 1);
   Count = 0;
-  parallelFor(0, 1000, [&](std::int64_t) { Count.fetch_add(1); });
+  parallelFor(0, 1000, kParallelWorkThreshold,
+              [&](std::int64_t) { Count.fetch_add(1); });
   EXPECT_EQ(Count.load(), 1000);
   setGlobalThreadCount(0); // clamped to 1
   EXPECT_EQ(globalThreadCount(), 1);

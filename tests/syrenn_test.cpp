@@ -221,11 +221,8 @@ std::vector<PlaneRegion> planeRegions(const Network &Net,
   for (int LayerIdx = 0; LayerIdx < Net.numLayers(); ++LayerIdx) {
     const Layer &L = Net.layer(LayerIdx);
     if (const auto *Linear = dyn_cast<LinearLayer>(&L)) {
-      parallelFor(0, static_cast<std::int64_t>(Polys.size()),
-                  [&](std::int64_t P) {
-                    applyBatchToRows(*Linear,
-                                     Polys[static_cast<size_t>(P)].Vals);
-                  });
+      for (WorkPolygon &Poly : Polys)
+        applyBatchToRows(*Linear, Poly.Vals);
       continue;
     }
     const auto &Act = cast<ElementwiseActivation>(L);
@@ -238,11 +235,9 @@ std::vector<PlaneRegion> planeRegions(const Network &Net,
         std::swap(Polys, Next);
       }
     }
-    parallelFor(0, static_cast<std::int64_t>(Polys.size()),
-                [&](std::int64_t P) {
-                  for (Vector &V : Polys[static_cast<size_t>(P)].Vals)
-                    V = Act.apply(V);
-                });
+    for (WorkPolygon &Poly : Polys)
+      for (Vector &V : Poly.Vals)
+        V = Act.apply(V);
   }
 
   std::vector<PlaneRegion> Result;
