@@ -2,12 +2,9 @@
 
 #include "core/DecoupledNetwork.h"
 
-#include "nn/Serialization.h"
 #include "support/Casting.h"
 
 #include <cassert>
-#include <istream>
-#include <ostream>
 
 using namespace prdnn;
 
@@ -69,30 +66,4 @@ double DecoupledNetwork::accuracy(const std::vector<Vector> &Inputs,
     if (classify(Inputs[I]) == Labels[I])
       ++Correct;
   return static_cast<double>(Correct) / static_cast<double>(Inputs.size());
-}
-
-void prdnn::writeDecoupled(const DecoupledNetwork &Net, std::ostream &Os) {
-  Os << "prdnn-ddnn v1\n";
-  writeNetwork(Net.activationChannel(), Os);
-  writeNetwork(Net.valueChannel(), Os);
-}
-
-std::optional<DecoupledNetwork> prdnn::readDecoupled(std::istream &Is) {
-  std::string Magic, Version;
-  if (!(Is >> Magic >> Version) || Magic != "prdnn-ddnn" || Version != "v1")
-    return std::nullopt;
-  std::optional<Network> Activation = readNetwork(Is);
-  if (!Activation)
-    return std::nullopt;
-  std::optional<Network> Value = readNetwork(Is);
-  if (!Value)
-    return std::nullopt;
-  if (Activation->numLayers() != Value->numLayers())
-    return std::nullopt;
-  for (int I = 0; I < Activation->numLayers(); ++I)
-    if (Activation->layer(I).getKind() != Value->layer(I).getKind() ||
-        Activation->layer(I).inputSize() != Value->layer(I).inputSize() ||
-        Activation->layer(I).outputSize() != Value->layer(I).outputSize())
-      return std::nullopt;
-  return DecoupledNetwork(std::move(*Activation), std::move(*Value));
 }

@@ -22,8 +22,7 @@
 #include "nn/ActivationPattern.h"
 #include "nn/Network.h"
 
-#include <iosfwd>
-#include <optional>
+#include <vector>
 
 namespace prdnn {
 
@@ -67,10 +66,6 @@ private:
   Network Activation;
   Network Value;
 };
-
-/// Serializes both channels ("prdnn-ddnn v1" framing both networks).
-void writeDecoupled(const DecoupledNetwork &Net, std::ostream &Os);
-std::optional<DecoupledNetwork> readDecoupled(std::istream &Is);
 
 } // namespace prdnn
 

@@ -2,6 +2,7 @@
 
 #include "persist/Serialize.h"
 
+#include "core/DecoupledNetwork.h"
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "nn/Network.h"
@@ -502,6 +503,36 @@ std::optional<Network> prdnn::persist::deserializeNetwork(ByteReader &R) {
     }
   }
   return Net;
+}
+
+void prdnn::persist::serializeDecoupled(const DecoupledNetwork &Net,
+                                        ByteWriter &W) {
+  serializeNetwork(Net.activationChannel(), W);
+  serializeNetwork(Net.valueChannel(), W);
+}
+
+std::optional<DecoupledNetwork>
+prdnn::persist::deserializeDecoupled(ByteReader &R) {
+  std::optional<Network> Activation = deserializeNetwork(R);
+  if (!Activation)
+    return std::nullopt;
+  std::optional<Network> Value = deserializeNetwork(R);
+  if (!Value)
+    return std::nullopt;
+  // The DecoupledNetwork constructor only asserts channel agreement;
+  // decoded bytes must be validated, not trusted.
+  bool Agree = Activation->numLayers() == Value->numLayers();
+  for (int I = 0; Agree && I < Activation->numLayers(); ++I) {
+    const Layer &A = Activation->layer(I);
+    const Layer &V = Value->layer(I);
+    Agree = A.getKind() == V.getKind() && A.inputSize() == V.inputSize() &&
+            A.outputSize() == V.outputSize();
+  }
+  if (!Agree) {
+    R.fail(CodecError::Corrupt);
+    return std::nullopt;
+  }
+  return DecoupledNetwork(std::move(*Activation), std::move(*Value));
 }
 
 bool prdnn::persist::saveNetworkBinary(const Network &Net,

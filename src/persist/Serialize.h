@@ -1,16 +1,16 @@
 //===- persist/Serialize.h - artifact & network serializers ----*- C++ -*-===//
 ///
 /// \file
-/// Binary (de)serializers over persist/Codec.h for everything the
-/// persistent artifact store holds:
+/// Binary (de)serializers over persist/Codec.h, and the library's one
+/// network codec:
 ///
 ///   - the three cache artifact kinds (SyReNN transform sets,
-///     activation-pattern batches, simplex bases), bit-exact so an L2
+///     activation-pattern batches, LP solutions), bit-exact so an L2
 ///     hit returns exactly the bytes a recomputation would produce;
-///   - whole Networks (every layer kind), the binary sibling of
-///     nn/Serialization's text format - same information, but doubles
-///     travel as IEEE-754 bit patterns, so parameters round-trip
-///     bit-exactly and loading is bounds-checked end to end.
+///   - whole Networks (every layer kind) and Decoupled DNNs (the two
+///     channel networks back to back). Doubles travel as IEEE-754 bit
+///     patterns, so parameters - inf and NaN included - round-trip
+///     bit-exactly.
 ///
 /// Deserializers validate structure (dimensions positive and bounded,
 /// layer sizes chained, element counts consistent with the remaining
@@ -33,6 +33,7 @@
 
 namespace prdnn {
 
+class DecoupledNetwork;
 class Network;
 
 namespace persist {
@@ -76,6 +77,15 @@ void serializeNetwork(const Network &Net, ByteWriter &W);
 
 /// Decodes a network from \p R; nullopt on malformed input.
 std::optional<Network> deserializeNetwork(ByteReader &R);
+
+/// Appends \p Net's two channels to \p W: the activation channel's
+/// network encoding, then the value channel's.
+void serializeDecoupled(const DecoupledNetwork &Net, ByteWriter &W);
+
+/// Decodes both channels from \p R; nullopt on malformed input, and
+/// CodecError::Corrupt when the channels disagree on a layer's kind or
+/// sizes (the DecoupledNetwork constructor only asserts that).
+std::optional<DecoupledNetwork> deserializeDecoupled(ByteReader &R);
 
 /// Writes \p Net to \p Path as a framed binary blob (kNetworkBlobKind);
 /// false on I/O error.

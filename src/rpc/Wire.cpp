@@ -3,7 +3,6 @@
 #include "rpc/Wire.h"
 
 #include "core/DecoupledNetwork.h"
-#include "nn/Network.h"
 
 #include <cerrno>
 #include <cmath>
@@ -318,10 +317,8 @@ bool readRepairStats(ByteReader &R, RepairStats &S) {
 void writeRepairResult(ByteWriter &W, const RepairResult &Result) {
   W.u8(static_cast<std::uint8_t>(Result.Status));
   W.u8(Result.Repaired ? 1 : 0);
-  if (Result.Repaired) {
-    persist::serializeNetwork(Result.Repaired->activationChannel(), W);
-    persist::serializeNetwork(Result.Repaired->valueChannel(), W);
-  }
+  if (Result.Repaired)
+    persist::serializeDecoupled(*Result.Repaired, W);
   writeDoubleSeq(W, Result.Delta);
   W.f64(Result.DeltaL1);
   W.f64(Result.DeltaLInf);
@@ -336,29 +333,9 @@ bool readRepairResult(ByteReader &R, RepairResult &Result) {
   if (!readEnum8(R, HasRepaired, 1))
     return false;
   if (HasRepaired) {
-    std::optional<Network> Activation = persist::deserializeNetwork(R);
-    if (!Activation)
+    Result.Repaired = persist::deserializeDecoupled(R);
+    if (!Result.Repaired)
       return false;
-    std::optional<Network> Value = persist::deserializeNetwork(R);
-    if (!Value)
-      return false;
-    // The DecoupledNetwork constructor only asserts channel agreement;
-    // a wire payload must be validated, not trusted.
-    if (Activation->numLayers() != Value->numLayers() ||
-        Activation->inputSize() != Value->inputSize() ||
-        Activation->outputSize() != Value->outputSize()) {
-      R.fail(CodecError::Corrupt);
-      return false;
-    }
-    for (int I = 0; I < Activation->numLayers(); ++I)
-      if (Activation->layer(I).getKind() != Value->layer(I).getKind() ||
-          Activation->layer(I).inputSize() != Value->layer(I).inputSize() ||
-          Activation->layer(I).outputSize() !=
-              Value->layer(I).outputSize()) {
-        R.fail(CodecError::Corrupt);
-        return false;
-      }
-    Result.Repaired.emplace(std::move(*Activation), std::move(*Value));
   } else {
     Result.Repaired.reset();
   }

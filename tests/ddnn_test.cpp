@@ -12,14 +12,12 @@
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "nn/PoolLayers.h"
-#include "nn/Serialization.h"
+#include "persist/Serialize.h"
 #include "support/Casting.h"
 #include "support/Rng.h"
 #include "syrenn/LineTransform.h"
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 namespace {
 
@@ -193,16 +191,17 @@ TEST(Ddnn, Theorem46ValueEditsPreserveLinearRegions) {
 }
 
 TEST(Ddnn, MismatchedChannelsRejected) {
-  // Channels must agree layerwise; readDecoupled rejects mismatches.
+  // Channels must agree layerwise; deserializeDecoupled rejects
+  // mismatches as Corrupt.
   Rng R(5);
   Network A = makeNetwork(R, NetFlavor::Relu);
   Network B = makeNetwork(R, NetFlavor::Smooth);
-  std::ostringstream Os;
-  Os << "prdnn-ddnn v1\n";
-  writeNetwork(A, Os);
-  writeNetwork(B, Os);
-  std::istringstream Is(Os.str());
-  EXPECT_FALSE(readDecoupled(Is).has_value());
+  persist::ByteWriter W;
+  persist::serializeNetwork(A, W);
+  persist::serializeNetwork(B, W);
+  persist::ByteReader Reader(W.buffer().data(), W.buffer().size());
+  EXPECT_FALSE(persist::deserializeDecoupled(Reader).has_value());
+  EXPECT_EQ(Reader.error(), persist::CodecError::Corrupt);
 }
 
 TEST(Ddnn, SerializationRoundTrip) {
@@ -214,14 +213,17 @@ TEST(Ddnn, SerializationRoundTrip) {
   std::vector<double> Delta(static_cast<size_t>(L.numParams()), 0.25);
   L.addToParams(Delta);
 
-  std::ostringstream Os;
-  writeDecoupled(Ddnn, Os);
-  std::istringstream Is(Os.str());
-  std::optional<DecoupledNetwork> Loaded = readDecoupled(Is);
+  persist::ByteWriter W;
+  persist::serializeDecoupled(Ddnn, W);
+  persist::ByteReader Reader(W.buffer().data(), W.buffer().size());
+  std::optional<DecoupledNetwork> Loaded =
+      persist::deserializeDecoupled(Reader);
   ASSERT_TRUE(Loaded.has_value());
+  EXPECT_EQ(Reader.remaining(), 0u);
+  // Bit-exact parameters: the decoded DDNN computes the same bits.
   for (int Trial = 0; Trial < 10; ++Trial) {
     Vector X = randomVector(R, Net.inputSize());
-    EXPECT_LT(Loaded->evaluate(X).maxAbsDiff(Ddnn.evaluate(X)), 1e-12);
+    EXPECT_EQ(Loaded->evaluate(X).maxAbsDiff(Ddnn.evaluate(X)), 0.0);
   }
 }
 

@@ -12,11 +12,10 @@
 #include "data/Corruptions.h"
 #include "data/Digits.h"
 #include "data/ShapeWorld.h"
+#include "persist/Serialize.h"
 #include "train/FineTune.h"
 
 #include <gtest/gtest.h>
-
-#include <fstream>
 
 namespace {
 
@@ -163,13 +162,11 @@ TEST(Integration, SaveLoadRepairedNetwork) {
   RepairResult Result = repairPoints(Net, OutputLayer, Spec);
   ASSERT_EQ(Result.Status, RepairStatus::Success);
 
-  std::string Path = "/tmp/prdnn_integration_ddnn.txt";
-  {
-    std::ofstream Os(Path);
-    writeDecoupled(*Result.Repaired, Os);
-  }
-  std::ifstream Is(Path);
-  std::optional<DecoupledNetwork> Loaded = readDecoupled(Is);
+  persist::ByteWriter W;
+  persist::serializeDecoupled(*Result.Repaired, W);
+  persist::ByteReader Reader(W.buffer().data(), W.buffer().size());
+  std::optional<DecoupledNetwork> Loaded =
+      persist::deserializeDecoupled(Reader);
   ASSERT_TRUE(Loaded.has_value());
   for (const SpecPoint &P : Spec)
     EXPECT_LE(P.Constraint.violation(Loaded->evaluate(P.X)), 1e-7);

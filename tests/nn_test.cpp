@@ -4,7 +4,7 @@
 // finite-difference gradient checks for parameter gradients and VJPs,
 // activation patterns and pinned evaluation, the exactness property of
 // parameter Jacobians under pinned patterns (the computational core of
-// Theorem 4.5), and serialization round-trips.
+// Theorem 4.5).
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,6 @@
 #include "nn/LinearLayers.h"
 #include "nn/Network.h"
 #include "nn/PoolLayers.h"
-#include "nn/Serialization.h"
 
 #include "support/Casting.h"
 #include "support/Parallel.h"
@@ -24,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 namespace {
 
@@ -742,72 +740,6 @@ TEST(Batch, SpecStateRowsAreIntermediatesBitForBit) {
     }
   }
   setGlobalThreadCount(1);
-}
-
-TEST(Serialization, RoundTripAllLayerKinds) {
-  Rng R(301);
-  Network Net;
-  std::vector<double> Kernel(2 * 1 * 3 * 3);
-  for (double &V : Kernel)
-    V = R.normal();
-  Net.addLayer(std::make_unique<Conv2DLayer>(1, 6, 6, 2, 3, 3, 1, 1, Kernel,
-                                             std::vector<double>{0.3, -0.2}));
-  Net.addLayer(std::make_unique<ReLULayer>(72));
-  Net.addLayer(std::make_unique<MaxPool2DLayer>(2, 6, 6, 2, 2, 2));
-  Net.addLayer(std::make_unique<AvgPool2DLayer>(2, 3, 3, 3, 3, 3));
-  Net.addLayer(std::make_unique<FlattenLayer>(2));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 4, 2),
-                                                     randomVector(R, 4)));
-  Net.addLayer(std::make_unique<LeakyReLULayer>(4, 0.01));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 3, 4),
-                                                     randomVector(R, 3)));
-  Net.addLayer(std::make_unique<HardTanhLayer>(3));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 2, 3),
-                                                     randomVector(R, 2)));
-  Net.addLayer(std::make_unique<TanhLayer>(2));
-  Net.addLayer(std::make_unique<FullyConnectedLayer>(randomMatrix(R, 2, 2),
-                                                     randomVector(R, 2)));
-  Net.addLayer(std::make_unique<SigmoidLayer>(2));
-
-  std::ostringstream Os;
-  writeNetwork(Net, Os);
-  std::istringstream Is(Os.str());
-  std::optional<Network> Loaded = readNetwork(Is);
-  ASSERT_TRUE(Loaded.has_value());
-  ASSERT_EQ(Loaded->numLayers(), Net.numLayers());
-  for (int Trial = 0; Trial < 10; ++Trial) {
-    Vector X = randomVector(R, 36);
-    EXPECT_LT(Loaded->evaluate(X).maxAbsDiff(Net.evaluate(X)), 1e-12);
-  }
-}
-
-TEST(Serialization, RejectsMalformedInput) {
-  {
-    std::istringstream Is("not-a-network v1\nlayers 0\n");
-    EXPECT_FALSE(readNetwork(Is).has_value());
-  }
-  {
-    std::istringstream Is("prdnn-network v2\nlayers 0\n");
-    EXPECT_FALSE(readNetwork(Is).has_value());
-  }
-  {
-    std::istringstream Is("prdnn-network v1\nlayers 1\nfc 2 2\n1 2 3\n");
-    EXPECT_FALSE(readNetwork(Is).has_value()); // truncated params
-  }
-  {
-    std::istringstream Is("prdnn-network v1\nlayers 1\nwat 3\n");
-    EXPECT_FALSE(readNetwork(Is).has_value()); // unknown layer kind
-  }
-}
-
-TEST(Serialization, EmptyNetworkRoundTrip) {
-  Network Net;
-  std::ostringstream Os;
-  writeNetwork(Net, Os);
-  std::istringstream Is(Os.str());
-  std::optional<Network> Loaded = readNetwork(Is);
-  ASSERT_TRUE(Loaded.has_value());
-  EXPECT_EQ(Loaded->numLayers(), 0);
 }
 
 } // namespace

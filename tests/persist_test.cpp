@@ -3,9 +3,10 @@
 // Covers the persist/ subsystem end to end: codec round-trips for every
 // artifact kind and every layer type (bit-exact doubles, NaN payloads
 // and -0.0 included); typed rejection of truncated / corrupt /
-// version-mismatched frames; the hardened nn/Serialization negative
-// paths; atomic store publication under concurrent writers; LRU-by-
-// mtime GC at the byte budget; and the L2 determinism contract - cold,
+// version-mismatched frames; the network decoder's rejection of every
+// malformed dimension, geometry and layer chain; atomic store
+// publication under concurrent writers; LRU-by-mtime GC at the byte
+// budget; and the L2 determinism contract - cold,
 // L1-warm, L2-warm-after-an-engine-restart, and store-off runs are
 // bit-for-bit identical at 1/4/8 threads, with a corrupted store entry
 // degrading to a recompute. Runs under the CI ThreadSanitizer job next
@@ -23,7 +24,6 @@
 #include "nn/ActivationLayers.h"
 #include "nn/LinearLayers.h"
 #include "nn/PoolLayers.h"
-#include "nn/Serialization.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
 
@@ -38,7 +38,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -475,11 +474,6 @@ TEST(Serialize, NetworkBinaryFileRoundTripAndTypedErrors) {
   EXPECT_EQ(Error, CodecError::None);
   EXPECT_EQ(fingerprintNetwork(*Back), fingerprintNetwork(Net));
 
-  // loadNetwork auto-detects the binary magic.
-  std::optional<Network> Auto = loadNetwork(Path);
-  ASSERT_TRUE(Auto.has_value());
-  EXPECT_EQ(fingerprintNetwork(*Auto), fingerprintNetwork(Net));
-
   // Truncated file: typed error, no partial network.
   std::vector<char> Bytes;
   {
@@ -494,7 +488,6 @@ TEST(Serialize, NetworkBinaryFileRoundTripAndTypedErrors) {
   }
   EXPECT_FALSE(persist::loadNetworkBinary(Cut, &Error).has_value());
   EXPECT_EQ(Error, CodecError::Truncated);
-  EXPECT_FALSE(loadNetwork(Cut).has_value());
 
   // A flipped parameter byte fails the digest: Corrupt.
   const std::string Rot = (Dir.Path / "rot.bin").string();
@@ -511,49 +504,188 @@ TEST(Serialize, NetworkBinaryFileRoundTripAndTypedErrors) {
   const std::string Text = (Dir.Path / "text.bin").string();
   {
     std::ofstream Os(Text);
-    Os << "prdnn-network v1\nlayers 0\n";
+    Os << "not a network frame\n";
   }
   EXPECT_FALSE(persist::loadNetworkBinary(Text, &Error).has_value());
   EXPECT_EQ(Error, CodecError::BadMagic);
-  // ...but loadNetwork happily parses it as text.
-  EXPECT_TRUE(loadNetwork(Text).has_value());
 }
 
-TEST(Serialize, TextReaderRejectsMalformedInput) {
-  auto Parse = [](const std::string &Text) {
-    std::istringstream Is(Text);
-    return readNetwork(Is);
+/// Decodes \p Bytes as one network: the typed error, or None when a
+/// network came back.
+CodecError decodeNetworkError(const std::vector<std::uint8_t> &Bytes) {
+  ByteReader R(Bytes.data(), Bytes.size());
+  if (persist::deserializeNetwork(R))
+    return CodecError::None;
+  EXPECT_NE(R.error(), CodecError::None) << "untyped decode failure";
+  return R.error();
+}
+
+/// The encoding of \p Net with the i32 fields after the first layer's
+/// tag (sizes, then geometry) overwritten by \p Fields.
+std::vector<std::uint8_t> patchedEncoding(const Network &Net,
+                                          std::vector<int> Fields) {
+  ByteWriter W;
+  persist::serializeNetwork(Net, W);
+  std::vector<std::uint8_t> Bytes = W.buffer();
+  // u32 layer count + u8 tag precede the first layer's fields.
+  std::size_t Offset = 5;
+  for (int Field : Fields) {
+    const auto U = static_cast<std::uint32_t>(Field);
+    for (int B = 0; B < 4; ++B)
+      Bytes[Offset++] = static_cast<std::uint8_t>(U >> (8 * B));
+  }
+  return Bytes;
+}
+
+Network oneLayer(std::unique_ptr<Layer> L) {
+  Network Net;
+  Net.addLayer(std::move(L));
+  return Net;
+}
+
+TEST(Serialize, NetworkDecoderRejectsMalformedInput) {
+  Rng R(5503);
+  const Network Fc = oneLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 2, 3), randomVector(R, 2)));
+  const Network Relu = oneLayer(std::make_unique<ReLULayer>(4));
+  const Network Flatten = oneLayer(std::make_unique<FlattenLayer>(4));
+  const Network Leaky = oneLayer(std::make_unique<LeakyReLULayer>(4, 0.1));
+  // 38 parameters: enough bytes that a patched layer with fewer is
+  // decoded in full, so only the checks under test can reject it.
+  const Network Conv = oneLayer(std::make_unique<Conv2DLayer>(
+      2, 4, 4, 2, 3, 3, 1, 1, std::vector<double>(36, 0.5),
+      std::vector<double>{0.1, -0.1}));
+  const Network MaxPool =
+      oneLayer(std::make_unique<MaxPool2DLayer>(1, 4, 4, 2, 2, 2));
+  const Network AvgPool =
+      oneLayer(std::make_unique<AvgPool2DLayer>(1, 4, 4, 2, 2, 2));
+
+  // Each patched encoding must fail typed: Corrupt when a check rejects
+  // the fields, Truncated when the declared sizes outrun the bytes.
+  // Fields: fc Out In | conv InC InH InW OutC KH KW Stride Pad |
+  // pool C H W WindowH WindowW Stride | activation N.
+  struct Case {
+    const char *What;
+    const Network &Net;
+    std::vector<int> Fields;
   };
-  // Truncated parameter list.
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nfc 2 2\n1 2 3\n"));
-  // Negative / zero dimensions.
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nfc -2 2\n"));
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nrelu 0\n"));
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nflatten -5\n"));
-  // Absurd dimensions must fail validation, not allocate.
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nfc 2000000000 2000000000\n"));
-  // Dimensions that each pass the per-axis bound but whose *product*
-  // would overflow 64-bit (65536^4 = 2^64) or explode the activation
-  // size must be rejected by the overflow-safe product checks.
-  EXPECT_FALSE(Parse(
-      "prdnn-network v1\nlayers 1\nconv 65536 65536 65536 65536 65536 "
-      "65536 1 0\n"));
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\navgpool 4194304 4194304 "
-                     "4194304 4194304 4194304 1\n"));
-  // Conv geometry: kernel larger than padded input; negative stride.
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nconv 1 2 2 1 5 5 1 0\n"));
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nconv 1 4 4 1 2 2 -1 0\n"));
-  // Pool windows must tile the input exactly (the constructor only
-  // asserts this; the reader must validate it).
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nmaxpool 1 5 5 2 2 2\n"));
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\navgpool 1 4 4 8 8 2\n"));
-  // Adjacent layer sizes must chain.
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 2\nrelu 4\nrelu 5\n"));
-  // Unknown layer kind.
-  EXPECT_FALSE(Parse("prdnn-network v1\nlayers 1\nsoftmax 4\n"));
-  // Sane input still parses.
-  EXPECT_TRUE(Parse("prdnn-network v1\nlayers 2\nfc 2 3\n1 2 3 4 5 6 7 8\n"
-                    "relu 2\n"));
+  const Case Cases[] = {
+      // Zero and negative dimensions.
+      {"fc out -2", Fc, {-2, 3}},
+      {"fc out 0", Fc, {0, 3}},
+      {"fc in 0", Fc, {2, 0}},
+      {"relu 0", Relu, {0}},
+      {"flatten -5", Flatten, {-5}},
+      {"leakyrelu 0", Leaky, {0}},
+      {"conv channels 0", Conv, {0, 4, 4, 1, 2, 2, 1, 0}},
+      {"conv rows 0", Conv, {1, 0, 4, 1, 2, 2, 1, 1}},
+      {"conv cols 0", Conv, {1, 4, 0, 1, 2, 2, 1, 1}},
+      {"conv out channels 0", Conv, {1, 4, 4, 0, 2, 2, 1, 0}},
+      {"conv kernel rows 0", Conv, {1, 4, 4, 1, 0, 2, 1, 0}},
+      {"conv kernel cols 0", Conv, {1, 4, 4, 1, 2, 0, 1, 0}},
+      {"conv pad -1", Conv, {1, 4, 4, 1, 2, 2, 1, -1}},
+      {"maxpool channels -1", MaxPool, {-1, 4, 4, 2, 2, 2}},
+      {"maxpool rows 0", MaxPool, {1, 0, 4, 2, 2, 2}},
+      {"avgpool window rows 0", AvgPool, {1, 4, 4, 0, 2, 2}},
+      {"avgpool window cols 0", AvgPool, {1, 4, 4, 2, 0, 2}},
+      // Absurd dimensions must fail validation, not allocate.
+      {"fc 2e9 x 2e9", Fc, {2000000000, 2000000000}},
+      {"fc params over bound", Fc, {1 << 14, 1 << 14}},
+      {"conv pad over bound", Conv, {1, 4, 4, 1, 2, 2, 1 << 24, (1 << 22) + 1}},
+      {"conv pad 2^30 (2 * pad overflows int)", Conv,
+       {1, 4, 4, 1, 2, 2, 1, 1 << 30}},
+      // Dimensions that each pass the per-axis bound but whose product
+      // would overflow 64 bits (65536^4 = 2^64) or explode the
+      // activation size.
+      {"conv 65536^4", Conv, {65536, 65536, 65536, 65536, 65536, 65536, 1, 0}},
+      {"conv input over bound", Conv, {1, 4096, 4096, 1, 1, 1, 4096, 0}},
+      {"conv output over bound", Conv, {1, 1, 1, 1, 1, 1, 1, 2048}},
+      {"conv kernels over bound", Conv, {64, 64, 1, 1 << 16, 64, 1, 64, 0}},
+      {"avgpool 4194304^3", AvgPool,
+       {4194304, 4194304, 4194304, 4194304, 4194304, 1}},
+      // Conv geometry: kernel larger than the padded input; stride.
+      {"conv kernel taller than input", Conv, {1, 2, 2, 1, 5, 1, 1, 0}},
+      {"conv kernel wider than input", Conv, {1, 2, 2, 1, 1, 5, 1, 0}},
+      {"conv stride -1", Conv, {1, 4, 4, 1, 2, 2, -1, 0}},
+      {"conv stride 0", Conv, {1, 4, 4, 1, 2, 2, 0, 0}},
+      // Pool windows must fit and tile the input exactly (the
+      // constructors only assert this).
+      {"maxpool rows untiled", MaxPool, {1, 5, 4, 2, 2, 2}},
+      {"maxpool cols untiled", MaxPool, {1, 4, 5, 2, 2, 2}},
+      {"avgpool window taller than input", AvgPool, {1, 4, 4, 8, 2, 2}},
+      {"avgpool window wider than input", AvgPool, {1, 4, 4, 2, 8, 2}},
+      {"maxpool stride 0", MaxPool, {1, 4, 4, 2, 2, 0}},
+      {"avgpool stride -1", AvgPool, {1, 4, 4, 2, 2, -1}},
+  };
+  for (const Case &C : Cases) {
+    CodecError Error = decodeNetworkError(patchedEncoding(C.Net, C.Fields));
+    EXPECT_TRUE(Error == CodecError::Corrupt || Error == CodecError::Truncated)
+        << C.What << ": " << toString(Error);
+  }
+
+  // Adjacent layer sizes must chain: relu 4 then relu 5.
+  Network Chain;
+  Chain.addLayer(std::make_unique<ReLULayer>(4));
+  Chain.addLayer(std::make_unique<ReLULayer>(4));
+  ByteWriter ChainW;
+  persist::serializeNetwork(Chain, ChainW);
+  std::vector<std::uint8_t> Broken = ChainW.buffer();
+  Broken[5 + 4 + 1] = 5; // the second layer's size, after its tag
+  EXPECT_EQ(decodeNetworkError(Broken), CodecError::Corrupt);
+
+  // Unknown layer tags.
+  ByteWriter FcW;
+  persist::serializeNetwork(Fc, FcW);
+  for (std::uint8_t Tag : {std::uint8_t(10), std::uint8_t(0xee)}) {
+    std::vector<std::uint8_t> Bad = FcW.buffer();
+    Bad[4] = Tag;
+    EXPECT_EQ(decodeNetworkError(Bad), CodecError::Corrupt) << int(Tag);
+  }
+
+  // A parameter list cut short, and every other strict prefix: a count
+  // the remaining bytes cannot hold is Corrupt, a cut field Truncated.
+  const std::vector<std::uint8_t> &Good = FcW.buffer();
+  for (std::size_t Cut = 0; Cut < Good.size(); ++Cut) {
+    CodecError Error = decodeNetworkError(std::vector<std::uint8_t>(
+        Good.begin(), Good.begin() + static_cast<long>(Cut)));
+    EXPECT_TRUE(Error == CodecError::Corrupt || Error == CodecError::Truncated)
+        << "prefix " << Cut << ": " << toString(Error);
+  }
+  // The unpatched encodings decode, every byte consumed.
+  for (const Network *Net : std::vector<const Network *>{
+           &Fc, &Relu, &Flatten, &Leaky, &Conv, &MaxPool, &AvgPool, &Chain}) {
+    ByteWriter W;
+    persist::serializeNetwork(*Net, W);
+    ByteReader Reader(W.buffer().data(), W.buffer().size());
+    EXPECT_TRUE(persist::deserializeNetwork(Reader).has_value());
+    EXPECT_EQ(Reader.remaining(), 0u);
+  }
+}
+
+TEST(Serialize, EmptyAndNonFiniteNetworksRoundTrip) {
+  // Zero layers.
+  ByteWriter W;
+  persist::serializeNetwork(Network(), W);
+  ByteReader Reader(W.buffer().data(), W.buffer().size());
+  std::optional<Network> Empty = persist::deserializeNetwork(Reader);
+  ASSERT_TRUE(Empty.has_value());
+  EXPECT_EQ(Empty->numLayers(), 0);
+  EXPECT_EQ(Reader.remaining(), 0u);
+
+  // inf and NaN parameters keep their bit patterns.
+  Matrix Weights(1, 2);
+  Weights(0, 0) = std::numeric_limits<double>::infinity();
+  Weights(0, 1) = std::numeric_limits<double>::quiet_NaN();
+  Vector Bias(1);
+  Bias[0] = -std::numeric_limits<double>::infinity();
+  Network Net = oneLayer(
+      std::make_unique<FullyConnectedLayer>(std::move(Weights), Bias));
+  ByteWriter NW;
+  persist::serializeNetwork(Net, NW);
+  ByteReader NReader(NW.buffer().data(), NW.buffer().size());
+  std::optional<Network> Back = persist::deserializeNetwork(NReader);
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(fingerprintNetwork(*Back), fingerprintNetwork(Net));
 }
 
 // --- ArtifactStore ----------------------------------------------------------

@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <chrono>
@@ -98,6 +99,22 @@ Network makeClassifier(Rng &R) {
   Net.addLayer(std::make_unique<FullyConnectedLayer>(
       randomMatrix(R, 16, 16, 0.9), randomVector(R, 16, 0.3)));
   Net.addLayer(std::make_unique<ReLULayer>(16));
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 4, 16, 0.9), randomVector(R, 4, 0.3)));
+  return Net;
+}
+
+/// makeClassifier's shapes with smooth activations: as a value channel
+/// next to makeClassifier's ReLUs it is ddnn_test's ReLU-vs-Smooth
+/// channel mismatch.
+Network makeSmoothClassifier(Rng &R) {
+  Network Net;
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 16, 6, 0.9), randomVector(R, 16, 0.3)));
+  Net.addLayer(std::make_unique<TanhLayer>(16));
+  Net.addLayer(std::make_unique<FullyConnectedLayer>(
+      randomMatrix(R, 16, 16, 0.9), randomVector(R, 16, 0.3)));
+  Net.addLayer(std::make_unique<SigmoidLayer>(16));
   Net.addLayer(std::make_unique<FullyConnectedLayer>(
       randomMatrix(R, 4, 16, 0.9), randomVector(R, 4, 0.3)));
   return Net;
@@ -422,6 +439,62 @@ TEST(RpcWire, MalformedPayloadsFailTypedNeverCrash) {
   serve::ServeRequest Back;
   EXPECT_FALSE(readServeRequest(HugeReader, Back));
   EXPECT_EQ(HugeReader.error(), CodecError::Corrupt);
+}
+
+TEST(RpcWire, MalformedReportsFailTypedNeverCrash) {
+  Rng R(8208);
+  auto Net = std::make_shared<Network>(makeClassifier(R));
+  Rng SpecR(8209);
+  EngineOptions Options;
+  Options.EnableCache = false;
+  RepairEngine Engine(Options);
+  RepairReport Report = Engine.run(
+      RepairRequest::points(Net, kAutoLayer, makeFlipSpec(*Net, SpecR, 8)));
+  ASSERT_EQ(Report.Status, RepairStatus::Success);
+  ASSERT_TRUE(Report.Result.Repaired.has_value());
+  ByteWriter W;
+  writeRepairReport(W, Report);
+  const std::vector<std::uint8_t> &Good = W.buffer();
+
+  // Every strict prefix is a typed failure (Truncated or Corrupt).
+  for (std::size_t Cut = 0; Cut < Good.size(); ++Cut) {
+    ByteReader Reader(Good.data(), Cut);
+    RepairReport Back;
+    EXPECT_FALSE(readRepairReport(Reader, Back)) << "prefix " << Cut;
+    EXPECT_NE(Reader.error(), CodecError::None) << "prefix " << Cut;
+  }
+
+  // Swap the value channel's bytes for a smooth network of the same
+  // shapes: the channels disagree on layer kinds, so the report is
+  // Corrupt.
+  ByteWriter Ddnn;
+  persist::serializeDecoupled(*Report.Result.Repaired, Ddnn);
+  auto At = std::search(Good.begin(), Good.end(), Ddnn.buffer().begin(),
+                        Ddnn.buffer().end());
+  ASSERT_NE(At, Good.end());
+  ByteWriter Mixed;
+  persist::serializeNetwork(Report.Result.Repaired->activationChannel(),
+                            Mixed);
+  Rng SmoothR(8210);
+  persist::serializeNetwork(makeSmoothClassifier(SmoothR), Mixed);
+  ASSERT_EQ(Mixed.buffer().size(), Ddnn.buffer().size());
+  std::vector<std::uint8_t> Bad = Good;
+  std::copy(Mixed.buffer().begin(), Mixed.buffer().end(),
+            Bad.begin() + (At - Good.begin()));
+  ByteReader BadReader(Bad.data(), Bad.size());
+  RepairReport Back;
+  EXPECT_FALSE(readRepairReport(BadReader, Back));
+  EXPECT_EQ(BadReader.error(), CodecError::Corrupt);
+
+  // Channels with no layers agree, and deciding so touches no layer.
+  Report.Result.Repaired.emplace(Network(), Network());
+  ByteWriter EmptyW;
+  writeRepairReport(EmptyW, Report);
+  ByteReader EmptyReader(EmptyW.buffer().data(), EmptyW.buffer().size());
+  ASSERT_TRUE(readRepairReport(EmptyReader, Back))
+      << toString(EmptyReader.error());
+  ASSERT_TRUE(Back.Result.Repaired.has_value());
+  EXPECT_EQ(Back.Result.Repaired->numLayers(), 0);
 }
 
 // --- toString totality ------------------------------------------------------
